@@ -24,7 +24,6 @@ from .envs import (
     chain_spec,
     env_by_id,
     gridworld_spec,
-    maxent_policy,
     pointmass_spec,
     rollout,
     scripted_pointmass_expert,
@@ -57,9 +56,6 @@ from .train import (
     RunLog,
     RunRecord,
     TrainConfig,
-    asaf_train,
-    asqf_train,
-    bc_train,
     evaluate_policy,
     train,
 )
@@ -90,12 +86,9 @@ __all__ = [
     "Trajectory",
     "Window",
     "adam_step",
-    "asaf_train",
     "asqf_bce_loss",
     "asqf_extract_policy",
     "asqf_log_d",
-    "asqf_train",
-    "bc_train",
     "bce_loss",
     "chain_spec",
     "collect_expert_demos",
@@ -109,7 +102,6 @@ __all__ = [
     "js_divergence",
     "logsumexp",
     "make_policy",
-    "maxent_policy",
     "occupancy",
     "pointmass_spec",
     "rollout",

@@ -17,20 +17,11 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
-from .envs import (
-    PointMassSpec,
-    ScriptedPointMassPolicy,
-    SoftExpertPolicy,
-    env_by_id,
-    rollout,
-    soft_value_iteration,
-)
+from .envs import env_by_id
 from .errors import ConfigError, FormatError, ValidationError
 from .formats import load_checkpoint, parse_run_config, read_demos, save_checkpoint, write_demos, write_runlog_csv
-from .train import DemoSet, evaluate_policy, train
-from .verify import SUITES, run_suite
+from .train import evaluate_policy, train
+from .verify import SUITES, collect_expert_demos, run_suite
 
 DEFAULT_DEMO_COUNTS = {"chain": 200, "gridworld": 50, "pointmass": 25}
 
@@ -61,31 +52,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_gen_expert(args) -> int:
-    env_spec = env_by_id(args.env)
     n = args.n if args.n is not None else DEFAULT_DEMO_COUNTS[args.env]
-    if n < 1:
-        raise ValidationError(f"need at least one episode, got {n}")
-    if isinstance(env_spec, PointMassSpec):
-        expert = ScriptedPointMassPolicy()
-        action_kind, generator = "continuous", "scripted_proportional"
-    else:
-        if args.alpha <= 0.0:
-            raise ValidationError(f"alpha must be positive, got {args.alpha}")
-        expert = SoftExpertPolicy(soft_value_iteration(env_spec.mdp, args.alpha))
-        action_kind, generator = "discrete", f"soft_vi(alpha={args.alpha})"
-    trajs, rets = [], []
-    for i in range(n):
-        traj, ret = rollout(env_spec, expert, seed=(args.seed, i))
-        trajs.append(traj)
-        rets.append(ret)
-    demos = DemoSet(
-        trajectories=trajs,
-        env_id=env_spec.env_id,
-        action_kind=action_kind,
-        obs_dim=env_spec.obs_dim,
-        mean_return=float(np.mean(rets)),
-        generator=generator,
-    )
+    demos = collect_expert_demos(env_by_id(args.env), n=n, alpha=args.alpha, seed=args.seed)
     write_demos(args.out, demos)
     print(f"wrote {n} episodes to {args.out} (mean return {demos.mean_return:.4f})")
     return 0

@@ -33,7 +33,6 @@ from .policies import CategoricalPolicy
 __all__ = [
     "AsqfModel",
     "PackedWindows",
-    "TransitionBatch",
     "Window",
     "asqf_bce_loss",
     "asqf_extract_policy",
@@ -41,7 +40,9 @@ __all__ = [
     "bce_loss",
     "bce_on_packed",
     "pack_windows",
+    "refresh_generator_scores",
     "structured_log_d",
+    "transitions_from",
     "window_split",
 ]
 
@@ -85,6 +86,8 @@ def window_split(traj: Trajectory, w: int, stride: int, source: int = -1) -> lis
 class PackedWindows:
     """A list of windows flattened for batched net evaluation.
 
+    Whole trajectories, fixed-size windows and single transitions (windows
+    of length 1, see ``transitions_from``) all use this one layout.
     ``starts`` marks each window's first row in the packed arrays; summing a
     per-step vector with reduceat over ``starts`` gives per-window totals.
     ``gen_logp`` caches the frozen generator's per-window log-likelihood; it
@@ -97,6 +100,9 @@ class PackedWindows:
     lengths: np.ndarray
     gen_logp: np.ndarray | None = None
 
+    def __len__(self) -> int:
+        return len(self.starts)
+
     @property
     def n_windows(self) -> int:
         return len(self.starts)
@@ -108,10 +114,13 @@ class PackedWindows:
         return np.repeat(per_window, self.lengths)
 
     def take(self, idx: np.ndarray) -> "PackedWindows":
+        """Windows ``idx`` (repeats allowed) packed in that order, gathered in
+        one indexing pass: row r of the result comes from row
+        r + (source start - new start) of its window."""
         idx = np.asarray(idx)
-        rows = np.concatenate([np.arange(s, s + l) for s, l in zip(self.starts[idx], self.lengths[idx])])
         lengths = self.lengths[idx]
-        starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
+        starts = np.cumsum(lengths) - lengths
+        rows = np.arange(lengths.sum()) + np.repeat(self.starts[idx] - starts, lengths)
         return PackedWindows(
             obs=self.obs[rows],
             acts=self.acts[rows],
@@ -189,30 +198,11 @@ def bce_loss(learner, generator, expert_windows: list[Window], gen_windows: list
     return bce_on_packed(learner, packed_e, packed_g)
 
 
-@dataclass
-class TransitionBatch:
-    """Flat (obs, act) pairs for the transition-wise variant."""
-
-    obs: np.ndarray
-    acts: np.ndarray
-    gen_logp: np.ndarray | None = None
-
-    def __len__(self) -> int:
-        return len(self.obs)
-
-    def take(self, idx: np.ndarray) -> "TransitionBatch":
-        idx = np.asarray(idx)
-        return TransitionBatch(
-            obs=self.obs[idx],
-            acts=self.acts[idx],
-            gen_logp=None if self.gen_logp is None else self.gen_logp[idx],
-        )
-
-
-def transitions_from(trajs) -> TransitionBatch:
+def transitions_from(trajs) -> PackedWindows:
+    """All steps of ``trajs`` as windows of length 1."""
     obs = np.concatenate([t.obs for t in trajs])
     acts = np.concatenate([np.atleast_1d(t.acts) for t in trajs])
-    return TransitionBatch(obs=obs, acts=acts)
+    return PackedWindows(obs=obs, acts=acts, starts=np.arange(len(obs)), lengths=np.ones(len(obs), dtype=np.int64))
 
 
 class AsqfModel:
@@ -267,7 +257,7 @@ def asqf_log_d(model: AsqfModel, generator, obs, acts) -> tuple[np.ndarray, np.n
     return f - m, g - m
 
 
-def asqf_bce_loss(model: AsqfModel, generator, expert: TransitionBatch, gen: TransitionBatch) -> tuple[float, np.ndarray]:
+def asqf_bce_loss(model: AsqfModel, generator, expert: PackedWindows, gen: PackedWindows) -> tuple[float, np.ndarray]:
     """Transition-wise two-sided cross entropy and gradient in the scores.
 
     The cached ``gen_logp`` fields are used when present so the frozen

@@ -37,7 +37,6 @@ __all__ = [
     "env_by_id",
     "gridworld_mdp",
     "gridworld_spec",
-    "maxent_policy",
     "one_hot",
     "pointmass_spec",
     "rollout",
@@ -116,7 +115,8 @@ class SoftQTable:
         return self.alpha * logsumexp_rows(self.q[t] / self.alpha)
 
     def policy(self, t: int) -> np.ndarray:
-        """Stage-t action distribution per state, shape (S, A)."""
+        """Stage-t maximum-entropy action distribution exp((q - v) / alpha)
+        per state, shape (S, A)."""
         z = self.q[t] / self.alpha
         z = z - z.max(axis=1, keepdims=True)
         e = np.exp(z)
@@ -147,11 +147,6 @@ def soft_value_iteration(mdp: TabularMdp, alpha: float) -> SoftQTable:
         q[t] = mdp.rewards + mdp.gamma * (mdp.transitions @ v_next)
         v_next = alpha * logsumexp_rows(q[t] / alpha)
     return SoftQTable(q=q, alpha=alpha)
-
-
-def maxent_policy(qtable: SoftQTable, t: int, s: int) -> np.ndarray:
-    """Action distribution exp((q - v) / alpha) at stage t, state s."""
-    return qtable.policy(t)[s]
 
 
 @dataclass

@@ -8,7 +8,8 @@ Demo file (UTF-8 text, one JSON object per line):
 Reals are written with 17 significant digits and always carry a decimal
 point, which makes the round trip bit-exact for float64 (including the sign
 of zero).  Discrete actions are plain ints; continuous actions are rows of
-reals.
+reals.  Non-finite reals have no JSON form and are refused by the writer
+and the reader alike.
 
 Run config (UTF-8 text): one ``key = value`` per line, blank lines and
 ``#`` comments ignored.  Unknown keys are an error, as are malformed
@@ -74,6 +75,13 @@ def _json_reals(rows) -> str:
 
 
 def write_demos(path, demos: DemoSet) -> None:
+    """Write a demo file; non-finite values are refused before the file is
+    opened, since JSON has no literal for them."""
+    if not np.isfinite(demos.mean_return):
+        raise FormatError(f"{path}: mean_return {demos.mean_return} is not finite")
+    for lineno, traj in enumerate(demos.trajectories, start=2):
+        if not (np.all(np.isfinite(traj.obs)) and np.all(np.isfinite(traj.acts))):
+            raise FormatError(f"{path}: line {lineno}: non-finite observation or action")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(
             "{"
@@ -135,8 +143,14 @@ def read_demos(path) -> DemoSet:
 
 
 def _parse_json_line(path, lineno: int, line: str):
+    def finite(text: str) -> float:
+        x = float(text)
+        if not np.isfinite(x):
+            raise FormatError(f"{path}: line {lineno}: non-finite number {text}")
+        return x
+
     try:
-        obj = json.loads(line)
+        obj = json.loads(line, parse_float=finite, parse_constant=finite)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from exc
     if not isinstance(obj, dict):

@@ -1,12 +1,19 @@
-"""Training loops: structured-discriminator imitation and two baselines.
+"""One training loop for structured-discriminator imitation (asaf, asaf_w,
+asaf_1), its transition-wise scored form (asqf) and behavioral cloning (bc).
 
-The main loop alternates, for a configured number of outer steps:
+``train`` alternates, for a configured number of outer steps:
 
-1. collect ``n_g`` fresh episodes with the frozen generator policy,
-2. run ``epochs`` passes of minibatch cross-entropy updates on the learner
-   (the generator pool defines an epoch; expert windows are drawn with
-   replacement to pair each batch one-to-one),
-3. replace the generator with a snapshot of the learner.
+1. collect ``n_g`` fresh episodes with the frozen generator policy (bc
+   collects nothing),
+2. pack them, like the demos, into ``PackedWindows`` of whole trajectories,
+   fixed-size windows or single transitions, and cache the generator's
+   log-likelihood of every window,
+3. run ``epochs`` passes of minibatch cross-entropy updates on the learned
+   net (the generator pool defines an epoch; expert windows are drawn with
+   replacement to pair each batch one-to-one; bc passes over the demo
+   transitions alone and minimizes their negative log-likelihood),
+4. freeze the learned net into the next generator: a snapshot of the
+   policy, or the softmax of the asqf scores.
 
 No reinforcement signal is used anywhere: the reward channel is read only
 by ``evaluate_policy`` and by expert generation.  Collected generator data
@@ -38,9 +45,6 @@ __all__ = [
     "RunLog",
     "RunRecord",
     "TrainConfig",
-    "asaf_train",
-    "asqf_train",
-    "bc_train",
     "evaluate_policy",
     "train",
 ]
@@ -165,6 +169,14 @@ def _check_demos(demos: DemoSet, env_spec: EnvSpec) -> None:
         raise ValidationError(f"demo action kind {demos.action_kind!r} does not match env {env_spec.action_kind!r}")
     if demos.obs_dim != env_spec.obs_dim:
         raise ValidationError(f"demo obs_dim {demos.obs_dim} does not match env {env_spec.obs_dim}")
+    if demos.action_kind == "discrete":
+        for i, traj in enumerate(demos.trajectories):
+            bad = (traj.acts < 0) | (traj.acts >= env_spec.n_actions)
+            if np.any(bad):
+                raise ValidationError(
+                    f"episode {i} (demo file line {i + 2}): action {traj.acts[bad][0]} "
+                    f"is outside [0, {env_spec.n_actions})"
+                )
 
 
 def _eval_seed(cfg: TrainConfig, outer_step: int) -> int:
@@ -197,197 +209,100 @@ def _clip(grad: np.ndarray, cfg: TrainConfig) -> np.ndarray:
     return clip_by_value(grad, cfg.clip)
 
 
-def _make_windows(trajs: list[Trajectory], cfg: TrainConfig) -> list[disc.Window]:
-    """Whole trajectories for asaf, fixed-size cuts for asaf_w/asaf_1."""
-    out = []
-    for i, traj in enumerate(trajs):
-        if cfg.algorithm == "asaf":
-            out.append(disc.Window(obs=traj.obs, acts=traj.acts, source=i, offset=0))
-        else:
-            out.extend(disc.window_split(traj, cfg.w, cfg.stride, source=i))
-    return out
+def _pool(trajs: list[Trajectory], cfg: TrainConfig) -> disc.PackedWindows:
+    """Whole trajectories for asaf, fixed-size cuts for asaf_w, single
+    transitions for asaf_1, asqf and bc."""
+    if cfg.algorithm in ("asaf_1", "asqf", "bc"):
+        return disc.transitions_from(trajs)
+    if cfg.algorithm == "asaf":
+        windows = [disc.Window(obs=t.obs, acts=t.acts, source=i) for i, t in enumerate(trajs)]
+    else:
+        windows = [w for i, t in enumerate(trajs) for w in disc.window_split(t, cfg.w, cfg.stride, source=i)]
+    return disc.pack_windows(windows)
 
 
-def _log_eval(log, cfg, policy, env_spec, reference, outer_step, env_steps, losses):
-    seed = _eval_seed(cfg, outer_step)
-    mean, std = evaluate_policy(policy, env_spec, k=cfg.eval_k, seed=seed)
-    bce = float(np.mean(losses)) if losses else float("nan")
-    log.rows.append(
-        RunRecord(
-            step=outer_step,
-            env_steps=env_steps,
-            mean_return=mean,
-            std_return=std,
-            bce_loss=bce,
-            js_to_expert=reference.js(policy),
-            eval_seed=seed,
-        )
-    )
+def _loss(algorithm: str, learned, generator, expert: disc.PackedWindows, gen: disc.PackedWindows | None):
+    """Minibatch loss and its gradient in the learned net's parameters.
+
+    bc has no generator side: its loss is the negative log-likelihood of the
+    demo transitions, which the bce_loss column then carries.
+    """
+    if algorithm == "bc":
+        logp, cache = learned.log_prob_tape(expert.obs, expert.acts)
+        return -float(np.mean(logp)), learned.backprop_log_prob(cache, np.full(len(expert), -1.0 / len(expert)))
+    if algorithm == "asqf":
+        return disc.asqf_bce_loss(learned, generator, expert, gen)
+    return disc.bce_on_packed(learned, expert, gen)
 
 
-def asaf_train(cfg: TrainConfig, demos: DemoSet, env_spec: EnvSpec):
-    """Full-trajectory, windowed, or transition-wise structured-discriminator
-    training; returns (policy, RunLog)."""
-    cfg = cfg.validated()
-    if cfg.algorithm not in ("asaf", "asaf_w", "asaf_1"):
-        raise ValidationError(f"asaf_train got algorithm {cfg.algorithm!r}")
-    _check_demos(demos, env_spec)
+def train(cfg: TrainConfig, demos: DemoSet, env_spec: EnvSpec):
+    """Train ``cfg.algorithm`` on the demos; returns (policy, RunLog).
 
-    ss_init, ss_collect, ss_batch = np.random.SeedSequence(cfg.seed).spawn(3)
-    learner = make_policy(env_spec, cfg.hidden, np.random.default_rng(ss_init))
-    generator = learner.snapshot()
-    adam = AdamState.for_params(learner.net.params)
-    collect_rng = np.random.default_rng(ss_collect)
-    batch_rng = np.random.default_rng(ss_batch)
-
-    packed_e = disc.pack_windows(_make_windows(demos.trajectories, cfg))
-    reference = _ExpertReference(env_spec)
-    log = RunLog()
-    env_steps = 0
-
-    for m in range(cfg.steps):
-        trajs = []
-        for _ in range(cfg.n_g):
-            traj, _ = rollout(env_spec, generator, seed=collect_rng)
-            trajs.append(traj)
-            env_steps += len(traj)
-        packed_g = disc.pack_windows(_make_windows(trajs, cfg))
-        disc.refresh_generator_scores(packed_e, generator)
-        disc.refresh_generator_scores(packed_g, generator)
-
-        losses = []
-        first = True
-        for _ in range(cfg.epochs):
-            order = batch_rng.permutation(packed_g.n_windows)
-            for lo in range(0, len(order), cfg.batch):
-                gen_idx = order[lo : lo + cfg.batch]
-                exp_idx = batch_rng.integers(0, packed_e.n_windows, size=len(gen_idx))
-                loss, grad = disc.bce_on_packed(learner, packed_e.take(exp_idx), packed_g.take(gen_idx))
-                if first:
-                    log.first_batch_losses.append(loss)
-                    first = False
-                losses.append(loss)
-                new_params, adam = adam_step(adam, learner.net.params, _clip(grad, cfg), cfg.lr_d)
-                learner.net.params = new_params
-
-        generator = learner.snapshot()
-        if (m + 1) % cfg.eval_interval == 0 or m == cfg.steps - 1:
-            _log_eval(log, cfg, learner, env_spec, reference, m + 1, env_steps, losses)
-
-    log.total_env_steps = env_steps
-    return learner, log
-
-
-def asqf_train(cfg: TrainConfig, demos: DemoSet, env_spec: EnvSpec):
-    """Transition-wise scored-discriminator training for discrete actions.
-
-    The learned object is the score net; the behavior policy is re-extracted
-    as its softmax after every outer step.  Returns (policy, RunLog) where
-    the policy is the final extraction.
+    asaf, asaf_w and asaf_1 learn a policy whose snapshot is the generator;
+    asqf learns a score net whose softmax is.  bc collects nothing and its
+    epochs pass over the demo transitions.  The returned policy is the
+    generator after the last outer step.
     """
     cfg = cfg.validated()
-    if cfg.algorithm != "asqf":
-        raise ValidationError(f"asqf_train got algorithm {cfg.algorithm!r}")
-    if env_spec.action_kind != "discrete":
+    if cfg.algorithm == "asqf" and env_spec.action_kind != "discrete":
         raise UnsupportedError("the scored discriminator requires discrete actions")
     _check_demos(demos, env_spec)
 
     ss_init, ss_collect, ss_batch = np.random.SeedSequence(cfg.seed).spawn(3)
-    model = disc.AsqfModel.init(env_spec.obs_dim, env_spec.n_actions, cfg.hidden, np.random.default_rng(ss_init))
-    generator = disc.asqf_extract_policy(model)
-    adam = AdamState.for_params(model.net.params)
+    init_rng = np.random.default_rng(ss_init)
+    if cfg.algorithm == "asqf":
+        learned = disc.AsqfModel.init(env_spec.obs_dim, env_spec.n_actions, cfg.hidden, init_rng)
+        freeze = disc.asqf_extract_policy
+    else:
+        learned = make_policy(env_spec, cfg.hidden, init_rng)
+        freeze = type(learned).snapshot
+    collects = cfg.algorithm != "bc"
+    generator = freeze(learned)
+    adam = AdamState.for_params(learned.net.params)
     collect_rng = np.random.default_rng(ss_collect)
     batch_rng = np.random.default_rng(ss_batch)
 
-    expert_pool = disc.transitions_from(demos.trajectories)
+    expert = _pool(demos.trajectories, cfg)
     reference = _ExpertReference(env_spec)
     log = RunLog()
     env_steps = 0
 
     for m in range(cfg.steps):
-        trajs = []
-        for _ in range(cfg.n_g):
-            traj, _ = rollout(env_spec, generator, seed=collect_rng)
-            trajs.append(traj)
-            env_steps += len(traj)
-        gen_pool = disc.transitions_from(trajs)
-        expert_pool.gen_logp = generator.log_prob_batch(expert_pool.obs, expert_pool.acts)
-        gen_pool.gen_logp = generator.log_prob_batch(gen_pool.obs, gen_pool.acts)
+        gen_pool = None
+        if collects:
+            trajs = []
+            for _ in range(cfg.n_g):
+                traj, _ = rollout(env_spec, generator, seed=collect_rng)
+                trajs.append(traj)
+                env_steps += len(traj)
+            gen_pool = _pool(trajs, cfg)
+            disc.refresh_generator_scores(expert, generator)
+            disc.refresh_generator_scores(gen_pool, generator)
 
+        epoch_pool = gen_pool if collects else expert
         losses = []
-        first = True
         for _ in range(cfg.epochs):
-            order = batch_rng.permutation(len(gen_pool))
-            for lo in range(0, len(order), cfg.batch):
-                gen_idx = order[lo : lo + cfg.batch]
-                exp_idx = batch_rng.integers(0, len(expert_pool), size=len(gen_idx))
-                loss, grad = disc.asqf_bce_loss(model, generator, expert_pool.take(exp_idx), gen_pool.take(gen_idx))
-                if first:
-                    log.first_batch_losses.append(loss)
-                    first = False
-                losses.append(loss)
-                new_params, adam = adam_step(adam, model.net.params, _clip(grad, cfg), cfg.lr_d)
-                model.net.params = new_params
-
-        generator = disc.asqf_extract_policy(model)
-        if (m + 1) % cfg.eval_interval == 0 or m == cfg.steps - 1:
-            _log_eval(log, cfg, generator, env_spec, reference, m + 1, env_steps, losses)
-
-    log.total_env_steps = env_steps
-    return disc.asqf_extract_policy(model), log
-
-
-def bc_train(cfg: TrainConfig, demos: DemoSet, env_spec: EnvSpec):
-    """Behavioral cloning: maximize demo log-likelihood, no interaction.
-
-    Environment steps stay at zero; the env is touched only by evaluation.
-    Returns (policy, RunLog); the bce_loss column carries the negative
-    log-likelihood.
-    """
-    cfg = cfg.validated()
-    if cfg.algorithm != "bc":
-        raise ValidationError(f"bc_train got algorithm {cfg.algorithm!r}")
-    _check_demos(demos, env_spec)
-
-    ss_init, _, ss_batch = np.random.SeedSequence(cfg.seed).spawn(3)
-    policy = make_policy(env_spec, cfg.hidden, np.random.default_rng(ss_init))
-    adam = AdamState.for_params(policy.net.params)
-    batch_rng = np.random.default_rng(ss_batch)
-
-    pool = disc.transitions_from(demos.trajectories)
-    reference = _ExpertReference(env_spec)
-    log = RunLog()
-
-    for m in range(cfg.steps):
-        losses = []
-        first = True
-        for _ in range(cfg.epochs):
-            order = batch_rng.permutation(len(pool))
+            order = batch_rng.permutation(len(epoch_pool))
             for lo in range(0, len(order), cfg.batch):
                 idx = order[lo : lo + cfg.batch]
-                obs, acts = pool.obs[idx], pool.acts[idx]
-                logp, cache = policy.log_prob_tape(obs, acts)
-                loss = -float(np.mean(logp))
-                grad = policy.backprop_log_prob(cache, np.full(len(idx), -1.0 / len(idx)))
-                if first:
+                if collects:
+                    batch_e = expert.take(batch_rng.integers(0, len(expert), size=len(idx)))
+                    batch_g = gen_pool.take(idx)
+                else:
+                    batch_e, batch_g = expert.take(idx), None
+                loss, grad = _loss(cfg.algorithm, learned, generator, batch_e, batch_g)
+                if not losses:
                     log.first_batch_losses.append(loss)
-                    first = False
                 losses.append(loss)
-                new_params, adam = adam_step(adam, policy.net.params, _clip(grad, cfg), cfg.lr_d)
-                policy.net.params = new_params
+                learned.net.params, adam = adam_step(adam, learned.net.params, _clip(grad, cfg), cfg.lr_d)
 
+        generator = freeze(learned)
         if (m + 1) % cfg.eval_interval == 0 or m == cfg.steps - 1:
-            _log_eval(log, cfg, policy, env_spec, reference, m + 1, 0, losses)
+            seed = _eval_seed(cfg, m + 1)
+            mean, std = evaluate_policy(generator, env_spec, k=cfg.eval_k, seed=seed)
+            bce = float(np.mean(losses)) if losses else float("nan")
+            log.rows.append(RunRecord(step=m + 1, env_steps=env_steps, mean_return=mean, std_return=std,
+                                      bce_loss=bce, js_to_expert=reference.js(generator), eval_seed=seed))
 
-    log.total_env_steps = 0
-    return policy, log
-
-
-def train(cfg: TrainConfig, demos: DemoSet, env_spec: EnvSpec):
-    """Dispatch on cfg.algorithm; returns (policy, RunLog)."""
-    cfg = cfg.validated()
-    if cfg.algorithm in ("asaf", "asaf_w", "asaf_1"):
-        return asaf_train(cfg, demos, env_spec)
-    if cfg.algorithm == "asqf":
-        return asqf_train(cfg, demos, env_spec)
-    return bc_train(cfg, demos, env_spec)
+    log.total_env_steps = env_steps
+    return generator, log

@@ -13,16 +13,20 @@ import numpy as np
 
 from . import discriminator as disc
 from .envs import (
+    PointMassSpec,
+    ScriptedPointMassPolicy,
     SoftExpertPolicy,
+    Trajectory,
     chain_spec,
     gridworld_spec,
     rollout,
     soft_value_iteration,
 )
+from .errors import ValidationError
 from .exact import stage_marginals, verify_lemma1
 from .nn import Mlp, grad_check
 from .policies import CategoricalPolicy, GaussianPolicy, tabular_policy_extract
-from .train import DemoSet, TrainConfig, asqf_train, asaf_train, evaluate_policy
+from .train import DemoSet, TrainConfig, evaluate_policy, train
 
 __all__ = [
     "CheckResult",
@@ -52,8 +56,18 @@ class CheckResult:
 
 
 def collect_expert_demos(env_spec, n: int, alpha: float, seed: int) -> DemoSet:
-    """Roll out the exact soft-optimal expert of a discrete environment."""
-    expert = SoftExpertPolicy(soft_value_iteration(env_spec.mdp, alpha))
+    """Roll out ``n`` expert episodes, episode i on the seed (seed, i).
+
+    The expert is the exact soft-optimal policy at temperature ``alpha`` on
+    a discrete environment and the scripted controller on pointmass, which
+    ignores ``alpha``.
+    """
+    if n < 1:
+        raise ValidationError(f"need at least one episode, got {n}")
+    if isinstance(env_spec, PointMassSpec):
+        expert, generator = ScriptedPointMassPolicy(), "scripted_proportional"
+    else:
+        expert, generator = SoftExpertPolicy(soft_value_iteration(env_spec.mdp, alpha)), f"soft_vi(alpha={alpha})"
     trajs, rets = [], []
     for i in range(n):
         traj, ret = rollout(env_spec, expert, seed=(seed, i))
@@ -62,10 +76,10 @@ def collect_expert_demos(env_spec, n: int, alpha: float, seed: int) -> DemoSet:
     return DemoSet(
         trajectories=trajs,
         env_id=env_spec.env_id,
-        action_kind="discrete",
+        action_kind=env_spec.action_kind,
         obs_dim=env_spec.obs_dim,
         mean_return=float(np.mean(rets)),
-        generator=f"soft_vi(alpha={alpha})",
+        generator=generator,
     )
 
 
@@ -120,8 +134,8 @@ def gradient_suite(points: int = 10) -> list[CheckResult]:
     # transition-wise scored discriminator
     model = disc.AsqfModel.init(3, 2, (8,), rng)
     generator = CategoricalPolicy.init(3, 2, (8,), rng)
-    expert = disc.TransitionBatch(obs=rng.normal(size=(6, 3)), acts=rng.integers(0, 2, size=6))
-    gen = disc.TransitionBatch(obs=rng.normal(size=(6, 3)), acts=rng.integers(0, 2, size=6))
+    expert = disc.transitions_from([Trajectory(obs=rng.normal(size=(6, 3)), acts=rng.integers(0, 2, size=6))])
+    gen = disc.transitions_from([Trajectory(obs=rng.normal(size=(6, 3)), acts=rng.integers(0, 2, size=6))])
 
     def f_asqf(theta):
         model.net.params = theta
@@ -170,7 +184,7 @@ def theorem1_suite() -> list[CheckResult]:
     0.01 nats within 200 outer steps."""
     env = chain_spec()
     demos = collect_expert_demos(env, n=200, alpha=1.0, seed=0)
-    _, log = asaf_train(theorem1_config(), demos, env)
+    _, log = train(theorem1_config(), demos, env)
     final_js = log.rows[-1].js_to_expert
     return [CheckResult(name="theorem1_chain_js", value=float(final_js), threshold=0.01)]
 
@@ -217,7 +231,7 @@ def asqf_suite() -> list[CheckResult]:
 
     env = chain_spec()
     demos = collect_expert_demos(env, n=200, alpha=1.0, seed=123)
-    policy, _ = asqf_train(asqf_chain_config(), demos, env)
+    policy, _ = train(asqf_chain_config(), demos, env)
     table = tabular_policy_extract(policy, env.mdp.n_states)
     expert_q = soft_value_iteration(env.mdp, env.expert_alpha)
     greedy = expert_q.greedy_table()
@@ -231,7 +245,7 @@ def asqf_suite() -> list[CheckResult]:
 
     grid = gridworld_spec()
     demos = collect_expert_demos(grid, n=50, alpha=GRIDWORLD_DEMO_ALPHA, seed=7)
-    policy, _ = asqf_train(asqf_gridworld_config(), demos, grid)
+    policy, _ = train(asqf_gridworld_config(), demos, grid)
     eval_seed, eval_k = 424242, 50
     expert = SoftExpertPolicy(soft_value_iteration(grid.mdp, GRIDWORLD_DEMO_ALPHA))
     expert_mean, _ = evaluate_policy(expert, grid, k=eval_k, seed=eval_seed)

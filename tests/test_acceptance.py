@@ -30,7 +30,7 @@ from asaf.formats import (
 )
 from asaf.nn import Mlp
 from asaf.policies import CategoricalPolicy, GaussianPolicy
-from asaf.train import DemoSet, TrainConfig, asaf_train, evaluate_policy
+from asaf.train import DemoSet, TrainConfig, evaluate_policy, train
 from asaf.verify import (
     asqf_suite,
     collect_expert_demos,
@@ -151,15 +151,15 @@ def test_c5_window_reductions_are_exact():
     demos = collect_expert_demos(env, n=12, alpha=1.0, seed=2)
     base = dict(lr_d=0.01, batch=8, n_g=4, epochs=2, clip=1.0,
                 steps=3, eval_k=3, eval_interval=1, seed=0, hidden=(8,))
-    p_asaf, log_asaf = asaf_train(TrainConfig(algorithm="asaf", **base), demos, env)
-    p_w5, log_w5 = asaf_train(
+    p_asaf, log_asaf = train(TrainConfig(algorithm="asaf", **base), demos, env)
+    p_w5, log_w5 = train(
         TrainConfig(algorithm="asaf_w", w=horizon, stride=1, **base), demos, env)
     full_run_w = bool(np.array_equal(p_asaf.net.params, p_w5.net.params)) \
         and runlog_csv(log_asaf) == runlog_csv(log_w5)
 
-    p_w1, log_w1 = asaf_train(
+    p_w1, log_w1 = train(
         TrainConfig(algorithm="asaf_w", w=1, stride=1, **base), demos, env)
-    p_t, log_t = asaf_train(TrainConfig(algorithm="asaf_1", **base), demos, env)
+    p_t, log_t = train(TrainConfig(algorithm="asaf_1", **base), demos, env)
     full_run_1 = bool(np.array_equal(p_w1.net.params, p_t.net.params)) \
         and runlog_csv(log_w1) == runlog_csv(log_t)
 
@@ -213,7 +213,7 @@ def test_c7_transition_wise_matching_on_pointmass():
     cfg = TrainConfig(algorithm="asaf_1", lr_d=0.001, batch=100, n_g=10, epochs=10,
                       clip=1.0, steps=300, eval_k=20, eval_interval=50, seed=0,
                       hidden=(64, 64))
-    policy, _ = asaf_train(cfg, demos, env)
+    policy, _ = train(cfg, demos, env)
     elapsed = time.monotonic() - t0
 
     expert_mean, _ = evaluate_policy(expert, env, k=50, seed=99)
@@ -283,8 +283,8 @@ def test_c9_reproducibility_and_round_trips(tmp_path):
     cfg = TrainConfig(algorithm="asaf", lr_d=0.01, batch=6, n_g=4, epochs=2,
                       clip=1.0, steps=4, eval_k=3, eval_interval=2, seed=13,
                       hidden=(8,))
-    p1, log1 = asaf_train(cfg, demos, env)
-    p2, log2 = asaf_train(cfg, demos, env)
+    p1, log1 = train(cfg, demos, env)
+    p2, log2 = train(cfg, demos, env)
     runs_identical = runlog_csv(log1) == runlog_csv(log2) \
         and bool(np.array_equal(p1.net.params, p2.net.params))
 

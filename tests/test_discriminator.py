@@ -26,10 +26,35 @@ def random_windows(n, length, obs_dim, n_actions, rng):
     ]
 
 
+def random_windows_of(lengths, rng):
+    return [
+        disc.Window(obs=rng.normal(size=(n, 2)), acts=rng.integers(0, 3, size=n), source=i)
+        for i, n in enumerate(lengths)
+    ]
+
+
 def bias_only_policy(probs):
     """Single-layer net with zero weights whose softmax equals ``probs``."""
     probs = np.asarray(probs, dtype=np.float64)
     return CategoricalPolicy(Mlp((1, len(probs)), np.concatenate([np.zeros(len(probs)), np.log(probs)])))
+
+
+def transitions(obs, acts):
+    return disc.transitions_from([Trajectory(obs=obs, acts=acts)])
+
+
+def reference_take(packed, idx):
+    """Window gather with one np.arange per window, the form ``take`` replaced."""
+    idx = np.asarray(idx)
+    rows = np.concatenate([np.arange(s, s + l) for s, l in zip(packed.starts[idx], packed.lengths[idx])])
+    lengths = packed.lengths[idx]
+    return disc.PackedWindows(
+        obs=packed.obs[rows],
+        acts=packed.acts[rows],
+        starts=np.concatenate([[0], np.cumsum(lengths)[:-1]]),
+        lengths=lengths,
+        gen_logp=None if packed.gen_logp is None else packed.gen_logp[idx],
+    )
 
 
 def one_step_window(action):
@@ -102,6 +127,29 @@ def test_packed_take_reindexes():
     np.testing.assert_array_equal(sub.obs[:3], wins[2].obs)
     np.testing.assert_array_equal(sub.obs[3:], wins[0].obs)
     np.testing.assert_array_equal(sub.gen_logp, [30.0, 10.0])
+
+
+@given(
+    lengths=st.lists(st.integers(1, 6), min_size=1, max_size=8),
+    picks=st.lists(st.integers(0, 1000), min_size=1, max_size=12),
+    unit=st.booleans(),
+    scored=st.booleans(),
+)
+def test_take_matches_reference_gather(lengths, picks, unit, scored):
+    rng = np.random.default_rng(len(lengths) + 31 * len(picks))
+    if unit:
+        lengths = [1] * len(lengths)
+    packed = disc.pack_windows(random_windows_of(lengths, rng))
+    if scored:
+        packed.gen_logp = rng.normal(size=packed.n_windows)
+    idx = np.array([p % packed.n_windows for p in picks])   # repeats are common
+    got, want = packed.take(idx), reference_take(packed, idx)
+    for name in ("obs", "acts", "starts", "lengths"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert (got.gen_logp is None) == (want.gen_logp is None)
+    if scored:
+        assert np.array_equal(got.gen_logp, want.gen_logp)
+    assert len(got) == len(idx)
 
 
 def test_refresh_generator_scores():
@@ -265,6 +313,8 @@ def test_transitions_from_flattens():
     assert len(batch) == 5
     np.testing.assert_array_equal(batch.obs[:3], trajs[0].obs)
     np.testing.assert_array_equal(batch.acts[3:], trajs[1].acts)
+    np.testing.assert_array_equal(batch.starts, np.arange(5))
+    np.testing.assert_array_equal(batch.lengths, np.ones(5))
     sub = batch.take(np.array([4, 0]))
     np.testing.assert_array_equal(sub.obs[0], batch.obs[4])
     assert len(sub) == 2
@@ -313,8 +363,8 @@ def test_asqf_bce_fixed_point_and_mismatch():
     generator = bias_only_policy(probs)
     model = disc.AsqfModel(Mlp((1, 2), np.concatenate([np.zeros(2), np.log(probs)])))
     rng = np.random.default_rng(13)
-    expert = disc.TransitionBatch(obs=np.zeros((6, 1)), acts=rng.integers(0, 2, size=6))
-    gen = disc.TransitionBatch(obs=np.zeros((6, 1)), acts=rng.integers(0, 2, size=6))
+    expert = transitions(np.zeros((6, 1)), rng.integers(0, 2, size=6))
+    gen = transitions(np.zeros((6, 1)), rng.integers(0, 2, size=6))
     loss, _ = disc.asqf_bce_loss(model, generator, expert, gen)
     assert loss == pytest.approx(LOG4, abs=1e-9)
     with pytest.raises(ValueError):
@@ -325,8 +375,8 @@ def test_asqf_bce_uses_cached_generator_scores():
     rng = np.random.default_rng(14)
     model = disc.AsqfModel(Mlp.init((2, 5, 2), rng))
     generator = CategoricalPolicy(Mlp.init((2, 5, 2), rng))
-    expert = disc.TransitionBatch(obs=rng.normal(size=(4, 2)), acts=rng.integers(0, 2, size=4))
-    gen = disc.TransitionBatch(obs=rng.normal(size=(4, 2)), acts=rng.integers(0, 2, size=4))
+    expert = transitions(rng.normal(size=(4, 2)), rng.integers(0, 2, size=4))
+    gen = transitions(rng.normal(size=(4, 2)), rng.integers(0, 2, size=4))
     fresh, _ = disc.asqf_bce_loss(model, generator, expert, gen)
     expert.gen_logp = generator.log_prob_batch(expert.obs, expert.acts)
     gen.gen_logp = generator.log_prob_batch(gen.obs, gen.acts)
@@ -338,8 +388,8 @@ def test_asqf_grad_matches_finite_differences():
     rng = np.random.default_rng(15)
     model = disc.AsqfModel(Mlp((2, 6, 2)))
     generator = CategoricalPolicy(Mlp.init((2, 6, 2), rng))
-    expert = disc.TransitionBatch(obs=rng.normal(size=(5, 2)), acts=rng.integers(0, 2, size=5))
-    gen = disc.TransitionBatch(obs=rng.normal(size=(5, 2)), acts=rng.integers(0, 2, size=5))
+    expert = transitions(rng.normal(size=(5, 2)), rng.integers(0, 2, size=5))
+    gen = transitions(rng.normal(size=(5, 2)), rng.integers(0, 2, size=5))
 
     def f(theta):
         model.net.params = theta

@@ -1,5 +1,6 @@
 """File formats and the command-line front end."""
 
+import re
 import shutil
 import struct
 import subprocess
@@ -123,6 +124,36 @@ def test_demo_file_errors(tmp_path):
     write_lines(path, [GOOD_HEADER, '{"obs": [[1.0,0.0]], "acts": [[0]], "len": 1}'])
     with pytest.raises(FormatError, match="flat list"):
         read_demos(path)
+
+    for literal in ("NaN", "Infinity", "-Infinity", "1e999"):
+        write_lines(path, [GOOD_HEADER, '{"obs": [[1.0,%s]], "acts": [0], "len": 1}' % literal])
+        with pytest.raises(FormatError, match="line 2: non-finite"):
+            read_demos(path)
+    write_lines(path, [GOOD_HEADER, '{"obs": [[1.0,0.0]], "acts": [NaN], "len": 1}'])
+    with pytest.raises(FormatError, match="line 2: non-finite"):
+        read_demos(path)
+    write_lines(path, [GOOD_HEADER.replace('"mean_return": 0.0', '"mean_return": NaN'), GOOD_BODY])
+    with pytest.raises(FormatError, match="line 1: non-finite"):
+        read_demos(path)
+
+
+def test_write_demos_rejects_non_finite_before_opening(tmp_path):
+    from asaf.envs import Trajectory
+    from asaf.train import DemoSet
+
+    path = tmp_path / "demos.jsonl"
+    good = Trajectory(obs=np.zeros((2, 1)), acts=np.zeros((2, 1)))
+    cases = [
+        (Trajectory(obs=np.array([[0.0], [np.nan]]), acts=np.zeros((2, 1))), 0.0, "line 3"),
+        (Trajectory(obs=np.zeros((2, 1)), acts=np.array([[np.inf], [0.0]])), 0.0, "line 3"),
+        (good, float("-inf"), "mean_return"),
+    ]
+    for traj, mean_return, where in cases:
+        demos = DemoSet([good, traj], env_id="pointmass", action_kind="continuous", obs_dim=1,
+                        mean_return=mean_return)
+        with pytest.raises(FormatError, match=where):
+            write_demos(path, demos)
+        assert not path.exists()
 
 
 # ---------------------------------------------------------------- run configs
@@ -402,6 +433,19 @@ def test_cli_exit_codes(tmp_path, capsys):
     cfg.write_text(f"env = chain\nalgorithm = asaf\ndemos_path = {demos}\nsteps = 1\n",
                    encoding="utf-8")
     assert main(["train", "--config", str(cfg)]) == 3
+
+    # an out-of-range discrete action is refused with its demo-file line
+    demos = tmp_path / "chain.jsonl"
+    main(["gen-expert", "--env", "chain", "--n", "3", "--out", str(demos)])
+    lines = demos.read_text(encoding="utf-8").splitlines()
+    lines[3] = re.sub(r'"acts": \[\d', '"acts": [5', lines[3])
+    demos.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    cfg.write_text(f"env = chain\nalgorithm = asaf\ndemos_path = {demos}\nsteps = 1\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert "episode 2 (demo file line 4): action 5" in err
+    assert "Traceback" not in err
 
     capsys.readouterr()
     assert main(["eval", "--checkpoint", str(tmp_path / "none.ckpt"), "--env", "chain"]) == 4

@@ -1,0 +1,73 @@
+"""Pinned behaviour: every training recipe and every ``gen-expert`` output is
+byte-identical to the digests recorded before the trainers were merged into
+one loop.
+
+A recipe's digest is SHA-256 over the final ``policy.net.params`` bytes
+followed by ``repr(log)``; a ``gen-expert`` digest is SHA-256 over the file it
+writes.  The digests hold for float64 NumPy on x86-64; a different BLAS or
+CPU may change the last bits of a matrix product and so every digest.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from asaf.cli import main
+from asaf.envs import ScriptedPointMassPolicy, chain_spec, pointmass_spec, rollout
+from asaf.train import DemoSet, TrainConfig, train
+from asaf.verify import collect_expert_demos
+
+RECIPES = {
+    "chain_asaf": {},
+    "chain_asaf_w": dict(algorithm="asaf_w", w=2, stride=1),
+    "chain_asaf_1": dict(algorithm="asaf_1", batch=16),
+    "chain_asqf": dict(algorithm="asqf", batch=16),
+    "chain_bc": dict(algorithm="bc", batch=8),
+    "pointmass_asaf_1": dict(algorithm="asaf_1", steps=2, epochs=1, n_g=2, batch=32, eval_k=2),
+}
+
+RECIPE_DIGESTS = {
+    "chain_asaf": "42b1c70f0e57c86cbbef6ac25ffe6c1eb43b6c4efba04feb4c88d4c4691faf6d",
+    "chain_asaf_w": "322f23100aa6c454ad751e5d6c6282b813be12f5b4d4df8cc752046dc8cb691e",
+    "chain_asaf_1": "58fe73465fd3d8dd5c3372d2cc049b7bb045a4a0007a444f5cf1417f7c9b979a",
+    "chain_asqf": "4867aa067acfe2ab72b6a9efb88e3222566fbd5c0c206d4206ba116cb921eec9",
+    "chain_bc": "754350c51323b15893ec7660f0aff599573b68349c8bc669e75167bc934248e3",
+    "pointmass_asaf_1": "5530d0761906084eb26ce6eb2fe8fdb73ced4ab6379f31e5a6a8f062d851aa51",
+}
+
+GEN_EXPERT_DIGESTS = {
+    "chain": "6c9dcd8143c23ce3b3e5025a849a2b6c0575f0c34e6375cf282570578c40f665",
+    "gridworld": "ffdcfd5f207aad61e47425628d7fcdc8c37553d47d5c64ca341d19f9ba6a94a0",
+    "pointmass": "01b8c358dc2a65d5e41fe076abcf34b6eca8f2a2f38a4e31f93dde279ef839fb",
+}
+
+
+def pointmass_demos(n, seed):
+    trajs = [rollout(pointmass_spec(), ScriptedPointMassPolicy(), seed=(seed, i))[0] for i in range(n)]
+    return DemoSet(trajs, env_id="pointmass", action_kind="continuous", obs_dim=1, mean_return=0.0)
+
+
+def recipe_digest(name):
+    cfg = TrainConfig(**{**dict(steps=3, epochs=2, n_g=3, batch=4, eval_interval=1, eval_k=3,
+                                seed=0, hidden=(8, 8)), **RECIPES[name]})
+    if name.startswith("pointmass"):
+        env, demos = pointmass_spec(), pointmass_demos(3, seed=0)
+    else:
+        env, demos = chain_spec(), collect_expert_demos(chain_spec(), n=20, alpha=1.0, seed=0)
+    policy, log = train(cfg, demos, env)
+    return hashlib.sha256(np.asarray(policy.net.params).tobytes() + repr(log).encode()).hexdigest()
+
+
+def gen_expert_digest(env, out):
+    assert main(["gen-expert", "--env", env, "--n", "5", "--seed", "3", "--out", str(out)]) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(RECIPE_DIGESTS) + [f"gen-expert-{e}" for e in sorted(GEN_EXPERT_DIGESTS)])
+def test_pinned_digests(name, tmp_path, capsys):
+    if name.startswith("gen-expert-"):
+        env = name.removeprefix("gen-expert-")
+        assert gen_expert_digest(env, tmp_path / "demos.jsonl") == GEN_EXPERT_DIGESTS[env]
+    else:
+        assert recipe_digest(name) == RECIPE_DIGESTS[name]

@@ -16,7 +16,7 @@ from asaf.envs import (
 from asaf.errors import UnsupportedError, ValidationError
 from asaf.formats import runlog_csv
 from asaf.policies import CategoricalPolicy, tabular_policy_extract
-from asaf.train import DemoSet, TrainConfig, asaf_train, asqf_train, bc_train, evaluate_policy, train
+from asaf.train import DemoSet, TrainConfig, evaluate_policy, train
 from asaf.verify import collect_expert_demos
 
 LOG4 = np.log(4.0)
@@ -84,15 +84,18 @@ def test_config_stride_defaults_to_w():
 
 
 def test_dispatch_rejects_cross_algorithm_calls():
+    # one algorithm's options are refused on another before any demo is read
     demos = DemoSet([Trajectory(obs=np.eye(4)[:2], acts=np.array([1, 1]))],
                     env_id="chain", action_kind="discrete", obs_dim=4, mean_return=0.0)
     env = chain_spec()
     with pytest.raises(ValidationError):
-        asaf_train(tiny_cfg(algorithm="asqf"), demos, env)
+        train(tiny_cfg(algorithm="asqf", w=2), demos, env)
     with pytest.raises(ValidationError):
-        asqf_train(tiny_cfg(), demos, env)
+        train(tiny_cfg(algorithm="bc", stride=1), demos, env)
     with pytest.raises(ValidationError):
-        bc_train(tiny_cfg(), demos, env)
+        train(tiny_cfg(algorithm="asaf", w=5, stride=5), demos, env)
+    with pytest.raises(ValidationError):
+        train(tiny_cfg(algorithm="gail"), demos, env)
 
 
 # ---------------------------------------------------------------- evaluation
@@ -125,45 +128,51 @@ def test_scripted_pointmass_expert_return_frozen():
 
 def test_demo_env_mismatch_is_rejected(chain_demos):
     with pytest.raises(ValidationError):
-        asaf_train(tiny_cfg(), chain_demos, gridworld_spec())
+        train(tiny_cfg(), chain_demos, gridworld_spec())
     empty = DemoSet([], env_id="chain", action_kind="discrete", obs_dim=4, mean_return=0.0)
     with pytest.raises(ValidationError):
-        asaf_train(tiny_cfg(), empty, chain_spec())
+        train(tiny_cfg(), empty, chain_spec())
     wrong_kind = DemoSet(chain_demos.trajectories, env_id="pointmass", action_kind="discrete",
                          obs_dim=1, mean_return=0.0)
     with pytest.raises(ValidationError):
-        asaf_train(tiny_cfg(), wrong_kind, pointmass_spec())
+        train(tiny_cfg(), wrong_kind, pointmass_spec())
+    for bad in (-1, 2):
+        acts = [np.array([1, 1, 0, 1, 1]), np.array([1, 0, bad, 1, 1])]
+        out_of_range = DemoSet([Trajectory(obs=np.eye(4)[[0, 1, 2, 3, 3]], acts=a) for a in acts],
+                               env_id="chain", action_kind="discrete", obs_dim=4, mean_return=0.0)
+        with pytest.raises(ValidationError, match=rf"episode 1 \(demo file line 3\): action {bad}"):
+            train(tiny_cfg(), out_of_range, chain_spec())
 
 
 # ---------------------------------------------------------------- asaf loop
 
 def test_asaf_zero_steps_returns_untrained_policy(chain_demos):
-    policy, log = asaf_train(tiny_cfg(steps=0), chain_demos, chain_spec())
+    policy, log = train(tiny_cfg(steps=0), chain_demos, chain_spec())
     assert log.rows == [] and log.first_batch_losses == []
     assert log.total_env_steps == 0
     assert policy.sample(one_hot(0, 4), np.random.default_rng(0)) in (0, 1)
 
 
 def test_asaf_same_seed_is_bitwise_reproducible(chain_demos):
-    p1, l1 = asaf_train(tiny_cfg(), chain_demos, chain_spec())
-    p2, l2 = asaf_train(tiny_cfg(), chain_demos, chain_spec())
+    p1, l1 = train(tiny_cfg(), chain_demos, chain_spec())
+    p2, l2 = train(tiny_cfg(), chain_demos, chain_spec())
     assert runlog_csv(l1) == runlog_csv(l2)
     np.testing.assert_array_equal(p1.net.params, p2.net.params)
-    p3, _ = asaf_train(tiny_cfg(seed=1), chain_demos, chain_spec())
+    p3, _ = train(tiny_cfg(seed=1), chain_demos, chain_spec())
     assert not np.array_equal(p1.net.params, p3.net.params)
 
 
 def test_asaf_first_batch_loss_is_log4(chain_demos):
     # every outer step starts with learner == generator, where the
     # discriminator is exactly 1/2 on both sides of any batch
-    _, log = asaf_train(tiny_cfg(steps=4), chain_demos, chain_spec())
+    _, log = train(tiny_cfg(steps=4), chain_demos, chain_spec())
     assert len(log.first_batch_losses) == 4
     np.testing.assert_allclose(log.first_batch_losses, LOG4, atol=1e-9)
 
 
 def test_asaf_env_step_accounting(chain_demos):
     cfg = tiny_cfg(steps=3, n_g=4, eval_interval=2)
-    _, log = asaf_train(cfg, chain_demos, chain_spec())
+    _, log = train(cfg, chain_demos, chain_spec())
     assert log.total_env_steps == 3 * 4 * 5       # chain episodes always run 5 steps
     assert [r.step for r in log.rows] == [2, 3]
     assert [r.env_steps for r in log.rows] == [2 * 4 * 5, 3 * 4 * 5]
@@ -171,7 +180,7 @@ def test_asaf_env_step_accounting(chain_demos):
 
 def test_asaf_eval_rows_and_seeds(chain_demos):
     cfg = tiny_cfg(steps=7, eval_interval=3, seed=5)
-    _, log = asaf_train(cfg, chain_demos, chain_spec())
+    _, log = train(cfg, chain_demos, chain_spec())
     assert [r.step for r in log.rows] == [3, 6, 7]
     for row in log.rows:
         assert row.eval_seed == 5 + 100003 * row.step
@@ -180,7 +189,7 @@ def test_asaf_eval_rows_and_seeds(chain_demos):
 
 def test_asaf_final_row_reproducible_from_policy(chain_demos):
     cfg = tiny_cfg()
-    policy, log = asaf_train(cfg, chain_demos, chain_spec())
+    policy, log = train(cfg, chain_demos, chain_spec())
     last = log.rows[-1]
     mean, std = evaluate_policy(policy, chain_spec(), k=cfg.eval_k, seed=last.eval_seed)
     assert mean == last.mean_return
@@ -195,8 +204,8 @@ def test_asaf_never_reads_rewards(chain_demos):
                         rewards=np.zeros_like(base.rewards), horizon=base.horizon, gamma=base.gamma)
     spec0 = TabularSpec(mdp=zeroed, env_id="chain")
     cfg = tiny_cfg(steps=2)
-    p_real, l_real = asaf_train(cfg, chain_demos, chain_spec())
-    p_zero, l_zero = asaf_train(cfg, chain_demos, spec0)
+    p_real, l_real = train(cfg, chain_demos, chain_spec())
+    p_zero, l_zero = train(cfg, chain_demos, spec0)
     np.testing.assert_array_equal(p_real.net.params, p_zero.net.params)
     assert l_real.first_batch_losses == l_zero.first_batch_losses
     # the reward channel only feeds evaluation
@@ -210,7 +219,7 @@ def test_pointmass_js_column_is_empty():
         env_id="pointmass", action_kind="continuous", obs_dim=1, mean_return=0.0,
     )
     cfg = tiny_cfg(algorithm="asaf_1", steps=1, n_g=1, epochs=1, batch=8, eval_k=2)
-    _, log = asaf_train(cfg, demos, pointmass_spec())
+    _, log = train(cfg, demos, pointmass_spec())
     assert log.rows[-1].js_to_expert is None
     assert log.total_env_steps == 50
 
@@ -220,15 +229,15 @@ def test_pointmass_js_column_is_empty():
 def test_asaf_w_full_width_equals_asaf(chain_demos):
     # every chain episode is exactly 5 steps, so w = 5 windows are whole
     # trajectories and the two algorithms must walk identical paths
-    p_a, l_a = asaf_train(tiny_cfg(), chain_demos, chain_spec())
-    p_w, l_w = asaf_train(tiny_cfg(algorithm="asaf_w", w=5), chain_demos, chain_spec())
+    p_a, l_a = train(tiny_cfg(), chain_demos, chain_spec())
+    p_w, l_w = train(tiny_cfg(algorithm="asaf_w", w=5), chain_demos, chain_spec())
     np.testing.assert_array_equal(p_a.net.params, p_w.net.params)
     assert runlog_csv(l_a) == runlog_csv(l_w)
 
 
 def test_asaf_w_unit_window_equals_asaf_1(chain_demos):
-    p_w, l_w = asaf_train(tiny_cfg(algorithm="asaf_w", w=1, stride=1, batch=16), chain_demos, chain_spec())
-    p_1, l_1 = asaf_train(tiny_cfg(algorithm="asaf_1", batch=16), chain_demos, chain_spec())
+    p_w, l_w = train(tiny_cfg(algorithm="asaf_w", w=1, stride=1, batch=16), chain_demos, chain_spec())
+    p_1, l_1 = train(tiny_cfg(algorithm="asaf_1", batch=16), chain_demos, chain_spec())
     np.testing.assert_array_equal(p_w.net.params, p_1.net.params)
     assert runlog_csv(l_w) == runlog_csv(l_1)
 
@@ -237,8 +246,8 @@ def test_asaf_w_unit_window_equals_asaf_1(chain_demos):
 
 def test_asqf_smoke_and_determinism(chain_demos):
     cfg = tiny_cfg(algorithm="asqf", steps=2, epochs=1, batch=16, n_g=2)
-    p1, l1 = asqf_train(cfg, chain_demos, chain_spec())
-    p2, l2 = asqf_train(cfg, chain_demos, chain_spec())
+    p1, l1 = train(cfg, chain_demos, chain_spec())
+    p2, l2 = train(cfg, chain_demos, chain_spec())
     assert isinstance(p1, CategoricalPolicy)
     np.testing.assert_array_equal(p1.net.params, p2.net.params)
     assert runlog_csv(l1) == runlog_csv(l2)
@@ -256,7 +265,7 @@ def test_asqf_requires_discrete_actions():
         env_id="pointmass", action_kind="continuous", obs_dim=1, mean_return=0.0,
     )
     with pytest.raises(UnsupportedError):
-        asqf_train(tiny_cfg(algorithm="asqf", steps=1), demos, pointmass_spec())
+        train(tiny_cfg(algorithm="asqf", steps=1), demos, pointmass_spec())
 
 
 # ---------------------------------------------------------------- bc loop
@@ -271,7 +280,7 @@ def test_bc_learns_deterministic_demos():
         env_id="chain", action_kind="discrete", obs_dim=4, mean_return=2.9,
     )
     cfg = tiny_cfg(algorithm="bc", steps=30, epochs=2, batch=10, eval_interval=30)
-    policy, log = bc_train(cfg, demos, chain_spec())
+    policy, log = train(cfg, demos, chain_spec())
     table = tabular_policy_extract(policy, 4)
     assert np.all(np.argmax(table, axis=1) == 1)
     assert log.first_batch_losses[-1] < log.first_batch_losses[0]
@@ -281,8 +290,8 @@ def test_bc_learns_deterministic_demos():
 
 def test_bc_nll_column_and_determinism(chain_demos):
     cfg = tiny_cfg(algorithm="bc", steps=2, epochs=1, batch=20)
-    p1, l1 = bc_train(cfg, chain_demos, chain_spec())
-    p2, l2 = bc_train(cfg, chain_demos, chain_spec())
+    p1, l1 = train(cfg, chain_demos, chain_spec())
+    p2, l2 = train(cfg, chain_demos, chain_spec())
     np.testing.assert_array_equal(p1.net.params, p2.net.params)
     assert runlog_csv(l1) == runlog_csv(l2)
     # the loss column carries the negative demo log-likelihood, about log 2
@@ -292,8 +301,8 @@ def test_bc_nll_column_and_determinism(chain_demos):
 
 def test_bc_zero_epochs_leaves_policy_at_init(chain_demos):
     cfg = tiny_cfg(algorithm="bc", steps=2, epochs=0)
-    p_idle, log = bc_train(cfg, chain_demos, chain_spec())
-    p_init, _ = bc_train(tiny_cfg(algorithm="bc", steps=0), chain_demos, chain_spec())
+    p_idle, log = train(cfg, chain_demos, chain_spec())
+    p_init, _ = train(tiny_cfg(algorithm="bc", steps=0), chain_demos, chain_spec())
     np.testing.assert_array_equal(p_idle.net.params, p_init.net.params)
     assert log.first_batch_losses == []
     assert np.isnan(log.rows[-1].bce_loss)
