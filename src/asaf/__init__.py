@@ -34,7 +34,6 @@ from .discriminator import (
     Window,
     asqf_bce_loss,
     asqf_extract_policy,
-    asqf_log_d,
     bce_loss,
     structured_log_d,
     window_split,
@@ -88,7 +87,6 @@ __all__ = [
     "adam_step",
     "asqf_bce_loss",
     "asqf_extract_policy",
-    "asqf_log_d",
     "bce_loss",
     "chain_spec",
     "collect_expert_demos",

@@ -14,19 +14,23 @@ log domain:
 with A = sum log learner, G = sum log generator.  Minimizing the usual
 two-sided cross entropy over D trains the learner policy directly.
 
-The transition-wise variant (ASQF) replaces A by an unnormalized score
-f(s, a) from a score net; its softmax is the extracted policy.  It only
-makes sense for discrete actions.
+The transition-wise scored variant (ASQF) is the same discriminator on
+windows of one step with A replaced by an unnormalized score f(s, a):
+``AsqfModel`` answers the learner protocol (``log_prob_tape``,
+``backprop_log_prob``) with f in place of log pi, so ``bce_on_packed`` and
+``structured_log_d`` serve it unchanged.  The softmax of f is the extracted
+policy; it only makes sense for discrete actions.  Behavioral cloning's
+negative log-likelihood (``nll_on_packed``) completes the set of losses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NumericalError, ShapeError, UnsupportedError
-from .nn import Mlp, log_softmax_rows
+from .errors import NumericalError, UnsupportedError
+from .nn import Mlp
 from .envs import Trajectory
 from .policies import CategoricalPolicy
 
@@ -36,9 +40,9 @@ __all__ = [
     "Window",
     "asqf_bce_loss",
     "asqf_extract_policy",
-    "asqf_log_d",
     "bce_loss",
     "bce_on_packed",
+    "nll_on_packed",
     "pack_windows",
     "refresh_generator_scores",
     "structured_log_d",
@@ -198,6 +202,13 @@ def bce_loss(learner, generator, expert_windows: list[Window], gen_windows: list
     return bce_on_packed(learner, packed_e, packed_g)
 
 
+def nll_on_packed(learner, packed: PackedWindows) -> tuple[float, np.ndarray]:
+    """Behavioral cloning: mean negative log-likelihood of the packed steps
+    and its gradient in the learner's parameters."""
+    logp, cache = learner.log_prob_tape(packed.obs, packed.acts)
+    return -float(np.mean(logp)), learner.backprop_log_prob(cache, np.full(len(logp), -1.0 / len(logp)))
+
+
 def transitions_from(trajs) -> PackedWindows:
     """All steps of ``trajs`` as windows of length 1."""
     obs = np.concatenate([t.obs for t in trajs])
@@ -232,55 +243,32 @@ class AsqfModel:
         out, _ = self.net.forward(obs)
         return out
 
-    def score_tape(self, obs: np.ndarray, acts: np.ndarray):
+    # The learner protocol of the policies, with the raw score f(s, a)
+    # standing in for log pi(a | s).
+
+    def log_prob_batch(self, obs: np.ndarray, acts: np.ndarray) -> np.ndarray:
+        f, _ = self.log_prob_tape(obs, acts)
+        return f
+
+    def log_prob_tape(self, obs: np.ndarray, acts: np.ndarray):
         acts = self._check_acts(acts)
         out, tape = self.net.forward(obs)
         return out[np.arange(len(acts)), acts], (tape, acts, out.shape)
 
-    def backprop_scores(self, cache, weights: np.ndarray) -> np.ndarray:
+    def backprop_log_prob(self, cache, weights: np.ndarray) -> np.ndarray:
         tape, acts, shape = cache
         dy = np.zeros(shape, dtype=np.float64)
         dy[np.arange(len(acts)), acts] = weights
         return self.net.backward(tape, dy)
 
-    def copy(self) -> "AsqfModel":
-        return AsqfModel(self.net.copy())
-
-
-def asqf_log_d(model: AsqfModel, generator, obs, acts) -> tuple[np.ndarray, np.ndarray]:
-    """Per-transition (log D, log(1 - D)) with D = e^f / (e^f + pi_g)."""
-    obs = np.atleast_2d(np.asarray(obs, dtype=np.float64))
-    acts = model._check_acts(np.atleast_1d(acts))
-    f = model.scores(obs)[np.arange(len(acts)), acts]
-    g = generator.log_prob_batch(obs, acts)
-    m = np.logaddexp(f, g)
-    return f - m, g - m
-
 
 def asqf_bce_loss(model: AsqfModel, generator, expert: PackedWindows, gen: PackedWindows) -> tuple[float, np.ndarray]:
-    """Transition-wise two-sided cross entropy and gradient in the scores.
-
-    The cached ``gen_logp`` fields are used when present so the frozen
-    generator is evaluated once per collection, not once per minibatch.
-    """
-    n_e, n_g = len(expert), len(gen)
-    if n_e != n_g or n_e == 0:
-        raise ValueError(f"need equally many expert and generator transitions, got {n_e} vs {n_g}")
-    g_e = expert.gen_logp if expert.gen_logp is not None else generator.log_prob_batch(expert.obs, expert.acts)
-    g_g = gen.gen_logp if gen.gen_logp is not None else generator.log_prob_batch(gen.obs, gen.acts)
-
-    f_e, cache_e = model.score_tape(expert.obs, expert.acts)
-    f_g, cache_g = model.score_tape(gen.obs, gen.acts)
-    m_e = np.logaddexp(f_e, g_e)
-    m_g = np.logaddexp(f_g, g_g)
-    loss = -float(np.mean(f_e - m_e)) - float(np.mean(g_g - m_g))
-
-    w_e = -np.exp(g_e - m_e) / n_e
-    w_g = np.exp(f_g - m_g) / n_g
-    grad = model.backprop_scores(cache_e, w_e) + model.backprop_scores(cache_g, w_g)
-    if not (np.isfinite(loss) and np.all(np.isfinite(grad))):
-        raise NumericalError("non-finite discriminator loss or gradient")
-    return loss, grad
+    """``bce_on_packed`` for a score net.  A pack without cached ``gen_logp``
+    is scored by ``generator`` on a copy; the arguments are never modified."""
+    expert, gen = (p if p.gen_logp is not None else
+                   replace(p, gen_logp=p.segment_sum(generator.log_prob_batch(p.obs, p.acts)))
+                   for p in (expert, gen))
+    return bce_on_packed(model, expert, gen)
 
 
 def asqf_extract_policy(model: AsqfModel) -> CategoricalPolicy:

@@ -7,9 +7,10 @@ Demo file (UTF-8 text, one JSON object per line):
 
 Reals are written with 17 significant digits and always carry a decimal
 point, which makes the round trip bit-exact for float64 (including the sign
-of zero).  Discrete actions are plain ints; continuous actions are rows of
-reals.  Non-finite reals have no JSON form and are refused by the writer
-and the reader alike.
+of zero).  Discrete actions are plain JSON integers; continuous actions are
+rows of reals.  Non-finite reals have no JSON form and are refused by the
+writer and the reader alike; the reader also refuses integers beyond int64
+and a ``mean_return`` that is not a number.
 
 Run config (UTF-8 text): one ``key = value`` per line, blank lines and
 ``#`` comments ignored.  Unknown keys are an error, as are malformed
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -111,25 +112,30 @@ def read_demos(path) -> DemoSet:
         raise FormatError(f"{path}: unsupported format_version {header['format_version']!r}")
     if header["action_kind"] not in ("discrete", "continuous"):
         raise FormatError(f"{path}: bad action_kind {header['action_kind']!r}")
+    if type(header["mean_return"]) not in (int, float):
+        raise FormatError(f"{path}: line 1: mean_return {header['mean_return']!r} is not a number")
     body = [ln for ln in lines[1:] if ln.strip()]
     if len(body) != header["n_trajectories"]:
         raise FormatError(f"{path}: header promises {header['n_trajectories']} trajectories, found {len(body)}")
+    discrete = header["action_kind"] == "discrete"
     trajectories = []
     for i, line in enumerate(body, start=2):
         rec = _parse_json_line(path, i, line)
         if set(rec) != {"obs", "acts", "len"}:
             raise FormatError(f"{path}: line {i}: trajectory keys must be obs/acts/len")
-        obs = np.asarray(rec["obs"], dtype=np.float64)
+        try:
+            obs = np.asarray(rec["obs"], dtype=np.float64)
+            acts = np.asarray(rec["acts"], dtype=None if discrete else np.float64)
+        except (TypeError, ValueError):
+            raise FormatError(f"{path}: line {i}: obs and acts must be arrays of numbers") from None
         if obs.ndim != 2 or obs.shape[1] != header["obs_dim"]:
             raise FormatError(f"{path}: line {i}: obs shape {obs.shape} does not match obs_dim {header['obs_dim']}")
-        if header["action_kind"] == "discrete":
-            acts = np.asarray(rec["acts"], dtype=np.int64)
-            if acts.ndim != 1:
-                raise FormatError(f"{path}: line {i}: discrete acts must be a flat list")
-        else:
-            acts = np.asarray(rec["acts"], dtype=np.float64)
-            if acts.ndim != 2:
-                raise FormatError(f"{path}: line {i}: continuous acts must be rows of reals")
+        if discrete and acts.ndim != 1:
+            raise FormatError(f"{path}: line {i}: discrete acts must be a flat list")
+        if discrete and acts.dtype.kind != "i":
+            raise FormatError(f"{path}: line {i}: discrete acts must be integers")
+        if not discrete and acts.ndim != 2:
+            raise FormatError(f"{path}: line {i}: continuous acts must be rows of reals")
         if len(obs) != rec["len"] or len(acts) != rec["len"]:
             raise FormatError(f"{path}: line {i}: len field {rec['len']} does not match arrays")
         trajectories.append(Trajectory(obs=obs, acts=acts))
@@ -149,8 +155,14 @@ def _parse_json_line(path, lineno: int, line: str):
             raise FormatError(f"{path}: line {lineno}: non-finite number {text}")
         return x
 
+    def int64(text: str) -> int:
+        x = int(text)
+        if not -2**63 <= x < 2**63:
+            raise FormatError(f"{path}: line {lineno}: integer {text} does not fit in 64 bits")
+        return x
+
     try:
-        obj = json.loads(line, parse_float=finite, parse_constant=finite)
+        obj = json.loads(line, parse_float=finite, parse_int=int64, parse_constant=finite)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from exc
     if not isinstance(obj, dict):
@@ -160,19 +172,10 @@ def _parse_json_line(path, lineno: int, line: str):
 
 # ---------------------------------------------------------------- run config
 
+# Every TrainConfig field is a config key with the dataclass's default, except
+# algorithm (required) and hidden (not settable from a file).
 DEFAULTS = {
-    "lr_d": 0.001,
-    "batch": 10,
-    "n_g": 10,
-    "epochs": 50,
-    "w": None,
-    "stride": None,
-    "clip": 1.0,
-    "clip_mode": "norm",
-    "steps": 100,
-    "eval_k": 20,
-    "eval_interval": 10,
-    "seed": 0,
+    **{f.name: f.default for f in fields(TrainConfig) if f.name not in ("algorithm", "hidden")},
     "out_dir": "run",
 }
 
@@ -220,23 +223,8 @@ def parse_run_config(text: str, source: str = "<config>") -> RunSetup:
     for key in ("env", "algorithm", "demos_path"):
         if key not in values:
             raise ConfigError(f"{source}: required key {key!r} is missing")
-    merged = dict(DEFAULTS)
-    merged.update(values)
-    cfg = TrainConfig(
-        algorithm=merged["algorithm"],
-        w=merged["w"],
-        stride=merged["stride"],
-        lr_d=merged["lr_d"],
-        batch=merged["batch"],
-        n_g=merged["n_g"],
-        epochs=merged["epochs"],
-        clip=merged["clip"],
-        clip_mode=merged["clip_mode"],
-        steps=merged["steps"],
-        eval_k=merged["eval_k"],
-        eval_interval=merged["eval_interval"],
-        seed=merged["seed"],
-    )
+    merged = {**DEFAULTS, **values}
+    cfg = TrainConfig(**{f.name: merged[f.name] for f in fields(TrainConfig) if f.name in merged})
     return RunSetup(env_id=merged["env"], config=cfg, demos_path=merged["demos_path"], out_dir=merged["out_dir"])
 
 

@@ -8,10 +8,11 @@ asaf_1), its transition-wise scored form (asqf) and behavioral cloning (bc).
 2. pack them, like the demos, into ``PackedWindows`` of whole trajectories,
    fixed-size windows or single transitions, and cache the generator's
    log-likelihood of every window,
-3. run ``epochs`` passes of minibatch cross-entropy updates on the learned
-   net (the generator pool defines an epoch; expert windows are drawn with
-   replacement to pair each batch one-to-one; bc passes over the demo
-   transitions alone and minimizes their negative log-likelihood),
+3. run ``epochs`` passes of minibatch updates on the learned net, all with
+   the one cross-entropy ``disc.bce_on_packed`` (the generator pool defines
+   an epoch; expert windows are drawn with replacement to pair each batch
+   one-to-one); bc passes over the demo transitions alone and minimizes
+   ``disc.nll_on_packed``, their negative log-likelihood,
 4. freeze the learned net into the next generator: a snapshot of the
    policy, or the softmax of the asqf scores.
 
@@ -133,7 +134,7 @@ class RunRecord:
     env_steps: int          # cumulative collected environment transitions
     mean_return: float
     std_return: float
-    bce_loss: float
+    bce_loss: float         # mean minibatch loss of the step (bc: negative log-likelihood)
     js_to_expert: float | None
     eval_seed: int
 
@@ -221,20 +222,6 @@ def _pool(trajs: list[Trajectory], cfg: TrainConfig) -> disc.PackedWindows:
     return disc.pack_windows(windows)
 
 
-def _loss(algorithm: str, learned, generator, expert: disc.PackedWindows, gen: disc.PackedWindows | None):
-    """Minibatch loss and its gradient in the learned net's parameters.
-
-    bc has no generator side: its loss is the negative log-likelihood of the
-    demo transitions, which the bce_loss column then carries.
-    """
-    if algorithm == "bc":
-        logp, cache = learned.log_prob_tape(expert.obs, expert.acts)
-        return -float(np.mean(logp)), learned.backprop_log_prob(cache, np.full(len(expert), -1.0 / len(expert)))
-    if algorithm == "asqf":
-        return disc.asqf_bce_loss(learned, generator, expert, gen)
-    return disc.bce_on_packed(learned, expert, gen)
-
-
 def train(cfg: TrainConfig, demos: DemoSet, env_spec: EnvSpec):
     """Train ``cfg.algorithm`` on the demos; returns (policy, RunLog).
 
@@ -287,10 +274,9 @@ def train(cfg: TrainConfig, demos: DemoSet, env_spec: EnvSpec):
                 idx = order[lo : lo + cfg.batch]
                 if collects:
                     batch_e = expert.take(batch_rng.integers(0, len(expert), size=len(idx)))
-                    batch_g = gen_pool.take(idx)
+                    loss, grad = disc.bce_on_packed(learned, batch_e, gen_pool.take(idx))
                 else:
-                    batch_e, batch_g = expert.take(idx), None
-                loss, grad = _loss(cfg.algorithm, learned, generator, batch_e, batch_g)
+                    loss, grad = disc.nll_on_packed(learned, expert.take(idx))
                 if not losses:
                     log.first_batch_losses.append(loss)
                 losses.append(loss)

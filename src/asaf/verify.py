@@ -146,14 +146,11 @@ def gradient_suite(points: int = 10) -> list[CheckResult]:
 
     # behavioral cloning negative log-likelihood
     policy = CategoricalPolicy.init(3, 2, (8,), rng)
-    obs_bc = rng.normal(size=(6, 3))
-    acts_bc = rng.integers(0, 2, size=6)
+    demos = disc.transitions_from([Trajectory(obs=rng.normal(size=(6, 3)), acts=rng.integers(0, 2, size=6))])
 
     def f_bc(theta):
         policy.net.params = theta
-        logp, cache = policy.log_prob_tape(obs_bc, acts_bc)
-        grad = policy.backprop_log_prob(cache, np.full(len(acts_bc), -1.0 / len(acts_bc)))
-        return -float(np.mean(logp)), grad
+        return disc.nll_on_packed(policy, demos)
 
     worst = max(grad_check(f_bc, Mlp.init(policy.net.sizes, rng).params, h=1e-5) for _ in range(points))
     out.append(CheckResult(name="grad_bc_nll", value=worst, threshold=1e-4))

@@ -1,5 +1,7 @@
 """Structured discriminator: windows, the two-sided loss, and the scored variant."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -59,6 +61,41 @@ def reference_take(packed, idx):
 
 def one_step_window(action):
     return disc.Window(obs=np.zeros((1, 1)), acts=np.array([action]))
+
+
+def reference_asqf_bce_loss(model, generator, expert, gen):
+    """The transition-wise loss as it was written before the scored net took the
+    learner protocol, with its ``score_tape``/``backprop_scores`` inlined."""
+    n_e, n_g = len(expert), len(gen)
+    g_e = expert.gen_logp if expert.gen_logp is not None else generator.log_prob_batch(expert.obs, expert.acts)
+    g_g = gen.gen_logp if gen.gen_logp is not None else generator.log_prob_batch(gen.obs, gen.acts)
+
+    def score_tape(obs, acts):
+        out, tape = model.net.forward(obs)
+        return out[np.arange(len(acts)), acts], (tape, acts, out.shape)
+
+    def backprop_scores(cache, weights):
+        tape, acts, shape = cache
+        dy = np.zeros(shape, dtype=np.float64)
+        dy[np.arange(len(acts)), acts] = weights
+        return model.net.backward(tape, dy)
+
+    f_e, cache_e = score_tape(expert.obs, expert.acts)
+    f_g, cache_g = score_tape(gen.obs, gen.acts)
+    m_e = np.logaddexp(f_e, g_e)
+    m_g = np.logaddexp(f_g, g_g)
+    loss = -float(np.mean(f_e - m_e)) - float(np.mean(g_g - m_g))
+
+    w_e = -np.exp(g_e - m_e) / n_e
+    w_g = np.exp(f_g - m_g) / n_g
+    grad = backprop_scores(cache_e, w_e) + backprop_scores(cache_g, w_g)
+    return loss, grad
+
+
+def reference_nll(learner, packed):
+    """Behavioral cloning's loss as it was written inline in the training loop."""
+    logp, cache = learner.log_prob_tape(packed.obs, packed.acts)
+    return -float(np.mean(logp)), learner.backprop_log_prob(cache, np.full(len(packed), -1.0 / len(packed)))
 
 
 # ---------------------------------------------------------------- window_split
@@ -327,35 +364,37 @@ def test_asqf_scores_pick_the_acted_column():
     model = disc.AsqfModel(Mlp.init((3, 6, 4), rng))
     obs = rng.normal(size=(5, 3))
     acts = rng.integers(0, 4, size=5)
-    f, _ = model.score_tape(obs, acts)
+    f, _ = model.log_prob_tape(obs, acts)
     full = model.scores(obs)
     np.testing.assert_array_equal(f, full[np.arange(5), acts])
+    np.testing.assert_array_equal(model.log_prob_batch(obs, acts), f)
 
 
 def test_asqf_rejects_continuous_actions():
     model = disc.AsqfModel(Mlp((2, 3)))
     with pytest.raises(UnsupportedError):
-        model.score_tape(np.zeros((2, 2)), np.array([[0.1], [0.2]]))
+        model.log_prob_tape(np.zeros((2, 2)), np.array([[0.1], [0.2]]))
     with pytest.raises(UnsupportedError):
-        model.score_tape(np.zeros((2, 2)), np.array([0.5, 1.5]))
+        model.log_prob_tape(np.zeros((2, 2)), np.array([0.5, 1.5]))
     with pytest.raises(ValueError):
-        model.score_tape(np.zeros((2, 2)), np.array([0, 3]))
+        model.log_prob_tape(np.zeros((2, 2)), np.array([0, 3]))
 
 
 def test_asqf_log_d_matched_scores_give_half():
     probs = np.array([0.25, 0.75])
     generator = bias_only_policy(probs)
     model = disc.AsqfModel(Mlp((1, 2), np.concatenate([np.zeros(2), np.log(probs)])))
-    log_d, log_1md = disc.asqf_log_d(model, generator, np.zeros((3, 1)), np.array([0, 1, 1]))
-    np.testing.assert_allclose(np.exp(log_d), 0.5, atol=1e-10)
-    np.testing.assert_allclose(np.exp(log_1md), 0.5, atol=1e-10)
+    for action in (0, 1, 1):
+        log_d, log_1md = disc.structured_log_d(model, generator, one_step_window(action))
+        assert np.exp(log_d) == pytest.approx(0.5, abs=1e-10)
+        assert np.exp(log_1md) == pytest.approx(0.5, abs=1e-10)
 
 
 def test_asqf_log_d_hand_value():
     generator = bias_only_policy([0.5, 0.5])  # log pi = -log 2
     model = disc.AsqfModel(Mlp((1, 2), np.array([0.0, 0.0, np.log(3.0) - np.log(2.0), 0.0])))
-    log_d, _ = disc.asqf_log_d(model, generator, np.zeros((1, 1)), np.array([0]))
-    assert np.exp(log_d[0]) == pytest.approx(0.75, abs=1e-12)  # 3 / (3 + 1)
+    log_d, _ = disc.structured_log_d(model, generator, one_step_window(0))
+    assert np.exp(log_d) == pytest.approx(0.75, abs=1e-12)  # 3 / (3 + 1)
 
 
 def test_asqf_bce_fixed_point_and_mismatch():
@@ -396,6 +435,57 @@ def test_asqf_grad_matches_finite_differences():
         return disc.asqf_bce_loss(model, generator, expert, gen)
 
     assert grad_check(f, Mlp.init((2, 6, 2), rng).params) < 1e-4
+
+
+@given(
+    n=st.integers(1, 64),
+    n_actions=st.integers(2, 4),
+    cached=st.booleans(),
+    seed=st.integers(0, 2 ** 31 - 1),
+)
+def test_asqf_loss_matches_reference(n, n_actions, cached, seed):
+    rng = np.random.default_rng(seed)
+    model = disc.AsqfModel(Mlp.init((3, 5, n_actions), rng))
+    generator = CategoricalPolicy(Mlp.init((3, 5, n_actions), rng))
+    expert = transitions(rng.normal(size=(n, 3)), rng.integers(0, n_actions, size=n))
+    gen = transitions(rng.normal(size=(n, 3)), rng.integers(0, n_actions, size=n))
+    if cached:
+        expert.gen_logp = generator.log_prob_batch(expert.obs, expert.acts)
+        gen.gen_logp = generator.log_prob_batch(gen.obs, gen.acts)
+    want_loss, want_grad = reference_asqf_bce_loss(model, generator, expert, gen)
+
+    loss, grad = disc.asqf_bce_loss(model, generator, expert, gen)
+    assert loss == want_loss
+    assert np.array_equal(grad, want_grad)
+    assert (expert.gen_logp is None, gen.gen_logp is None) == (not cached, not cached)  # no caching leaks back
+
+    scored_e, scored_g = replace(expert), replace(gen)
+    disc.refresh_generator_scores(scored_e, generator)
+    disc.refresh_generator_scores(scored_g, generator)
+    loss, grad = disc.bce_on_packed(model, scored_e, scored_g)
+    assert loss == want_loss
+    assert np.array_equal(grad, want_grad)
+
+
+@pytest.mark.parametrize("kind", ["categorical", "gaussian"])
+def test_nll_on_packed_matches_reference(kind):
+    rng = np.random.default_rng(17)
+    obs = rng.normal(size=(7, 2))
+    if kind == "gaussian":
+        learner, acts = GaussianPolicy(Mlp.init((2, 5, 2), rng)), rng.normal(size=(7, 1))
+    else:
+        learner, acts = CategoricalPolicy(Mlp.init((2, 5, 3), rng)), rng.integers(0, 3, size=7)
+    packed = transitions(obs, acts)
+    loss, grad = disc.nll_on_packed(learner, packed)
+    want_loss, want_grad = reference_nll(learner, packed)
+    assert loss == want_loss
+    assert np.array_equal(grad, want_grad)
+
+    def f(theta):
+        learner.net.params = theta
+        return disc.nll_on_packed(learner, packed)
+
+    assert grad_check(f, Mlp.init(learner.net.sizes, rng).params) < 1e-4
 
 
 def test_asqf_extract_policy_is_softmax_of_scores():

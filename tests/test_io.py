@@ -1,15 +1,19 @@
 """File formats and the command-line front end."""
 
+import os
 import re
 import shutil
 import struct
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import asaf
 from asaf.cli import main
 from asaf.envs import chain_spec, soft_value_iteration
 from asaf.errors import ConfigError, FormatError
@@ -135,6 +139,26 @@ def test_demo_file_errors(tmp_path):
     write_lines(path, [GOOD_HEADER.replace('"mean_return": 0.0', '"mean_return": NaN'), GOOD_BODY])
     with pytest.raises(FormatError, match="line 1: non-finite"):
         read_demos(path)
+
+    # discrete actions are JSON integers that fit in int64, never truncated reals
+    for acts in ("1.5", "1.0", "true", '"1"'):
+        write_lines(path, [GOOD_HEADER, '{"obs": [[1.0,0.0]], "acts": [%s], "len": 1}' % acts])
+        with pytest.raises(FormatError, match="line 2: discrete acts must be integers"):
+            read_demos(path)
+    for big in (str(2 ** 63), str(-2 ** 63 - 1), "99999999999999999999"):
+        write_lines(path, [GOOD_HEADER, '{"obs": [[1.0,0.0]], "acts": [%s], "len": 1}' % big])
+        with pytest.raises(FormatError, match="line 2: integer .* does not fit in 64 bits"):
+            read_demos(path)
+    for mean_return in ('"abc"', '"1.5"', "null", "[0.0]"):
+        write_lines(path, [GOOD_HEADER.replace('"mean_return": 0.0', '"mean_return": ' + mean_return), GOOD_BODY])
+        with pytest.raises(FormatError, match="line 1: mean_return .* is not a number"):
+            read_demos(path)
+    for body in ('{"obs": [[1.0,0.0],[1.0]], "acts": [0, 0], "len": 2}',
+                 '{"obs": [["a",0.0]], "acts": [0], "len": 1}',
+                 '{"obs": [[1.0,0.0]], "acts": [0, [1]], "len": 1}'):
+        write_lines(path, [GOOD_HEADER, body])
+        with pytest.raises(FormatError, match="line 2: obs and acts must be arrays of numbers"):
+            read_demos(path)
 
 
 def test_write_demos_rejects_non_finite_before_opening(tmp_path):
@@ -473,6 +497,33 @@ def test_cli_usage_errors_exit_2(capsys):
     assert main(["verify", "--suite", "nonsense"]) == 2
     assert main(["frobnicate"]) == 2
     capsys.readouterr()
+
+
+def test_cli_process_rejects_malformed_demos(tmp_path):
+    # a fresh interpreter running the module, no install needed: the exit code,
+    # the line number and the absence of a traceback are what a shell sees
+    demos, cfg = tmp_path / "demos.jsonl", tmp_path / "run.cfg"
+    main(["gen-expert", "--env", "chain", "--n", "3", "--out", str(demos)])
+    good = demos.read_text(encoding="utf-8").splitlines()
+    cfg.write_text(f"env = chain\nalgorithm = asaf\ndemos_path = {demos}\nsteps = 1\n"
+                   f"out_dir = {tmp_path / 'out'}\n", encoding="utf-8")
+    src = str(Path(asaf.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    cases = [
+        (3, re.sub(r'"acts": \[\d', '"acts": [1.5', good[2])),
+        (2, re.sub(r'"acts": \[\d', '"acts": [99999999999999999999', good[1])),
+        (1, re.sub(r'"mean_return": [^}]*', '"mean_return": "abc"', good[0])),
+    ]
+    for lineno, edited in cases:
+        lines = list(good)
+        lines[lineno - 1] = edited
+        demos.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        proc = subprocess.run([sys.executable, "-m", "asaf.cli", "train", "--config", str(cfg)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 4, proc.stderr
+        assert f"line {lineno}:" in proc.stderr
+        assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.skipif(shutil.which("asaf") is None, reason="console script not on PATH")

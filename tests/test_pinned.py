@@ -1,6 +1,7 @@
 """Pinned behaviour: every training recipe and every ``gen-expert`` output is
 byte-identical to the digests recorded before the trainers were merged into
-one loop.
+one loop (``gridworld_asqf``: before asqf moved onto the shared
+cross-entropy ``bce_on_packed``).
 
 A recipe's digest is SHA-256 over the final ``policy.net.params`` bytes
 followed by ``repr(log)``; a ``gen-expert`` digest is SHA-256 over the file it
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from asaf.cli import main
-from asaf.envs import ScriptedPointMassPolicy, chain_spec, pointmass_spec, rollout
+from asaf.envs import ScriptedPointMassPolicy, chain_spec, gridworld_spec, pointmass_spec, rollout
 from asaf.train import DemoSet, TrainConfig, train
 from asaf.verify import collect_expert_demos
 
@@ -24,6 +25,7 @@ RECIPES = {
     "chain_asaf_1": dict(algorithm="asaf_1", batch=16),
     "chain_asqf": dict(algorithm="asqf", batch=16),
     "chain_bc": dict(algorithm="bc", batch=8),
+    "gridworld_asqf": dict(algorithm="asqf", batch=16),
     "pointmass_asaf_1": dict(algorithm="asaf_1", steps=2, epochs=1, n_g=2, batch=32, eval_k=2),
 }
 
@@ -33,6 +35,7 @@ RECIPE_DIGESTS = {
     "chain_asaf_1": "58fe73465fd3d8dd5c3372d2cc049b7bb045a4a0007a444f5cf1417f7c9b979a",
     "chain_asqf": "4867aa067acfe2ab72b6a9efb88e3222566fbd5c0c206d4206ba116cb921eec9",
     "chain_bc": "754350c51323b15893ec7660f0aff599573b68349c8bc669e75167bc934248e3",
+    "gridworld_asqf": "ba7c67369ca7fa5161f4e02d4c60c98683087a6ad91c2144fb7cd752aa2447bb",
     "pointmass_asaf_1": "5530d0761906084eb26ce6eb2fe8fdb73ced4ab6379f31e5a6a8f062d851aa51",
 }
 
@@ -53,6 +56,8 @@ def recipe_digest(name):
                                 seed=0, hidden=(8, 8)), **RECIPES[name]})
     if name.startswith("pointmass"):
         env, demos = pointmass_spec(), pointmass_demos(3, seed=0)
+    elif name.startswith("gridworld"):
+        env, demos = gridworld_spec(), collect_expert_demos(gridworld_spec(), n=5, alpha=0.25, seed=0)
     else:
         env, demos = chain_spec(), collect_expert_demos(chain_spec(), n=20, alpha=1.0, seed=0)
     policy, log = train(cfg, demos, env)
