@@ -8,7 +8,9 @@ Subcommands:
 * ``verify``: run a named verification suite, one pass/fail line per check.
 
 Exit codes: 0 success, 2 usage or config problems, 3 semantic validation
-failures, 4 unreadable or malformed files.  A failed verify suite exits 1.
+failures or a numerical error in training (printed with the outer step,
+epoch and minibatch that raised it), 4 unreadable or malformed files.  A
+failed verify suite exits 1.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import os
 import sys
 
 from .envs import env_by_id
-from .errors import ConfigError, FormatError, ValidationError
+from .errors import ConfigError, FormatError, NumericalError, ValidationError
 from .formats import load_checkpoint, parse_run_config, read_demos, save_checkpoint, write_demos, write_runlog_csv
 from .train import evaluate_policy, train
 from .verify import SUITES, collect_expert_demos, run_suite
@@ -122,6 +124,9 @@ def main(argv=None) -> int:
         return 2
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
+        return 3
+    except NumericalError as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
         return 3
     except (FormatError, OSError) as exc:
         print(f"file error: {exc}", file=sys.stderr)

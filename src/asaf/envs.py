@@ -59,6 +59,10 @@ class TabularMdp:
 
     The horizon is a hard episode length; there are no terminal states, so
     absorbing constructions (zero-reward self loops) express early stopping.
+
+    ``start_cdf`` and ``transition_cdf`` are the sampling CDFs of p0 and of
+    every row of P, each a cumulative sum divided by its last entry, the same
+    CDF ``Generator.choice`` builds on every call.
     """
 
     transitions: np.ndarray
@@ -66,12 +70,18 @@ class TabularMdp:
     rewards: np.ndarray
     horizon: int
     gamma: float = 1.0
+    start_cdf: np.ndarray = field(init=False, repr=False, compare=False)
+    transition_cdf: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.transitions = np.asarray(self.transitions, dtype=np.float64)
         self.start = np.asarray(self.start, dtype=np.float64)
         self.rewards = np.asarray(self.rewards, dtype=np.float64)
         self.validate()
+        self.start_cdf = np.cumsum(self.start)
+        self.start_cdf /= self.start_cdf[-1]
+        self.transition_cdf = np.cumsum(self.transitions, axis=2)
+        self.transition_cdf /= self.transition_cdf[..., -1:]
 
     @property
     def n_states(self) -> int:
@@ -233,7 +243,7 @@ class TabularEnv(Env):
 
     def reset(self, seed=None) -> np.ndarray:
         self._rng = self._rng_from(seed)
-        self._state = int(self._rng.choice(self._mdp.n_states, p=self._mdp.start))
+        self._state = int(self._mdp.start_cdf.searchsorted(self._rng.random(), side="right"))
         self._t = 0
         self._done = False
         return one_hot(self._state, self._mdp.n_states)
@@ -245,7 +255,7 @@ class TabularEnv(Env):
         if not 0 <= a < self._mdp.n_actions:
             raise ValueError(f"action {a} out of range [0, {self._mdp.n_actions})")
         r = float(self._mdp.rewards[self._state, a])
-        self._state = int(self._rng.choice(self._mdp.n_states, p=self._mdp.transitions[self._state, a]))
+        self._state = int(self._mdp.transition_cdf[self._state, a].searchsorted(self._rng.random(), side="right"))
         self._t += 1
         self._done = self._t >= self._mdp.horizon
         return one_hot(self._state, self._mdp.n_states), r, self._done
@@ -447,8 +457,8 @@ class PointMassEnv(Env):
         a = np.asarray(action, dtype=np.float64).reshape(-1)
         if a.shape != (1,):
             raise ShapeError(f"action must be a scalar or shape (1,), got {np.shape(action)}")
-        a = float(np.clip(a[0], -1.0, 1.0))
-        self._x = float(np.clip(self._x + 0.1 * a, -2.0, 2.0))
+        a = min(max(float(a[0]), -1.0), 1.0)
+        self._x = min(max(self._x + 0.1 * a, -2.0), 2.0)
         self._t += 1
         self._done = self._t >= self.spec.horizon
         return np.array([self._x]), -self._x * self._x, self._done

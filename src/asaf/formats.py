@@ -9,8 +9,9 @@ Reals are written with 17 significant digits and always carry a decimal
 point, which makes the round trip bit-exact for float64 (including the sign
 of zero).  Discrete actions are plain JSON integers; continuous actions are
 rows of reals.  Non-finite reals have no JSON form and are refused by the
-writer and the reader alike; the reader also refuses integers beyond int64
-and a ``mean_return`` that is not a number.
+writer and the reader alike; the reader also refuses integers beyond int64,
+a ``mean_return`` that is not a number, and a ``format_version``,
+``obs_dim``, ``n_trajectories`` or ``len`` that is not an integer.
 
 Run config (UTF-8 text): one ``key = value`` per line, blank lines and
 ``#`` comments ignored.  Unknown keys are an error, as are malformed
@@ -108,6 +109,8 @@ def read_demos(path) -> DemoSet:
     required = {"format_version", "env", "action_kind", "obs_dim", "n_trajectories", "mean_return"}
     if set(header) != required:
         raise FormatError(f"{path}: header keys {sorted(header)} do not match {sorted(required)}")
+    for key in ("format_version", "obs_dim", "n_trajectories"):
+        _check_int(path, 1, key, header[key])
     if header["format_version"] != FORMAT_VERSION:
         raise FormatError(f"{path}: unsupported format_version {header['format_version']!r}")
     if header["action_kind"] not in ("discrete", "continuous"):
@@ -123,6 +126,7 @@ def read_demos(path) -> DemoSet:
         rec = _parse_json_line(path, i, line)
         if set(rec) != {"obs", "acts", "len"}:
             raise FormatError(f"{path}: line {i}: trajectory keys must be obs/acts/len")
+        _check_int(path, i, "len", rec["len"])
         try:
             obs = np.asarray(rec["obs"], dtype=np.float64)
             acts = np.asarray(rec["acts"], dtype=None if discrete else np.float64)
@@ -143,9 +147,15 @@ def read_demos(path) -> DemoSet:
         trajectories=trajectories,
         env_id=header["env"],
         action_kind=header["action_kind"],
-        obs_dim=int(header["obs_dim"]),
+        obs_dim=header["obs_dim"],
         mean_return=float(header["mean_return"]),
     )
+
+
+def _check_int(path, lineno: int, key: str, value) -> None:
+    """JSON ``true`` and ``2.0`` compare equal to integers; refuse them."""
+    if type(value) is not int:
+        raise FormatError(f"{path}: line {lineno}: {key} {value!r} is not an integer")
 
 
 def _parse_json_line(path, lineno: int, line: str):

@@ -84,9 +84,11 @@ class GradTape:
 class Mlp:
     """Feedforward net over a flat float64 parameter vector.
 
-    Mutating ``params`` through the property setter invalidates any tape
-    produced earlier, which turns use-after-update bugs into TapeError
-    instead of silently wrong gradients.
+    ``params`` is read-only; assigning a new vector through the property
+    setter invalidates any tape produced earlier, which turns
+    use-after-update bugs into TapeError instead of silently wrong gradients.
+    The per-layer ``(W, b)`` views into the vector are rebuilt on every
+    assignment, so forward and backward never re-slice it.
     """
 
     def __init__(self, sizes, params: np.ndarray | None = None):
@@ -101,19 +103,25 @@ class Mlp:
             params = np.asarray(params, dtype=np.float64).copy()
             if params.shape != (n,):
                 raise ShapeError(f"expected {n} parameters for sizes {sizes}, got shape {params.shape}")
-        self._params = params
         self._version = 0
         self._slices = _layer_slices(sizes)
+        self._set(params)
+
+    def _set(self, params: np.ndarray) -> None:
+        """Adopt ``params`` (owned by the net) read-only, with its layer views."""
+        params.flags.writeable = False
+        self._params = params
+        self._layers = [(params[w].reshape(n_out, n_in), params[b]) for w, b, n_in, n_out in self._slices]
 
     @classmethod
     def init(cls, sizes, rng: np.random.Generator) -> "Mlp":
         """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) weights, zero biases."""
         net = cls(sizes)
-        p = net._params
-        for w, b, n_in, _ in net._slices:
+        p = np.zeros(net.n_params, dtype=np.float64)
+        for w, _, n_in, _ in net._slices:
             bound = 1.0 / np.sqrt(n_in)
             p[w] = rng.uniform(-bound, bound, size=w.stop - w.start)
-            p[b] = 0.0
+        net._set(p)
         return net
 
     @property
@@ -125,7 +133,7 @@ class Mlp:
         value = np.asarray(value, dtype=np.float64)
         if value.shape != self._params.shape:
             raise ShapeError(f"parameter vector must keep shape {self._params.shape}, got {value.shape}")
-        self._params = value.copy()
+        self._set(value.copy())
         self._version += 1
 
     @property
@@ -144,12 +152,10 @@ class Mlp:
         return Mlp(self.sizes, self._params)
 
     def weights(self, layer: int) -> np.ndarray:
-        w, _, n_in, n_out = self._slices[layer]
-        return self._params[w].reshape(n_out, n_in)
+        return self._layers[layer][0]
 
     def biases(self, layer: int) -> np.ndarray:
-        _, b, _, _ = self._slices[layer]
-        return self._params[b]
+        return self._layers[layer][1]
 
     def forward(self, x) -> tuple[np.ndarray, GradTape]:
         """Run the net on a vector or a batch of row vectors.
@@ -164,10 +170,10 @@ class Mlp:
             raise ShapeError(f"input must have trailing dim {self.sizes[0]}, got shape {x.shape}")
         inputs, preacts = [], []
         h = x
-        last = len(self._slices) - 1
-        for i, (w, b, n_in, n_out) in enumerate(self._slices):
+        last = len(self._layers) - 1
+        for i, (weights, bias) in enumerate(self._layers):
             inputs.append(h)
-            z = h @ self._params[w].reshape(n_out, n_in).T + self._params[b]
+            z = h @ weights.T + bias
             preacts.append(z)
             h = z if i == last else np.maximum(z, 0.0)
         tape = GradTape(version=self._version, single=single, inputs=inputs, preacts=preacts)
@@ -191,11 +197,11 @@ class Mlp:
         grad = np.zeros_like(self._params)
         delta = dy
         for i in range(len(self._slices) - 1, -1, -1):
-            w, b, n_in, n_out = self._slices[i]
+            w, b, _, _ = self._slices[i]
             grad[w] = (delta.T @ tape.inputs[i]).ravel()
             grad[b] = delta.sum(axis=0)
             if i > 0:
-                delta = (delta @ self._params[w].reshape(n_out, n_in)) * (tape.preacts[i - 1] > 0.0)
+                delta = (delta @ self._layers[i][0]) * (tape.preacts[i - 1] > 0.0)
         return grad
 
 

@@ -34,13 +34,20 @@ _HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
 
 
 class CategoricalPolicy:
-    """Softmax over the net's output scores; one score per discrete action."""
+    """Softmax over the net's output scores; one score per discrete action.
+
+    ``sample`` memoises ``cdf`` per observation, for at most ``net.in_dim``
+    observations (every state of a one-hot task) and only while the net's
+    parameters stay the same.
+    """
 
     action_kind = "discrete"
 
     def __init__(self, net: Mlp):
         self.net = net
         self.n_actions = net.out_dim
+        self._cdfs: dict[bytes, np.ndarray] = {}
+        self._cdfs_of = (None, -1)   # (net, parameter version) the memo belongs to
 
     @classmethod
     def init(cls, obs_dim: int, n_actions: int, hidden, rng: np.random.Generator) -> "CategoricalPolicy":
@@ -90,10 +97,23 @@ class CategoricalPolicy:
         dy[np.arange(len(acts)), acts] += weights
         return self.net.backward(tape, dy)
 
+    def cdf(self, obs) -> np.ndarray:
+        """Cumulative action probabilities at one observation."""
+        return np.cumsum(np.exp(self.log_probs(obs)))
+
     def sample(self, obs, rng: np.random.Generator) -> int:
         """Inverse-CDF draw from the softmax distribution."""
-        p = np.exp(self.log_probs(obs))
-        return int(np.searchsorted(np.cumsum(p), rng.random(), side="right"))
+        obs = np.asarray(obs, dtype=np.float64)
+        if self._cdfs_of != (self.net, self.net._version):
+            self._cdfs = {}
+            self._cdfs_of = (self.net, self.net._version)
+        key = obs.tobytes()
+        cdf = self._cdfs.get(key)
+        if cdf is None:
+            cdf = self.cdf(obs)
+            if len(self._cdfs) < self.net.in_dim:
+                self._cdfs[key] = cdf
+        return int(cdf.searchsorted(rng.random(), side="right"))
 
     def snapshot(self) -> "CategoricalPolicy":
         return CategoricalPolicy(self.net.copy())

@@ -16,6 +16,9 @@ asaf_1), its transition-wise scored form (asqf) and behavioral cloning (bc).
 4. freeze the learned net into the next generator: a snapshot of the
    policy, or the softmax of the asqf scores.
 
+A ``NumericalError`` raised by an update names the outer step, epoch and
+minibatch (all counted from 1) it came from.
+
 No reinforcement signal is used anywhere: the reward channel is read only
 by ``evaluate_policy`` and by expert generation.  Collected generator data
 is discarded after every outer step, keeping the discriminator strictly
@@ -35,7 +38,7 @@ import numpy as np
 
 from . import discriminator as disc
 from .envs import EnvSpec, TabularSpec, Trajectory, rollout, soft_value_iteration
-from .errors import CapacityError, UnsupportedError, ValidationError
+from .errors import CapacityError, NumericalError, UnsupportedError, ValidationError
 from .exact import exact_traj_distribution, js_between
 from .nn import AdamState, adam_step, clip_by_global_norm, clip_by_value
 from .policies import CategoricalPolicy, make_policy, tabular_policy_extract
@@ -268,19 +271,22 @@ def train(cfg: TrainConfig, demos: DemoSet, env_spec: EnvSpec):
 
         epoch_pool = gen_pool if collects else expert
         losses = []
-        for _ in range(cfg.epochs):
+        for epoch in range(cfg.epochs):
             order = batch_rng.permutation(len(epoch_pool))
-            for lo in range(0, len(order), cfg.batch):
+            for k, lo in enumerate(range(0, len(order), cfg.batch)):
                 idx = order[lo : lo + cfg.batch]
-                if collects:
-                    batch_e = expert.take(batch_rng.integers(0, len(expert), size=len(idx)))
-                    loss, grad = disc.bce_on_packed(learned, batch_e, gen_pool.take(idx))
-                else:
-                    loss, grad = disc.nll_on_packed(learned, expert.take(idx))
+                try:
+                    if collects:
+                        batch_e = expert.take(batch_rng.integers(0, len(expert), size=len(idx)))
+                        loss, grad = disc.bce_on_packed(learned, batch_e, gen_pool.take(idx))
+                    else:
+                        loss, grad = disc.nll_on_packed(learned, expert.take(idx))
+                    learned.net.params, adam = adam_step(adam, learned.net.params, _clip(grad, cfg), cfg.lr_d)
+                except NumericalError as exc:
+                    raise NumericalError(f"outer step {m + 1}, epoch {epoch + 1}, minibatch {k + 1}: {exc}") from exc
                 if not losses:
                     log.first_batch_losses.append(loss)
                 losses.append(loss)
-                learned.net.params, adam = adam_step(adam, learned.net.params, _clip(grad, cfg), cfg.lr_d)
 
         generator = freeze(learned)
         if (m + 1) % cfg.eval_interval == 0 or m == cfg.steps - 1:

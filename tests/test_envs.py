@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from asaf.envs import (
     SoftExpertPolicy,
+    TabularSpec,
     chain_spec,
     env_by_id,
     gridworld_mdp,
@@ -308,6 +311,25 @@ def test_pointmass_position_clamps():
     assert obs[0] == 2.0
 
 
+@pytest.mark.parametrize("action", [np.nan, np.inf, -np.inf, -0.0, 0.0, 0.3, -7.0])
+@pytest.mark.parametrize("x0", [-0.0, 0.0, 1.95, -1.95])
+def test_pointmass_clamps_match_np_clip(action, x0):
+    # the step clamps with scalar min/max; the same value np.clip gives, NaN,
+    # infinities and signed zeros included (the sign of a NaN is left to the
+    # interpreter's float arithmetic, so NaNs only need to be NaN)
+    def same(a, b):
+        return bool(np.isnan(a) and np.isnan(b)) or (a == b and np.signbit(a) == np.signbit(b))
+
+    env = pointmass_spec(horizon=8).make()
+    env.reset(seed=0)
+    env._x = x = x0
+    for _ in range(8):
+        obs, r, _ = env.step(action)
+        x = float(np.clip(x + 0.1 * float(np.clip(action, -1.0, 1.0)), -2.0, 2.0))
+        assert same(obs[0], x)
+        assert same(r, -x * x)
+
+
 def test_pointmass_episode_length_and_start():
     spec = pointmass_spec()
     env = spec.make()
@@ -410,3 +432,29 @@ def test_soft_expert_log_prob_matches_table():
                 assert expert.log_prob(one_hot(s, 4), a, t) == pytest.approx(want, abs=1e-14)
     # stages past the horizon clamp to the final table
     assert expert.log_prob(one_hot(0, 4), 1, 99) == expert.log_prob(one_hot(0, 4), 1, 4)
+
+
+# Probability rows with zeros whose sums sit within 1e-9 of 1, as validate()
+# admits them.
+prob_rows = st.tuples(
+    st.lists(st.one_of(st.just(0.0), st.floats(1e-9, 1.0)), min_size=1, max_size=8).filter(lambda w: sum(w) > 0),
+    st.floats(-4e-10, 4e-10),
+).map(lambda ws: np.asarray(ws[0]) / sum(ws[0]) * (1.0 + ws[1]))
+
+
+@given(prob_rows, st.integers(0, 2 ** 32 - 1))
+def test_cdf_draws_match_generator_choice(row, seed):
+    # TabularEnv draws start and next states from precomputed CDFs; each draw
+    # must be the index Generator.choice(n, p=row) returns and use up the
+    # same random numbers, so collection streams stay as they were
+    n = len(row)
+    mdp = TabularMdp(transitions=np.tile(row, (n, 2, 1)), start=row, rewards=np.zeros((n, 2)), horizon=20)
+    env = TabularSpec(mdp).make()
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    env.reset(ours)
+    drawn = [env.state]
+    for t in range(20):
+        env.step(t % 2)
+        drawn.append(env.state)
+    assert drawn == [int(theirs.choice(n, p=row)) for _ in range(21)]
+    assert ours.bit_generator.state == theirs.bit_generator.state

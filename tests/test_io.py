@@ -159,6 +159,16 @@ def test_demo_file_errors(tmp_path):
         write_lines(path, [GOOD_HEADER, body])
         with pytest.raises(FormatError, match="line 2: obs and acts must be arrays of numbers"):
             read_demos(path)
+    # integer fields are JSON integers: true and 2.0 compare equal to ints but are refused
+    for key, value in (("format_version", 1), ("obs_dim", 2), ("n_trajectories", 1)):
+        for bad in ("true", f"{value}.0"):
+            write_lines(path, [GOOD_HEADER.replace(f'"{key}": {value}', f'"{key}": {bad}'), GOOD_BODY])
+            with pytest.raises(FormatError, match=f"line 1: {key} .* is not an integer"):
+                read_demos(path)
+    for bad in ("true", "1.0"):
+        write_lines(path, [GOOD_HEADER, GOOD_BODY.replace('"len": 1', f'"len": {bad}')])
+        with pytest.raises(FormatError, match="line 2: len .* is not an integer"):
+            read_demos(path)
 
 
 def test_write_demos_rejects_non_finite_before_opening(tmp_path):
@@ -523,6 +533,23 @@ def test_cli_process_rejects_malformed_demos(tmp_path):
         assert proc.returncode == 4, proc.stderr
         assert f"line {lineno}:" in proc.stderr
         assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_process_reports_numerical_error(tmp_path):
+    # a learning rate that overflows the parameters: exit 3 with the outer step
+    # and minibatch that raised, never a traceback
+    demos, cfg = tmp_path / "demos.jsonl", tmp_path / "run.cfg"
+    main(["gen-expert", "--env", "chain", "--n", "3", "--out", str(demos)])
+    cfg.write_text(f"env = chain\nalgorithm = asaf\ndemos_path = {demos}\nsteps = 2\nlr_d = 1e300\n"
+                   f"out_dir = {tmp_path / 'out'}\n", encoding="utf-8")
+    src = str(Path(asaf.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "asaf.cli", "train", "--config", str(cfg)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert re.search(r"numerical error: outer step 1, epoch \d+, minibatch \d+: non-finite", proc.stderr)
+    assert "Traceback" not in proc.stderr
     assert not (tmp_path / "out").exists()
 
 

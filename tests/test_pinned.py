@@ -1,12 +1,15 @@
 """Pinned behaviour: every training recipe and every ``gen-expert`` output is
 byte-identical to the digests recorded before the trainers were merged into
 one loop (``gridworld_asqf``: before asqf moved onto the shared
-cross-entropy ``bce_on_packed``).
+cross-entropy ``bce_on_packed``), and raw rollout streams are identical to
+those recorded before sampling moved to cached CDFs.
 
 A recipe's digest is SHA-256 over the final ``policy.net.params`` bytes
 followed by ``repr(log)``; a ``gen-expert`` digest is SHA-256 over the file it
-writes.  The digests hold for float64 NumPy on x86-64; a different BLAS or
-CPU may change the last bits of a matrix product and so every digest.
+writes; a rollout digest is SHA-256 over the ``obs`` and ``acts`` bytes and
+the return of 100 episodes drawn one after another from one ``Generator``.
+The digests hold for float64 NumPy on x86-64; a different BLAS or CPU may
+change the last bits of a matrix product and so every digest.
 """
 
 import hashlib
@@ -15,7 +18,16 @@ import numpy as np
 import pytest
 
 from asaf.cli import main
-from asaf.envs import ScriptedPointMassPolicy, chain_spec, gridworld_spec, pointmass_spec, rollout
+from asaf.envs import (
+    ScriptedPointMassPolicy,
+    TabularMdp,
+    TabularSpec,
+    chain_spec,
+    gridworld_spec,
+    pointmass_spec,
+    rollout,
+)
+from asaf.policies import make_policy
 from asaf.train import DemoSet, TrainConfig, train
 from asaf.verify import collect_expert_demos
 
@@ -44,6 +56,40 @@ GEN_EXPERT_DIGESTS = {
     "gridworld": "ffdcfd5f207aad61e47425628d7fcdc8c37553d47d5c64ca341d19f9ba6a94a0",
     "pointmass": "01b8c358dc2a65d5e41fe076abcf34b6eca8f2a2f38a4e31f93dde279ef839fb",
 }
+
+ROLLOUT_DIGESTS = {
+    "chain": "9c5a9e62944f69935a77ca4da6f81ef0cce97c0054662ddedb49021fa536fa1c",
+    "gridworld": "411acba9921a47da1ed72a67d0015980cec848694890b5d82afa07dcd23a53ca",
+    "pointmass": "2052850387945810375463da6c2146c9b9206c22f19dce395c3226562d7562c4",
+    "random_mdp": "8f38e2119a299e580cbfb2b3c6a05b67254bb039b71022d2f27184f15226d2bf",
+}
+
+
+def random_mdp_spec(seed=7, n_states=5, n_actions=3):
+    """Stochastic tabular task: rows drawn from a Dirichlet with some entries
+    zeroed, so every draw of the transition table matters."""
+    rng = np.random.default_rng(seed)
+    p = rng.dirichlet(np.ones(n_states), size=(n_states, n_actions))
+    p *= rng.random(p.shape) < 0.7
+    p[..., 0] += 1e-3
+    p /= p.sum(axis=2, keepdims=True)
+    start = rng.dirichlet(np.ones(n_states))
+    mdp = TabularMdp(transitions=p, start=start, rewards=rng.normal(size=(n_states, n_actions)), horizon=6)
+    return TabularSpec(mdp=mdp, env_id="random_mdp")
+
+
+def rollout_digest(name):
+    spec = {"chain": chain_spec, "gridworld": gridworld_spec, "pointmass": pointmass_spec,
+            "random_mdp": random_mdp_spec}[name]()
+    policy = make_policy(spec, (64, 64), np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    h = hashlib.sha256()
+    for _ in range(100):
+        traj, ret = rollout(spec, policy, seed=rng)
+        h.update(traj.obs.tobytes())
+        h.update(np.asarray(traj.acts).tobytes())
+        h.update(np.float64(ret).tobytes())
+    return h.hexdigest()
 
 
 def pointmass_demos(n, seed):
@@ -76,3 +122,8 @@ def test_pinned_digests(name, tmp_path, capsys):
         assert gen_expert_digest(env, tmp_path / "demos.jsonl") == GEN_EXPERT_DIGESTS[env]
     else:
         assert recipe_digest(name) == RECIPE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(ROLLOUT_DIGESTS))
+def test_pinned_rollout_streams(name):
+    assert rollout_digest(name) == ROLLOUT_DIGESTS[name]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from asaf.envs import chain_spec, pointmass_spec
+from asaf.envs import chain_spec, one_hot, pointmass_spec
 from asaf.errors import ShapeError
 from asaf.nn import Mlp, grad_check
 from asaf.policies import (
@@ -92,6 +92,50 @@ def test_categorical_sampling_deterministic_in_rng():
     obs = np.array([0.5, -0.5])
     a = [policy.sample(obs, np.random.default_rng(5)) for _ in range(3)]
     assert a[0] == a[1] == a[2]
+
+
+def reference_sample(policy, obs, rng):
+    """``CategoricalPolicy.sample`` as it was before its CDFs were memoised."""
+    p = np.exp(policy.log_probs(obs))
+    return int(np.searchsorted(np.cumsum(p), rng.random(), side="right"))
+
+
+def test_memoised_sample_matches_uncached_draws():
+    rng = np.random.default_rng(5)
+    policy = CategoricalPolicy.init(4, 3, (16, 16), rng)
+    fresh = CategoricalPolicy(Mlp(policy.net.sizes, policy.net.params))
+    ours, theirs = np.random.default_rng(9), np.random.default_rng(9)
+    for s in rng.integers(0, 4, size=400):
+        assert policy.sample(one_hot(s, 4), ours) == reference_sample(fresh, one_hot(s, 4), theirs)
+    assert len(policy._cdfs) == 4
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+    # observations that are not one-hot are drawn the same way, and never
+    # grow the memo past one entry per input dimension
+    other = CategoricalPolicy(Mlp(policy.net.sizes, policy.net.params))
+    for x in rng.normal(size=(50, 4)):
+        assert other.sample(x, ours) == reference_sample(fresh, x, theirs)
+        assert len(other._cdfs) <= 4
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+def test_params_are_read_only_and_the_setter_refreshes_the_memo():
+    policy = CategoricalPolicy(Mlp((4, 3)))    # zero net: uniform over 3 actions
+    obs = one_hot(2, 4)
+    rng = np.random.default_rng(0)
+    assert {policy.sample(obs, rng) for _ in range(60)} == {0, 1, 2}
+    with pytest.raises(ValueError, match="read-only"):
+        policy.net.params[:] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        policy.net.weights(0)[0, 0] = 1.0
+    assert not np.any(policy.net.params)
+
+    params = np.zeros(policy.net.n_params)
+    params[-3:] = [-50.0, -50.0, 50.0]         # biases: action 2 almost surely
+    policy.net.params = params
+    np.testing.assert_array_equal(policy.net.params, params)
+    assert {policy.sample(obs, rng) for _ in range(60)} == {2}
+    np.testing.assert_array_equal(policy._cdfs[obs.tobytes()], CategoricalPolicy(Mlp((4, 3), params)).cdf(obs))
 
 
 def test_categorical_grad_matches_finite_differences():
