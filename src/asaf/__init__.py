@@ -13,7 +13,6 @@ and compared against training outcomes at tight tolerances.
 
 from .envs import (
     EnvSpec,
-    GridworldSpec,
     PointMassSpec,
     ScriptedPointMassPolicy,
     SoftExpertPolicy,
@@ -69,7 +68,6 @@ __all__ = [
     "DemoSet",
     "EnvSpec",
     "GaussianPolicy",
-    "GridworldSpec",
     "Mlp",
     "OccupancyTable",
     "PointMassSpec",

@@ -19,7 +19,7 @@ import argparse
 import os
 import sys
 
-from .envs import env_by_id
+from .envs import ENVS, env_by_id
 from .errors import ConfigError, FormatError, NumericalError, ValidationError
 from .formats import load_checkpoint, parse_run_config, read_demos, save_checkpoint, write_demos, write_runlog_csv
 from .train import evaluate_policy, train
@@ -33,7 +33,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen-expert", help="record expert demonstrations")
-    gen.add_argument("--env", required=True, choices=("chain", "gridworld", "pointmass"))
+    gen.add_argument("--env", required=True, choices=tuple(ENVS))
     gen.add_argument("--n", type=int, default=None, help="episode count (default depends on env)")
     gen.add_argument("--alpha", type=float, default=1.0, help="expert softness for discrete envs")
     gen.add_argument("--seed", type=int, default=0)
@@ -44,7 +44,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ev = sub.add_parser("eval", help="evaluate a saved policy")
     ev.add_argument("--checkpoint", required=True)
-    ev.add_argument("--env", required=True, choices=("chain", "gridworld", "pointmass"))
+    ev.add_argument("--env", required=True, choices=tuple(ENVS))
     ev.add_argument("--k", type=int, default=20)
     ev.add_argument("--seed", type=int, default=0)
 

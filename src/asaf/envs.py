@@ -1,10 +1,11 @@
 """Desk-scale environments and exact soft-optimal experts.
 
-Three environment families are shipped:
+Two environment families are shipped:
 
-* ``tabular``: any finite MDP given by its tables (the canonical instance is
-  a 4-state chain, see :func:`chain_spec`),
-* ``gridworld``: a fixed 5x5 maze with step cost -1 and a +10 goal bonus,
+* ``tabular``: any finite MDP given by its tables, with optional terminal
+  states; the named instances are a 4-state chain (:func:`chain_spec`) and a
+  5x5 maze with step cost -1, a +10 goal bonus and a terminal goal
+  (:func:`gridworld_spec`),
 * ``pointmass``: a 1-D continuous-control task with quadratic state cost.
 
 Discrete environments expose one-hot observations so the same network code
@@ -23,9 +24,9 @@ from .errors import ShapeError, StateError, ValidationError
 from .nn import logsumexp_rows
 
 __all__ = [
+    "ENVS",
     "Env",
     "EnvSpec",
-    "GridworldSpec",
     "PointMassSpec",
     "ScriptedPointMassPolicy",
     "SoftExpertPolicy",
@@ -57,12 +58,16 @@ def one_hot(i: int, n: int) -> np.ndarray:
 class TabularMdp:
     """Finite MDP: transition tensor P[s, a, s'], start dist p0, rewards r[s, a].
 
-    The horizon is a hard episode length; there are no terminal states, so
-    absorbing constructions (zero-reward self loops) express early stopping.
+    The horizon is the longest episode.  An episode also ends on entering a
+    ``terminal`` state, which must be absorbing with zero reward, so the
+    oracles, which run every episode to the horizon, give the returns of the
+    episodes that end early; their stage marginals keep an ended episode's
+    mass in its terminal state.
 
     ``start_cdf`` and ``transition_cdf`` are the sampling CDFs of p0 and of
     every row of P, each a cumulative sum divided by its last entry, the same
-    CDF ``Generator.choice`` builds on every call.
+    CDF ``Generator.choice`` builds on every call; ``terminal_mask`` marks the
+    terminal states.
     """
 
     transitions: np.ndarray
@@ -70,8 +75,10 @@ class TabularMdp:
     rewards: np.ndarray
     horizon: int
     gamma: float = 1.0
+    terminal: tuple[int, ...] = ()
     start_cdf: np.ndarray = field(init=False, repr=False, compare=False)
     transition_cdf: np.ndarray = field(init=False, repr=False, compare=False)
+    terminal_mask: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.transitions = np.asarray(self.transitions, dtype=np.float64)
@@ -82,6 +89,8 @@ class TabularMdp:
         self.start_cdf /= self.start_cdf[-1]
         self.transition_cdf = np.cumsum(self.transitions, axis=2)
         self.transition_cdf /= self.transition_cdf[..., -1:]
+        self.terminal_mask = np.zeros(self.n_states, dtype=bool)
+        self.terminal_mask[list(self.terminal)] = True
 
     @property
     def n_states(self) -> int:
@@ -111,6 +120,11 @@ class TabularMdp:
             raise ValidationError(f"gamma must lie in [0, 1], got {self.gamma}")
         if self.horizon < 1:
             raise ValidationError(f"horizon must be >= 1, got {self.horizon}")
+        for g in self.terminal:
+            if not (isinstance(g, (int, np.integer)) and 0 <= g < s):
+                raise ValidationError(f"terminal state {g!r} is not a state in [0, {s})")
+            if np.any(np.abs(p[g, :, g] - 1.0) > _ATOL) or np.any(r[g] != 0.0):
+                raise ValidationError(f"terminal state {g} must be absorbing with zero reward")
 
 
 @dataclass
@@ -209,7 +223,6 @@ class TabularSpec:
     mdp: TabularMdp
     env_id: str = "tabular"
     expert_alpha: float = 1.0
-    kind: str = field(init=False, default="tabular")
     action_kind: str = field(init=False, default="discrete")
 
     @property
@@ -235,7 +248,6 @@ class TabularEnv(Env):
         self._state = -1
         self._t = 0
         self._done = True
-        self._rng = np.random.default_rng()
 
     @property
     def state(self) -> int:
@@ -257,7 +269,7 @@ class TabularEnv(Env):
         r = float(self._mdp.rewards[self._state, a])
         self._state = int(self._mdp.transition_cdf[self._state, a].searchsorted(self._rng.random(), side="right"))
         self._t += 1
-        self._done = self._t >= self._mdp.horizon
+        self._done = self._t >= self._mdp.horizon or bool(self._mdp.terminal_mask[self._state])
         return one_hot(self._state, self._mdp.n_states), r, self._done
 
 
@@ -291,128 +303,39 @@ _GRID_ROWS = (
     "##.#.",
     "....G",
 )
-_GRID_N = 5
-# action order: 0 up, 1 down, 2 left, 3 right
-_MOVES = ((-1, 0), (1, 0), (0, -1), (0, 1))
-
-
-def _parse_grid():
-    walls = set()
-    start = goal = None
-    for rr, row in enumerate(_GRID_ROWS):
-        for cc, ch in enumerate(row):
-            if ch == "#":
-                walls.add((rr, cc))
-            elif ch == "S":
-                start = (rr, cc)
-            elif ch == "G":
-                goal = (rr, cc)
-    return walls, start, goal
-
-
-_GRID_WALLS, _GRID_START, _GRID_GOAL = _parse_grid()
-
-
-def _grid_next(cell: tuple[int, int], action: int) -> tuple[int, int]:
-    dr, dc = _MOVES[action]
-    nxt = (cell[0] + dr, cell[1] + dc)
-    if not (0 <= nxt[0] < _GRID_N and 0 <= nxt[1] < _GRID_N) or nxt in _GRID_WALLS:
-        return cell
-    return nxt
-
-
-def _cell_id(cell: tuple[int, int]) -> int:
-    return cell[0] * _GRID_N + cell[1]
 
 
 def gridworld_mdp(horizon: int = 30) -> TabularMdp:
-    """The maze as a TabularMdp: absorbing zero-reward goal, -1 per step and
-    +10 on the transition that enters the goal."""
-    n = _GRID_N * _GRID_N
-    p = np.zeros((n, 4, n))
-    r = np.zeros((n, 4))
-    for rr in range(_GRID_N):
-        for cc in range(_GRID_N):
-            s = _cell_id((rr, cc))
-            if (rr, cc) == _GRID_GOAL:
-                p[s, :, s] = 1.0
-                continue
-            for a in range(4):
-                nxt = _grid_next((rr, cc), a)
-                p[s, a, _cell_id(nxt)] = 1.0
-                r[s, a] = -1.0 + (10.0 if nxt == _GRID_GOAL else 0.0)
-    p0 = np.zeros(n)
-    p0[_cell_id(_GRID_START)] = 1.0
-    return TabularMdp(transitions=p, start=p0, rewards=r, horizon=horizon, gamma=1.0)
+    """The maze as a TabularMdp, state 5 * row + column.
 
-
-@dataclass
-class GridworldSpec:
-    horizon: int = 30
-    expert_alpha: float = 1.0
-    env_id: str = field(init=False, default="gridworld")
-    kind: str = field(init=False, default="gridworld")
-    action_kind: str = field(init=False, default="discrete")
-
-    @property
-    def obs_dim(self) -> int:
-        return _GRID_N * _GRID_N
-
-    @property
-    def n_actions(self) -> int:
-        return 4
-
-    @property
-    def mdp(self) -> TabularMdp:
-        return gridworld_mdp(self.horizon)
-
-    def make(self) -> "GridworldEnv":
-        return GridworldEnv(self)
-
-
-class GridworldEnv(Env):
-    """Interactive form of the maze; the episode actually ends at the goal.
-
-    Return totals match the absorbing TabularMdp form exactly because the
-    absorbed tail earns zero reward.
+    Actions are 0 up, 1 down, 2 left, 3 right; a move off the grid or into a
+    wall stays put.  Every move costs -1 and the one that enters the goal
+    earns +10 on top.  The goal is terminal: absorbing with zero reward.
     """
-
-    def __init__(self, spec: GridworldSpec):
-        self.spec = spec
-        self._cell = _GRID_START
-        self._t = 0
-        self._done = True
-
-    @property
-    def cell(self) -> tuple[int, int]:
-        return self._cell
-
-    def reset(self, seed=None) -> np.ndarray:
-        self._rng_from(seed)  # accepted for protocol symmetry; dynamics are deterministic
-        self._cell = _GRID_START
-        self._t = 0
-        self._done = False
-        return one_hot(_cell_id(self._cell), self.spec.obs_dim)
-
-    def step(self, action):
-        if self._done:
-            raise StateError("step() on a finished episode; call reset() first")
-        a = int(action)
-        if not 0 <= a < 4:
-            raise ValueError(f"action {a} out of range [0, 4)")
-        nxt = _grid_next(self._cell, a)
-        r = -1.0 + (10.0 if nxt == _GRID_GOAL else 0.0)
-        self._cell = nxt
-        self._t += 1
-        self._done = nxt == _GRID_GOAL or self._t >= self.spec.horizon
-        return one_hot(_cell_id(self._cell), self.spec.obs_dim), r, self._done
+    n = len(_GRID_ROWS)
+    cells = "".join(_GRID_ROWS)
+    goal = cells.index("G")
+    p = np.zeros((n * n, 4, n * n))
+    r = np.zeros((n * n, 4))
+    p[goal, :, goal] = 1.0
+    for s in range(n * n):
+        if s == goal:
+            continue
+        row, col = divmod(s, n)
+        for a, (dr, dc) in enumerate(((-1, 0), (1, 0), (0, -1), (0, 1))):
+            rr, cc = row + dr, col + dc
+            nxt = rr * n + cc if 0 <= rr < n and 0 <= cc < n and _GRID_ROWS[rr][cc] != "#" else s
+            p[s, a, nxt] = 1.0
+            r[s, a] = -1.0 + (10.0 if nxt == goal else 0.0)
+    p0 = np.zeros(n * n)
+    p0[cells.index("S")] = 1.0
+    return TabularMdp(transitions=p, start=p0, rewards=r, horizon=horizon, gamma=1.0, terminal=(goal,))
 
 
 @dataclass
 class PointMassSpec:
     horizon: int = 50
     env_id: str = field(init=False, default="pointmass")
-    kind: str = field(init=False, default="pointmass")
     action_kind: str = field(init=False, default="continuous")
 
     @property
@@ -464,26 +387,27 @@ class PointMassEnv(Env):
         return np.array([self._x]), -self._x * self._x, self._done
 
 
-EnvSpec = TabularSpec | GridworldSpec | PointMassSpec
+EnvSpec = TabularSpec | PointMassSpec
 
 
-def env_by_id(env_id: str) -> EnvSpec:
-    """Named instances addressable from configs and the command line."""
-    if env_id == "chain":
-        return chain_spec()
-    if env_id == "gridworld":
-        return gridworld_spec()
-    if env_id == "pointmass":
-        return pointmass_spec()
-    raise ValidationError(f"unknown environment id {env_id!r} (expected chain, gridworld, or pointmass)")
-
-
-def gridworld_spec(horizon: int = 30, expert_alpha: float = 1.0) -> GridworldSpec:
-    return GridworldSpec(horizon=horizon, expert_alpha=expert_alpha)
+def gridworld_spec(horizon: int = 30, expert_alpha: float = 1.0) -> TabularSpec:
+    return TabularSpec(mdp=gridworld_mdp(horizon), env_id="gridworld", expert_alpha=expert_alpha)
 
 
 def pointmass_spec(horizon: int = 50) -> PointMassSpec:
     return PointMassSpec(horizon=horizon)
+
+
+# Named instances addressable from configs and the command line.
+ENVS = {"chain": chain_spec, "gridworld": gridworld_spec, "pointmass": pointmass_spec}
+
+
+def env_by_id(env_id: str) -> EnvSpec:
+    """The named instance ``env_id`` of ``ENVS`` at its defaults."""
+    if env_id not in ENVS:
+        *head, last = ENVS
+        raise ValidationError(f"unknown environment id {env_id!r} (expected {', '.join(head)}, or {last})")
+    return ENVS[env_id]()
 
 
 def scripted_pointmass_expert(x: float) -> float:

@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from asaf.envs import (
+    ENVS,
     SoftExpertPolicy,
     TabularSpec,
     chain_spec,
@@ -70,6 +71,19 @@ def test_mdp_validate_catches_bad_tables():
         TabularMdp(transitions=good.transitions, start=good.start, rewards=good.rewards, horizon=0)
     with pytest.raises(ValidationError):
         TabularMdp(transitions=good.transitions, start=good.start, rewards=good.rewards, horizon=3, gamma=1.5)
+    # a terminal state must be a state, absorbing, and pay nothing
+    absorbing = good.transitions.copy()
+    absorbing[0] = [[1.0, 0.0], [1.0, 0.0]]
+    zero_r = good.rewards.copy()
+    zero_r[0] = 0.0
+    TabularMdp(transitions=absorbing, start=good.start, rewards=zero_r, horizon=3, terminal=(0,))
+    for terminal in ((2,), (-1,), (0.5,)):
+        with pytest.raises(ValidationError):
+            TabularMdp(transitions=absorbing, start=good.start, rewards=zero_r, horizon=3, terminal=terminal)
+    with pytest.raises(ValidationError):  # state 0 leaves itself under action 1
+        TabularMdp(transitions=good.transitions, start=good.start, rewards=zero_r, horizon=3, terminal=(0,))
+    with pytest.raises(ValidationError):  # absorbing but paying 0.5
+        TabularMdp(transitions=absorbing, start=good.start, rewards=good.rewards, horizon=3, terminal=(0,))
 
 
 # ---------------------------------------------------------------- soft backups
@@ -213,14 +227,33 @@ def test_chain_spec_tables():
 
 # ---------------------------------------------------------------- gridworld
 
+# The maze and the step of the interactive gridworld env that the tabular
+# form replaced, kept as the reference its dynamics are checked against.
+REF_GRID = ("S....", ".###.", "...#.", "##.#.", "....G")
+REF_WALLS = {(r, c) for r, row in enumerate(REF_GRID) for c, ch in enumerate(row) if ch == "#"}
+REF_START, REF_GOAL = (0, 0), (4, 4)
+REF_MOVES = ((-1, 0), (1, 0), (0, -1), (0, 1))   # up, down, left, right
+CORRIDORS = ((3, 3, 3, 3, 1, 1, 1, 1), (1, 1, 3, 3, 1, 1, 3, 3))
+
+
+def reference_grid_step(cell, t, action, horizon):
+    """Step ``t`` (from 0) of the former ``GridworldEnv``: (next cell, reward, done)."""
+    dr, dc = REF_MOVES[action]
+    nxt = (cell[0] + dr, cell[1] + dc)
+    if not (0 <= nxt[0] < 5 and 0 <= nxt[1] < 5) or nxt in REF_WALLS:
+        nxt = cell
+    r = -1.0 + (10.0 if nxt == REF_GOAL else 0.0)
+    return nxt, r, nxt == REF_GOAL or t + 1 >= horizon
+
+
 def test_gridworld_walls_block():
     env = gridworld_spec().make()
     env.reset()
     obs, r, done = env.step(0)       # up from the corner: blocked
-    assert env.cell == (0, 0) and r == -1.0 and not done
+    assert env.state == 5 * 0 + 0 and r == -1.0 and not done
     env.step(3)                      # to (0, 1)
     obs, r, done = env.step(1)       # down into the wall at (1, 1)
-    assert env.cell == (0, 1) and r == -1.0
+    assert env.state == 5 * 0 + 1 and r == -1.0
 
 
 def test_gridworld_corridor_reaches_goal():
@@ -233,7 +266,7 @@ def test_gridworld_corridor_reaches_goal():
         assert not done
     _, r, done = env.step(1)         # (3, 4) -> goal
     total += r
-    assert done and env.cell == (4, 4)
+    assert done and env.state == 5 * 4 + 4
     assert total == 2.0              # 7 * (-1) + 9
 
 
@@ -244,7 +277,7 @@ def test_gridworld_second_corridor_same_length():
         _, _, done = env.step(a)
         assert not done
     _, _, done = env.step(3)
-    assert done and env.cell == (4, 4)
+    assert done and env.state == 5 * 4 + 4
 
 
 def test_gridworld_times_out_at_horizon():
@@ -262,6 +295,7 @@ def test_gridworld_times_out_at_horizon():
 def test_gridworld_mdp_matches_env():
     mdp = gridworld_mdp()
     assert mdp.n_states == 25 and mdp.n_actions == 4
+    assert mdp.terminal == (24,) and np.flatnonzero(mdp.terminal_mask).tolist() == [24]
     np.testing.assert_allclose(mdp.transitions.sum(axis=2), 1.0)
     goal = 24
     np.testing.assert_array_equal(mdp.transitions[goal, :, goal], 1.0)  # absorbing
@@ -286,6 +320,47 @@ def test_gridworld_env_return_matches_mdp_expected_return():
         _, r, done = env.step(3)
         total += r
     assert total == pytest.approx(expected_return(mdp, pi), abs=1e-12)
+
+
+@pytest.mark.parametrize("horizon", [1, 30])
+def test_gridworld_steps_match_reference_for_every_state_and_action(horizon):
+    env = gridworld_spec(horizon=horizon).make()
+    for s in range(25):
+        for a in range(4):
+            env.reset(seed=0)
+            env._state = s  # pin the state for the one-step check
+            obs, r, done = env.step(a)
+            if divmod(s, 5) == REF_GOAL:
+                # the reference never steps from the goal; the table absorbs there for free
+                assert (env.state, r, done) == (s, 0.0, True)
+                continue
+            nxt, want_r, want_done = reference_grid_step(divmod(s, 5), 0, a, horizon)
+            assert (env.state, r, done) == (5 * nxt[0] + nxt[1], want_r, want_done)
+            np.testing.assert_array_equal(obs, one_hot(env.state, 25))
+
+
+@given(
+    st.tuples(st.sampled_from(CORRIDORS), st.integers(0, 8), st.lists(st.integers(0, 3), max_size=32))
+    .map(lambda c: list(c[0][: c[1]]) + c[2]),
+    st.integers(1, 30),
+)
+@example(actions=list(CORRIDORS[0]) + [0], horizon=30)   # the goal, then a step too many
+@example(actions=list(CORRIDORS[1]), horizon=8)          # the goal on the last step
+@example(actions=[0] * 5, horizon=4)                     # a timeout, then a step too many
+def test_gridworld_episodes_match_reference(actions, horizon):
+    env = gridworld_spec(horizon=horizon).make()
+    obs = env.reset(seed=0)
+    np.testing.assert_array_equal(obs, one_hot(5 * REF_START[0] + REF_START[1], 25))
+    cell, done = REF_START, False
+    for t, a in enumerate(actions):
+        if done:
+            with pytest.raises(StateError):
+                env.step(a)
+            break
+        cell, want_r, done = reference_grid_step(cell, t, a, horizon)
+        obs, r, got_done = env.step(a)
+        assert (env.state, r, got_done) == (5 * cell[0] + cell[1], want_r, done)
+        np.testing.assert_array_equal(obs, one_hot(env.state, 25))
 
 
 # ---------------------------------------------------------------- point mass
@@ -365,8 +440,25 @@ def test_env_by_id():
     assert env_by_id("chain").env_id == "chain"
     assert env_by_id("gridworld").env_id == "gridworld"
     assert env_by_id("pointmass").env_id == "pointmass"
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"^unknown environment id 'cartpole' "
+                                              r"\(expected chain, gridworld, or pointmass\)$"):
         env_by_id("cartpole")
+
+
+def test_cli_reads_the_env_registry(capsys):
+    from asaf.cli import DEFAULT_DEMO_COUNTS, main
+
+    assert list(ENVS) == ["chain", "gridworld", "pointmass"]
+    assert list(DEFAULT_DEMO_COUNTS) == list(ENVS)   # every id has a gen-expert default
+    assert main(["gen-expert", "--env", "cartpole", "--out", "x.jsonl"]) == 2
+    assert "--env {chain,gridworld,pointmass}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("env_id", sorted(ENVS))
+def test_step_on_a_fresh_env_raises(env_id):
+    env = ENVS[env_id]().make()
+    with pytest.raises(StateError):
+        env.step(0)
 
 
 # ---------------------------------------------------------------- rollouts

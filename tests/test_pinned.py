@@ -1,8 +1,16 @@
 """Pinned behaviour: every training recipe and every ``gen-expert`` output is
 byte-identical to the digests recorded before the trainers were merged into
-one loop (``gridworld_asqf``: before asqf moved onto the shared
-cross-entropy ``bce_on_packed``), and raw rollout streams are identical to
-those recorded before sampling moved to cached CDFs.
+one loop, and raw rollout streams are identical to those recorded before
+sampling moved to cached CDFs.
+
+The three gridworld digests (``gridworld_asqf``, ``gen-expert`` on gridworld
+and the gridworld rollout stream) were recorded again when the maze became a
+``TabularMdp`` with a terminal goal, served by ``TabularEnv``.  The former
+maze env drew no random numbers; ``TabularEnv`` draws one uniform per reset
+and per step from the episode's ``Generator``, so the policy's draws that
+follow come from other positions of the same stream.  The dynamics are
+unchanged: the old maze step, made to draw one uniform per reset and per
+step, reproduces the new rollout digest, and without the draws the old one.
 
 A recipe's digest is SHA-256 over the final ``policy.net.params`` bytes
 followed by ``repr(log)``; a ``gen-expert`` digest is SHA-256 over the file it
@@ -47,19 +55,19 @@ RECIPE_DIGESTS = {
     "chain_asaf_1": "58fe73465fd3d8dd5c3372d2cc049b7bb045a4a0007a444f5cf1417f7c9b979a",
     "chain_asqf": "4867aa067acfe2ab72b6a9efb88e3222566fbd5c0c206d4206ba116cb921eec9",
     "chain_bc": "754350c51323b15893ec7660f0aff599573b68349c8bc669e75167bc934248e3",
-    "gridworld_asqf": "ba7c67369ca7fa5161f4e02d4c60c98683087a6ad91c2144fb7cd752aa2447bb",
+    "gridworld_asqf": "fe66f63154be34ed414b20b2263f077b553ebebfa0a41fbd5d186b7dbde883f9",
     "pointmass_asaf_1": "5530d0761906084eb26ce6eb2fe8fdb73ced4ab6379f31e5a6a8f062d851aa51",
 }
 
 GEN_EXPERT_DIGESTS = {
     "chain": "6c9dcd8143c23ce3b3e5025a849a2b6c0575f0c34e6375cf282570578c40f665",
-    "gridworld": "ffdcfd5f207aad61e47425628d7fcdc8c37553d47d5c64ca341d19f9ba6a94a0",
+    "gridworld": "2c139d91291d2d64bbdf074a644e1c55544d91cc3b8e99fbcf75342a4f52c227",
     "pointmass": "01b8c358dc2a65d5e41fe076abcf34b6eca8f2a2f38a4e31f93dde279ef839fb",
 }
 
 ROLLOUT_DIGESTS = {
     "chain": "9c5a9e62944f69935a77ca4da6f81ef0cce97c0054662ddedb49021fa536fa1c",
-    "gridworld": "411acba9921a47da1ed72a67d0015980cec848694890b5d82afa07dcd23a53ca",
+    "gridworld": "293e14c7b32bd59cb8be5397fc3cbf8f6f32f7352217a55b4411b8255af57021",
     "pointmass": "2052850387945810375463da6c2146c9b9206c22f19dce395c3226562d7562c4",
     "random_mdp": "8f38e2119a299e580cbfb2b3c6a05b67254bb039b71022d2f27184f15226d2bf",
 }

@@ -224,6 +224,15 @@ def test_pointmass_js_column_is_empty():
     assert log.total_env_steps == 50
 
 
+def test_gridworld_js_column_is_empty():
+    # gridworld is tabular, but 4^30 trajectories exceed the enumeration budget
+    grid = gridworld_spec()
+    demos = collect_expert_demos(grid, n=3, alpha=0.25, seed=0)
+    _, log = train(tiny_cfg(algorithm="asqf", steps=1, n_g=2, epochs=1, eval_k=2), demos, grid)
+    assert log.rows[-1].js_to_expert is None
+    assert runlog_csv(log).splitlines()[-1].endswith(",")
+
+
 # ---------------------------------------------------------------- reductions
 
 def test_asaf_w_full_width_equals_asaf(chain_demos):
