@@ -8,6 +8,17 @@ Two environment families are shipped:
   (:func:`gridworld_spec`),
 * ``pointmass``: a 1-D continuous-control task with quadratic state cost.
 
+An environment is its spec.  ``TabularSpec`` and ``PointMassSpec`` hold no
+episode state; each answers three pure methods:
+
+* ``reset(rng) -> state``: draw a start state,
+* ``observe(state) -> obs``: the observation of a state,
+* ``step(state, action, rng) -> (state, reward, terminal)``: one transition,
+  refusing an action outside the action space.
+
+:func:`rollout` is the one episode loop: it runs ``step`` up to ``horizon``
+times and stops early after a step that enters a terminal state.
+
 Discrete environments expose one-hot observations so the same network code
 serves tabular and continuous tasks.  Experts are exact: stage-indexed soft
 value iteration for discrete tasks and a scripted proportional controller
@@ -20,12 +31,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ShapeError, StateError, ValidationError
+from .errors import ShapeError, ValidationError
 from .nn import logsumexp_rows
 
 __all__ = [
     "ENVS",
-    "Env",
     "EnvSpec",
     "PointMassSpec",
     "ScriptedPointMassPolicy",
@@ -162,8 +172,8 @@ def soft_value_iteration(mdp: TabularMdp, alpha: float) -> SoftQTable:
     swept backwards from the horizon.  alpha is the entropy temperature; the
     matching stochastic expert is softmax(q / alpha) per stage.
     """
-    if alpha <= 0.0:
-        raise ValidationError(f"alpha must be positive, got {alpha}")
+    if not (np.isfinite(alpha) and alpha > 0.0):
+        raise ValidationError(f"alpha must be finite and positive, got {alpha}")
     t_max = mdp.horizon
     q = np.zeros((t_max, mdp.n_states, mdp.n_actions), dtype=np.float64)
     v_next = np.zeros(mdp.n_states, dtype=np.float64)
@@ -197,24 +207,6 @@ class Trajectory:
         return len(self.obs)
 
 
-class Env:
-    """Episode protocol: reset() then step() until done or the horizon."""
-
-    spec: "EnvSpec"
-
-    def reset(self, seed=None) -> np.ndarray:
-        raise NotImplementedError
-
-    def step(self, action):
-        """Returns (obs, reward, done).  Stepping a finished episode raises."""
-        raise NotImplementedError
-
-    def _rng_from(self, seed) -> np.random.Generator:
-        if isinstance(seed, np.random.Generator):
-            return seed
-        return np.random.default_rng(seed)
-
-
 @dataclass
 class TabularSpec:
     """Environment spec wrapping a TabularMdp; expert_alpha is the default
@@ -237,40 +229,20 @@ class TabularSpec:
     def horizon(self) -> int:
         return self.mdp.horizon
 
-    def make(self) -> "TabularEnv":
-        return TabularEnv(self)
+    def reset(self, rng: np.random.Generator) -> int:
+        """A start state drawn from p0 with one uniform."""
+        return int(self.mdp.start_cdf.searchsorted(rng.random(), side="right"))
 
+    def observe(self, state: int) -> np.ndarray:
+        return one_hot(state, self.mdp.n_states)
 
-class TabularEnv(Env):
-    def __init__(self, spec: TabularSpec):
-        self.spec = spec
-        self._mdp = spec.mdp
-        self._state = -1
-        self._t = 0
-        self._done = True
-
-    @property
-    def state(self) -> int:
-        return self._state
-
-    def reset(self, seed=None) -> np.ndarray:
-        self._rng = self._rng_from(seed)
-        self._state = int(self._mdp.start_cdf.searchsorted(self._rng.random(), side="right"))
-        self._t = 0
-        self._done = False
-        return one_hot(self._state, self._mdp.n_states)
-
-    def step(self, action):
-        if self._done:
-            raise StateError("step() on a finished episode; call reset() first")
+    def step(self, state: int, action, rng: np.random.Generator) -> tuple[int, float, bool]:
+        """(next state drawn with one uniform, reward, whether it is terminal)."""
         a = int(action)
-        if not 0 <= a < self._mdp.n_actions:
-            raise ValueError(f"action {a} out of range [0, {self._mdp.n_actions})")
-        r = float(self._mdp.rewards[self._state, a])
-        self._state = int(self._mdp.transition_cdf[self._state, a].searchsorted(self._rng.random(), side="right"))
-        self._t += 1
-        self._done = self._t >= self._mdp.horizon or bool(self._mdp.terminal_mask[self._state])
-        return one_hot(self._state, self._mdp.n_states), r, self._done
+        if not 0 <= a < self.mdp.n_actions:
+            raise ValueError(f"action {a} out of range [0, {self.mdp.n_actions})")
+        nxt = int(self.mdp.transition_cdf[state, a].searchsorted(rng.random(), side="right"))
+        return nxt, float(self.mdp.rewards[state, a]), bool(self.mdp.terminal_mask[nxt])
 
 
 def chain_spec(horizon: int = 5, gamma: float = 0.3, expert_alpha: float = 1.0) -> TabularSpec:
@@ -334,6 +306,12 @@ def gridworld_mdp(horizon: int = 30) -> TabularMdp:
 
 @dataclass
 class PointMassSpec:
+    """1-D point mass: x' = clamp(x + 0.1 a, -2, 2) with a clamped to [-1, 1].
+
+    Reward is -x'^2, the start position is uniform on [-1, 1], and episodes
+    run exactly ``horizon`` steps.
+    """
+
     horizon: int = 50
     env_id: str = field(init=False, default="pointmass")
     action_kind: str = field(init=False, default="continuous")
@@ -346,45 +324,20 @@ class PointMassSpec:
     def act_dim(self) -> int:
         return 1
 
-    def make(self) -> "PointMassEnv":
-        return PointMassEnv(self)
+    def reset(self, rng: np.random.Generator) -> float:
+        return float(rng.uniform(-1.0, 1.0))
 
+    def observe(self, x: float) -> np.ndarray:
+        return np.array([x])
 
-class PointMassEnv(Env):
-    """1-D point mass: x' = clamp(x + 0.1 a, -2, 2) with a clamped to [-1, 1].
-
-    Reward is -x'^2, the start position is uniform on [-1, 1], and episodes
-    run exactly ``horizon`` steps.
-    """
-
-    def __init__(self, spec: PointMassSpec):
-        self.spec = spec
-        self._x = 0.0
-        self._t = 0
-        self._done = True
-
-    @property
-    def x(self) -> float:
-        return self._x
-
-    def reset(self, seed=None) -> np.ndarray:
-        rng = self._rng_from(seed)
-        self._x = float(rng.uniform(-1.0, 1.0))
-        self._t = 0
-        self._done = False
-        return np.array([self._x])
-
-    def step(self, action):
-        if self._done:
-            raise StateError("step() on a finished episode; call reset() first")
+    def step(self, x: float, action, rng: np.random.Generator) -> tuple[float, float, bool]:
+        """(x', -x'^2, False): no state is terminal, and the step draws nothing."""
         a = np.asarray(action, dtype=np.float64).reshape(-1)
         if a.shape != (1,):
             raise ShapeError(f"action must be a scalar or shape (1,), got {np.shape(action)}")
         a = min(max(float(a[0]), -1.0), 1.0)
-        self._x = min(max(self._x + 0.1 * a, -2.0), 2.0)
-        self._t += 1
-        self._done = self._t >= self.spec.horizon
-        return np.array([self._x]), -self._x * self._x, self._done
+        x = min(max(x + 0.1 * a, -2.0), 2.0)
+        return x, -x * x, False
 
 
 EnvSpec = TabularSpec | PointMassSpec
@@ -460,25 +413,25 @@ class SoftExpertPolicy:
 def rollout(env_spec: EnvSpec, policy, seed) -> tuple[Trajectory, float]:
     """Run one episode and return (trajectory, undiscounted return).
 
-    A single Generator seeded from ``seed`` drives reset, policy sampling,
-    and transitions, so the episode is a pure function of (spec, policy,
-    seed).  The trajectory stores only (obs, act) pairs; the reward sum is
-    returned separately so imitation code can drop it unseen.
+    This is the one episode loop: it stops after ``horizon`` steps or after
+    the step that enters a terminal state.  A single Generator seeded from
+    ``seed`` drives reset, policy sampling, and transitions, so the episode
+    is a pure function of (spec, policy, seed).  The trajectory stores only
+    (obs, act) pairs; the reward sum is returned separately so imitation
+    code can drop it unseen.
     """
     rng = np.random.default_rng(seed)
-    env = env_spec.make()
-    obs = env.reset(rng)
+    state = env_spec.reset(rng)
     stage_indexed = getattr(policy, "stage_indexed", False)
     obs_list, act_list = [], []
     total = 0.0
-    t = 0
-    done = False
-    while not done:
+    for t in range(env_spec.horizon):
+        obs = env_spec.observe(state)
         act = policy.sample(obs, rng, t) if stage_indexed else policy.sample(obs, rng)
         obs_list.append(obs)
         act_list.append(act)
-        obs, reward, done = env.step(act)
+        state, reward, terminal = env_spec.step(state, act, rng)
         total += reward
-        t += 1
-    acts = np.asarray(act_list)
-    return Trajectory(obs=np.asarray(obs_list), acts=acts), total
+        if terminal:
+            break
+    return Trajectory(obs=np.asarray(obs_list), acts=np.asarray(act_list)), total

@@ -42,7 +42,3 @@ class TapeError(RuntimeError):
 
 class NumericalError(FloatingPointError):
     """A non-finite value surfaced where the math requires finite ones."""
-
-
-class StateError(RuntimeError):
-    """An environment or stateful object was driven out of protocol."""

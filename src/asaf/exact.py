@@ -24,6 +24,7 @@ __all__ = [
     "OccupancyTable",
     "TrajDistribution",
     "bce_from_enumeration",
+    "enumerable",
     "exact_traj_distribution",
     "expected_return",
     "js_divergence",
@@ -69,13 +70,18 @@ class TrajDistribution:
         return out
 
 
+def enumerable(mdp: TabularMdp) -> bool:
+    """Whether |A|^T * S, the enumeration's size bound, is within the budget."""
+    return mdp.n_actions ** mdp.horizon * mdp.n_states <= ENUMERATION_BUDGET
+
+
 def exact_traj_distribution(mdp: TabularMdp, pi: np.ndarray) -> TrajDistribution:
     """Enumerate every positive-probability trajectory of the policy.
 
     The policy may be stationary (S, A) or stage-indexed (T, S, A).  Raises
-    CapacityError when |A|^T * S exceeds the enumeration budget.
+    CapacityError when the MDP is not ``enumerable``.
     """
-    if mdp.n_actions ** mdp.horizon * mdp.n_states > ENUMERATION_BUDGET:
+    if not enumerable(mdp):
         raise CapacityError(
             f"enumeration of {mdp.n_actions}^{mdp.horizon} action sequences over "
             f"{mdp.n_states} states exceeds the budget of {ENUMERATION_BUDGET}"

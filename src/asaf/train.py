@@ -38,8 +38,8 @@ import numpy as np
 
 from . import discriminator as disc
 from .envs import EnvSpec, TabularSpec, Trajectory, rollout, soft_value_iteration
-from .errors import CapacityError, NumericalError, UnsupportedError, ValidationError
-from .exact import exact_traj_distribution, js_between
+from .errors import NumericalError, UnsupportedError, ValidationError
+from .exact import enumerable, exact_traj_distribution, js_between
 from .nn import AdamState, adam_step, clip_by_global_norm, clip_by_value
 from .policies import CategoricalPolicy, make_policy, tabular_policy_extract
 
@@ -91,16 +91,16 @@ class TrainConfig:
         else:
             if cfg.w is not None or cfg.stride is not None:
                 raise ValidationError(f"{cfg.algorithm} does not take w/stride")
-        if cfg.lr_d <= 0.0:
-            raise ValidationError("lr_d must be positive")
+        if not (np.isfinite(cfg.lr_d) and cfg.lr_d > 0.0):
+            raise ValidationError(f"lr_d must be finite and positive, got {cfg.lr_d}")
         if cfg.batch < 1:
             raise ValidationError("batch must be >= 1")
         if cfg.n_g < 1:
             raise ValidationError("n_g must be >= 1")
         if cfg.epochs < 0:
             raise ValidationError("epochs must be >= 0")
-        if cfg.clip <= 0.0:
-            raise ValidationError("clip must be positive")
+        if not cfg.clip > 0.0:   # inf never clips; NaN is refused
+            raise ValidationError(f"clip must be positive, got {cfg.clip}")
         if cfg.clip_mode not in ("norm", "value"):
             raise ValidationError(f"clip_mode must be 'norm' or 'value', got {cfg.clip_mode!r}")
         if cfg.steps < 0:
@@ -173,14 +173,14 @@ def _check_demos(demos: DemoSet, env_spec: EnvSpec) -> None:
         raise ValidationError(f"demo action kind {demos.action_kind!r} does not match env {env_spec.action_kind!r}")
     if demos.obs_dim != env_spec.obs_dim:
         raise ValidationError(f"demo obs_dim {demos.obs_dim} does not match env {env_spec.obs_dim}")
-    if demos.action_kind == "discrete":
-        for i, traj in enumerate(demos.trajectories):
-            bad = (traj.acts < 0) | (traj.acts >= env_spec.n_actions)
-            if np.any(bad):
-                raise ValidationError(
-                    f"episode {i} (demo file line {i + 2}): action {traj.acts[bad][0]} "
-                    f"is outside [0, {env_spec.n_actions})"
-                )
+    discrete = demos.action_kind == "discrete"
+    for i, traj in enumerate(demos.trajectories):
+        where = f"episode {i} (demo file line {i + 2})"
+        want = (len(traj),) if discrete else (len(traj), env_spec.act_dim)
+        if traj.acts.shape != want:
+            raise ValidationError(f"{where}: actions of shape {traj.acts.shape}, expected {want}")
+        if discrete and np.any(bad := (traj.acts < 0) | (traj.acts >= env_spec.n_actions)):
+            raise ValidationError(f"{where}: action {traj.acts[bad][0]} is outside [0, {env_spec.n_actions})")
 
 
 def _eval_seed(cfg: TrainConfig, outer_step: int) -> int:
@@ -188,17 +188,15 @@ def _eval_seed(cfg: TrainConfig, outer_step: int) -> int:
 
 
 class _ExpertReference:
-    """Cached exact expert trajectory distribution for tabular tracking."""
+    """Cached exact expert trajectory distribution for tabular tracking;
+    None where the trajectories are too many to enumerate."""
 
     def __init__(self, env_spec: EnvSpec):
         self.dist = None
-        if isinstance(env_spec, TabularSpec):
-            try:
-                expert = soft_value_iteration(env_spec.mdp, env_spec.expert_alpha)
-                self.dist = exact_traj_distribution(env_spec.mdp, expert.policy_table())
-                self.mdp = env_spec.mdp
-            except CapacityError:
-                self.dist = None
+        if isinstance(env_spec, TabularSpec) and enumerable(env_spec.mdp):
+            expert = soft_value_iteration(env_spec.mdp, env_spec.expert_alpha)
+            self.dist = exact_traj_distribution(env_spec.mdp, expert.policy_table())
+            self.mdp = env_spec.mdp
 
     def js(self, policy) -> float | None:
         if self.dist is None or not isinstance(policy, CategoricalPolicy):

@@ -22,7 +22,7 @@ from asaf.envs import (
     soft_value_iteration,
     TabularMdp,
 )
-from asaf.errors import ShapeError, StateError, ValidationError
+from asaf.errors import ShapeError, ValidationError
 
 # Two-state toggle task used as the soft-backup fixture: action a in state s
 # moves deterministically to TOGGLE_NEXT[s][a].
@@ -152,6 +152,9 @@ def test_soft_value_iteration_rejects_bad_alpha():
         soft_value_iteration(toggle_mdp(), alpha=0.0)
     with pytest.raises(ValidationError):
         soft_value_iteration(toggle_mdp(), alpha=-1.0)
+    for alpha in (np.nan, np.inf):   # NaN would give an all-action-0 "expert"
+        with pytest.raises(ValidationError, match="finite"):
+            soft_value_iteration(toggle_mdp(), alpha=alpha)
 
 
 def test_maxent_policy_examples():
@@ -191,27 +194,23 @@ def test_greedy_table():
 
 def test_chain_env_dynamics():
     spec = chain_spec()
-    env = spec.make()
-    obs = env.reset(seed=0)
-    np.testing.assert_array_equal(obs, one_hot(0, 4))
-    obs, r, done = env.step(1)
-    assert (env.state, r, done) == (1, 0.4, False)
-    obs, r, done = env.step(0)
-    assert (env.state, r, done) == (0, 0.1, False)
-    obs, r, done = env.step(0)
-    assert (env.state, r, done) == (0, 0.0, False)
-    env.step(1)
-    obs, r, done = env.step(1)
-    assert done and env.state == 2
-    with pytest.raises(StateError):
-        env.step(0)
+    rng = np.random.default_rng(0)
+    state = spec.reset(rng)
+    assert state == 0
+    np.testing.assert_array_equal(spec.observe(state), one_hot(0, 4))
+    for action, want in ((1, (1, 0.4, False)), (0, (0, 0.1, False)), (0, (0, 0.0, False)),
+                         (1, (1, 0.4, False)), (1, (2, 0.5, False))):
+        state, r, terminal = spec.step(state, action, rng)
+        assert (state, r, terminal) == want
+        np.testing.assert_array_equal(spec.observe(state), one_hot(state, 4))
+    # the chain has no terminal state: rollout stops the same actions after 5 steps
+    traj, ret = rollout(spec, Scripted([1, 0, 0, 1, 1, 1, 1]), seed=0)
+    assert len(traj) == 5 and ret == pytest.approx(0.4 + 0.1 + 0.0 + 0.4 + 0.5, abs=1e-15)
 
 
 def test_chain_env_rejects_bad_action():
-    env = chain_spec().make()
-    env.reset(seed=0)
     with pytest.raises(ValueError):
-        env.step(2)
+        chain_spec().step(0, 2, np.random.default_rng(0))
 
 
 def test_chain_spec_tables():
@@ -247,49 +246,47 @@ def reference_grid_step(cell, t, action, horizon):
 
 
 def test_gridworld_walls_block():
-    env = gridworld_spec().make()
-    env.reset()
-    obs, r, done = env.step(0)       # up from the corner: blocked
-    assert env.state == 5 * 0 + 0 and r == -1.0 and not done
-    env.step(3)                      # to (0, 1)
-    obs, r, done = env.step(1)       # down into the wall at (1, 1)
-    assert env.state == 5 * 0 + 1 and r == -1.0
+    spec, rng = gridworld_spec(), np.random.default_rng(0)
+    state = spec.reset(rng)
+    state, r, terminal = spec.step(state, 0, rng)   # up from the corner: blocked
+    assert (state, r, terminal) == (5 * 0 + 0, -1.0, False)
+    state, _, _ = spec.step(state, 3, rng)          # to (0, 1)
+    state, r, _ = spec.step(state, 1, rng)          # down into the wall at (1, 1)
+    assert (state, r) == (5 * 0 + 1, -1.0)
 
 
 def test_gridworld_corridor_reaches_goal():
-    env = gridworld_spec().make()
-    env.reset()
+    spec, rng = gridworld_spec(), np.random.default_rng(0)
+    state = spec.reset(rng)
     total = 0.0
     for a in (3, 3, 3, 3, 1, 1, 1):
-        _, r, done = env.step(a)
+        state, r, terminal = spec.step(state, a, rng)
         total += r
-        assert not done
-    _, r, done = env.step(1)         # (3, 4) -> goal
+        assert not terminal
+    state, r, terminal = spec.step(state, 1, rng)   # (3, 4) -> goal
     total += r
-    assert done and env.state == 5 * 4 + 4
-    assert total == 2.0              # 7 * (-1) + 9
+    assert terminal and state == 5 * 4 + 4
+    assert total == 2.0                             # 7 * (-1) + 9
+    # rollout stops there: the policy is asked for no ninth action
+    traj, ret = rollout(gridworld_spec(), Scripted(CORRIDORS[0]), seed=0)
+    assert len(traj) == 8 and ret == 2.0
 
 
 def test_gridworld_second_corridor_same_length():
-    env = gridworld_spec().make()
-    env.reset()
+    spec, rng = gridworld_spec(), np.random.default_rng(0)
+    state = spec.reset(rng)
     for a in (1, 1, 3, 3, 1, 1, 3):
-        _, _, done = env.step(a)
-        assert not done
-    _, _, done = env.step(3)
-    assert done and env.state == 5 * 4 + 4
+        state, _, terminal = spec.step(state, a, rng)
+        assert not terminal
+    state, _, terminal = spec.step(state, 3, rng)
+    assert terminal and state == 5 * 4 + 4
+    traj, ret = rollout(gridworld_spec(), Scripted(CORRIDORS[1]), seed=0)
+    assert len(traj) == 8 and ret == 2.0
 
 
 def test_gridworld_times_out_at_horizon():
-    env = gridworld_spec(horizon=4).make()
-    env.reset()
-    total = 0.0
-    for _ in range(4):
-        _, r, done = env.step(0)     # blocked forever
-        total += r
-    assert done and total == -4.0
-    with pytest.raises(StateError):
-        env.step(0)
+    traj, ret = rollout(gridworld_spec(horizon=4), ConstantPolicy(0), seed=0)   # blocked forever
+    assert len(traj) == 4 and ret == -4.0
 
 
 def test_gridworld_mdp_matches_env():
@@ -305,38 +302,34 @@ def test_gridworld_mdp_matches_env():
 
 
 def test_gridworld_env_return_matches_mdp_expected_return():
-    # the interactive episode ends at the goal, the tabular form absorbs
-    # there with zero reward: totals agree for any (deterministic) policy
+    # the episode ends at the goal, the tabular form absorbs there with zero
+    # reward: totals agree for any (deterministic) policy
     from asaf.exact import expected_return
 
     mdp = gridworld_mdp(horizon=10)
     pi = np.zeros((25, 4))
     pi[:, 3] = 1.0   # always right; never reaches the goal from the start row? it does not pass (1,*) walls
-    env = gridworld_spec(horizon=10).make()
-    env.reset()
-    total = 0.0
-    done = False
-    while not done:
-        _, r, done = env.step(3)
-        total += r
+    _, total = rollout(gridworld_spec(horizon=10), ConstantPolicy(3), seed=0)
     assert total == pytest.approx(expected_return(mdp, pi), abs=1e-12)
 
 
 @pytest.mark.parametrize("horizon", [1, 30])
 def test_gridworld_steps_match_reference_for_every_state_and_action(horizon):
-    env = gridworld_spec(horizon=horizon).make()
+    grid = gridworld_mdp(horizon)
+    spec, rng = TabularSpec(grid), np.random.default_rng(0)
     for s in range(25):
+        # the same maze started in s: its one-step rollouts say whether step 0 ends the episode
+        from_s = TabularSpec(TabularMdp(grid.transitions, one_hot(s, 25), grid.rewards, horizon, terminal=grid.terminal))
         for a in range(4):
-            env.reset(seed=0)
-            env._state = s  # pin the state for the one-step check
-            obs, r, done = env.step(a)
+            nxt, r, terminal = spec.step(s, a, rng)
+            ended = len(rollout(from_s, ConstantPolicy(a), seed=0)[0]) == 1
             if divmod(s, 5) == REF_GOAL:
                 # the reference never steps from the goal; the table absorbs there for free
-                assert (env.state, r, done) == (s, 0.0, True)
+                assert (nxt, r, terminal, ended) == (s, 0.0, True, True)
                 continue
-            nxt, want_r, want_done = reference_grid_step(divmod(s, 5), 0, a, horizon)
-            assert (env.state, r, done) == (5 * nxt[0] + nxt[1], want_r, want_done)
-            np.testing.assert_array_equal(obs, one_hot(env.state, 25))
+            cell, want_r, want_done = reference_grid_step(divmod(s, 5), 0, a, horizon)
+            assert (nxt, r, terminal, ended) == (5 * cell[0] + cell[1], want_r, cell == REF_GOAL, want_done)
+            np.testing.assert_array_equal(spec.observe(nxt), one_hot(nxt, 25))
 
 
 @given(
@@ -348,42 +341,46 @@ def test_gridworld_steps_match_reference_for_every_state_and_action(horizon):
 @example(actions=list(CORRIDORS[1]), horizon=8)          # the goal on the last step
 @example(actions=[0] * 5, horizon=4)                     # a timeout, then a step too many
 def test_gridworld_episodes_match_reference(actions, horizon):
-    env = gridworld_spec(horizon=horizon).make()
-    obs = env.reset(seed=0)
-    np.testing.assert_array_equal(obs, one_hot(5 * REF_START[0] + REF_START[1], 25))
-    cell, done = REF_START, False
+    spec, rng = gridworld_spec(horizon=horizon), np.random.default_rng(0)
+    state = spec.reset(rng)
+    assert state == 5 * REF_START[0] + REF_START[1]
+    cell, done, played, cells, want_ret = REF_START, False, [], [state], 0.0
     for t, a in enumerate(actions):
         if done:
-            with pytest.raises(StateError):
-                env.step(a)
             break
         cell, want_r, done = reference_grid_step(cell, t, a, horizon)
-        obs, r, got_done = env.step(a)
-        assert (env.state, r, got_done) == (5 * cell[0] + cell[1], want_r, done)
-        np.testing.assert_array_equal(obs, one_hot(env.state, 25))
+        state, r, terminal = spec.step(state, a, rng)
+        assert (state, r, terminal) == (5 * cell[0] + cell[1], want_r, cell == REF_GOAL)
+        np.testing.assert_array_equal(spec.observe(state), one_hot(state, 25))
+        played.append(a)
+        cells.append(state)
+        want_ret += want_r
+    if done:
+        # rollout plays the same actions and ends where the reference does:
+        # Scripted raises IndexError if asked for one more
+        traj, ret = rollout(spec, Scripted(played), seed=0)
+        assert len(traj) == len(played) and ret == want_ret
+        np.testing.assert_array_equal(traj.obs, [one_hot(c, 25) for c in cells[:-1]])
 
 
 # ---------------------------------------------------------------- point mass
 
 def test_pointmass_arithmetic():
-    env = pointmass_spec().make()
-    env.reset(seed=3)
-    env._x = 0.5  # pin the state for the arithmetic check
-    obs, r, done = env.step(1.0)
-    assert obs[0] == pytest.approx(0.6, abs=1e-15)
+    spec, rng = pointmass_spec(), np.random.default_rng(3)
+    x, r, terminal = spec.step(0.5, 1.0, rng)
+    assert x == pytest.approx(0.6, abs=1e-15) and not terminal
     assert r == pytest.approx(-0.36, abs=1e-15)
-    obs, r, _ = env.step(5.0)      # actions clamp to [-1, 1]
-    assert obs[0] == pytest.approx(0.7, abs=1e-15)
+    np.testing.assert_array_equal(spec.observe(x), [x])
+    x, r, _ = spec.step(x, 5.0, rng)      # actions clamp to [-1, 1]
+    assert x == pytest.approx(0.7, abs=1e-15)
 
 
 def test_pointmass_position_clamps():
-    env = pointmass_spec().make()
-    env.reset(seed=0)
-    env._x = 1.98
-    obs, _, _ = env.step(1.0)
-    assert obs[0] == 2.0
-    obs, _, _ = env.step(1.0)
-    assert obs[0] == 2.0
+    spec, rng = pointmass_spec(), np.random.default_rng(0)
+    x, _, _ = spec.step(1.98, 1.0, rng)
+    assert x == 2.0
+    x, _, _ = spec.step(x, 1.0, rng)
+    assert x == 2.0
 
 
 @pytest.mark.parametrize("action", [np.nan, np.inf, -np.inf, -0.0, 0.0, 0.3, -7.0])
@@ -395,36 +392,27 @@ def test_pointmass_clamps_match_np_clip(action, x0):
     def same(a, b):
         return bool(np.isnan(a) and np.isnan(b)) or (a == b and np.signbit(a) == np.signbit(b))
 
-    env = pointmass_spec(horizon=8).make()
-    env.reset(seed=0)
-    env._x = x = x0
+    spec, rng = pointmass_spec(horizon=8), np.random.default_rng(0)
+    state = x = x0
     for _ in range(8):
-        obs, r, _ = env.step(action)
+        state, r, _ = spec.step(state, action, rng)
         x = float(np.clip(x + 0.1 * float(np.clip(action, -1.0, 1.0)), -2.0, 2.0))
-        assert same(obs[0], x)
+        assert same(spec.observe(state)[0], x)
         assert same(r, -x * x)
 
 
 def test_pointmass_episode_length_and_start():
     spec = pointmass_spec()
-    env = spec.make()
-    obs = env.reset(seed=11)
-    assert -1.0 <= obs[0] <= 1.0
-    steps = 0
-    done = False
-    while not done:
-        _, _, done = env.step(0.0)
-        steps += 1
-    assert steps == 50
-    with pytest.raises(StateError):
-        env.step(0.0)
+    x0 = spec.reset(np.random.default_rng(11))
+    assert -1.0 <= x0 <= 1.0
+    traj, _ = rollout(spec, ConstantPolicy(0.0), seed=11)   # the reset is the episode's first draw
+    assert len(traj) == 50
+    assert traj.obs[0, 0] == x0 and np.all(traj.obs == x0)
 
 
 def test_pointmass_rejects_vector_action():
-    env = pointmass_spec().make()
-    env.reset(seed=0)
     with pytest.raises(ShapeError):
-        env.step(np.zeros(2))
+        pointmass_spec().step(0.0, np.zeros(2), np.random.default_rng(0))
 
 
 def test_scripted_expert_values():
@@ -454,23 +442,26 @@ def test_cli_reads_the_env_registry(capsys):
     assert "--env {chain,gridworld,pointmass}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("env_id", sorted(ENVS))
-def test_step_on_a_fresh_env_raises(env_id):
-    env = ENVS[env_id]().make()
-    with pytest.raises(StateError):
-        env.step(0)
-
-
 # ---------------------------------------------------------------- rollouts
 
 class ConstantPolicy:
-    action_kind = "discrete"
-
     def __init__(self, action):
         self.action = action
 
     def sample(self, obs, rng):
         return self.action
+
+
+class Scripted:
+    """Plays a fixed action sequence; asking for an action past its end raises."""
+
+    stage_indexed = True
+
+    def __init__(self, actions):
+        self.actions = list(actions)
+
+    def sample(self, obs, rng, t):
+        return self.actions[t]
 
 
 def test_rollout_constant_policy_return():
@@ -536,17 +527,15 @@ prob_rows = st.tuples(
 
 @given(prob_rows, st.integers(0, 2 ** 32 - 1))
 def test_cdf_draws_match_generator_choice(row, seed):
-    # TabularEnv draws start and next states from precomputed CDFs; each draw
+    # TabularSpec draws start and next states from precomputed CDFs; each draw
     # must be the index Generator.choice(n, p=row) returns and use up the
     # same random numbers, so collection streams stay as they were
     n = len(row)
     mdp = TabularMdp(transitions=np.tile(row, (n, 2, 1)), start=row, rewards=np.zeros((n, 2)), horizon=20)
-    env = TabularSpec(mdp).make()
+    spec = TabularSpec(mdp)
     ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-    env.reset(ours)
-    drawn = [env.state]
+    drawn = [spec.reset(ours)]
     for t in range(20):
-        env.step(t % 2)
-        drawn.append(env.state)
+        drawn.append(spec.step(drawn[-1], t % 2, ours)[0])
     assert drawn == [int(theirs.choice(n, p=row)) for _ in range(21)]
     assert ours.bit_generator.state == theirs.bit_generator.state

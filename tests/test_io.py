@@ -1,5 +1,6 @@
 """File formats and the command-line front end."""
 
+import json
 import os
 import re
 import shutil
@@ -481,6 +482,18 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert "episode 2 (demo file line 4): action 5" in err
     assert "Traceback" not in err
 
+    # non-finite reals are refused where they enter, before any update
+    main(["gen-expert", "--env", "chain", "--n", "3", "--out", str(demos)])
+    for line in ("clip = nan", "lr_d = nan", "lr_d = inf"):
+        cfg.write_text(f"env = chain\nalgorithm = asaf\ndemos_path = {demos}\nsteps = 1\n{line}\n",
+                       encoding="utf-8")
+        assert main(["train", "--config", str(cfg)]) == 3, line
+        assert f"{line.split()[0]} must be" in capsys.readouterr().err
+    nan_expert = tmp_path / "nan.jsonl"
+    assert main(["gen-expert", "--env", "chain", "--alpha", "nan", "--out", str(nan_expert)]) == 3
+    assert "alpha must be finite and positive, got nan" in capsys.readouterr().err
+    assert not nan_expert.exists()
+
     capsys.readouterr()
     assert main(["eval", "--checkpoint", str(tmp_path / "none.ckpt"), "--env", "chain"]) == 4
     garbage = tmp_path / "junk.ckpt"
@@ -509,16 +522,22 @@ def test_cli_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+def run_module(*args):
+    """``python -m asaf.cli <args>`` in a fresh interpreter, no install needed:
+    the exit code, the message and the absence of a traceback are what a
+    shell sees."""
+    src = str(Path(asaf.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "asaf.cli", *map(str, args)],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 def test_cli_process_rejects_malformed_demos(tmp_path):
-    # a fresh interpreter running the module, no install needed: the exit code,
-    # the line number and the absence of a traceback are what a shell sees
     demos, cfg = tmp_path / "demos.jsonl", tmp_path / "run.cfg"
     main(["gen-expert", "--env", "chain", "--n", "3", "--out", str(demos)])
     good = demos.read_text(encoding="utf-8").splitlines()
     cfg.write_text(f"env = chain\nalgorithm = asaf\ndemos_path = {demos}\nsteps = 1\n"
                    f"out_dir = {tmp_path / 'out'}\n", encoding="utf-8")
-    src = str(Path(asaf.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     cases = [
         (3, re.sub(r'"acts": \[\d', '"acts": [1.5', good[2])),
         (2, re.sub(r'"acts": \[\d', '"acts": [99999999999999999999', good[1])),
@@ -528,8 +547,7 @@ def test_cli_process_rejects_malformed_demos(tmp_path):
         lines = list(good)
         lines[lineno - 1] = edited
         demos.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        proc = subprocess.run([sys.executable, "-m", "asaf.cli", "train", "--config", str(cfg)],
-                              capture_output=True, text=True, env=env, timeout=120)
+        proc = run_module("train", "--config", cfg)
         assert proc.returncode == 4, proc.stderr
         assert f"line {lineno}:" in proc.stderr
         assert "Traceback" not in proc.stderr
@@ -543,12 +561,47 @@ def test_cli_process_reports_numerical_error(tmp_path):
     main(["gen-expert", "--env", "chain", "--n", "3", "--out", str(demos)])
     cfg.write_text(f"env = chain\nalgorithm = asaf\ndemos_path = {demos}\nsteps = 2\nlr_d = 1e300\n"
                    f"out_dir = {tmp_path / 'out'}\n", encoding="utf-8")
-    src = str(Path(asaf.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-m", "asaf.cli", "train", "--config", str(cfg)],
-                          capture_output=True, text=True, env=env, timeout=120)
+    proc = run_module("train", "--config", cfg)
     assert proc.returncode == 3, proc.stderr
     assert re.search(r"numerical error: outer step 1, epoch \d+, minibatch \d+: non-finite", proc.stderr)
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_process_rejects_wide_continuous_actions(tmp_path):
+    # pointmass actions are 1 wide; 2-wide rows are well-formed reals, so the
+    # file reads, and training refuses them with the episode's line
+    demos, cfg = tmp_path / "demos.jsonl", tmp_path / "run.cfg"
+    main(["gen-expert", "--env", "pointmass", "--n", "3", "--out", str(demos)])
+    lines = demos.read_text(encoding="utf-8").splitlines()
+    rec = json.loads(lines[2])
+    rec["acts"] = [row * 2 for row in rec["acts"]]
+    lines[2] = json.dumps(rec)
+    demos.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert len(read_demos(demos).trajectories[1].acts[0]) == 2
+    cfg.write_text(f"env = pointmass\nalgorithm = asaf_1\ndemos_path = {demos}\nsteps = 1\n"
+                   f"out_dir = {tmp_path / 'out'}\n", encoding="utf-8")
+    proc = run_module("train", "--config", cfg)
+    assert proc.returncode == 3, proc.stderr
+    assert "validation error: episode 1 (demo file line 3): actions of shape (50, 2), expected (50, 1)" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_process_rejects_non_finite_reals(tmp_path):
+    out = tmp_path / "nan.jsonl"
+    proc = run_module("gen-expert", "--env", "gridworld", "--alpha", "nan", "--out", out)
+    assert (proc.returncode, proc.stdout) == (3, ""), proc.stderr
+    assert "validation error: alpha must be finite and positive, got nan" in proc.stderr
+    assert "Traceback" not in proc.stderr and not out.exists()
+
+    demos, cfg = tmp_path / "demos.jsonl", tmp_path / "run.cfg"
+    main(["gen-expert", "--env", "chain", "--n", "3", "--out", str(demos)])
+    cfg.write_text(f"env = chain\nalgorithm = asaf\ndemos_path = {demos}\nsteps = 1\nclip = nan\n"
+                   f"out_dir = {tmp_path / 'out'}\n", encoding="utf-8")
+    proc = run_module("train", "--config", cfg)
+    assert proc.returncode == 3, proc.stderr
+    assert "validation error: clip must be positive, got nan" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "out").exists()
 

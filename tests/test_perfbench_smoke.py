@@ -1,13 +1,29 @@
 """The benchmark under ``perfbench/`` still runs against this source tree.
 
-The benchmark imports public names of the package (``window_split``,
-``pack_windows``, ``gridworld_spec``, ...); a change that renames one fails
-here instead of failing the benchmark.  Every microbenchmark case is called
-once, and every workload of ``BENCHMARK.json`` is trained for two outer
-steps under the span tracer, with its update and env-step counts checked.
+The benchmark imports public names of the package, and ``perfbench/run.py``
+imports ``micro`` on every run, so a change that renames or deletes one of
+them fails here instead of failing the benchmark.  ``micro.py`` imports, at
+module top:
+
+* from ``asaf``: ``AdamState``, ``CategoricalPolicy``, ``GaussianPolicy``,
+  ``Mlp``, ``PointMassSpec``, ``adam_step``, ``chain_spec``,
+  ``collect_expert_demos``, ``exact_traj_distribution``, ``gridworld_spec``,
+  ``js_between``, ``occupancy``, ``rollout``, ``soft_value_iteration``,
+  ``tabular_policy_extract`` and ``window_split``,
+* from ``asaf.discriminator``: ``AsqfModel``, ``Window``, ``asqf_bce_loss``,
+  ``bce_on_packed``, ``pack_windows``, ``refresh_generator_scores`` and
+  ``transitions_from``,
+* ``asaf.envs.one_hot``, ``asaf.exact.stage_marginals`` and
+  ``asaf.nn.clip_by_global_norm``.
+
+Every microbenchmark case is called once; every workload of
+``BENCHMARK.json`` is trained for two outer steps under the span tracer,
+with its update and env-step counts checked, and set up in a fresh process
+by ``setup_probe.py``, the path behind the ``setup_s`` metric.
 """
 
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -48,3 +64,11 @@ def test_workload_runs_traced(name):
     assert (counts["train.updates"], counts["train.env_steps"]) == COUNTS[name]
     assert log.total_env_steps == COUNTS[name][1]
     assert len(log.rows) == 1
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_setup_probe_runs_in_a_fresh_process(name):
+    proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "setup_probe.py"), name, "0"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout.strip().splitlines()[-1]) > 0.0

@@ -5,9 +5,9 @@ sampling moved to cached CDFs.
 
 The three gridworld digests (``gridworld_asqf``, ``gen-expert`` on gridworld
 and the gridworld rollout stream) were recorded again when the maze became a
-``TabularMdp`` with a terminal goal, served by ``TabularEnv``.  The former
-maze env drew no random numbers; ``TabularEnv`` draws one uniform per reset
-and per step from the episode's ``Generator``, so the policy's draws that
+``TabularMdp`` with a terminal goal, served by ``TabularSpec``.  The former
+maze env drew no random numbers; ``TabularSpec.reset`` and ``step`` each
+draw one uniform from the episode's ``Generator``, so the policy's draws that
 follow come from other positions of the same stream.  The dynamics are
 unchanged: the old maze step, made to draw one uniform per reset and per
 step, reproduces the new rollout digest, and without the draws the old one.

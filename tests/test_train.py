@@ -1,5 +1,7 @@
 """Training loops: seeding, logging, reductions, and the no-reward guarantee."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from asaf.envs import (
     TabularSpec,
     Trajectory,
     chain_spec,
+    env_by_id,
     gridworld_spec,
     one_hot,
     pointmass_spec,
@@ -68,6 +71,11 @@ def test_config_validation_errors():
         TrainConfig(algorithm="bc", stride=1).validated()
     with pytest.raises(ValidationError):
         TrainConfig(lr_d=0.0).validated()
+    # non-finite reals: NaN passes every `<=` test, so each is refused by name
+    for bad in (dict(lr_d=np.nan), dict(lr_d=np.inf), dict(clip=np.nan), dict(clip=0.0), dict(clip=-np.inf)):
+        with pytest.raises(ValidationError, match=next(iter(bad))):
+            TrainConfig(**bad).validated()
+    assert TrainConfig(clip=np.inf).validated().clip == np.inf   # never clips
     with pytest.raises(ValidationError):
         TrainConfig(clip_mode="soft").validated()
     with pytest.raises(ValidationError):
@@ -142,6 +150,15 @@ def test_demo_env_mismatch_is_rejected(chain_demos):
                                env_id="chain", action_kind="discrete", obs_dim=4, mean_return=0.0)
         with pytest.raises(ValidationError, match=rf"episode 1 \(demo file line 3\): action {bad}"):
             train(tiny_cfg(), out_of_range, chain_spec())
+
+
+def test_continuous_demo_actions_must_be_act_dim_wide():
+    acts = [np.zeros((3, 1)), np.zeros((3, 2))]
+    wide = DemoSet([Trajectory(obs=np.zeros((3, 1)), acts=a) for a in acts],
+                   env_id="pointmass", action_kind="continuous", obs_dim=1, mean_return=0.0)
+    with pytest.raises(ValidationError, match=r"episode 1 \(demo file line 3\): actions of shape \(3, 2\), "
+                                              r"expected \(3, 1\)"):
+        train(tiny_cfg(algorithm="asaf_1", steps=1), wide, pointmass_spec())
 
 
 # ---------------------------------------------------------------- asaf loop
@@ -222,6 +239,19 @@ def test_pointmass_js_column_is_empty():
     _, log = train(cfg, demos, pointmass_spec())
     assert log.rows[-1].js_to_expert is None
     assert log.total_env_steps == 50
+
+
+@pytest.mark.parametrize("env_id, calls", [("chain", 1), ("gridworld", 0)])
+def test_expert_reference_runs_soft_vi_only_when_enumerable(env_id, calls, monkeypatch):
+    # gridworld's 4^30 trajectories exceed the budget, so its expert is never needed
+    module = importlib.import_module("asaf.train")   # the package rebinds asaf.train to the function
+    spec = env_by_id(env_id)
+    demos = collect_expert_demos(spec, n=2, alpha=1.0, seed=0)
+    seen = []
+    real = module.soft_value_iteration
+    monkeypatch.setattr(module, "soft_value_iteration", lambda *a: seen.append(a) or real(*a))
+    train(tiny_cfg(algorithm="asqf", steps=0), demos, spec)
+    assert len(seen) == calls
 
 
 def test_gridworld_js_column_is_empty():
