@@ -316,6 +316,10 @@ class PointMassSpec:
     env_id: str = field(init=False, default="pointmass")
     action_kind: str = field(init=False, default="continuous")
 
+    def __post_init__(self):
+        if self.horizon < 1:
+            raise ValidationError(f"horizon must be >= 1, got {self.horizon}")
+
     @property
     def obs_dim(self) -> int:
         return 1

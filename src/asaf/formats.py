@@ -14,7 +14,8 @@ a ``mean_return`` that is not a number, and a ``format_version``,
 ``obs_dim``, ``n_trajectories`` or ``len`` that is not an integer.
 
 Run config (UTF-8 text): one ``key = value`` per line, blank lines and
-``#`` comments ignored.  Unknown keys are an error, as are malformed
+``#`` comments ignored; ``hidden`` takes comma-separated layer sizes
+(``hidden = 64, 64``).  Unknown keys are an error, as are malformed
 values; both report the offending line number.  Missing keys fall back to
 the documented defaults in DEFAULTS below; env, algorithm, and demos_path
 have no default and must be present for training.
@@ -183,16 +184,16 @@ def _parse_json_line(path, lineno: int, line: str):
 # ---------------------------------------------------------------- run config
 
 # Every TrainConfig field is a config key with the dataclass's default, except
-# algorithm (required) and hidden (not settable from a file).
+# algorithm, which is required.
 DEFAULTS = {
-    **{f.name: f.default for f in fields(TrainConfig) if f.name not in ("algorithm", "hidden")},
+    **{f.name: f.default for f in fields(TrainConfig) if f.name != "algorithm"},
     "out_dir": "run",
 }
 
 _INT_KEYS = {"batch", "n_g", "epochs", "w", "stride", "steps", "eval_k", "eval_interval", "seed"}
 _REAL_KEYS = {"lr_d", "clip"}
 _STR_KEYS = {"env", "algorithm", "clip_mode", "demos_path", "out_dir"}
-_ALL_KEYS = _INT_KEYS | _REAL_KEYS | _STR_KEYS
+_ALL_KEYS = _INT_KEYS | _REAL_KEYS | _STR_KEYS | {"hidden"}
 
 
 @dataclass
@@ -228,6 +229,15 @@ def parse_run_config(text: str, source: str = "<config>") -> RunSetup:
                 values[key] = float(val)
             except ValueError:
                 raise ConfigError(f"{source}: key {key!r} needs a real, got {val!r}", line=lineno) from None
+        elif key == "hidden":
+            try:
+                sizes = tuple(int(part) for part in val.split(","))
+            except ValueError:
+                sizes = ()
+            if not sizes or min(sizes) < 1:
+                raise ConfigError(f"{source}: key {key!r} needs comma-separated integers >= 1, got {val!r}",
+                                  line=lineno)
+            values[key] = sizes
         else:
             values[key] = val
     for key in ("env", "algorithm", "demos_path"):

@@ -14,10 +14,13 @@ them bounded.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
+from .envs import TabularSpec
 from .errors import ShapeError
-from .nn import Mlp, log_softmax_rows
+from .nn import GradTape, Mlp, log_softmax_rows
 
 __all__ = [
     "CategoricalPolicy",
@@ -33,25 +36,60 @@ LOG_STD_MAX = 2.0
 _HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
 
 
+@dataclass
+class _StateTable:
+    """One evaluation of a net on every one-hot state, at one parameter version."""
+
+    net: Mlp
+    version: int
+    tape: GradTape
+    logp: np.ndarray   # (S, A) log-probabilities
+    probs: np.ndarray  # (S, A) probabilities, exp(logp)
+    cdf: np.ndarray    # (S, A) cumulative probabilities per state
+
+
 class CategoricalPolicy:
     """Softmax over the net's output scores; one score per discrete action.
 
-    ``sample`` memoises ``cdf`` per observation, for at most ``net.in_dim``
-    observations (every state of a one-hot task) and only while the net's
-    parameters stay the same.
+    With ``one_hot`` set, every observation is a one-hot state, read as the
+    position of its largest entry, and the policy runs its net once per
+    parameter version on all ``S = net.in_dim`` states.  Every log-prob,
+    CDF, sample and gradient tape of that version then reads from that one
+    evaluation; ``backprop_log_prob`` scatters the row weights onto the
+    states and runs one backward on S rows.  Rows that are not one-hot are
+    not detected on this path; the demo check in ``train`` refuses them
+    where they enter.  Without ``one_hot``, every call runs the net on its
+    own rows.
     """
 
     action_kind = "discrete"
 
-    def __init__(self, net: Mlp):
+    def __init__(self, net: Mlp, one_hot: bool = False):
         self.net = net
         self.n_actions = net.out_dim
-        self._cdfs: dict[bytes, np.ndarray] = {}
-        self._cdfs_of = (None, -1)   # (net, parameter version) the memo belongs to
+        self.one_hot = one_hot
+        self._memo: _StateTable | None = None
 
     @classmethod
-    def init(cls, obs_dim: int, n_actions: int, hidden, rng: np.random.Generator) -> "CategoricalPolicy":
-        return cls(Mlp.init((obs_dim, *hidden, n_actions), rng))
+    def init(cls, obs_dim: int, n_actions: int, hidden, rng: np.random.Generator,
+             one_hot: bool = False) -> "CategoricalPolicy":
+        return cls(Mlp.init((obs_dim, *hidden, n_actions), rng), one_hot=one_hot)
+
+    def _table(self) -> _StateTable:
+        """The state table of the net's current parameters, built on first use."""
+        net, memo = self.net, self._memo
+        if memo is None or memo.net is not net or memo.version != net._version:
+            scores, tape = net.forward(np.eye(net.in_dim))
+            logp = log_softmax_rows(scores)
+            probs = np.exp(logp)
+            memo = self._memo = _StateTable(net, net._version, tape, logp, probs, np.cumsum(probs, axis=1))
+        return memo
+
+    def _states(self, obs) -> np.ndarray:
+        obs = np.asarray(obs)
+        if obs.ndim not in (1, 2) or obs.shape[-1] != self.net.in_dim:
+            raise ShapeError(f"input must have trailing dim {self.net.in_dim}, got shape {obs.shape}")
+        return obs.argmax(axis=-1)
 
     def _check_actions(self, acts: np.ndarray) -> np.ndarray:
         acts = np.asarray(acts)
@@ -63,6 +101,8 @@ class CategoricalPolicy:
 
     def log_probs(self, obs) -> np.ndarray:
         """Full log distribution: (A,) for one observation, (B, A) batched."""
+        if self.one_hot:
+            return np.take(self._table().logp, self._states(obs), axis=0)
         scores, _ = self.net.forward(obs)
         if scores.ndim == 1:
             return log_softmax_rows(scores[None, :])[0]
@@ -75,48 +115,50 @@ class CategoricalPolicy:
         return float(self.log_probs(obs)[a])
 
     def log_prob_batch(self, obs: np.ndarray, acts: np.ndarray) -> np.ndarray:
-        acts = self._check_actions(acts)
-        scores, _ = self.net.forward(obs)
-        lp = log_softmax_rows(scores)
-        return lp[np.arange(len(acts)), acts]
+        lp, _ = self.log_prob_tape(obs, acts)
+        return lp
 
     def log_prob_tape(self, obs: np.ndarray, acts: np.ndarray):
         acts = self._check_actions(acts)
+        if np.shape(obs)[:-1] != acts.shape:
+            raise ShapeError(f"need one action per observation row, got {acts.shape} for {np.shape(obs)}")
+        if self.one_hot:
+            table = self._table()
+            states = self._states(obs)
+            return table.logp[states, acts], (table.tape, table.probs, acts, states)
         scores, tape = self.net.forward(obs)
         lp = log_softmax_rows(scores)
-        cache = (tape, np.exp(lp), acts)
-        return lp[np.arange(len(acts)), acts], cache
+        return lp[np.arange(len(acts)), acts], (tape, np.exp(lp), acts, None)
 
     def backprop_log_prob(self, cache, weights: np.ndarray) -> np.ndarray:
-        tape, probs, acts = cache
+        tape, probs, acts, states = cache
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != (len(acts),):
             raise ShapeError(f"weights must have shape ({len(acts)},), got {weights.shape}")
-        # d log softmax / d scores = onehot(a) - probs
-        dy = -probs * weights[:, None]
-        dy[np.arange(len(acts)), acts] += weights
+        # d log softmax / d scores = onehot(a) - probs, per row; on the state
+        # table the rows of one state add up into that state's row.
+        if states is None:
+            dy = -probs * weights[:, None]
+            dy[np.arange(len(acts)), acts] += weights
+        else:
+            n_states, n_actions = probs.shape
+            dy = -probs * np.bincount(states, weights, minlength=n_states)[:, None]
+            dy += np.bincount(states * n_actions + acts, weights, minlength=probs.size).reshape(probs.shape)
         return self.net.backward(tape, dy)
 
     def cdf(self, obs) -> np.ndarray:
         """Cumulative action probabilities at one observation."""
+        if self.one_hot:
+            return self._table().cdf[self._states(obs)].copy()
         return np.cumsum(np.exp(self.log_probs(obs)))
 
     def sample(self, obs, rng: np.random.Generator) -> int:
         """Inverse-CDF draw from the softmax distribution."""
-        obs = np.asarray(obs, dtype=np.float64)
-        if self._cdfs_of != (self.net, self.net._version):
-            self._cdfs = {}
-            self._cdfs_of = (self.net, self.net._version)
-        key = obs.tobytes()
-        cdf = self._cdfs.get(key)
-        if cdf is None:
-            cdf = self.cdf(obs)
-            if len(self._cdfs) < self.net.in_dim:
-                self._cdfs[key] = cdf
+        cdf = self._table().cdf[self._states(obs)] if self.one_hot else self.cdf(obs)
         return int(cdf.searchsorted(rng.random(), side="right"))
 
     def snapshot(self) -> "CategoricalPolicy":
-        return CategoricalPolicy(self.net.copy())
+        return CategoricalPolicy(self.net.copy(), one_hot=self.one_hot)
 
 
 class GaussianPolicy:
@@ -142,7 +184,7 @@ class GaussianPolicy:
     def _heads(self, out: np.ndarray):
         mean = out[..., : self.act_dim]
         raw = out[..., self.act_dim :]
-        return mean, raw, np.clip(raw, LOG_STD_MIN, LOG_STD_MAX)
+        return mean, raw, np.minimum(np.maximum(raw, LOG_STD_MIN), LOG_STD_MAX)
 
     def mean_std(self, obs):
         out, _ = self.net.forward(obs)
@@ -198,16 +240,20 @@ class GaussianPolicy:
 
 
 def make_policy(env_spec, hidden, rng: np.random.Generator):
-    """Fresh randomly initialized policy of the kind the environment needs."""
+    """Fresh randomly initialized policy of the kind the environment needs;
+    on a tabular environment, a categorical policy over one-hot states."""
     if env_spec.action_kind == "discrete":
-        return CategoricalPolicy.init(env_spec.obs_dim, env_spec.n_actions, hidden, rng)
+        return CategoricalPolicy.init(env_spec.obs_dim, env_spec.n_actions, hidden, rng,
+                                      one_hot=isinstance(env_spec, TabularSpec))
     return GaussianPolicy.init(env_spec.obs_dim, env_spec.act_dim, hidden, rng)
 
 
 def tabular_policy_extract(policy: CategoricalPolicy, n_states: int) -> np.ndarray:
     """Evaluate a categorical policy on every one-hot state: table (S, A).
 
-    Rows are exact softmax outputs and sum to 1 up to float rounding.
+    Rows are exact softmax outputs and sum to 1 up to float rounding.  Both
+    forms of the policy run the same forward pass on ``eye(S)``, so they
+    give the same bits; the one-hot form reads it from its state table.
     """
     if policy.net.in_dim != n_states:
         raise ShapeError(f"policy expects obs_dim {policy.net.in_dim}, not {n_states}")

@@ -33,6 +33,7 @@ checkpoint with ``evaluate_policy``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -181,6 +182,15 @@ def _check_demos(demos: DemoSet, env_spec: EnvSpec) -> None:
             raise ValidationError(f"{where}: actions of shape {traj.acts.shape}, expected {want}")
         if discrete and np.any(bad := (traj.acts < 0) | (traj.acts >= env_spec.n_actions)):
             raise ValidationError(f"{where}: action {traj.acts[bad][0]} is outside [0, {env_spec.n_actions})")
+    if isinstance(env_spec, TabularSpec):
+        # the policies read a tabular state from its one-hot observation row
+        obs = np.concatenate([traj.obs for traj in demos.trajectories])
+        bad = np.flatnonzero((np.count_nonzero(obs, axis=1) != 1) | (obs.max(axis=1) != 1.0))
+        if len(bad):
+            ends = np.cumsum([len(traj) for traj in demos.trajectories])
+            i = int(np.searchsorted(ends, bad[0], side="right"))
+            row = int(bad[0] - ends[i] + len(demos.trajectories[i]))
+            raise ValidationError(f"episode {i} (demo file line {i + 2}): observation row {row} is not a one-hot state")
 
 
 def _eval_seed(cfg: TrainConfig, outer_step: int) -> int:
@@ -240,7 +250,7 @@ def train(cfg: TrainConfig, demos: DemoSet, env_spec: EnvSpec):
     init_rng = np.random.default_rng(ss_init)
     if cfg.algorithm == "asqf":
         learned = disc.AsqfModel.init(env_spec.obs_dim, env_spec.n_actions, cfg.hidden, init_rng)
-        freeze = disc.asqf_extract_policy
+        freeze = partial(disc.asqf_extract_policy, one_hot=isinstance(env_spec, TabularSpec))
     else:
         learned = make_policy(env_spec, cfg.hidden, init_rng)
         freeze = type(learned).snapshot

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from asaf.envs import (
     ENVS,
+    PointMassSpec,
     SoftExpertPolicy,
     TabularSpec,
     chain_spec,
@@ -23,6 +24,7 @@ from asaf.envs import (
     TabularMdp,
 )
 from asaf.errors import ShapeError, ValidationError
+from asaf.verify import collect_expert_demos
 
 # Two-state toggle task used as the soft-backup fixture: action a in state s
 # moves deterministically to TOGGLE_NEXT[s][a].
@@ -408,6 +410,15 @@ def test_pointmass_episode_length_and_start():
     traj, _ = rollout(spec, ConstantPolicy(0.0), seed=11)   # the reset is the episode's first draw
     assert len(traj) == 50
     assert traj.obs[0, 0] == x0 and np.all(traj.obs == x0)
+
+
+@pytest.mark.parametrize("horizon", [0, -3])
+def test_pointmass_horizon_below_one_is_refused(horizon):
+    with pytest.raises(ValidationError, match=f"horizon must be >= 1, got {horizon}"):
+        rollout(PointMassSpec(horizon=horizon), ConstantPolicy(0.0), seed=0)
+    with pytest.raises(ValidationError, match=f"horizon must be >= 1, got {horizon}"):
+        collect_expert_demos(pointmass_spec(horizon=horizon), n=2, alpha=1.0, seed=0)
+    assert len(rollout(PointMassSpec(horizon=1), ConstantPolicy(0.0), seed=0)[0]) == 1
 
 
 def test_pointmass_rejects_vector_action():

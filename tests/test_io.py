@@ -32,7 +32,7 @@ from asaf.formats import (
 )
 from asaf.nn import Mlp
 from asaf.policies import CategoricalPolicy, GaussianPolicy
-from asaf.train import RunLog, RunRecord
+from asaf.train import RunLog, RunRecord, train
 from asaf.verify import collect_expert_demos
 
 
@@ -253,6 +253,16 @@ def test_parse_config_errors_carry_line_numbers():
         parse_run_config("env = chain\ndemos_path = d.jsonl\n")
 
 
+def test_parse_config_hidden_sizes():
+    base = "env = chain\nalgorithm = asaf\ndemos_path = d.jsonl\n"
+    assert parse_run_config(base).config.hidden == DEFAULTS["hidden"] == (64, 64)
+    assert parse_run_config(base + "hidden = 16, 8 ,4\n").config.hidden == (16, 8, 4)
+    assert parse_run_config(base + "hidden = 32\n").config.hidden == (32,)
+    for bad in ("", "64,", "64,,64", "sixty", "64, 6.5", "0", "64, -1"):
+        with pytest.raises(ConfigError, match=r"line 4: .*'hidden' needs comma-separated integers >= 1"):
+            parse_run_config(base + f"hidden = {bad}\n")
+
+
 def test_parse_config_ignores_comments_and_blanks():
     text = "\n# full line comment\nenv = chain  # trailing comment\nalgorithm = bc\ndemos_path = d\n\n"
     setup = parse_run_config(text)
@@ -424,6 +434,19 @@ def test_cli_train_is_deterministic(run_setup):
     assert (tmp_path / "out" / "policy.ckpt").read_bytes() == first_ckpt
 
 
+def test_cli_train_hidden_reproduces_the_library_run(run_setup):
+    tmp_path, cfg = run_setup
+    with open(cfg, "a", encoding="utf-8") as fh:
+        fh.write("hidden = 8, 3\n")
+    assert main(["train", "--config", str(cfg)]) == 0
+    policy = load_checkpoint(tmp_path / "out" / "policy.ckpt")
+    assert policy.net.sizes == (4, 8, 3, 2)
+    setup = parse_run_config(cfg.read_text(encoding="utf-8"))
+    library, log = train(setup.config, read_demos(setup.demos_path), chain_spec())
+    assert policy.net.params.tobytes() == library.net.params.tobytes()
+    assert (tmp_path / "out" / "curves.csv").read_text() == runlog_csv(log)
+
+
 def test_cli_train_zero_steps_header_only(tmp_path):
     demos = tmp_path / "demos.jsonl"
     main(["gen-expert", "--env", "chain", "--n", "3", "--out", str(demos)])
@@ -551,6 +574,27 @@ def test_cli_process_rejects_malformed_demos(tmp_path):
         assert proc.returncode == 4, proc.stderr
         assert f"line {lineno}:" in proc.stderr
         assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_rejects_tabular_demo_rows_that_are_not_one_hot(tmp_path, capsys):
+    demos, cfg = tmp_path / "demos.jsonl", tmp_path / "run.cfg"
+    main(["gen-expert", "--env", "chain", "--n", "3", "--out", str(demos)])
+    lines = demos.read_text(encoding="utf-8").splitlines()
+    rec = json.loads(lines[2])
+    rec["obs"][1] = [0.5, 0.5, 0.0, 0.0]
+    lines[2] = json.dumps(rec)
+    demos.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    cfg.write_text(f"env = chain\nalgorithm = asaf\ndemos_path = {demos}\nsteps = 1\n"
+                   f"out_dir = {tmp_path / 'out'}\n", encoding="utf-8")
+    message = "validation error: episode 1 (demo file line 3): observation row 1 is not a one-hot state"
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg)]) == 3
+    assert message in capsys.readouterr().err
+    proc = run_module("train", "--config", cfg)
+    assert proc.returncode == 3, proc.stderr
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
     assert not (tmp_path / "out").exists()
 
 

@@ -12,6 +12,17 @@ follow come from other positions of the same stream.  The dynamics are
 unchanged: the old maze step, made to draw one uniform per reset and per
 step, reproduces the new rollout digest, and without the draws the old one.
 
+Four chain digests (``chain_asaf``, ``chain_asaf_w``, ``chain_asaf_1`` and
+``chain_bc``) were recorded again when tabular policies began to read a state
+table: one forward pass of the net on all one-hot states per parameter
+version.  The learner's gradient now adds the weights of each state's rows
+before one backward pass over the states, where the backward used to sum
+over the rows, so its last bits differ.  The log-probabilities themselves
+are unchanged bit for bit (checked on 100 random batches of chain rows, for
+(8, 8) and (64, 64) nets), which is why ``chain_asqf`` and
+``gridworld_asqf``, whose learner keeps its row path and whose generator only
+scores and samples, and every rollout stream kept their digests.
+
 A recipe's digest is SHA-256 over the final ``policy.net.params`` bytes
 followed by ``repr(log)``; a ``gen-expert`` digest is SHA-256 over the file it
 writes; a rollout digest is SHA-256 over the ``obs`` and ``acts`` bytes and
@@ -50,11 +61,11 @@ RECIPES = {
 }
 
 RECIPE_DIGESTS = {
-    "chain_asaf": "42b1c70f0e57c86cbbef6ac25ffe6c1eb43b6c4efba04feb4c88d4c4691faf6d",
-    "chain_asaf_w": "322f23100aa6c454ad751e5d6c6282b813be12f5b4d4df8cc752046dc8cb691e",
-    "chain_asaf_1": "58fe73465fd3d8dd5c3372d2cc049b7bb045a4a0007a444f5cf1417f7c9b979a",
+    "chain_asaf": "19c3d141a0afee3040fed84dd7809b15839f2a0b66694cd425709fa873cc0499",
+    "chain_asaf_w": "4230630fe0f3c309a2769495a7cbae5d053a633057fb23b3deaedfbdab0e94f1",
+    "chain_asaf_1": "5311c2f59d0f272aec5666be816e7e252ebf5397830b1e287b79bb0692e1f113",
     "chain_asqf": "4867aa067acfe2ab72b6a9efb88e3222566fbd5c0c206d4206ba116cb921eec9",
-    "chain_bc": "754350c51323b15893ec7660f0aff599573b68349c8bc669e75167bc934248e3",
+    "chain_bc": "018b2607f7ff565a83b9d2eaa6701af04d2b911352cb2ad62c12baf59ff04b7c",
     "gridworld_asqf": "fe66f63154be34ed414b20b2263f077b553ebebfa0a41fbd5d186b7dbde883f9",
     "pointmass_asaf_1": "5530d0761906084eb26ce6eb2fe8fdb73ced4ab6379f31e5a6a8f062d851aa51",
 }

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from asaf.envs import chain_spec, one_hot, pointmass_spec
-from asaf.errors import ShapeError
+from asaf.errors import ShapeError, TapeError
 from asaf.nn import Mlp, grad_check
 from asaf.policies import (
     CategoricalPolicy,
@@ -100,27 +100,35 @@ def reference_sample(policy, obs, rng):
     return int(np.searchsorted(np.cumsum(p), rng.random(), side="right"))
 
 
+def counting_forwards(policy):
+    """Wrap ``policy.net.forward`` to record the row count of every call."""
+    rows, forward = [], policy.net.forward
+    policy.net.forward = lambda x: rows.append(len(np.atleast_2d(x))) or forward(x)
+    return rows
+
+
 def test_memoised_sample_matches_uncached_draws():
     rng = np.random.default_rng(5)
-    policy = CategoricalPolicy.init(4, 3, (16, 16), rng)
+    policy = CategoricalPolicy.init(4, 3, (16, 16), rng, one_hot=True)
     fresh = CategoricalPolicy(Mlp(policy.net.sizes, policy.net.params))
+    rows = counting_forwards(policy)
     ours, theirs = np.random.default_rng(9), np.random.default_rng(9)
     for s in rng.integers(0, 4, size=400):
         assert policy.sample(one_hot(s, 4), ours) == reference_sample(fresh, one_hot(s, 4), theirs)
-    assert len(policy._cdfs) == 4
+    assert rows == [4]          # one evaluation of the state table serves every draw
     assert ours.bit_generator.state == theirs.bit_generator.state
 
-    # observations that are not one-hot are drawn the same way, and never
-    # grow the memo past one entry per input dimension
+    # observations that are not one-hot take the generic path, one forward a draw
     other = CategoricalPolicy(Mlp(policy.net.sizes, policy.net.params))
+    rows = counting_forwards(other)
     for x in rng.normal(size=(50, 4)):
         assert other.sample(x, ours) == reference_sample(fresh, x, theirs)
-        assert len(other._cdfs) <= 4
+    assert rows == [1] * 50
     assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 def test_params_are_read_only_and_the_setter_refreshes_the_memo():
-    policy = CategoricalPolicy(Mlp((4, 3)))    # zero net: uniform over 3 actions
+    policy = CategoricalPolicy(Mlp((4, 3)), one_hot=True)    # zero net: uniform over 3 actions
     obs = one_hot(2, 4)
     rng = np.random.default_rng(0)
     assert {policy.sample(obs, rng) for _ in range(60)} == {0, 1, 2}
@@ -135,7 +143,56 @@ def test_params_are_read_only_and_the_setter_refreshes_the_memo():
     policy.net.params = params
     np.testing.assert_array_equal(policy.net.params, params)
     assert {policy.sample(obs, rng) for _ in range(60)} == {2}
-    np.testing.assert_array_equal(policy._cdfs[obs.tobytes()], CategoricalPolicy(Mlp((4, 3), params)).cdf(obs))
+    np.testing.assert_array_equal(policy.cdf(obs), CategoricalPolicy(Mlp((4, 3), params)).cdf(obs))
+
+    # a net swapped in whole is a new key, whatever its version
+    policy.net = Mlp((4, 3))
+    assert {policy.sample(obs, rng) for _ in range(60)} == {0, 1, 2}
+
+
+@given(st.integers(0, 2 ** 31 - 1), st.integers(2, 6), st.integers(2, 4), st.integers(1, 12))
+def test_state_table_matches_the_row_path(seed, n_states, n_actions, n_rows):
+    rng = np.random.default_rng(seed)
+    net = Mlp.init((n_states, 8, n_actions), rng)
+    table, rows = CategoricalPolicy(net, one_hot=True), CategoricalPolicy(net)
+    obs = np.eye(n_states)[rng.integers(0, n_states, size=n_rows)]
+    acts = rng.integers(0, n_actions, size=n_rows)
+    weights = rng.normal(size=n_rows)
+
+    np.testing.assert_allclose(table.log_prob_batch(obs, acts), rows.log_prob_batch(obs, acts), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(table.log_probs(obs), rows.log_probs(obs), rtol=0, atol=1e-12)
+    lp_t, cache_t = table.log_prob_tape(obs, acts)
+    lp_r, cache_r = rows.log_prob_tape(obs, acts)
+    np.testing.assert_allclose(lp_t, lp_r, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(table.backprop_log_prob(cache_t, weights), rows.backprop_log_prob(cache_r, weights),
+                               rtol=0, atol=1e-12)
+    for x in obs:
+        np.testing.assert_allclose(table.cdf(x), rows.cdf(x), rtol=0, atol=1e-12)
+        assert table.cdf(x)[-1] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_state_table_is_one_forward_per_parameter_version():
+    rng = np.random.default_rng(12)
+    policy = CategoricalPolicy.init(4, 2, (8,), rng, one_hot=True)
+    rows = counting_forwards(policy)
+    obs, acts = np.eye(4)[[0, 1, 1, 3]], np.array([0, 1, 0, 1])
+    _, cache_e = policy.log_prob_tape(obs, acts)
+    _, cache_g = policy.log_prob_tape(obs[::-1], acts)
+    policy.backprop_log_prob(cache_e, np.ones(4))
+    policy.backprop_log_prob(cache_g, np.ones(4))
+    policy.sample(obs[0], rng)
+    tabular_policy_extract(policy, 4)
+    assert rows == [4]
+    policy.net.params = policy.net.params + 0.1
+    policy.log_prob_batch(obs, acts)
+    assert rows == [4, 4]
+    # a tape from an older version is refused, as on the row path
+    with pytest.raises(TapeError):
+        policy.backprop_log_prob(cache_e, np.ones(4))
+    with pytest.raises(ShapeError):
+        policy.log_prob_tape(obs, acts[:3])
+    with pytest.raises(ShapeError):
+        policy.log_probs(np.eye(5)[0])
 
 
 def test_categorical_grad_matches_finite_differences():
@@ -202,6 +259,10 @@ def test_gaussian_log_std_clamps():
     narrow = bias_only_gaussian(0.0, -10.0)
     _, std = narrow.mean_std(OBS1)
     assert std[0] == pytest.approx(np.exp(LOG_STD_MIN), abs=1e-15)
+    # the clamp gives np.clip's bits, NaN and signed zeros included
+    raw = np.array([[0.0, np.nan], [0.0, -np.inf], [0.0, np.inf], [0.0, -0.0], [0.0, 1.5], [0.0, -5.0 - 1e-15]])
+    _, _, log_std = narrow._heads(raw)
+    assert log_std.tobytes() == np.clip(raw[:, 1:], LOG_STD_MIN, LOG_STD_MAX).tobytes()
 
 
 def test_gaussian_saturated_log_std_gets_zero_grad():
@@ -272,6 +333,7 @@ def test_make_policy_dispatch():
     rng = np.random.default_rng(9)
     p = make_policy(chain_spec(), (16,), rng)
     assert isinstance(p, CategoricalPolicy) and p.net.sizes == (4, 16, 2)
+    assert p.one_hot and p.snapshot().one_hot
     p = make_policy(pointmass_spec(), (16, 8), rng)
     assert isinstance(p, GaussianPolicy) and p.net.sizes == (1, 16, 8, 2)
 
@@ -287,3 +349,5 @@ def test_tabular_policy_extract():
         np.testing.assert_allclose(table[s], row, atol=1e-14)
     with pytest.raises(ShapeError):
         tabular_policy_extract(policy, 5)
+    # the one-hot form reads its state table, the same forward pass on eye(S)
+    np.testing.assert_array_equal(tabular_policy_extract(CategoricalPolicy(policy.net, one_hot=True), 4), table)

@@ -18,6 +18,7 @@ from asaf.envs import (
 )
 from asaf.errors import UnsupportedError, ValidationError
 from asaf.formats import runlog_csv
+from asaf.nn import Mlp
 from asaf.policies import CategoricalPolicy, tabular_policy_extract
 from asaf.train import DemoSet, TrainConfig, evaluate_policy, train
 from asaf.verify import collect_expert_demos
@@ -152,6 +153,18 @@ def test_demo_env_mismatch_is_rejected(chain_demos):
             train(tiny_cfg(), out_of_range, chain_spec())
 
 
+@pytest.mark.parametrize("row", [[0.0, 0.0, 0.0, 0.0], [0.0, 1.0, 1.0, 0.0], [0.5, 0.5, 0.0, 0.0],
+                                 [2.0, 0.0, 0.0, 0.0], [1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0 + 1e-16 * 4]])
+@pytest.mark.parametrize("episode, step", [(0, 0), (1, 2), (2, 1)])
+def test_tabular_demo_rows_must_be_one_hot(row, episode, step):
+    trajs = [one_hot_traj(states, [1] * len(states)) for states in ([0, 1, 2], [0, 1, 2, 3, 3], [1, 2])]
+    trajs[episode].obs[step] = row
+    demos = DemoSet(trajs, env_id="chain", action_kind="discrete", obs_dim=4, mean_return=0.0)
+    with pytest.raises(ValidationError, match=rf"episode {episode} \(demo file line {episode + 2}\): "
+                                              rf"observation row {step} is not a one-hot state"):
+        train(tiny_cfg(steps=1), demos, chain_spec())
+
+
 def test_continuous_demo_actions_must_be_act_dim_wide():
     acts = [np.zeros((3, 1)), np.zeros((3, 2))]
     wide = DemoSet([Trajectory(obs=np.zeros((3, 1)), acts=a) for a in acts],
@@ -281,6 +294,20 @@ def test_asaf_w_unit_window_equals_asaf_1(chain_demos):
     assert runlog_csv(l_w) == runlog_csv(l_1)
 
 
+def test_tabular_training_runs_the_nets_on_the_states_only(chain_demos, monkeypatch):
+    # every forward of a tabular run evaluates all S states at once: the
+    # generator's scores of both pools, its samples, the learner's loss pass,
+    # the evaluation and the exact oracle all read state tables
+    rows, forward = [], Mlp.forward
+    monkeypatch.setattr(Mlp, "forward", lambda net, x: rows.append(np.shape(x)) or forward(net, x))
+    cfg = tiny_cfg(steps=2)
+    policy, log = train(cfg, chain_demos, chain_spec())
+    assert set(rows) == {(4, 4)}
+    # one table for the first generator, one per update, one per later generator
+    assert len(rows) == 1 + cfg.steps * cfg.epochs * -(-cfg.n_g // cfg.batch) + cfg.steps
+    assert policy.one_hot and log.rows[-1].js_to_expert is not None
+
+
 # ---------------------------------------------------------------- asqf loop
 
 def test_asqf_smoke_and_determinism(chain_demos):
@@ -292,6 +319,7 @@ def test_asqf_smoke_and_determinism(chain_demos):
     assert runlog_csv(l1) == runlog_csv(l2)
     assert l1.total_env_steps == 2 * 2 * 5
     assert l1.rows[-1].js_to_expert is not None
+    assert p1.one_hot          # the frozen scores act through their state table
     # unlike the likelihood-ratio form, the score net is unnormalized, so
     # the initial discriminator is not pinned at 1/2 and the loss only has
     # to be finite and positive
