@@ -19,10 +19,9 @@ import argparse
 import os
 import sys
 
-from .envs import ENVS, TabularSpec, env_by_id
+from .envs import ENVS, env_by_id
 from .errors import ConfigError, FormatError, NumericalError, ValidationError
 from .formats import load_checkpoint, parse_run_config, read_demos, save_checkpoint, write_demos, write_runlog_csv
-from .policies import CategoricalPolicy
 from .train import evaluate_policy, train
 from .verify import SUITES, collect_expert_demos, run_suite
 
@@ -93,9 +92,6 @@ def cmd_eval(args) -> int:
         )
     if (policy.action_kind == "discrete") != (env_spec.action_kind == "discrete"):
         raise ValidationError(f"{policy.action_kind} policy cannot act on {env_spec.action_kind} env")
-    if isinstance(env_spec, TabularSpec) and isinstance(policy, CategoricalPolicy):
-        # training evaluates the one-hot form; sampling from it keeps logged rows reproducible
-        policy = CategoricalPolicy(policy.net, one_hot=True)
     mean, std = evaluate_policy(policy, env_spec, k=args.k, seed=args.seed)
     print(f"mean={mean:.17g} std={std:.17g} K={args.k}")
     return 0

@@ -271,7 +271,6 @@ def asqf_bce_loss(model: AsqfModel, generator, expert: PackedWindows, gen: Packe
     return bce_on_packed(model, expert, gen)
 
 
-def asqf_extract_policy(model: AsqfModel, one_hot: bool = False) -> CategoricalPolicy:
-    """Freeze the current scores into a softmax policy (an independent copy),
-    over one-hot states when ``one_hot`` is set (see ``CategoricalPolicy``)."""
-    return CategoricalPolicy(model.net.copy(), one_hot=one_hot)
+def asqf_extract_policy(model: AsqfModel) -> CategoricalPolicy:
+    """Freeze the current scores into a softmax policy (an independent copy)."""
+    return CategoricalPolicy(model.net.copy())

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envs import TabularSpec
 from .errors import ShapeError
 from .nn import GradTape, Mlp, log_softmax_rows
 
@@ -51,29 +50,24 @@ class _StateTable:
 class CategoricalPolicy:
     """Softmax over the net's output scores; one score per discrete action.
 
-    With ``one_hot`` set, every observation is a one-hot state, read as the
-    position of its largest entry, and the policy runs its net once per
-    parameter version on all ``S = net.in_dim`` states.  Every log-prob,
-    CDF, sample and gradient tape of that version then reads from that one
-    evaluation; ``backprop_log_prob`` scatters the row weights onto the
-    states and runs one backward on S rows.  Rows that are not one-hot are
-    not detected on this path; the demo check in ``train`` refuses them
-    where they enter.  Without ``one_hot``, every call runs the net on its
-    own rows.
+    When every input row is exactly one-hot (one entry 1, the rest 0), the
+    rows are states, and the policy reads them from one evaluation of its
+    net on all ``S = net.in_dim`` states, made once per parameter version.
+    Every log-prob, CDF, sample and gradient tape of that version shares it;
+    ``backprop_log_prob`` adds the row weights per state and runs one
+    backward on S rows.  Any other input runs the net on its own rows.
     """
 
     action_kind = "discrete"
 
-    def __init__(self, net: Mlp, one_hot: bool = False):
+    def __init__(self, net: Mlp):
         self.net = net
         self.n_actions = net.out_dim
-        self.one_hot = one_hot
         self._memo: _StateTable | None = None
 
     @classmethod
-    def init(cls, obs_dim: int, n_actions: int, hidden, rng: np.random.Generator,
-             one_hot: bool = False) -> "CategoricalPolicy":
-        return cls(Mlp.init((obs_dim, *hidden, n_actions), rng), one_hot=one_hot)
+    def init(cls, obs_dim: int, n_actions: int, hidden, rng: np.random.Generator) -> "CategoricalPolicy":
+        return cls(Mlp.init((obs_dim, *hidden, n_actions), rng))
 
     def _table(self) -> _StateTable:
         """The state table of the net's current parameters, built on first use."""
@@ -85,11 +79,19 @@ class CategoricalPolicy:
             memo = self._memo = _StateTable(net, net._version, tape, logp, probs, np.cumsum(probs, axis=1))
         return memo
 
-    def _states(self, obs) -> np.ndarray:
-        obs = np.asarray(obs)
+    def _states(self, obs: np.ndarray) -> np.ndarray | None:
+        """The state of each row when every row is exactly one-hot, else None."""
         if obs.ndim not in (1, 2) or obs.shape[-1] != self.net.in_dim:
-            raise ShapeError(f"input must have trailing dim {self.net.in_dim}, got shape {obs.shape}")
-        return obs.argmax(axis=-1)
+            return None
+        states = obs.argmax(axis=-1)
+        if np.count_nonzero(obs) != states.size:
+            return None
+        # as many nonzeros as rows: one-hot when every row peaks at a 1
+        if obs.ndim == 1:
+            hot = obs[states] == 1
+        else:
+            hot = (obs[np.arange(len(obs)), states] == 1).all()
+        return states if hot else None
 
     def _check_actions(self, acts: np.ndarray) -> np.ndarray:
         acts = np.asarray(acts)
@@ -101,8 +103,12 @@ class CategoricalPolicy:
 
     def log_probs(self, obs) -> np.ndarray:
         """Full log distribution: (A,) for one observation, (B, A) batched."""
-        if self.one_hot:
-            return np.take(self._table().logp, self._states(obs), axis=0)
+        obs = np.asarray(obs)
+        if (states := self._states(obs)) is not None:
+            return np.take(self._table().logp, states, axis=0)
+        return self._row_log_probs(obs)
+
+    def _row_log_probs(self, obs: np.ndarray) -> np.ndarray:
         scores, _ = self.net.forward(obs)
         if scores.ndim == 1:
             return log_softmax_rows(scores[None, :])[0]
@@ -119,12 +125,11 @@ class CategoricalPolicy:
         return lp
 
     def log_prob_tape(self, obs: np.ndarray, acts: np.ndarray):
-        acts = self._check_actions(acts)
-        if np.shape(obs)[:-1] != acts.shape:
-            raise ShapeError(f"need one action per observation row, got {acts.shape} for {np.shape(obs)}")
-        if self.one_hot:
+        obs, acts = np.asarray(obs), self._check_actions(acts)
+        if obs.shape[:-1] != acts.shape:
+            raise ShapeError(f"need one action per observation row, got {acts.shape} for {obs.shape}")
+        if (states := self._states(obs)) is not None:
             table = self._table()
-            states = self._states(obs)
             return table.logp[states, acts], (table.tape, table.probs, acts, states)
         scores, tape = self.net.forward(obs)
         lp = log_softmax_rows(scores)
@@ -148,17 +153,19 @@ class CategoricalPolicy:
 
     def cdf(self, obs) -> np.ndarray:
         """Cumulative action probabilities at one observation."""
-        if self.one_hot:
-            return self._table().cdf[self._states(obs)].copy()
-        return np.cumsum(np.exp(self.log_probs(obs)))
+        return self._cdf(np.asarray(obs)).copy()
+
+    def _cdf(self, obs: np.ndarray) -> np.ndarray:
+        if (states := self._states(obs)) is not None:
+            return self._table().cdf[states]
+        return np.cumsum(np.exp(self._row_log_probs(obs)))
 
     def sample(self, obs, rng: np.random.Generator) -> int:
         """Inverse-CDF draw from the softmax distribution."""
-        cdf = self._table().cdf[self._states(obs)] if self.one_hot else self.cdf(obs)
-        return int(cdf.searchsorted(rng.random(), side="right"))
+        return int(self._cdf(np.asarray(obs)).searchsorted(rng.random(), side="right"))
 
     def snapshot(self) -> "CategoricalPolicy":
-        return CategoricalPolicy(self.net.copy(), one_hot=self.one_hot)
+        return CategoricalPolicy(self.net.copy())
 
 
 class GaussianPolicy:
@@ -240,20 +247,17 @@ class GaussianPolicy:
 
 
 def make_policy(env_spec, hidden, rng: np.random.Generator):
-    """Fresh randomly initialized policy of the kind the environment needs;
-    on a tabular environment, a categorical policy over one-hot states."""
+    """Fresh randomly initialized policy of the kind the environment needs."""
     if env_spec.action_kind == "discrete":
-        return CategoricalPolicy.init(env_spec.obs_dim, env_spec.n_actions, hidden, rng,
-                                      one_hot=isinstance(env_spec, TabularSpec))
+        return CategoricalPolicy.init(env_spec.obs_dim, env_spec.n_actions, hidden, rng)
     return GaussianPolicy.init(env_spec.obs_dim, env_spec.act_dim, hidden, rng)
 
 
 def tabular_policy_extract(policy: CategoricalPolicy, n_states: int) -> np.ndarray:
     """Evaluate a categorical policy on every one-hot state: table (S, A).
 
-    Rows are exact softmax outputs and sum to 1 up to float rounding.  Both
-    forms of the policy run the same forward pass on ``eye(S)``, so they
-    give the same bits; the one-hot form reads it from its state table.
+    Rows are exact softmax outputs and sum to 1 up to float rounding; they
+    are read from the policy's state table.
     """
     if policy.net.in_dim != n_states:
         raise ShapeError(f"policy expects obs_dim {policy.net.in_dim}, not {n_states}")

@@ -33,7 +33,6 @@ checkpoint with ``evaluate_policy``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
@@ -250,7 +249,7 @@ def train(cfg: TrainConfig, demos: DemoSet, env_spec: EnvSpec):
     init_rng = np.random.default_rng(ss_init)
     if cfg.algorithm == "asqf":
         learned = disc.AsqfModel.init(env_spec.obs_dim, env_spec.n_actions, cfg.hidden, init_rng)
-        freeze = partial(disc.asqf_extract_policy, one_hot=isinstance(env_spec, TabularSpec))
+        freeze = disc.asqf_extract_policy
     else:
         learned = make_policy(env_spec, cfg.hidden, init_rng)
         freeze = type(learned).snapshot

@@ -123,8 +123,8 @@ def gradient_suite(points: int = 10) -> list[CheckResult]:
     out.append(CheckResult(name="grad_bce_categorical", value=worst, threshold=1e-4))
 
     # the same on one-hot states, through the policies' state tables
-    learner = CategoricalPolicy.init(3, 2, (8,), rng, one_hot=True)
-    generator = CategoricalPolicy.init(3, 2, (8,), rng, one_hot=True)
+    learner = CategoricalPolicy.init(3, 2, (8,), rng)
+    generator = CategoricalPolicy.init(3, 2, (8,), rng)
     obs = np.eye(3)[rng.integers(0, 3, size=(4, 3))]
     wins = [disc.Window(obs=obs[i], acts=acts[i], source=i) for i in range(4)]
     worst = max(_bce_point_check(learner, generator, wins[:2], wins[2:], rng) for _ in range(points))

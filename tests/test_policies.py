@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from asaf.envs import chain_spec, one_hot, pointmass_spec
 from asaf.errors import ShapeError, TapeError
-from asaf.nn import Mlp, grad_check
+from asaf.nn import Mlp, grad_check, log_softmax_rows
 from asaf.policies import (
     CategoricalPolicy,
     GaussianPolicy,
@@ -94,9 +94,25 @@ def test_categorical_sampling_deterministic_in_rng():
     assert a[0] == a[1] == a[2]
 
 
-def reference_sample(policy, obs, rng):
-    """``CategoricalPolicy.sample`` as it was before its CDFs were memoised."""
-    p = np.exp(policy.log_probs(obs))
+def row_log_probs(net, obs):
+    """Log-probabilities from the net's own forward pass on ``obs``, (B, A)."""
+    scores, _ = net.forward(np.atleast_2d(obs))
+    return log_softmax_rows(scores)
+
+
+def row_reference(net, obs, acts, weights):
+    """Per-row log-probs of ``acts`` and the gradient of their ``weights``-sum,
+    from the net's own forward and backward passes on ``obs``."""
+    scores, tape = net.forward(obs)
+    lp = log_softmax_rows(scores)
+    dy = -np.exp(lp) * weights[:, None]
+    dy[np.arange(len(acts)), acts] += weights
+    return lp[np.arange(len(acts)), acts], net.backward(tape, dy)
+
+
+def reference_sample(net, obs, rng):
+    """An inverse-CDF draw from the net's own forward pass on ``obs``."""
+    p = np.exp(row_log_probs(net, obs)[0])
     return int(np.searchsorted(np.cumsum(p), rng.random(), side="right"))
 
 
@@ -109,8 +125,8 @@ def counting_forwards(policy):
 
 def test_memoised_sample_matches_uncached_draws():
     rng = np.random.default_rng(5)
-    policy = CategoricalPolicy.init(4, 3, (16, 16), rng, one_hot=True)
-    fresh = CategoricalPolicy(Mlp(policy.net.sizes, policy.net.params))
+    policy = CategoricalPolicy.init(4, 3, (16, 16), rng)
+    fresh = Mlp(policy.net.sizes, policy.net.params)
     rows = counting_forwards(policy)
     ours, theirs = np.random.default_rng(9), np.random.default_rng(9)
     for s in rng.integers(0, 4, size=400):
@@ -128,7 +144,7 @@ def test_memoised_sample_matches_uncached_draws():
 
 
 def test_params_are_read_only_and_the_setter_refreshes_the_memo():
-    policy = CategoricalPolicy(Mlp((4, 3)), one_hot=True)    # zero net: uniform over 3 actions
+    policy = CategoricalPolicy(Mlp((4, 3)))    # zero net: uniform over 3 actions
     obs = one_hot(2, 4)
     rng = np.random.default_rng(0)
     assert {policy.sample(obs, rng) for _ in range(60)} == {0, 1, 2}
@@ -154,26 +170,58 @@ def test_params_are_read_only_and_the_setter_refreshes_the_memo():
 def test_state_table_matches_the_row_path(seed, n_states, n_actions, n_rows):
     rng = np.random.default_rng(seed)
     net = Mlp.init((n_states, 8, n_actions), rng)
-    table, rows = CategoricalPolicy(net, one_hot=True), CategoricalPolicy(net)
+    policy, net = CategoricalPolicy(net), Mlp(net.sizes, net.params)
+    forwards = counting_forwards(policy)
     obs = np.eye(n_states)[rng.integers(0, n_states, size=n_rows)]
     acts = rng.integers(0, n_actions, size=n_rows)
     weights = rng.normal(size=n_rows)
+    lp_r, grad_r = row_reference(net, obs, acts, weights)
 
-    np.testing.assert_allclose(table.log_prob_batch(obs, acts), rows.log_prob_batch(obs, acts), rtol=0, atol=1e-12)
-    np.testing.assert_allclose(table.log_probs(obs), rows.log_probs(obs), rtol=0, atol=1e-12)
-    lp_t, cache_t = table.log_prob_tape(obs, acts)
-    lp_r, cache_r = rows.log_prob_tape(obs, acts)
+    np.testing.assert_allclose(policy.log_prob_batch(obs, acts), lp_r, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(policy.log_probs(obs), row_log_probs(net, obs), rtol=0, atol=1e-12)
+    lp_t, cache_t = policy.log_prob_tape(obs, acts)
     np.testing.assert_allclose(lp_t, lp_r, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(table.backprop_log_prob(cache_t, weights), rows.backprop_log_prob(cache_r, weights),
-                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(policy.backprop_log_prob(cache_t, weights), grad_r, rtol=0, atol=1e-12)
     for x in obs:
-        np.testing.assert_allclose(table.cdf(x), rows.cdf(x), rtol=0, atol=1e-12)
-        assert table.cdf(x)[-1] == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(policy.cdf(x), np.cumsum(np.exp(row_log_probs(net, x)[0])), rtol=0, atol=1e-12)
+        assert policy.cdf(x)[-1] == pytest.approx(1.0, abs=1e-12)
+    assert forwards == [n_states]
+
+
+@pytest.mark.parametrize("bad", [
+    [0.0, 0.0, 0.0, 0.0],
+    [0.5, 0.5, 0.0, 0.0],
+    [1.0, 1.0, 0.0, 0.0],
+    [2.0, 0.0, 0.0, 0.0],
+    [-1.0, 1.0, 0.0, 0.0],
+    [1.0, 1e-9, 0.0, 0.0],
+    [0.0, 0.0, 1.0 + 1e-12, 0.0],
+])
+def test_rows_that_are_not_one_hot_take_the_row_path(bad):
+    rng = np.random.default_rng(13)
+    policy = CategoricalPolicy.init(4, 3, (8,), rng)
+    net = Mlp(policy.net.sizes, policy.net.params)
+    forwards = counting_forwards(policy)
+    obs = np.vstack([np.eye(4)[[0, 2]], bad, np.eye(4)[[3]]])
+    acts, weights = np.array([0, 1, 2, 1]), rng.normal(size=4)
+    lp_r, grad_r = row_reference(net, obs, acts, weights)
+
+    np.testing.assert_array_equal(policy.log_prob_batch(obs, acts), lp_r)
+    lp, cache = policy.log_prob_tape(obs, acts)
+    np.testing.assert_array_equal(lp, lp_r)
+    np.testing.assert_array_equal(policy.backprop_log_prob(cache, weights), grad_r)
+    np.testing.assert_array_equal(policy.log_probs(obs), row_log_probs(net, obs))
+    np.testing.assert_array_equal(policy.cdf(bad), np.cumsum(np.exp(row_log_probs(net, bad)[0])))
+    assert forwards == [4, 4, 4, 1]     # every call ran the net on its own rows
+    # the one-hot rows alone read the state table
+    policy.log_prob_batch(obs[[0, 1, 3]], acts[[0, 1, 3]])
+    policy.sample(obs[0], rng)
+    assert forwards == [4, 4, 4, 1, 4]
 
 
 def test_state_table_is_one_forward_per_parameter_version():
     rng = np.random.default_rng(12)
-    policy = CategoricalPolicy.init(4, 2, (8,), rng, one_hot=True)
+    policy = CategoricalPolicy.init(4, 2, (8,), rng)
     rows = counting_forwards(policy)
     obs, acts = np.eye(4)[[0, 1, 1, 3]], np.array([0, 1, 0, 1])
     _, cache_e = policy.log_prob_tape(obs, acts)
@@ -333,7 +381,10 @@ def test_make_policy_dispatch():
     rng = np.random.default_rng(9)
     p = make_policy(chain_spec(), (16,), rng)
     assert isinstance(p, CategoricalPolicy) and p.net.sizes == (4, 16, 2)
-    assert p.one_hot and p.snapshot().one_hot
+    rows = counting_forwards(p)
+    p.sample(one_hot(1, 4), rng)
+    p.log_prob_batch(np.eye(4)[[0, 3, 3]], np.array([1, 0, 1]))
+    assert rows == [4]          # one-hot chain states read one state table
     p = make_policy(pointmass_spec(), (16, 8), rng)
     assert isinstance(p, GaussianPolicy) and p.net.sizes == (1, 16, 8, 2)
 
@@ -345,9 +396,7 @@ def test_tabular_policy_extract():
     assert table.shape == (4, 2)
     np.testing.assert_allclose(table.sum(axis=1), 1.0, atol=1e-12)
     for s in range(4):
-        row = np.exp(policy.log_probs(np.eye(4)[s]))
+        row = np.exp(row_log_probs(policy.net, np.eye(4)[s])[0])
         np.testing.assert_allclose(table[s], row, atol=1e-14)
     with pytest.raises(ShapeError):
         tabular_policy_extract(policy, 5)
-    # the one-hot form reads its state table, the same forward pass on eye(S)
-    np.testing.assert_array_equal(tabular_policy_extract(CategoricalPolicy(policy.net, one_hot=True), 4), table)

@@ -305,7 +305,7 @@ def test_tabular_training_runs_the_nets_on_the_states_only(chain_demos, monkeypa
     assert set(rows) == {(4, 4)}
     # one table for the first generator, one per update, one per later generator
     assert len(rows) == 1 + cfg.steps * cfg.epochs * -(-cfg.n_g // cfg.batch) + cfg.steps
-    assert policy.one_hot and log.rows[-1].js_to_expert is not None
+    assert log.rows[-1].js_to_expert is not None
 
 
 # ---------------------------------------------------------------- asqf loop
@@ -319,7 +319,6 @@ def test_asqf_smoke_and_determinism(chain_demos):
     assert runlog_csv(l1) == runlog_csv(l2)
     assert l1.total_env_steps == 2 * 2 * 5
     assert l1.rows[-1].js_to_expert is not None
-    assert p1.one_hot          # the frozen scores act through their state table
     # unlike the likelihood-ratio form, the score net is unnormalized, so
     # the initial discriminator is not pinned at 1/2 and the loss only has
     # to be finite and positive
