@@ -8,7 +8,13 @@ biases.  Hidden activations are ReLU, the output layer is linear.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -25,6 +31,7 @@ __all__ = [
     "log_softmax_rows",
     "logsumexp",
     "logsumexp_rows",
+    "serial_blas",
 ]
 
 
@@ -280,3 +287,68 @@ def grad_check(f, params: np.ndarray, h: float = 1e-5) -> float:
         err = abs(grad[i] - fd) / max(1e-12, abs(grad[i]) + abs(fd))
         worst = max(worst, err)
     return worst
+
+
+# get/set thread-count symbol pairs, in the order OpenBLAS builds name them:
+# NumPy's bundled scipy-openblas, a 64-bit-index system OpenBLAS, a plain one
+_OPENBLAS_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _openblas_threads():
+    """The (get, set) thread-count functions of the OpenBLAS that NumPy
+    loaded, or None where none is found (MKL, Accelerate)."""
+    here = Path(np.__file__).parent
+    libs = [*sorted((here.parent / "numpy.libs").glob("*openblas*")),
+            *sorted((here / ".dylibs").glob("*openblas*")), None]
+    for lib in libs:
+        try:
+            handle = ctypes.CDLL(str(lib) if lib else None)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_SYMBOLS:
+            get, set_ = getattr(handle, get_name, None), getattr(handle, set_name, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+# serial_blas scopes open across threads, and the call that restores the
+# caller's thread count when the last one exits
+_scopes = SimpleNamespace(lock=threading.Lock(), depth=0, restore=None)
+
+
+@contextmanager
+def serial_blas():
+    """Run the body on one OpenBLAS thread, restoring the caller's count on exit.
+
+    The nets here multiply at most a few hundred rows by 64 columns, where a
+    second OpenBLAS thread halves no wall time and spin-waits between calls,
+    doubling the CPU spent.  OpenBLAS splits output rows and columns, never a
+    summation, so results are bitwise the same on any thread count.  Scopes
+    nest and may overlap across Python threads; the count is restored once,
+    when the last one exits, also on an exception.  Where NumPy's BLAS is not
+    an OpenBLAS with a thread-count setter, this does nothing.
+    """
+    with _scopes.lock:
+        if _scopes.depth == 0:
+            pair = _openblas_threads()
+            if pair is not None:
+                get, set_ = pair
+                _scopes.restore = functools.partial(set_, get())
+                set_(1)
+        _scopes.depth += 1
+    try:
+        yield
+    finally:
+        with _scopes.lock:
+            _scopes.depth -= 1
+            if _scopes.depth == 0 and _scopes.restore is not None:
+                _scopes.restore()
+                _scopes.restore = None

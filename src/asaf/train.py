@@ -40,7 +40,7 @@ from . import discriminator as disc
 from .envs import EnvSpec, TabularSpec, Trajectory, rollout, soft_value_iteration
 from .errors import NumericalError, UnsupportedError, ValidationError
 from .exact import enumerable, exact_traj_distribution, js_between
-from .nn import AdamState, adam_step, clip_by_global_norm, clip_by_value
+from .nn import AdamState, adam_step, clip_by_global_norm, clip_by_value, serial_blas
 from .policies import CategoricalPolicy, make_policy, tabular_policy_extract
 
 __all__ = [
@@ -158,6 +158,8 @@ def evaluate_policy(policy, env_spec: EnvSpec, k: int = 20, seed: int = 0) -> tu
     """
     if k < 1:
         raise ValidationError("k must be >= 1")
+    if seed < 0:
+        raise ValidationError("seed must be >= 0")
     returns = np.empty(k, dtype=np.float64)
     for i in range(k):
         _, returns[i] = rollout(env_spec, policy, seed=(seed, i))
@@ -232,13 +234,16 @@ def _pool(trajs: list[Trajectory], cfg: TrainConfig) -> disc.PackedWindows:
     return disc.pack_windows(windows)
 
 
+@serial_blas()
 def train(cfg: TrainConfig, demos: DemoSet, env_spec: EnvSpec):
     """Train ``cfg.algorithm`` on the demos; returns (policy, RunLog).
 
     asaf, asaf_w and asaf_1 learn a policy whose snapshot is the generator;
     asqf learns a score net whose softmax is.  bc collects nothing and its
     epochs pass over the demo transitions.  The returned policy is the
-    generator after the last outer step.
+    generator after the last outer step.  The call runs on one BLAS thread
+    (``nn.serial_blas``) and restores the caller's thread count when it
+    returns or raises.
     """
     cfg = cfg.validated()
     if cfg.algorithm == "asqf" and env_spec.action_kind != "discrete":

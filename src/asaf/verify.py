@@ -64,6 +64,8 @@ def collect_expert_demos(env_spec, n: int, alpha: float, seed: int) -> DemoSet:
     """
     if n < 1:
         raise ValidationError(f"need at least one episode, got {n}")
+    if seed < 0:
+        raise ValidationError("seed must be >= 0")
     if isinstance(env_spec, PointMassSpec):
         expert, generator = ScriptedPointMassPolicy(), "scripted_proportional"
     else:

@@ -290,6 +290,20 @@ def test_bce_fixed_point_gradient_vanishes_on_paired_batches():
     np.testing.assert_array_equal(grad, 0.0)
 
 
+def test_bce_fixed_point_gradient_vanishes_on_one_hot_windows():
+    # the same cancellation on the state-table path that tabular runs take
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        n_states, n_actions = rng.integers(2, 7), rng.integers(2, 5)
+        policy = CategoricalPolicy(Mlp.init((n_states, 6, n_actions), rng))
+        wins = [disc.Window(obs=np.eye(n_states)[rng.integers(0, n_states, size=length)],
+                            acts=rng.integers(0, n_actions, size=length), source=i)
+                for i, length in enumerate(rng.integers(1, 7, size=rng.integers(1, 5)))]
+        loss, grad = disc.bce_loss(policy, policy, wins, wins)
+        assert loss == pytest.approx(LOG4, abs=1e-9)
+        np.testing.assert_array_equal(grad, 0.0)
+
+
 def test_bce_paired_batches_lower_bounded_by_log4():
     # scoring one batch against itself: loss = log4 exactly at D == 1/2 and
     # above it for any other discriminator

@@ -612,6 +612,22 @@ def test_cli_process_reports_numerical_error(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_process_rejects_negative_seeds(tmp_path):
+    # gen-expert and eval refuse a negative seed with exit 3, as a config does
+    out = tmp_path / "demos.jsonl"
+    proc = run_module("gen-expert", "--env", "chain", "--n", "2", "--seed", "-1", "--out", out)
+    assert proc.returncode == 3, proc.stderr
+    assert "validation error: seed must be >= 0" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+    ckpt = tmp_path / "p.ckpt"
+    save_checkpoint(ckpt, CategoricalPolicy(Mlp.init((4, 8, 2), np.random.default_rng(5))))
+    proc = run_module("eval", "--checkpoint", ckpt, "--env", "chain", "--k", "2", "--seed", "-1")
+    assert proc.returncode == 3, proc.stderr
+    assert "validation error: seed must be >= 0" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_cli_process_rejects_wide_continuous_actions(tmp_path):
     # pointmass actions are 1 wide; 2-wide rows are well-formed reals, so the
     # file reads, and training refuses them with the episode's line

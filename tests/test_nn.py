@@ -1,4 +1,11 @@
-"""Numeric kit: logsumexp, the flat-parameter net, Adam, clipping, grad_check."""
+"""Numeric kit: logsumexp, the flat-parameter net, Adam, clipping, grad_check,
+and the single-threaded BLAS scope."""
+
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from asaf import nn
 from asaf.errors import NumericalError, ShapeError, TapeError
 from asaf.nn import (
     AdamState,
@@ -18,6 +26,7 @@ from asaf.nn import (
     logsumexp,
     logsumexp_rows,
     param_count,
+    serial_blas,
 )
 
 finite_vectors = hnp.arrays(
@@ -352,3 +361,103 @@ def test_grad_check_rejects_shape_mismatch():
 
     with pytest.raises(ShapeError):
         grad_check(f, np.zeros(2))
+
+
+# ---------------------------------------------------------------- serial_blas
+
+def test_serial_blas_caps_nested_scopes_and_restores_once(blas_threads):
+    get, _ = blas_threads
+    with serial_blas():
+        assert get() == 1
+        with serial_blas():
+            assert get() == 1
+        assert get() == 1       # the inner exit leaves the outer scope capped
+    assert get() == 2
+
+
+def test_serial_blas_restores_when_the_body_raises(blas_threads):
+    get, _ = blas_threads
+    with pytest.raises(NumericalError):
+        with serial_blas():
+            raise NumericalError("boom")
+    assert get() == 2
+
+
+def test_serial_blas_overlapping_scopes_in_two_threads_restore_once(blas_threads):
+    # A enters, B enters, A exits (B still capped), B exits (restored)
+    get, _ = blas_threads
+    a_in, b_in, a_out, seen = threading.Event(), threading.Event(), threading.Event(), {}
+
+    def a():
+        with serial_blas():
+            a_in.set()
+            b_in.wait(10)
+        a_out.set()
+
+    def b():
+        a_in.wait(10)
+        with serial_blas():
+            b_in.set()
+            a_out.wait(10)
+            seen["after a exits"] = get()
+
+    threads = [threading.Thread(target=a), threading.Thread(target=b)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(10)
+        assert not t.is_alive()
+    assert a_out.is_set() and seen == {"after a exits": 1}
+    assert get() == 2
+
+
+def test_serial_blas_under_thread_switching_stress(blas_threads):
+    # more threads than cores entering and leaving at a short switch interval:
+    # every body sees 1 and the last exit restores the caller's count
+    get, _ = blas_threads
+    wrong = []
+
+    def worker():
+        for _ in range(200):
+            with serial_blas():
+                if get() != 1:
+                    wrong.append(get())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []
+    assert get() == 2
+
+
+def test_serial_blas_without_a_setter_does_nothing(monkeypatch):
+    monkeypatch.setattr(nn, "_openblas_threads", lambda: None)
+    with serial_blas():
+        with serial_blas():
+            assert nn._scopes.depth == 2 and nn._scopes.restore is None
+    assert nn._scopes.depth == 0
+
+
+def test_importing_the_package_leaves_the_blas_threads_alone():
+    # the lookup runs on the first scope, never at import, so a fresh
+    # process that imports asaf reads the default count this process has
+    pair = nn._openblas_threads()
+    if pair is None:
+        pytest.skip("NumPy's BLAS has no OpenBLAS thread-count setter")
+    script = ("import sys, asaf; nn = sys.modules['asaf.nn']; "
+              "print(nn._openblas_threads.cache_info().currsize, nn._openblas_threads()[0]())")
+    src = str(Path(nn.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    looked_up, count = map(int, proc.stdout.split())
+    assert looked_up == 0
+    assert count == pair[0]()

@@ -16,7 +16,8 @@ from asaf.envs import (
     one_hot,
     pointmass_spec,
 )
-from asaf.errors import UnsupportedError, ValidationError
+from asaf import nn
+from asaf.errors import NumericalError, UnsupportedError, ValidationError
 from asaf.formats import runlog_csv
 from asaf.nn import Mlp
 from asaf.policies import CategoricalPolicy, tabular_policy_extract
@@ -124,6 +125,8 @@ def test_evaluate_is_deterministic():
     assert a != c
     with pytest.raises(ValidationError):
         evaluate_policy(policy, pointmass_spec(), k=0)
+    with pytest.raises(ValidationError):
+        evaluate_policy(policy, pointmass_spec(), k=1, seed=-1)
 
 
 def test_scripted_pointmass_expert_return_frozen():
@@ -382,3 +385,36 @@ def test_train_dispatches_by_algorithm(chain_demos):
         assert log.rows[-1].step == 1
     policy, _ = train(tiny_cfg(algorithm="asqf", steps=1, epochs=1, batch=16), chain_demos, chain_spec())
     assert isinstance(policy, CategoricalPolicy)
+
+
+# ---------------------------------------------------------------- BLAS threads
+
+def test_train_runs_on_one_blas_thread_and_restores_the_count(chain_demos, blas_threads, monkeypatch):
+    get, _ = blas_threads
+    module = importlib.import_module("asaf.train")
+    seen, step = [], module.adam_step
+    monkeypatch.setattr(module, "adam_step", lambda *a: seen.append(get()) or step(*a))
+    train(tiny_cfg(steps=1), chain_demos, chain_spec())
+    assert seen and set(seen) == {1}
+    assert get() == 2
+
+
+def test_train_restores_the_blas_threads_when_it_raises(chain_demos, blas_threads):
+    get, _ = blas_threads
+    with pytest.raises(NumericalError):
+        train(tiny_cfg(lr_d=1e300), chain_demos, chain_spec())
+    assert get() == 2
+
+
+@pytest.mark.parametrize("env_id, algorithm", [("chain", "asaf"), ("pointmass", "asaf_1")])
+def test_train_without_a_blas_setter_is_bitwise_the_same(env_id, algorithm, blas_threads, monkeypatch):
+    # pointmass updates multiply 100 x 64 matrices, which OpenBLAS splits
+    # over the caller's 2 threads when train() cannot cap them
+    spec = env_by_id(env_id)
+    demos = collect_expert_demos(spec, n=2, alpha=1.0, seed=0)
+    cfg = tiny_cfg(algorithm=algorithm, steps=2, n_g=2, batch=100, hidden=(64, 64))
+    p_one, l_one = train(cfg, demos, spec)
+    monkeypatch.setattr(nn, "_openblas_threads", lambda: None)
+    p_two, l_two = train(cfg, demos, spec)
+    assert p_one.net.params.tobytes() == p_two.net.params.tobytes()
+    assert repr(l_one) == repr(l_two)
