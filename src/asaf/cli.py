@@ -8,9 +8,9 @@ Subcommands:
 * ``verify``: run a named verification suite, one pass/fail line per check.
 
 Exit codes: 0 success, 2 usage or config problems, 3 semantic validation
-failures or a numerical error in training (printed with the outer step,
-epoch and minibatch that raised it), 4 unreadable or malformed files.  A
-failed verify suite exits 1.
+failures or a numerical error in training (printed with the outer step, and
+the epoch and minibatch when an update raised it), 4 unreadable or
+malformed files.  A failed verify suite exits 1.
 """
 
 from __future__ import annotations

@@ -15,12 +15,14 @@ with A = sum log learner, G = sum log generator.  Minimizing the usual
 two-sided cross entropy over D trains the learner policy directly.
 
 The transition-wise scored variant (ASQF) is the same discriminator on
-windows of one step with A replaced by an unnormalized score f(s, a):
-``AsqfModel`` answers the learner protocol (``log_prob_tape``,
-``backprop_log_prob``) with f in place of log pi, so ``bce_on_packed`` and
-``structured_log_d`` serve it unchanged.  The softmax of f is the extracted
-policy; it only makes sense for discrete actions.  Behavioral cloning's
-negative log-likelihood (``nll_on_packed``) completes the set of losses.
+windows of one step with A replaced by an unnormalized score f(s, a).
+``AsqfModel`` is a ``CategoricalPolicy`` whose learner protocol
+(``log_prob_tape``, ``backprop_log_prob``) returns f in place of log pi,
+read from the one evaluation the policy reads (the state table on one-hot
+states), so ``bce_on_packed`` and ``structured_log_d`` serve it unchanged.
+Its snapshot is softmax(f), a plain ``CategoricalPolicy``; it only makes
+sense for discrete actions.  Behavioral cloning's negative log-likelihood
+(``nll_on_packed``) completes the set of losses.
 """
 
 from __future__ import annotations
@@ -29,8 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NumericalError, UnsupportedError
-from .nn import Mlp
+from .errors import NumericalError
 from .envs import Trajectory
 from .policies import CategoricalPolicy
 
@@ -216,50 +217,19 @@ def transitions_from(trajs) -> PackedWindows:
     return PackedWindows(obs=obs, acts=acts, starts=np.arange(len(obs)), lengths=np.ones(len(obs), dtype=np.int64))
 
 
-class AsqfModel:
-    """Unnormalized per-action score net f(s, a); softmax(f) is the policy."""
+class AsqfModel(CategoricalPolicy):
+    """Unnormalized per-action score net f(s, a); softmax(f) is the policy.
 
-    def __init__(self, net: Mlp):
-        self.net = net
-        self.n_actions = net.out_dim
+    The learner protocol reads the raw score f(s, a) from the policy's own
+    evaluation, so one-hot states read the state table here too, and
+    ``snapshot()`` is the plain softmax policy.
+    """
 
-    @classmethod
-    def init(cls, obs_dim: int, n_actions: int, hidden, rng: np.random.Generator) -> "AsqfModel":
-        return cls(Mlp.init((obs_dim, *hidden, n_actions), rng))
-
-    def _check_acts(self, acts: np.ndarray) -> np.ndarray:
-        acts = np.asarray(acts)
-        if acts.dtype.kind == "f":
-            if acts.ndim > 1 or not np.allclose(acts, np.round(acts)):
-                raise UnsupportedError("transition-wise scored discriminator requires discrete actions")
-            acts = acts.astype(np.int64)
-        if acts.ndim != 1:
-            raise UnsupportedError("transition-wise scored discriminator requires discrete actions")
-        if np.any(acts < 0) or np.any(acts >= self.n_actions):
-            raise ValueError(f"actions must lie in [0, {self.n_actions})")
-        return acts
+    _normalized = False
 
     def scores(self, obs) -> np.ndarray:
-        out, _ = self.net.forward(obs)
-        return out
-
-    # The learner protocol of the policies, with the raw score f(s, a)
-    # standing in for log pi(a | s).
-
-    def log_prob_batch(self, obs: np.ndarray, acts: np.ndarray) -> np.ndarray:
-        f, _ = self.log_prob_tape(obs, acts)
-        return f
-
-    def log_prob_tape(self, obs: np.ndarray, acts: np.ndarray):
-        acts = self._check_acts(acts)
-        out, tape = self.net.forward(obs)
-        return out[np.arange(len(acts)), acts], (tape, acts, out.shape)
-
-    def backprop_log_prob(self, cache, weights: np.ndarray) -> np.ndarray:
-        tape, acts, shape = cache
-        dy = np.zeros(shape, dtype=np.float64)
-        dy[np.arange(len(acts)), acts] = weights
-        return self.net.backward(tape, dy)
+        ev, rows = self._read(np.asarray(obs))
+        return np.take(ev.scores, rows, axis=0)
 
 
 def asqf_bce_loss(model: AsqfModel, generator, expert: PackedWindows, gen: PackedWindows) -> tuple[float, np.ndarray]:
@@ -273,4 +243,4 @@ def asqf_bce_loss(model: AsqfModel, generator, expert: PackedWindows, gen: Packe
 
 def asqf_extract_policy(model: AsqfModel) -> CategoricalPolicy:
     """Freeze the current scores into a softmax policy (an independent copy)."""
-    return CategoricalPolicy(model.net.copy())
+    return model.snapshot()

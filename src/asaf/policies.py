@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import NumericalError, ShapeError, UnsupportedError
 from .nn import GradTape, Mlp, log_softmax_rows
 
 __all__ = [
@@ -37,48 +37,58 @@ _FLOAT64 = np.dtype(np.float64)
 
 
 @dataclass
-class _StateTable:
-    """One evaluation of a net on every one-hot state, at one parameter version."""
+class _Evaluation:
+    """One evaluation of a net on a set of rows, at one parameter version."""
 
     net: Mlp
     version: int
     tape: GradTape
-    logp: np.ndarray   # (S, A) log-probabilities
-    probs: np.ndarray  # (S, A) probabilities, exp(logp)
-    cdf: np.ndarray    # (S, A) cumulative probabilities per state
+    scores: np.ndarray  # (R, A) raw net outputs
+    logp: np.ndarray    # (R, A) log-probabilities, log softmax of the scores
+    probs: np.ndarray   # (R, A) probabilities, exp(logp)
+    cdf: np.ndarray     # (R, A) cumulative probabilities per row
+
+
+def _evaluate(net: Mlp, rows: np.ndarray) -> _Evaluation:
+    scores, tape = net.forward(rows)
+    if not np.isfinite(scores).all():
+        raise NumericalError("non-finite net scores")
+    logp = log_softmax_rows(scores)
+    probs = np.exp(logp)
+    return _Evaluation(net, net._version, tape, scores, logp, probs, np.cumsum(probs, axis=1))
 
 
 class CategoricalPolicy:
     """Softmax over the net's output scores; one score per discrete action.
 
+    Every read goes through one evaluation record and a row index into it.
     When every input row is exactly one-hot (one entry 1, the rest 0), the
-    rows are states, and the policy reads them from one evaluation of its
-    net on all ``S = net.in_dim`` states, made once per parameter version.
-    Every log-prob, CDF, sample and gradient tape of that version shares it;
-    ``backprop_log_prob`` adds the row weights per state and runs one
-    backward on S rows.  Any other input runs the net on its own rows.
+    rows are states, and the record is the state table: one evaluation of
+    the net on all ``S = net.in_dim`` states, made once per parameter
+    version and shared by every log-prob, CDF, sample and gradient tape of
+    that version.  Any other input is evaluated afresh on its own rows.
+    ``backprop_log_prob`` adds the row weights per evaluated row and runs
+    one backward over the record's rows.
     """
 
     action_kind = "discrete"
+    _normalized = True      # the learner protocol reads log pi, not raw scores
 
     def __init__(self, net: Mlp):
         self.net = net
         self.n_actions = net.out_dim
-        self._memo: _StateTable | None = None
+        self._memo: _Evaluation | None = None
         self._seen: dict[bytes, np.intp] = {}   # float64 one-hot rows by their bytes
 
     @classmethod
     def init(cls, obs_dim: int, n_actions: int, hidden, rng: np.random.Generator) -> "CategoricalPolicy":
         return cls(Mlp.init((obs_dim, *hidden, n_actions), rng))
 
-    def _table(self) -> _StateTable:
+    def _table(self) -> _Evaluation:
         """The state table of the net's current parameters, built on first use."""
         net, memo = self.net, self._memo
         if memo is None or memo.net is not net or memo.version != net._version:
-            scores, tape = net.forward(np.eye(net.in_dim))
-            logp = log_softmax_rows(scores)
-            probs = np.exp(logp)
-            memo = self._memo = _StateTable(net, net._version, tape, logp, probs, np.cumsum(probs, axis=1))
+            memo = self._memo = _evaluate(net, np.eye(net.in_dim))
         return memo
 
     def _states(self, obs: np.ndarray) -> np.ndarray | None:
@@ -102,31 +112,29 @@ class CategoricalPolicy:
             self._seen[obs.tobytes()] = states
         return states
 
-    def _check_actions(self, acts: np.ndarray) -> np.ndarray:
+    def _read(self, obs: np.ndarray) -> tuple[_Evaluation, np.ndarray]:
+        """The evaluation holding the rows of ``obs`` and each row's index in it."""
+        if (states := self._states(obs)) is not None:
+            return self._table(), states
+        if obs.ndim == 1:
+            return _evaluate(self.net, obs[None, :]), np.intp(0)
+        return _evaluate(self.net, obs), np.arange(len(obs))
+
+    def _check_actions(self, acts) -> np.ndarray:
         acts = np.asarray(acts)
-        if acts.dtype.kind not in "iu":
-            acts = acts.astype(np.int64)
+        if acts.ndim != 1 or not (acts.dtype.kind in "iu" or np.array_equal(acts, np.round(acts))):
+            raise UnsupportedError(f"discrete actions must be a 1-D array of integers, got {acts.dtype} {acts.shape}")
         if np.any(acts < 0) or np.any(acts >= self.n_actions):
             raise ValueError(f"actions must lie in [0, {self.n_actions})")
-        return acts
+        return acts.astype(np.int64, copy=False)
 
     def log_probs(self, obs) -> np.ndarray:
         """Full log distribution: (A,) for one observation, (B, A) batched."""
-        obs = np.asarray(obs)
-        if (states := self._states(obs)) is not None:
-            return np.take(self._table().logp, states, axis=0)
-        return self._row_log_probs(obs)
-
-    def _row_log_probs(self, obs: np.ndarray) -> np.ndarray:
-        scores, _ = self.net.forward(obs)
-        if scores.ndim == 1:
-            return log_softmax_rows(scores[None, :])[0]
-        return log_softmax_rows(scores)
+        ev, rows = self._read(np.asarray(obs))
+        return np.take(ev.logp, rows, axis=0)
 
     def log_prob(self, obs, action) -> float:
-        a = int(action)
-        if not 0 <= a < self.n_actions:
-            raise ValueError(f"action {a} out of range [0, {self.n_actions})")
+        (a,) = self._check_actions(np.reshape(action, 1))
         return float(self.log_probs(obs)[a])
 
     def log_prob_batch(self, obs: np.ndarray, acts: np.ndarray) -> np.ndarray:
@@ -137,43 +145,33 @@ class CategoricalPolicy:
         obs, acts = np.asarray(obs), self._check_actions(acts)
         if obs.shape[:-1] != acts.shape:
             raise ShapeError(f"need one action per observation row, got {acts.shape} for {obs.shape}")
-        if (states := self._states(obs)) is not None:
-            table = self._table()
-            return table.logp[states, acts], (table.tape, table.probs, acts, states)
-        scores, tape = self.net.forward(obs)
-        lp = log_softmax_rows(scores)
-        return lp[np.arange(len(acts)), acts], (tape, np.exp(lp), acts, None)
+        ev, rows = self._read(obs)
+        return (ev.logp if self._normalized else ev.scores)[rows, acts], (ev, rows, acts)
 
     def backprop_log_prob(self, cache, weights: np.ndarray) -> np.ndarray:
-        tape, probs, acts, states = cache
+        ev, rows, acts = cache
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != (len(acts),):
             raise ShapeError(f"weights must have shape ({len(acts)},), got {weights.shape}")
-        # d log softmax / d scores = onehot(a) - probs, per row; on the state
-        # table the rows of one state add up into that state's row.
-        if states is None:
-            dy = -probs * weights[:, None]
-            dy[np.arange(len(acts)), acts] += weights
-        else:
-            n_states, n_actions = probs.shape
-            dy = -probs * np.bincount(states, weights, minlength=n_states)[:, None]
-            dy += np.bincount(states * n_actions + acts, weights, minlength=probs.size).reshape(probs.shape)
-        return self.net.backward(tape, dy)
+        # the weights of the rows that read one evaluated row add up onto it
+        n_rows, n_actions = ev.probs.shape
+        dy = np.bincount(rows * n_actions + acts, weights, minlength=ev.probs.size).reshape(ev.probs.shape)
+        if self._normalized:    # d log softmax / d scores = onehot(a) - probs, per row
+            dy -= ev.probs * np.bincount(rows, weights, minlength=n_rows)[:, None]
+        return self.net.backward(ev.tape, dy)
 
     def cdf(self, obs) -> np.ndarray:
         """Cumulative action probabilities at one observation."""
-        return self._cdf(np.asarray(obs)).copy()
-
-    def _cdf(self, obs: np.ndarray) -> np.ndarray:
-        if (states := self._states(obs)) is not None:
-            return self._table().cdf[states]
-        return np.cumsum(np.exp(self._row_log_probs(obs)))
+        ev, rows = self._read(np.asarray(obs))
+        return np.take(ev.cdf, rows, axis=0)
 
     def sample(self, obs, rng: np.random.Generator) -> int:
         """Inverse-CDF draw from the softmax distribution."""
-        return int(self._cdf(np.asarray(obs)).searchsorted(rng.random(), side="right"))
+        ev, rows = self._read(np.asarray(obs))
+        return int(ev.cdf[rows].searchsorted(rng.random(), side="right"))
 
     def snapshot(self) -> "CategoricalPolicy":
+        """A frozen copy of the softmax policy, always a plain ``CategoricalPolicy``."""
         return CategoricalPolicy(self.net.copy())
 
 
@@ -270,5 +268,4 @@ def tabular_policy_extract(policy: CategoricalPolicy, n_states: int) -> np.ndarr
     """
     if policy.net.in_dim != n_states:
         raise ShapeError(f"policy expects obs_dim {policy.net.in_dim}, not {n_states}")
-    eye = np.eye(n_states, dtype=np.float64)
-    return np.exp(policy.log_probs(eye))
+    return np.exp(policy.log_probs(np.eye(n_states)))

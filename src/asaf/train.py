@@ -13,11 +13,13 @@ asaf_1), its transition-wise scored form (asqf) and behavioral cloning (bc).
    an epoch; expert windows are drawn with replacement to pair each batch
    one-to-one); bc passes over the demo transitions alone and minimizes
    ``disc.nll_on_packed``, their negative log-likelihood,
-4. freeze the learned net into the next generator: a snapshot of the
-   policy, or the softmax of the asqf scores.
+4. freeze the learned net into the next generator: a snapshot of its
+   softmax policy (for asqf, the softmax of the scores).
 
-A ``NumericalError`` raised by an update names the outer step, epoch and
-minibatch (all counted from 1) it came from.
+A ``NumericalError`` names the outer step it came from, and the epoch and
+minibatch (all counted from 1) when an update raised it.  Non-finite net
+scores, losses, gradients and evaluation returns all raise one, so NumPy's
+floating-point warnings are silenced for the call.
 
 No reinforcement signal is used anywhere: the reward channel is read only
 by ``evaluate_policy`` and by expert generation.  Collected generator data
@@ -154,7 +156,8 @@ def evaluate_policy(policy, env_spec: EnvSpec, k: int = 20, seed: int = 0) -> tu
 
     Episode i uses the composite seed (seed, i), so the whole evaluation is
     reproducible from the scalar seed alone.  Sampling is stochastic: the
-    policy's own distribution is drawn from, never its argmax.
+    policy's own distribution is drawn from, never its argmax.  A non-finite
+    return raises ``NumericalError``.
     """
     if k < 1:
         raise ValidationError("k must be >= 1")
@@ -163,6 +166,8 @@ def evaluate_policy(policy, env_spec: EnvSpec, k: int = 20, seed: int = 0) -> tu
     returns = np.empty(k, dtype=np.float64)
     for i in range(k):
         _, returns[i] = rollout(env_spec, policy, seed=(seed, i))
+    if not np.isfinite(returns).all():
+        raise NumericalError("non-finite evaluation return")
     return float(returns.mean()), float(returns.std())
 
 
@@ -235,11 +240,12 @@ def _pool(trajs: list[Trajectory], cfg: TrainConfig) -> disc.PackedWindows:
 
 
 @serial_blas()
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def train(cfg: TrainConfig, demos: DemoSet, env_spec: EnvSpec):
     """Train ``cfg.algorithm`` on the demos; returns (policy, RunLog).
 
-    asaf, asaf_w and asaf_1 learn a policy whose snapshot is the generator;
-    asqf learns a score net whose softmax is.  bc collects nothing and its
+    The generator is a snapshot of the learned net's softmax policy: for
+    asqf, the softmax of its score net.  bc collects nothing and its
     epochs pass over the demo transitions.  The returned policy is the
     generator after the last outer step.  The call runs on one BLAS thread
     (``nn.serial_blas``) and restores the caller's thread count when it
@@ -252,14 +258,10 @@ def train(cfg: TrainConfig, demos: DemoSet, env_spec: EnvSpec):
 
     ss_init, ss_collect, ss_batch = np.random.SeedSequence(cfg.seed).spawn(3)
     init_rng = np.random.default_rng(ss_init)
-    if cfg.algorithm == "asqf":
-        learned = disc.AsqfModel.init(env_spec.obs_dim, env_spec.n_actions, cfg.hidden, init_rng)
-        freeze = disc.asqf_extract_policy
-    else:
-        learned = make_policy(env_spec, cfg.hidden, init_rng)
-        freeze = type(learned).snapshot
+    learned = (disc.AsqfModel.init(env_spec.obs_dim, env_spec.n_actions, cfg.hidden, init_rng)
+               if cfg.algorithm == "asqf" else make_policy(env_spec, cfg.hidden, init_rng))
     collects = cfg.algorithm != "bc"
-    generator = freeze(learned)
+    generator = learned.snapshot()
     adam = AdamState.for_params(learned.net.params)
     collect_rng = np.random.default_rng(ss_collect)
     batch_rng = np.random.default_rng(ss_batch)
@@ -270,43 +272,46 @@ def train(cfg: TrainConfig, demos: DemoSet, env_spec: EnvSpec):
     env_steps = 0
 
     for m in range(cfg.steps):
-        gen_pool = None
-        if collects:
-            trajs = []
-            for _ in range(cfg.n_g):
-                traj, _ = rollout(env_spec, generator, seed=collect_rng)
-                trajs.append(traj)
-                env_steps += len(traj)
-            gen_pool = _pool(trajs, cfg)
-            disc.refresh_generator_scores(expert, generator)
-            disc.refresh_generator_scores(gen_pool, generator)
+        where = f"outer step {m + 1}"
+        try:
+            gen_pool = None
+            if collects:
+                trajs = []
+                for _ in range(cfg.n_g):
+                    traj, _ = rollout(env_spec, generator, seed=collect_rng)
+                    trajs.append(traj)
+                    env_steps += len(traj)
+                gen_pool = _pool(trajs, cfg)
+                disc.refresh_generator_scores(expert, generator)
+                disc.refresh_generator_scores(gen_pool, generator)
 
-        epoch_pool = gen_pool if collects else expert
-        losses = []
-        for epoch in range(cfg.epochs):
-            order = batch_rng.permutation(len(epoch_pool))
-            for k, lo in enumerate(range(0, len(order), cfg.batch)):
-                idx = order[lo : lo + cfg.batch]
-                try:
+            epoch_pool = gen_pool if collects else expert
+            losses = []
+            for epoch in range(cfg.epochs):
+                order = batch_rng.permutation(len(epoch_pool))
+                for k, lo in enumerate(range(0, len(order), cfg.batch)):
+                    where = f"outer step {m + 1}, epoch {epoch + 1}, minibatch {k + 1}"
+                    idx = order[lo : lo + cfg.batch]
                     if collects:
                         batch_e = expert.take(batch_rng.integers(0, len(expert), size=len(idx)))
                         loss, grad = disc.bce_on_packed(learned, batch_e, gen_pool.take(idx))
                     else:
                         loss, grad = disc.nll_on_packed(learned, expert.take(idx))
                     learned.net.params, adam = adam_step(adam, learned.net.params, _clip(grad, cfg), cfg.lr_d)
-                except NumericalError as exc:
-                    raise NumericalError(f"outer step {m + 1}, epoch {epoch + 1}, minibatch {k + 1}: {exc}") from exc
-                if not losses:
-                    log.first_batch_losses.append(loss)
-                losses.append(loss)
+                    if not losses:
+                        log.first_batch_losses.append(loss)
+                    losses.append(loss)
 
-        generator = freeze(learned)
-        if (m + 1) % cfg.eval_interval == 0 or m == cfg.steps - 1:
-            seed = _eval_seed(cfg, m + 1)
-            mean, std = evaluate_policy(generator, env_spec, k=cfg.eval_k, seed=seed)
-            bce = float(np.mean(losses)) if losses else float("nan")
-            log.rows.append(RunRecord(step=m + 1, env_steps=env_steps, mean_return=mean, std_return=std,
-                                      bce_loss=bce, js_to_expert=reference.js(generator), eval_seed=seed))
+            where = f"outer step {m + 1}"
+            generator = learned.snapshot()
+            if (m + 1) % cfg.eval_interval == 0 or m == cfg.steps - 1:
+                seed = _eval_seed(cfg, m + 1)
+                mean, std = evaluate_policy(generator, env_spec, k=cfg.eval_k, seed=seed)
+                bce = float(np.mean(losses)) if losses else float("nan")
+                log.rows.append(RunRecord(step=m + 1, env_steps=env_steps, mean_return=mean, std_return=std,
+                                          bce_loss=bce, js_to_expert=reference.js(generator), eval_seed=seed))
+        except NumericalError as exc:
+            raise NumericalError(f"{where}: {exc}") from exc
 
     log.total_env_steps = env_steps
     return generator, log

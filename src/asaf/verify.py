@@ -164,6 +164,14 @@ def gradient_suite(points: int = 10) -> list[CheckResult]:
 
     worst = max(grad_check(f_bc, Mlp.init(policy.net.sizes, rng).params, h=1e-5) for _ in range(points))
     out.append(CheckResult(name="grad_bc_nll", value=worst, threshold=1e-4))
+
+    # the scored discriminator on one-hot states, through the score net's state table
+    model = disc.AsqfModel.init(3, 2, (8,), rng)
+    generator = CategoricalPolicy.init(3, 2, (8,), rng)
+    obs, acts = np.eye(3)[rng.integers(0, 3, size=(12, 1))], rng.integers(0, 2, size=(12, 1))
+    wins = [disc.Window(obs=obs[i], acts=acts[i], source=i) for i in range(12)]
+    worst = max(_bce_point_check(model, generator, wins[:6], wins[6:], rng) for _ in range(points))
+    out.append(CheckResult(name="grad_bce_asqf_one_hot", value=worst, threshold=1e-4))
     return out
 
 

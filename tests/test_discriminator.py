@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from asaf import discriminator as disc
 from asaf.envs import Trajectory
 from asaf.errors import UnsupportedError
-from asaf.nn import Mlp, grad_check
+from asaf.nn import Mlp, grad_check, log_softmax_rows
 from asaf.policies import CategoricalPolicy, GaussianPolicy
 
 LOG4 = np.log(4.0)
@@ -90,6 +90,25 @@ def reference_asqf_bce_loss(model, generator, expert, gen):
     w_g = np.exp(f_g - m_g) / n_g
     grad = backprop_scores(cache_e, w_e) + backprop_scores(cache_g, w_g)
     return loss, grad
+
+
+class ReferenceAsqf:
+    """The score net's learner protocol as it was written before the score net
+    became a ``CategoricalPolicy``: its own forward, gather and scatter on the
+    given rows."""
+
+    def __init__(self, net):
+        self.net = net
+
+    def log_prob_tape(self, obs, acts):
+        out, tape = self.net.forward(obs)
+        return out[np.arange(len(acts)), acts], (tape, acts, out.shape)
+
+    def backprop_log_prob(self, cache, weights):
+        tape, acts, shape = cache
+        dy = np.zeros(shape, dtype=np.float64)
+        dy[np.arange(len(acts)), acts] = weights
+        return self.net.backward(tape, dy)
 
 
 def reference_nll(learner, packed):
@@ -479,6 +498,51 @@ def test_asqf_loss_matches_reference(n, n_actions, cached, seed):
     loss, grad = disc.bce_on_packed(model, scored_e, scored_g)
     assert loss == want_loss
     assert np.array_equal(grad, want_grad)
+
+
+@given(
+    seed=st.integers(0, 2 ** 31 - 1),
+    n_states=st.integers(2, 6),
+    n_actions=st.integers(2, 4),
+    n_rows=st.integers(1, 16),
+    noisy=st.booleans(),
+)
+def test_asqf_learner_protocol_matches_the_old_score_net(seed, n_states, n_actions, n_rows, noisy):
+    # one-hot rows read the state table and add their weights per state before
+    # one backward; any other rows run the net on themselves, as the old net did
+    rng = np.random.default_rng(seed)
+    net = Mlp.init((n_states, 8, n_actions), rng)
+    model, reference = disc.AsqfModel(net), ReferenceAsqf(Mlp(net.sizes, net.params))
+    obs = np.eye(n_states)[rng.integers(0, n_states, size=n_rows)]
+    if noisy:
+        obs += rng.normal(size=obs.shape)
+    acts, weights = rng.integers(0, n_actions, size=n_rows), rng.normal(size=n_rows)
+
+    f, cache = model.log_prob_tape(obs, acts)
+    f_ref, cache_ref = reference.log_prob_tape(obs, acts)
+    np.testing.assert_array_equal(model.log_prob_batch(obs, acts), f)
+    if noisy or n_rows > 1:
+        np.testing.assert_array_equal(f, f_ref)
+    else:   # a one-row product can round apart from the table's S-row one
+        np.testing.assert_allclose(f, f_ref, rtol=0, atol=1e-12)
+    grad, grad_ref = model.backprop_log_prob(cache, weights), reference.backprop_log_prob(cache_ref, weights)
+    np.testing.assert_allclose(grad, grad_ref, rtol=0, atol=1e-12)
+    if noisy:
+        np.testing.assert_array_equal(grad, grad_ref)
+
+
+def test_asqf_snapshot_is_the_plain_softmax_policy():
+    # the generator scores windows with log pi = log softmax(f), never with f
+    rng = np.random.default_rng(18)
+    model = disc.AsqfModel(Mlp.init((4, 6, 3), rng))
+    policy = model.snapshot()
+    assert type(policy) is CategoricalPolicy
+    for obs in (np.eye(4)[[0, 3, 3, 1]], rng.normal(size=(4, 4))):
+        acts = rng.integers(0, 3, size=4)
+        scores = model.scores(obs)
+        np.testing.assert_array_equal(model.log_prob_batch(obs, acts), scores[np.arange(4), acts])
+        np.testing.assert_array_equal(policy.log_prob_batch(obs, acts), log_softmax_rows(scores)[np.arange(4), acts])
+        np.testing.assert_array_equal(policy.log_probs(obs), model.log_probs(obs))
 
 
 @pytest.mark.parametrize("kind", ["categorical", "gaussian"])

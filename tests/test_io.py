@@ -609,6 +609,24 @@ def test_cli_process_reports_numerical_error(tmp_path):
     assert proc.returncode == 3, proc.stderr
     assert re.search(r"numerical error: outer step 1, epoch \d+, minibatch \d+: non-finite", proc.stderr)
     assert "Traceback" not in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("env, algorithm", [("chain", "asaf"), ("pointmass", "asaf_1")])
+def test_cli_process_refuses_training_that_diverged_after_its_last_update(tmp_path, env, algorithm):
+    # one update overflows the parameters and no later update sees them, so the
+    # evaluation finds the net's scores (chain) or the returns (pointmass) not
+    # finite: exit 3 with the outer step, no warning, no out dir
+    demos, cfg = tmp_path / "demos.jsonl", tmp_path / "run.cfg"
+    main(["gen-expert", "--env", env, "--n", "3", "--out", str(demos)])
+    cfg.write_text(f"env = {env}\nalgorithm = {algorithm}\ndemos_path = {demos}\nsteps = 1\nepochs = 1\n"
+                   f"batch = 1000\nlr_d = 1e300\nout_dir = {tmp_path / 'out'}\n", encoding="utf-8")
+    proc = run_module("train", "--config", cfg)
+    assert proc.returncode == 3, proc.stderr
+    assert re.search(r"numerical error: outer step 1: non-finite", proc.stderr)
+    assert "Traceback" not in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
     assert not (tmp_path / "out").exists()
 
 

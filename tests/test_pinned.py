@@ -17,11 +17,21 @@ Four chain digests (``chain_asaf``, ``chain_asaf_w``, ``chain_asaf_1`` and
 table: one forward pass of the net on all one-hot states per parameter
 version.  The learner's gradient now adds the weights of each state's rows
 before one backward pass over the states, where the backward used to sum
-over the rows, so its last bits differ.  The log-probabilities themselves
-are unchanged bit for bit (checked on 100 random batches of chain rows, for
-(8, 8) and (64, 64) nets), which is why ``chain_asqf`` and
-``gridworld_asqf``, whose learner keeps its row path and whose generator only
-scores and samples, and every rollout stream kept their digests.
+over the rows, so its last bits differ.  For the (8, 8) nets pinned here
+the log-probabilities themselves are unchanged bit for bit whenever a batch
+has more than one row (checked on 100 random batches of chain rows; one-row
+batches, and batches on (64, 64) nets, can differ in the last bit), which is
+why ``chain_asqf`` and ``gridworld_asqf``, whose learner then kept its row
+path and whose generator only scores and samples, and every rollout stream
+kept their digests.
+
+``chain_asqf`` and ``gridworld_asqf`` were recorded again when the asqf score
+net became a ``CategoricalPolicy`` that reads the same evaluation as the
+policies, so that its learner too reads the state table on one-hot states.
+Its gradient now adds the weights of each state's rows before one backward
+pass over the states, as the other chain learners' did above, so its last
+bits differ.  The same code made to run the asqf net on each batch's own
+rows again reproduces both old digests, and keeps every other one.
 
 A recipe's digest is SHA-256 over the final ``policy.net.params`` bytes
 followed by ``repr(log)``; a ``gen-expert`` digest is SHA-256 over the file it
@@ -64,9 +74,9 @@ RECIPE_DIGESTS = {
     "chain_asaf": "19c3d141a0afee3040fed84dd7809b15839f2a0b66694cd425709fa873cc0499",
     "chain_asaf_w": "4230630fe0f3c309a2769495a7cbae5d053a633057fb23b3deaedfbdab0e94f1",
     "chain_asaf_1": "5311c2f59d0f272aec5666be816e7e252ebf5397830b1e287b79bb0692e1f113",
-    "chain_asqf": "4867aa067acfe2ab72b6a9efb88e3222566fbd5c0c206d4206ba116cb921eec9",
+    "chain_asqf": "1396991e308fde5e6fd84502d5d867860d79f84eff7bfad332dd0f74a7841502",
     "chain_bc": "018b2607f7ff565a83b9d2eaa6701af04d2b911352cb2ad62c12baf59ff04b7c",
-    "gridworld_asqf": "fe66f63154be34ed414b20b2263f077b553ebebfa0a41fbd5d186b7dbde883f9",
+    "gridworld_asqf": "311013839d3a855fefe7ed1b8141d08a3dd74dad578b78824cf8d7b34857a3d1",
     "pointmass_asaf_1": "5530d0761906084eb26ce6eb2fe8fdb73ced4ab6379f31e5a6a8f062d851aa51",
 }
 

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from asaf.discriminator import AsqfModel
 from asaf.envs import chain_spec, one_hot, pointmass_spec
-from asaf.errors import ShapeError, TapeError
+from asaf.errors import NumericalError, ShapeError, TapeError, UnsupportedError
 from asaf.nn import Mlp, grad_check, log_softmax_rows
 from asaf.policies import (
     CategoricalPolicy,
@@ -241,6 +242,55 @@ def test_state_table_is_one_forward_per_parameter_version():
         policy.log_prob_tape(obs, acts[:3])
     with pytest.raises(ShapeError):
         policy.log_probs(np.eye(5)[0])
+
+
+@given(st.integers(0, 2 ** 31 - 1), st.integers(2, 6), st.integers(2, 4), st.integers(1, 12))
+def test_mixed_batches_match_the_row_path_bitwise(seed, n_states, n_actions, n_rows):
+    # a batch with a row that is not one-hot is evaluated on its own rows and
+    # read through the same index and scatter as the state table
+    rng = np.random.default_rng(seed)
+    net = Mlp.init((n_states, 8, n_actions), rng)
+    policy, net = CategoricalPolicy(net), Mlp(net.sizes, net.params)
+    obs = np.eye(n_states)[rng.integers(0, n_states, size=n_rows)]
+    noisy = rng.random(n_rows) < 0.5
+    noisy[rng.integers(n_rows)] = True
+    obs[noisy] += rng.normal(size=(np.count_nonzero(noisy), n_states))
+    acts = rng.integers(0, n_actions, size=n_rows)
+    weights = rng.normal(size=n_rows)
+    lp_r, grad_r = row_reference(net, obs, acts, weights)
+
+    lp, cache = policy.log_prob_tape(obs, acts)
+    np.testing.assert_array_equal(lp, lp_r)
+    np.testing.assert_array_equal(policy.backprop_log_prob(cache, weights), grad_r)
+    np.testing.assert_array_equal(policy.log_probs(obs), row_log_probs(net, obs))
+    for x in obs[noisy]:
+        np.testing.assert_array_equal(policy.log_probs(x), row_log_probs(net, x)[0])
+        np.testing.assert_array_equal(policy.cdf(x), np.cumsum(np.exp(row_log_probs(net, x)[0])))
+
+
+def test_discrete_actions_must_be_integral_and_one_dimensional():
+    rng = np.random.default_rng(14)
+    obs = np.eye(4)[[0, 2]]
+    for policy in (CategoricalPolicy.init(4, 3, (8,), rng), AsqfModel.init(4, 3, (8,), rng)):
+        np.testing.assert_array_equal(policy.log_prob_batch(obs, np.array([1.0, 0.0])),
+                                      policy.log_prob_batch(obs, np.array([1, 0])))
+        for bad in ([1.5, 0.7], [[1], [0]], [np.nan, 0.0], 1):
+            with pytest.raises(UnsupportedError):
+                policy.log_prob_batch(obs, np.array(bad))
+        with pytest.raises(UnsupportedError):
+            policy.log_prob(obs[0], 1.5)
+        with pytest.raises(ValueError, match="must lie in"):
+            policy.log_prob_batch(obs, np.array([0, 3]))
+
+
+def test_non_finite_scores_raise_a_numerical_error():
+    policy = CategoricalPolicy(Mlp((4, 3), np.full(15, 1e308)))    # every score overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        for obs in (np.eye(4)[[0, 1]], np.full((2, 4), 0.5)):
+            with pytest.raises(NumericalError, match="non-finite net scores"):
+                policy.log_prob_batch(obs, np.array([0, 1]))
+        with pytest.raises(NumericalError, match="non-finite net scores"):
+            policy.sample(one_hot(0, 4), np.random.default_rng(0))
 
 
 def test_categorical_grad_matches_finite_differences():

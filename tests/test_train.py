@@ -129,6 +129,17 @@ def test_evaluate_is_deterministic():
         evaluate_policy(policy, pointmass_spec(), k=1, seed=-1)
 
 
+def test_evaluate_refuses_a_non_finite_return():
+    class NanPolicy:
+        action_kind = "continuous"
+
+        def sample(self, obs, rng):
+            return np.array([np.nan])
+
+    with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="non-finite evaluation return"):
+        evaluate_policy(NanPolicy(), pointmass_spec(), k=2, seed=0)
+
+
 def test_scripted_pointmass_expert_return_frozen():
     mean, std = evaluate_policy(ScriptedPointMassPolicy(), pointmass_spec(), k=200, seed=77)
     assert mean == pytest.approx(-0.7524351410308131, abs=1e-12)
@@ -299,16 +310,21 @@ def test_asaf_w_unit_window_equals_asaf_1(chain_demos):
 
 def test_tabular_training_runs_the_nets_on_the_states_only(chain_demos, monkeypatch):
     # every forward of a tabular run evaluates all S states at once: the
-    # generator's scores of both pools, its samples, the learner's loss pass,
-    # the evaluation and the exact oracle all read state tables
+    # generator's scores of both pools, its samples, the learner's loss pass
+    # (asqf's score net included), the evaluation and the exact oracle all
+    # read state tables
     rows, forward = [], Mlp.forward
     monkeypatch.setattr(Mlp, "forward", lambda net, x: rows.append(np.shape(x)) or forward(net, x))
-    cfg = tiny_cfg(steps=2)
-    policy, log = train(cfg, chain_demos, chain_spec())
-    assert set(rows) == {(4, 4)}
-    # one table for the first generator, one per update, one per later generator
-    assert len(rows) == 1 + cfg.steps * cfg.epochs * -(-cfg.n_g // cfg.batch) + cfg.steps
-    assert log.rows[-1].js_to_expert is not None
+    # the pool holds whole episodes (asaf) or their 5 transitions each (asqf)
+    for algorithm, pool_per_episode in (("asaf", 1), ("asqf", 5)):
+        rows.clear()
+        cfg = tiny_cfg(algorithm=algorithm, steps=2)
+        policy, log = train(cfg, chain_demos, chain_spec())
+        assert set(rows) == {(4, 4)}, algorithm
+        # one table for the first generator, one per update, one per later generator
+        minibatches = -(-cfg.n_g * pool_per_episode // cfg.batch)
+        assert len(rows) == 1 + cfg.steps * cfg.epochs * minibatches + cfg.steps, algorithm
+        assert log.rows[-1].js_to_expert is not None
 
 
 # ---------------------------------------------------------------- asqf loop
@@ -385,6 +401,18 @@ def test_train_dispatches_by_algorithm(chain_demos):
         assert log.rows[-1].step == 1
     policy, _ = train(tiny_cfg(algorithm="asqf", steps=1, epochs=1, batch=16), chain_demos, chain_spec())
     assert isinstance(policy, CategoricalPolicy)
+
+
+# ---------------------------------------------------------------- divergence
+
+def test_divergence_after_the_last_update_names_the_outer_step(chain_demos, recwarn):
+    # the one update overflows the learner; the snapshot's scores are not
+    # finite, which its first evaluation refuses, without a NumPy warning
+    with pytest.raises(NumericalError, match=r"^outer step 1: non-finite net scores$"):
+        train(tiny_cfg(lr_d=1e300, steps=1, epochs=1, batch=10), chain_demos, chain_spec())
+    with pytest.raises(NumericalError, match=r"^outer step 1, epoch 2, minibatch 1: non-finite net scores$"):
+        train(tiny_cfg(lr_d=1e300, steps=1, epochs=2, batch=10), chain_demos, chain_spec())
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 # ---------------------------------------------------------------- BLAS threads
