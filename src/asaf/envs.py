@@ -14,10 +14,17 @@ episode state; each answers three pure methods:
 * ``reset(rng) -> state``: draw a start state,
 * ``observe(state) -> obs``: the observation of a state,
 * ``step(state, action, rng) -> (state, reward, terminal)``: one transition,
-  refusing an action outside the action space.
+  refusing an action outside the action space (on a tabular task, any
+  action that is not an integer in ``[0, A)``).
 
-:func:`rollout` is the one episode loop: it runs ``step`` up to ``horizon``
-times and stops early after a step that enters a terminal state.
+``observe`` also takes an array of states, and ``step`` wraps ``step_rows``,
+the step of an array of states with its random numbers drawn beforehand
+(``draws``: the ``Generator`` method and the count per step).
+:func:`rollout` is the one episode loop.  It steps k episodes together, one
+policy ``act`` and one ``step_rows`` per time step, until the horizon or a
+step into a terminal state.  Each episode first draws all its noise in the
+order stepping it alone would: the reset draw, then for each of the
+``horizon`` steps the policy's draws before the step's.
 
 Discrete environments expose one-hot observations so the same network code
 serves tabular and continuous tasks.  Experts are exact: stage-indexed soft
@@ -58,10 +65,9 @@ __all__ = [
 _ATOL = 1e-9
 
 
-def one_hot(i: int, n: int) -> np.ndarray:
-    v = np.zeros(n, dtype=np.float64)
-    v[i] = 1.0
-    return v
+def one_hot(i, n: int) -> np.ndarray:
+    """Row i of the n x n identity, or one row per index of an array."""
+    return np.eye(n)[i]
 
 
 @dataclass
@@ -185,7 +191,8 @@ def soft_value_iteration(mdp: TabularMdp, alpha: float) -> SoftQTable:
 
 @dataclass
 class Trajectory:
-    """One episode: observations (L, obs_dim) and the actions taken.
+    """Episodes back to back: observations (L, obs_dim), the actions taken,
+    and ``lengths``, the steps of each episode (one episode by default).
 
     Actions are int for discrete tasks and (L, act_dim) float for continuous
     ones.  Rewards are deliberately absent; only evaluation and expert
@@ -194,6 +201,7 @@ class Trajectory:
 
     obs: np.ndarray
     acts: np.ndarray
+    lengths: np.ndarray | None = None
 
     def __post_init__(self):
         self.obs = np.asarray(self.obs, dtype=np.float64)
@@ -202,9 +210,17 @@ class Trajectory:
         self.acts = np.asarray(self.acts)
         if len(self.acts) != len(self.obs):
             raise ShapeError(f"{len(self.obs)} observations vs {len(self.acts)} actions")
+        self.lengths = np.array([len(self.obs)]) if self.lengths is None else np.asarray(self.lengths, dtype=np.int64)
+        if self.lengths.ndim != 1 or self.lengths.sum() != len(self.obs):
+            raise ShapeError(f"episode lengths {self.lengths} do not add up to {len(self.obs)} steps")
 
     def __len__(self) -> int:
         return len(self.obs)
+
+    def episodes(self) -> list["Trajectory"]:
+        """One Trajectory per episode."""
+        cuts = np.cumsum(self.lengths)[:-1]
+        return [Trajectory(obs, acts) for obs, acts in zip(np.split(self.obs, cuts), np.split(self.acts, cuts))]
 
 
 @dataclass
@@ -216,6 +232,7 @@ class TabularSpec:
     env_id: str = "tabular"
     expert_alpha: float = 1.0
     action_kind: str = field(init=False, default="discrete")
+    draws = ("random", 1)
 
     @property
     def obs_dim(self) -> int:
@@ -233,16 +250,24 @@ class TabularSpec:
         """A start state drawn from p0 with one uniform."""
         return int(self.mdp.start_cdf.searchsorted(rng.random(), side="right"))
 
-    def observe(self, state: int) -> np.ndarray:
+    def observe(self, state) -> np.ndarray:
         return one_hot(state, self.mdp.n_states)
 
     def step(self, state: int, action, rng: np.random.Generator) -> tuple[int, float, bool]:
         """(next state drawn with one uniform, reward, whether it is terminal)."""
-        a = int(action)
-        if not 0 <= a < self.mdp.n_actions:
-            raise ValueError(f"action {a} out of range [0, {self.mdp.n_actions})")
-        nxt = int(self.mdp.transition_cdf[state, a].searchsorted(rng.random(), side="right"))
-        return nxt, float(self.mdp.rewards[state, a]), bool(self.mdp.terminal_mask[nxt])
+        nxt, reward, terminal = self.step_rows(np.array([state]), np.reshape(action, 1), rng.random((1, 1)))
+        return int(nxt[0]), float(reward[0]), bool(terminal[0])
+
+    def step_rows(self, states: np.ndarray, acts, u: np.ndarray):
+        """(next states, rewards, terminal flags) of (k,) states and actions,
+        next state i drawn by inverse CDF from the uniform u[i, 0]."""
+        a = np.asarray(acts)
+        ok = (a >= 0) & (a < self.mdp.n_actions) & (a == np.floor(a))
+        if not ok.all():
+            raise ValueError(f"action {a[~ok][0]} is not an integer in [0, {self.mdp.n_actions})")
+        a = a.astype(np.intp)
+        nxt = (self.mdp.transition_cdf[states, a] <= u).sum(axis=1)
+        return nxt, self.mdp.rewards[states, a], self.mdp.terminal_mask[nxt]
 
 
 def chain_spec(horizon: int = 5, gamma: float = 0.3, expert_alpha: float = 1.0) -> TabularSpec:
@@ -315,6 +340,7 @@ class PointMassSpec:
     horizon: int = 50
     env_id: str = field(init=False, default="pointmass")
     action_kind: str = field(init=False, default="continuous")
+    draws = ("random", 0)
 
     def __post_init__(self):
         if self.horizon < 1:
@@ -331,17 +357,23 @@ class PointMassSpec:
     def reset(self, rng: np.random.Generator) -> float:
         return float(rng.uniform(-1.0, 1.0))
 
-    def observe(self, x: float) -> np.ndarray:
-        return np.array([x])
+    def observe(self, x) -> np.ndarray:
+        """The row [x] of a position, or one row per position of an array."""
+        return np.asarray(x, dtype=np.float64)[..., None]
 
     def step(self, x: float, action, rng: np.random.Generator) -> tuple[float, float, bool]:
         """(x', -x'^2, False): no state is terminal, and the step draws nothing."""
-        a = np.asarray(action, dtype=np.float64).reshape(-1)
-        if a.shape != (1,):
-            raise ShapeError(f"action must be a scalar or shape (1,), got {np.shape(action)}")
-        a = min(max(float(a[0]), -1.0), 1.0)
-        x = min(max(x + 0.1 * a, -2.0), 2.0)
-        return x, -x * x, False
+        nxt, reward, _ = self.step_rows(np.array([x]), np.reshape(action, (1, -1)), None)
+        return float(nxt[0]), float(reward[0]), False
+
+    def step_rows(self, xs: np.ndarray, acts, u=None):
+        """(x', -x'^2, all False) of (k,) positions and (k, 1) actions."""
+        acts = np.asarray(acts, dtype=np.float64)
+        if acts.shape != (len(xs), 1):
+            raise ShapeError(f"actions must be one scalar per position, shape ({len(xs)}, 1), got {acts.shape}")
+        a = np.minimum(np.maximum(acts[:, 0], -1.0), 1.0)
+        x = np.minimum(np.maximum(xs + 0.1 * a, -2.0), 2.0)
+        return x, -x * x, np.zeros(len(x), dtype=bool)
 
 
 EnvSpec = TabularSpec | PointMassSpec
@@ -376,12 +408,14 @@ class ScriptedPointMassPolicy:
     """The scripted controller wrapped in the policy sampling protocol."""
 
     action_kind = "continuous"
+    draws = ("random", 0)
+
+    def act(self, obs, noise) -> np.ndarray:
+        """clamp(-5 x, -1, 1) for each (B, 1) observation row; draws nothing."""
+        return np.minimum(np.maximum(-5.0 * np.asarray(obs)[:, :1], -1.0), 1.0)
 
     def sample(self, obs, rng) -> np.ndarray:
-        return np.array([scripted_pointmass_expert(float(np.asarray(obs).reshape(-1)[0]))])
-
-    def snapshot(self) -> "ScriptedPointMassPolicy":
-        return ScriptedPointMassPolicy()
+        return self.act(np.reshape(obs, (1, -1)), None)[0]
 
 
 class SoftExpertPolicy:
@@ -394,48 +428,82 @@ class SoftExpertPolicy:
 
     action_kind = "discrete"
     stage_indexed = True
+    draws = ("random", 1)
 
     def __init__(self, qtable: SoftQTable):
         self.qtable = qtable
         self._tables = qtable.policy_table()
+        self._cdf = np.cumsum(self._tables, axis=2)
+
+    def act(self, obs, u: np.ndarray, t: int) -> np.ndarray:
+        """Inverse-CDF draws at stage t for (B, S) one-hot rows from (B, 1) uniforms."""
+        cdf = self._cdf[min(t, len(self._cdf) - 1), np.argmax(obs, axis=1)]
+        return (cdf <= u).sum(axis=1)
 
     def sample(self, obs, rng: np.random.Generator, t: int) -> int:
-        s = int(np.argmax(np.asarray(obs)))
-        t = min(t, self._tables.shape[0] - 1)
-        p = self._tables[t, s]
-        return int(np.searchsorted(np.cumsum(p), rng.random(), side="right"))
+        return int(self.act(np.reshape(obs, (1, -1)), rng.random((1, 1)), t)[0])
 
     def log_prob(self, obs, action, t: int) -> float:
         s = int(np.argmax(np.asarray(obs)))
         t = min(t, self._tables.shape[0] - 1)
         return float(np.log(self._tables[t, s, int(action)]))
 
-    def snapshot(self) -> "SoftExpertPolicy":
-        return SoftExpertPolicy(self.qtable)
 
+def rollout(env_spec: EnvSpec, policy, seed, episodes: int | None = None):
+    """Run one episode, or ``episodes=k`` back to back in one Trajectory;
+    return it and its undiscounted return (with ``episodes``, a (k,) array).
 
-def rollout(env_spec: EnvSpec, policy, seed) -> tuple[Trajectory, float]:
-    """Run one episode and return (trajectory, undiscounted return).
-
-    This is the one episode loop: it stops after ``horizon`` steps or after
-    the step that enters a terminal state.  A single Generator seeded from
-    ``seed`` drives reset, policy sampling, and transitions, so the episode
-    is a pure function of (spec, policy, seed).  The trajectory stores only
-    (obs, act) pairs; the reward sum is returned separately so imitation
-    code can drop it unseen.
+    ``seed`` is a Generator or seed the episodes share in turn, or with
+    ``episodes`` a list of k seeds, one stream each.  A policy with ``draws``
+    and ``act`` steps all k together in the draw layout of the module
+    docstring; one with ``sample`` alone runs one episode at a time, drawing
+    as it goes.  A ``stage_indexed`` policy also gets the step index.
+    Rewards are summed apart from the (obs, act) pairs, so imitation code
+    can drop them unseen.
     """
-    rng = np.random.default_rng(seed)
-    state = env_spec.reset(rng)
-    stage_indexed = getattr(policy, "stage_indexed", False)
-    obs_list, act_list = [], []
-    total = 0.0
-    for t in range(env_spec.horizon):
-        obs = env_spec.observe(state)
-        act = policy.sample(obs, rng, t) if stage_indexed else policy.sample(obs, rng)
-        obs_list.append(obs)
-        act_list.append(act)
-        state, reward, terminal = env_spec.step(state, act, rng)
-        total += reward
-        if terminal:
-            break
-    return Trajectory(obs=np.asarray(obs_list), acts=np.asarray(act_list)), total
+    if episodes is not None and episodes < 1:
+        raise ValidationError(f"episodes must be >= 1, got {episodes}")
+    listed = isinstance(seed, list) and episodes is not None
+    if listed and len(seed) != episodes:
+        raise ValidationError(f"need one seed per episode, got {len(seed)} for {episodes}")
+    rngs = [np.random.default_rng(s) for s in seed] if listed else [np.random.default_rng(seed)] * (episodes or 1)
+    stage_indexed, k, horizon = getattr(policy, "stage_indexed", False), len(rngs), env_spec.horizon
+    if hasattr(policy, "act"):   # all k together; each episode draws its noise before any step
+        (kind, n_pol), (env_kind, n_env) = policy.draws, env_spec.draws
+        noise, starts = np.empty((k, horizon, n_pol + n_env)), []
+        for i, rng in enumerate(rngs):
+            starts.append(env_spec.reset(rng))
+            noise[i] = getattr(rng, kind if n_pol else env_kind)((horizon, n_pol + n_env))
+        states, live = np.array(starts), slice(None)    # every episode; once one ends, the running ones
+        obs, lengths, returns = np.empty((k, horizon, env_spec.obs_dim)), np.full(k, horizon), np.zeros(k)
+        discrete = env_spec.action_kind == "discrete"
+        acts = np.empty((k, horizon) if discrete else (k, horizon, env_spec.act_dim), np.int64 if discrete else np.float64)
+        for t in range(horizon):
+            o, z = env_spec.observe(states[live]), noise[live, t]
+            a = policy.act(o, z[:, :n_pol], t) if stage_indexed else policy.act(o, z[:, :n_pol])
+            obs[live, t] = o    # before the step: o may be a view of the states it overwrites
+            states[live], reward, terminal = env_spec.step_rows(states[live], a, z[:, n_pol:])
+            acts[live, t] = a
+            returns[live] += reward
+            if np.count_nonzero(terminal):
+                running = np.arange(k)[live]
+                lengths[running[terminal]], live = t + 1, running[~terminal]
+                if not len(live):
+                    break
+        stepped = np.arange(horizon) < lengths[:, None]
+        obs, acts = obs[stepped], acts[stepped]
+    else:   # one episode at a time, each step drawing as it goes
+        obs, acts, lengths, returns = [], [], [], []
+        for rng in rngs:
+            state, total = env_spec.reset(rng), 0.0
+            for t in range(horizon):
+                obs.append(env_spec.observe(state))
+                acts.append(policy.sample(obs[-1], rng, t) if stage_indexed else policy.sample(obs[-1], rng))
+                state, reward, terminal = env_spec.step(state, acts[-1], rng)
+                total += reward
+                if terminal:
+                    break
+            lengths.append(t + 1)
+            returns.append(total)
+    traj = Trajectory(obs=np.asarray(obs), acts=np.asarray(acts), lengths=lengths)
+    return (traj, float(returns[0])) if episodes is None else (traj, np.asarray(returns))

@@ -186,6 +186,18 @@ class Mlp:
         tape = GradTape(version=self._version, single=single, inputs=inputs, preacts=preacts)
         return (h[0] if single else h), tape
 
+    def forward_rows(self, x) -> np.ndarray:
+        """The net on a (B, in) batch with no tape, one (1, in) product per row,
+        so each output row has the bits ``forward`` gives that row alone."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 2 or x.shape[1] != self.sizes[0]:
+            raise ShapeError(f"input must be (B, {self.sizes[0]}), got shape {x.shape}")
+        h, last = x[:, None, :], len(self._layers) - 1
+        for i, (weights, bias) in enumerate(self._layers):
+            z = h @ weights.T + bias
+            h = z if i == last else np.maximum(z, 0.0)
+        return h[:, 0, :]
+
     def backward(self, tape: GradTape, dy) -> np.ndarray:
         """Accumulate d(sum of dy . y)/d(params) into a flat gradient.
 

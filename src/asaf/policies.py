@@ -7,6 +7,11 @@ Both policies share one gradient protocol used by the discriminator losses:
 * ``backprop_log_prob(tape, weights)`` backpropagates
   sum_i weights[i] * log pi(a_i | s_i) into a flat parameter gradient.
 
+They also share one sampling protocol: ``draws`` names the ``Generator``
+method and the count of numbers one action takes, ``act(obs, noise)`` maps
+observation rows and their drawn noise to actions, and ``sample(obs, rng)``
+wraps it for one observation.
+
 Log-probabilities are densities for the Gaussian case, so they can be
 positive; everything downstream works in the log domain and never needs
 them bounded.
@@ -33,7 +38,6 @@ __all__ = [
 LOG_STD_MIN = -5.0
 LOG_STD_MAX = 2.0
 _HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
-_FLOAT64 = np.dtype(np.float64)
 
 
 @dataclass
@@ -72,13 +76,13 @@ class CategoricalPolicy:
     """
 
     action_kind = "discrete"
+    draws = ("random", 1)   # one uniform per action
     _normalized = True      # the learner protocol reads log pi, not raw scores
 
     def __init__(self, net: Mlp):
         self.net = net
         self.n_actions = net.out_dim
         self._memo: _Evaluation | None = None
-        self._seen: dict[bytes, np.intp] = {}   # float64 one-hot rows by their bytes
 
     @classmethod
     def init(cls, obs_dim: int, n_actions: int, hidden, rng: np.random.Generator) -> "CategoricalPolicy":
@@ -93,9 +97,6 @@ class CategoricalPolicy:
 
     def _states(self, obs: np.ndarray) -> np.ndarray | None:
         """The state of each row when every row is exactly one-hot, else None."""
-        single = obs.ndim == 1 and obs.dtype is _FLOAT64
-        if single and (state := self._seen.get(obs.tobytes())) is not None:
-            return state
         if obs.ndim not in (1, 2) or obs.shape[-1] != self.net.in_dim:
             return None
         states = obs.argmax(axis=-1)
@@ -106,11 +107,7 @@ class CategoricalPolicy:
             hot = obs[states] == 1
         else:
             hot = (obs[np.arange(len(obs)), states] == 1).all()
-        if not hot:
-            return None
-        if single:          # at most S rows, one per state
-            self._seen[obs.tobytes()] = states
-        return states
+        return states if hot else None
 
     def _read(self, obs: np.ndarray) -> tuple[_Evaluation, np.ndarray]:
         """The evaluation holding the rows of ``obs`` and each row's index in it."""
@@ -165,10 +162,14 @@ class CategoricalPolicy:
         ev, rows = self._read(np.asarray(obs))
         return np.take(ev.cdf, rows, axis=0)
 
+    def act(self, obs, u: np.ndarray) -> np.ndarray:
+        """Inverse-CDF draws (CDF entries <= u) for (B, obs_dim) rows and (B, 1) uniforms."""
+        ev, rows = self._read(np.asarray(obs))
+        return (np.take(ev.cdf, rows, axis=0) <= u).sum(axis=-1)
+
     def sample(self, obs, rng: np.random.Generator) -> int:
         """Inverse-CDF draw from the softmax distribution."""
-        ev, rows = self._read(np.asarray(obs))
-        return int(ev.cdf[rows].searchsorted(rng.random(), side="right"))
+        return int(self.act(obs, rng.random(1)))
 
     def snapshot(self) -> "CategoricalPolicy":
         """A frozen copy of the softmax policy, always a plain ``CategoricalPolicy``."""
@@ -190,6 +191,7 @@ class GaussianPolicy:
             raise ShapeError(f"net output dim must be even (mean, log-std pairs), got {net.out_dim}")
         self.net = net
         self.act_dim = net.out_dim // 2
+        self.draws = ("standard_normal", self.act_dim)
 
     @classmethod
     def init(cls, obs_dim: int, act_dim: int, hidden, rng: np.random.Generator) -> "GaussianPolicy":
@@ -245,9 +247,13 @@ class GaussianPolicy:
         dy = np.concatenate([d_mean, d_log_std * active], axis=1) * weights[:, None]
         return self.net.backward(tape, dy)
 
+    def act(self, obs, z: np.ndarray) -> np.ndarray:
+        """mean + std * z for (B, obs_dim) rows and (B, act_dim) normals, each row on its own."""
+        mean, _, log_std = self._heads(self.net.forward_rows(obs))
+        return mean + np.exp(log_std) * z
+
     def sample(self, obs, rng: np.random.Generator) -> np.ndarray:
-        mean, std = self.mean_std(obs)
-        return mean + std * rng.standard_normal(self.act_dim)
+        return self.act(np.reshape(obs, (1, -1)), rng.standard_normal((1, self.act_dim)))[0]
 
     def snapshot(self) -> "GaussianPolicy":
         return GaussianPolicy(self.net.copy())

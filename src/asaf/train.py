@@ -3,9 +3,10 @@ asaf_1), its transition-wise scored form (asqf) and behavioral cloning (bc).
 
 ``train`` alternates, for a configured number of outer steps:
 
-1. collect ``n_g`` fresh episodes with the frozen generator policy (bc
+1. collect ``n_g`` fresh episodes with the frozen generator policy in one
+   lockstep ``rollout`` call, back to back in one ``Trajectory`` (bc
    collects nothing),
-2. pack them, like the demos, into ``PackedWindows`` of whole trajectories,
+2. pack them, like the demos, into ``PackedWindows`` of whole episodes,
    fixed-size windows or single transitions, and cache the generator's
    log-likelihood of every window,
 3. run ``epochs`` passes of minibatch updates on the learned net, all with
@@ -163,9 +164,7 @@ def evaluate_policy(policy, env_spec: EnvSpec, k: int = 20, seed: int = 0) -> tu
         raise ValidationError("k must be >= 1")
     if seed < 0:
         raise ValidationError("seed must be >= 0")
-    returns = np.empty(k, dtype=np.float64)
-    for i in range(k):
-        _, returns[i] = rollout(env_spec, policy, seed=(seed, i))
+    _, returns = rollout(env_spec, policy, [(seed, i) for i in range(k)], episodes=k)
     if not np.isfinite(returns).all():
         raise NumericalError("non-finite evaluation return")
     return float(returns.mean()), float(returns.std())
@@ -228,15 +227,17 @@ def _clip(grad: np.ndarray, cfg: TrainConfig) -> np.ndarray:
 
 
 def _pool(trajs: list[Trajectory], cfg: TrainConfig) -> disc.PackedWindows:
-    """Whole trajectories for asaf, fixed-size cuts for asaf_w, single
-    transitions for asaf_1, asqf and bc."""
-    if cfg.algorithm in ("asaf_1", "asqf", "bc"):
-        return disc.transitions_from(trajs)
-    if cfg.algorithm == "asaf":
-        windows = [disc.Window(obs=t.obs, acts=t.acts, source=i) for i, t in enumerate(trajs)]
-    else:
-        windows = [w for i, t in enumerate(trajs) for w in disc.window_split(t, cfg.w, cfg.stride, source=i)]
-    return disc.pack_windows(windows)
+    """Windows of w steps at offsets 0, stride, ... of each episode while one
+    fits (one window for a shorter episode): the configured ones for asaf_w,
+    single transitions for asaf_1, asqf and bc, whole episodes for asaf."""
+    lengths = np.concatenate([t.lengths for t in trajs])
+    w, stride = (lengths.max(), 1) if cfg.algorithm == "asaf" else (cfg.w or 1, cfg.stride or 1)
+    counts = np.maximum(lengths - w, 0) // stride + 1
+    offsets = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    cuts = disc.PackedWindows(obs=np.concatenate([t.obs for t in trajs]), acts=np.concatenate([t.acts for t in trajs]),
+                              starts=np.repeat(np.cumsum(lengths) - lengths, counts) + stride * offsets,
+                              lengths=np.repeat(np.minimum(lengths, w), counts))
+    return cuts.take(np.arange(len(cuts)))
 
 
 @serial_blas()
@@ -276,12 +277,9 @@ def train(cfg: TrainConfig, demos: DemoSet, env_spec: EnvSpec):
         try:
             gen_pool = None
             if collects:
-                trajs = []
-                for _ in range(cfg.n_g):
-                    traj, _ = rollout(env_spec, generator, seed=collect_rng)
-                    trajs.append(traj)
-                    env_steps += len(traj)
-                gen_pool = _pool(trajs, cfg)
+                episodes, _ = rollout(env_spec, generator, collect_rng, episodes=cfg.n_g)
+                env_steps += len(episodes)
+                gen_pool = _pool([episodes], cfg)
                 disc.refresh_generator_scores(expert, generator)
                 disc.refresh_generator_scores(gen_pool, generator)
 

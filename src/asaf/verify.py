@@ -70,13 +70,9 @@ def collect_expert_demos(env_spec, n: int, alpha: float, seed: int) -> DemoSet:
         expert, generator = ScriptedPointMassPolicy(), "scripted_proportional"
     else:
         expert, generator = SoftExpertPolicy(soft_value_iteration(env_spec.mdp, alpha)), f"soft_vi(alpha={alpha})"
-    trajs, rets = [], []
-    for i in range(n):
-        traj, ret = rollout(env_spec, expert, seed=(seed, i))
-        trajs.append(traj)
-        rets.append(ret)
+    episodes, rets = rollout(env_spec, expert, [(seed, i) for i in range(n)], episodes=n)
     return DemoSet(
-        trajectories=trajs,
+        trajectories=episodes.episodes(),
         env_id=env_spec.env_id,
         action_kind=env_spec.action_kind,
         obs_dim=env_spec.obs_dim,

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from asaf.discriminator import AsqfModel
 from asaf.envs import (
     ENVS,
     PointMassSpec,
+    ScriptedPointMassPolicy,
     SoftExpertPolicy,
     TabularSpec,
     chain_spec,
@@ -24,7 +26,9 @@ from asaf.envs import (
     TabularMdp,
 )
 from asaf.errors import ShapeError, ValidationError
+from asaf.policies import make_policy
 from asaf.verify import collect_expert_demos
+from test_pinned import random_mdp_spec
 
 # Two-state toggle task used as the soft-backup fixture: action a in state s
 # moves deterministically to TOGGLE_NEXT[s][a].
@@ -512,6 +516,112 @@ def test_rollout_action_frequencies_match_policy():
     acts = np.concatenate([rollout(spec, expert, seed=(0, i))[0].acts for i in range(300)])
     freq = acts.mean()
     assert 0.55 < freq < 0.67
+
+
+def test_tabular_step_refuses_non_integral_actions():
+    # 1.7 used to step as action 1 while the trajectory recorded 1.7
+    with pytest.raises(ValueError, match=r"action 1.7 is not an integer in \[0, 2\)"):
+        rollout(chain_spec(), ConstantPolicy(1.7), seed=0)
+    for action in (1.7, np.nan, -0.5, 2):
+        with pytest.raises(ValueError, match="is not an integer in"):
+            chain_spec().step(0, action, np.random.default_rng(0))
+    _, ret = rollout(chain_spec(), ConstantPolicy(1.0), seed=0)     # an integral real steps
+    assert ret == pytest.approx(2.9, abs=1e-12)
+
+
+# ---------------------------------------------------------------- lockstep rollouts
+
+class SampleOnly:
+    """A policy with ``sample`` alone: a uniform action on a discrete task,
+    a standard normal one on the point mass."""
+
+    def __init__(self, spec):
+        self.n = getattr(spec, "n_actions", None)
+
+    def sample(self, obs, rng):
+        return int(rng.integers(self.n)) if self.n else rng.standard_normal(1)
+
+
+def lockstep_case(env, kind, seed):
+    spec = {"chain": chain_spec, "random_mdp": random_mdp_spec, "gridworld": gridworld_spec,
+            "pointmass": lambda: pointmass_spec(horizon=12)}[env]()
+    rng = np.random.default_rng(seed)
+    if kind == "learned":
+        policy = make_policy(spec, (8, 8), rng)
+    elif kind == "asqf":
+        policy = AsqfModel.init(spec.obs_dim, spec.n_actions, (8, 8), rng).snapshot()
+    elif kind == "expert":
+        policy = (ScriptedPointMassPolicy() if env == "pointmass"
+                  else SoftExpertPolicy(soft_value_iteration(spec.mdp, float(rng.uniform(0.05, 2.0)))))
+    else:
+        policy = SampleOnly(spec)
+    return spec, policy
+
+
+LOCKSTEP_CASES = [(env, kind) for env in ("chain", "random_mdp", "gridworld")
+                  for kind in ("learned", "asqf", "expert", "sample_only")]
+LOCKSTEP_CASES += [("pointmass", kind) for kind in ("learned", "expert", "sample_only")]
+
+
+def reference_episode(spec, policy, rng):
+    """One episode stepped alone through ``sample`` and ``step``, each drawing
+    as it goes.  An episode of a lockstep policy that ends early then draws
+    the rest of its full-horizon block, as the lockstep loop does."""
+    stage_indexed = getattr(policy, "stage_indexed", False)
+    state, obs, acts, total = spec.reset(rng), [], [], 0.0
+    for t in range(spec.horizon):
+        obs.append(spec.observe(state))
+        acts.append(policy.sample(obs[-1], rng, t) if stage_indexed else policy.sample(obs[-1], rng))
+        state, reward, terminal = spec.step(state, acts[-1], rng)
+        total += reward
+        if terminal:
+            break
+    if hasattr(policy, "act") and len(obs) < spec.horizon:
+        (kind, n_pol), (_, n_env) = policy.draws, spec.draws
+        getattr(rng, kind)((spec.horizon - len(obs), n_pol + n_env))
+    return np.asarray(obs), np.asarray(acts), total
+
+
+def assert_same_episodes(traj, returns, episodes):
+    """``traj`` and ``returns`` hold ``episodes``, (obs, acts, return) triples, bit for bit."""
+    assert traj.lengths.tolist() == [len(obs) for obs, _, _ in episodes]
+    obs, acts = np.concatenate([e[0] for e in episodes]), np.concatenate([e[1] for e in episodes])
+    assert traj.obs.tobytes() == obs.tobytes()
+    assert traj.acts.dtype == acts.dtype and traj.acts.shape == acts.shape
+    assert traj.acts.tobytes() == acts.tobytes()
+    assert returns.tobytes() == np.array([e[2] for e in episodes]).tobytes()
+
+
+@given(st.sampled_from(LOCKSTEP_CASES), st.integers(0, 2 ** 32 - 1), st.integers(1, 12))
+def test_lockstep_equals_episodes_one_at_a_time_on_a_shared_generator(case, seed, k):
+    spec, policy = lockstep_case(*case, seed)
+    ours, singles, reference = (np.random.default_rng(seed + 1) for _ in range(3))
+    traj, returns = rollout(spec, policy, ours, episodes=k)
+    assert_same_episodes(traj, returns, [reference_episode(spec, policy, reference) for _ in range(k)])
+    one = [rollout(spec, policy, singles) for _ in range(k)]
+    assert_same_episodes(traj, returns, [(t.obs, t.acts, r) for t, r in one])
+    assert ours.bit_generator.state == singles.bit_generator.state == reference.bit_generator.state
+
+
+@given(st.sampled_from(LOCKSTEP_CASES), st.integers(0, 2 ** 32 - 1), st.integers(1, 12))
+def test_lockstep_on_a_seed_list_equals_one_rollout_per_seed(case, seed, k):
+    spec, policy = lockstep_case(*case, seed)
+    seeds = [(seed, i) for i in range(k)]
+    traj, returns = rollout(spec, policy, seeds, episodes=k)
+    one = [rollout(spec, policy, s) for s in seeds]
+    assert_same_episodes(traj, returns, [(t.obs, t.acts, r) for t, r in one])
+    parts = traj.episodes()
+    assert [len(p) for p in parts] == traj.lengths.tolist()
+    assert all(p.obs.tobytes() == t.obs.tobytes() and p.acts.tobytes() == t.acts.tobytes()
+               for p, (t, _) in zip(parts, one))
+
+
+def test_rollout_refuses_a_seed_list_of_the_wrong_length():
+    spec, policy = lockstep_case("chain", "learned", 0)
+    with pytest.raises(ValidationError, match="need one seed per episode, got 2 for 3"):
+        rollout(spec, policy, [0, 1], episodes=3)
+    with pytest.raises(ValidationError, match="episodes must be >= 1"):
+        rollout(spec, policy, 0, episodes=0)
 
 
 def test_soft_expert_log_prob_matches_table():

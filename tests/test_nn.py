@@ -363,6 +363,30 @@ def test_grad_check_rejects_shape_mismatch():
         grad_check(f, np.zeros(2))
 
 
+@given(st.lists(st.integers(1, 70), min_size=2, max_size=4), st.integers(1, 200), st.integers(0, 2 ** 32 - 1))
+def test_forward_rows_has_the_bits_of_one_row_forwards(sizes, batch, seed):
+    # sampling runs the Gaussian policy on a batch of episodes' rows and
+    # must give each row the bits a forward of that row alone gives, with
+    # and without the single-thread BLAS scope; a NumPy or BLAS whose
+    # stacked product rounds differently fails here, not in a pinned digest
+    rng = np.random.default_rng(seed)
+    net = Mlp.init(sizes, rng)
+    x = rng.normal(size=(batch, sizes[0])) * rng.uniform(0.1, 10.0)
+    alone = np.stack([net.forward(row)[0] for row in x])
+    assert net.forward_rows(x).tobytes() == alone.tobytes()
+    with serial_blas():
+        assert net.forward_rows(x).tobytes() == alone.tobytes()
+        assert np.stack([net.forward(row)[0] for row in x]).tobytes() == alone.tobytes()
+
+
+def test_forward_rows_checks_its_input():
+    net = Mlp((3, 2))
+    with pytest.raises(ShapeError):
+        net.forward_rows(np.zeros(3))
+    with pytest.raises(ShapeError):
+        net.forward_rows(np.zeros((2, 4)))
+
+
 # ---------------------------------------------------------------- serial_blas
 
 def test_serial_blas_caps_nested_scopes_and_restores_once(blas_threads):

@@ -33,6 +33,17 @@ pass over the states, as the other chain learners' did above, so its last
 bits differ.  The same code made to run the asqf net on each batch's own
 rows again reproduces both old digests, and keeps every other one.
 
+``gridworld_asqf`` and the gridworld rollout stream were recorded again when
+``rollout`` began to step episodes in lockstep.  Each episode now draws the
+noise of all ``horizon`` steps before its first step, so a gridworld episode
+that ends at the goal leaves its unused draws behind on a shared
+``Generator``, and the next episode starts further along the stream.  The
+dynamics and the sampling are unchanged: the former one-step-at-a-time loop,
+made to draw the rest of a full-horizon block (two uniforms per step left)
+on reaching the goal, reproduces both new digests and keeps every other one.
+The ``gen-expert`` files draw each episode from its own stream and kept
+their digests.
+
 A recipe's digest is SHA-256 over the final ``policy.net.params`` bytes
 followed by ``repr(log)``; a ``gen-expert`` digest is SHA-256 over the file it
 writes; a rollout digest is SHA-256 over the ``obs`` and ``acts`` bytes and
@@ -76,7 +87,7 @@ RECIPE_DIGESTS = {
     "chain_asaf_1": "5311c2f59d0f272aec5666be816e7e252ebf5397830b1e287b79bb0692e1f113",
     "chain_asqf": "1396991e308fde5e6fd84502d5d867860d79f84eff7bfad332dd0f74a7841502",
     "chain_bc": "018b2607f7ff565a83b9d2eaa6701af04d2b911352cb2ad62c12baf59ff04b7c",
-    "gridworld_asqf": "311013839d3a855fefe7ed1b8141d08a3dd74dad578b78824cf8d7b34857a3d1",
+    "gridworld_asqf": "145db901671e913758ce1c682a420cdef7de22f7815fd0ceca4484ee19f6cbcc",
     "pointmass_asaf_1": "5530d0761906084eb26ce6eb2fe8fdb73ced4ab6379f31e5a6a8f062d851aa51",
 }
 
@@ -88,7 +99,7 @@ GEN_EXPERT_DIGESTS = {
 
 ROLLOUT_DIGESTS = {
     "chain": "9c5a9e62944f69935a77ca4da6f81ef0cce97c0054662ddedb49021fa536fa1c",
-    "gridworld": "293e14c7b32bd59cb8be5397fc3cbf8f6f32f7352217a55b4411b8255af57021",
+    "gridworld": "223e07e94ea9ad8df5c83bc760e5f8770f8dc3408b56a47e29309f17988bccbb",
     "pointmass": "2052850387945810375463da6c2146c9b9206c22f19dce395c3226562d7562c4",
     "random_mdp": "8f38e2119a299e580cbfb2b3c6a05b67254bb039b71022d2f27184f15226d2bf",
 }
