@@ -96,7 +96,8 @@ class PackedWindows:
     ``starts`` marks each window's first row in the packed arrays; summing a
     per-step vector with reduceat over ``starts`` gives per-window totals.
     ``gen_logp`` caches the frozen generator's per-window log-likelihood; it
-    is filled in by the caller whenever the generator changes.
+    is filled in by the caller whenever the generator changes.  ``states``,
+    from ``CategoricalPolicy.index``, lets the losses read a state table by index.
     """
 
     obs: np.ndarray
@@ -104,6 +105,7 @@ class PackedWindows:
     starts: np.ndarray
     lengths: np.ndarray
     gen_logp: np.ndarray | None = None
+    states: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.starts)
@@ -117,6 +119,12 @@ class PackedWindows:
 
     def per_step(self, per_window: np.ndarray) -> np.ndarray:
         return np.repeat(per_window, self.lengths)
+
+    def log_prob_tape(self, policy):
+        """``policy.log_prob_tape`` of the packed steps, read by state index when the pack has one."""
+        if self.states is None:
+            return policy.log_prob_tape(self.obs, self.acts)
+        return policy.table_tape(self.states, self.acts)
 
     def take(self, idx: np.ndarray) -> "PackedWindows":
         """Windows ``idx`` (repeats allowed) packed in that order, gathered in
@@ -132,6 +140,7 @@ class PackedWindows:
             starts=starts,
             lengths=lengths,
             gen_logp=None if self.gen_logp is None else self.gen_logp[idx],
+            states=None if self.states is None else self.states[rows],
         )
 
 
@@ -150,7 +159,7 @@ def pack_windows(windows: list[Window]) -> PackedWindows:
 
 def refresh_generator_scores(packed: PackedWindows, generator) -> None:
     """Recompute the cached generator log-likelihood per window."""
-    packed.gen_logp = packed.segment_sum(generator.log_prob_batch(packed.obs, packed.acts))
+    packed.gen_logp = packed.segment_sum(packed.log_prob_tape(generator)[0])
 
 
 def structured_log_d(learner, generator, window: Window) -> tuple[float, float]:
@@ -167,7 +176,9 @@ def bce_on_packed(learner, packed_e: PackedWindows, packed_g: PackedWindows) -> 
     Both packs must carry cached generator scores.  The expert and generator
     sides must hold the same number of windows; the loss weighs each side by
     1/n.  Gradient per window: expert side -(1 - D)/n, generator side +D/n,
-    distributed onto each step's log-prob gradient.
+    distributed onto each step's log-prob gradient.  Sides that read one
+    state table add their score gradients, each summed on its own so that
+    they cancel exactly at the fixed point, and run one backward.
     """
     if packed_e.gen_logp is None or packed_g.gen_logp is None:
         raise ValueError("generator scores not cached; call refresh_generator_scores first")
@@ -175,8 +186,8 @@ def bce_on_packed(learner, packed_e: PackedWindows, packed_g: PackedWindows) -> 
     if n_e != n_g or n_e == 0:
         raise ValueError(f"need equally many expert and generator windows, got {n_e} vs {n_g}")
 
-    lp_e, cache_e = learner.log_prob_tape(packed_e.obs, packed_e.acts)
-    lp_g, cache_g = learner.log_prob_tape(packed_g.obs, packed_g.acts)
+    lp_e, cache_e = packed_e.log_prob_tape(learner)
+    lp_g, cache_g = packed_g.log_prob_tape(learner)
     a_e = packed_e.segment_sum(lp_e)
     a_g = packed_g.segment_sum(lp_g)
     m_e = np.logaddexp(a_e, packed_e.gen_logp)
@@ -185,10 +196,13 @@ def bce_on_packed(learner, packed_e: PackedWindows, packed_g: PackedWindows) -> 
     log_1md_g = packed_g.gen_logp - m_g      # log(1 - D) on generator windows
     loss = -float(np.mean(log_d_e)) - float(np.mean(log_1md_g))
 
-    w_e = -np.exp(packed_e.gen_logp - m_e) / n_e   # -(1 - D)/n
-    w_g = np.exp(a_g - m_g) / n_g                  # +D/n
-    grad = learner.backprop_log_prob(cache_e, packed_e.per_step(w_e))
-    grad += learner.backprop_log_prob(cache_g, packed_g.per_step(w_g))
+    w_e = packed_e.per_step(-np.exp(packed_e.gen_logp - m_e) / n_e)   # -(1 - D)/n
+    w_g = packed_g.per_step(np.exp(a_g - m_g) / n_g)                  # +D/n
+    if isinstance(learner, CategoricalPolicy) and cache_e[0] is cache_g[0]:
+        dy = learner.score_grad(cache_e, w_e) + learner.score_grad(cache_g, w_g)
+        grad = learner.net.backward(cache_e[0].tape, dy)
+    else:
+        grad = learner.backprop_log_prob(cache_e, w_e) + learner.backprop_log_prob(cache_g, w_g)
     if not (np.isfinite(loss) and np.all(np.isfinite(grad))):
         raise NumericalError("non-finite discriminator loss or gradient")
     return loss, grad
@@ -206,7 +220,7 @@ def bce_loss(learner, generator, expert_windows: list[Window], gen_windows: list
 def nll_on_packed(learner, packed: PackedWindows) -> tuple[float, np.ndarray]:
     """Behavioral cloning: mean negative log-likelihood of the packed steps
     and its gradient in the learner's parameters."""
-    logp, cache = learner.log_prob_tape(packed.obs, packed.acts)
+    logp, cache = packed.log_prob_tape(learner)
     return -float(np.mean(logp)), learner.backprop_log_prob(cache, np.full(len(logp), -1.0 / len(logp)))
 
 
@@ -236,7 +250,7 @@ def asqf_bce_loss(model: AsqfModel, generator, expert: PackedWindows, gen: Packe
     """``bce_on_packed`` for a score net.  A pack without cached ``gen_logp``
     is scored by ``generator`` on a copy; the arguments are never modified."""
     expert, gen = (p if p.gen_logp is not None else
-                   replace(p, gen_logp=p.segment_sum(generator.log_prob_batch(p.obs, p.acts)))
+                   replace(p, gen_logp=p.segment_sum(p.log_prob_tape(generator)[0]))
                    for p in (expert, gen))
     return bce_on_packed(model, expert, gen)
 

@@ -32,6 +32,7 @@ __all__ = [
     "LOG_STD_MIN",
     "LOG_STD_MAX",
     "make_policy",
+    "one_hot_rows",
     "tabular_policy_extract",
 ]
 
@@ -62,6 +63,15 @@ def _evaluate(net: Mlp, rows: np.ndarray) -> _Evaluation:
     return _Evaluation(net, net._version, tape, scores, logp, probs, np.cumsum(probs, axis=1))
 
 
+def one_hot_rows(obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's argmax, and whether each row is exactly one-hot (one entry 1, the rest 0)."""
+    states = obs.argmax(axis=-1)
+    hot = (obs[states, None] if obs.ndim == 1 else obs[np.arange(len(obs)), states]) == 1
+    if np.count_nonzero(obs) != np.count_nonzero(hot):   # a nonzero beside some row's peak of 1
+        hot &= np.count_nonzero(obs, axis=-1) == 1
+    return states, hot
+
+
 class CategoricalPolicy:
     """Softmax over the net's output scores; one score per discrete action.
 
@@ -71,8 +81,9 @@ class CategoricalPolicy:
     the net on all ``S = net.in_dim`` states, made once per parameter
     version and shared by every log-prob, CDF, sample and gradient tape of
     that version.  Any other input is evaluated afresh on its own rows.
-    ``backprop_log_prob`` adds the row weights per evaluated row and runs
-    one backward over the record's rows.
+    ``score_grad`` adds the row weights per evaluated row, and
+    ``backprop_log_prob`` runs one backward of that over the record's rows.
+    ``table_tape`` reads states that ``index`` has checked once.
     """
 
     action_kind = "discrete"
@@ -99,15 +110,8 @@ class CategoricalPolicy:
         """The state of each row when every row is exactly one-hot, else None."""
         if obs.ndim not in (1, 2) or obs.shape[-1] != self.net.in_dim:
             return None
-        states = obs.argmax(axis=-1)
-        if np.count_nonzero(obs) != states.size:
-            return None
-        # as many nonzeros as rows: one-hot when every row peaks at a 1
-        if obs.ndim == 1:
-            hot = obs[states] == 1
-        else:
-            hot = (obs[np.arange(len(obs)), states] == 1).all()
-        return states if hot else None
+        states, hot = one_hot_rows(obs)
+        return states if np.count_nonzero(hot) == len(hot) else None
 
     def _read(self, obs: np.ndarray) -> tuple[_Evaluation, np.ndarray]:
         """The evaluation holding the rows of ``obs`` and each row's index in it."""
@@ -135,17 +139,32 @@ class CategoricalPolicy:
         return float(self.log_probs(obs)[a])
 
     def log_prob_batch(self, obs: np.ndarray, acts: np.ndarray) -> np.ndarray:
-        lp, _ = self.log_prob_tape(obs, acts)
-        return lp
+        return self.log_prob_tape(obs, acts)[0]
 
-    def log_prob_tape(self, obs: np.ndarray, acts: np.ndarray):
+    def index(self, obs, acts) -> tuple[np.ndarray | None, np.ndarray]:
+        """Each row's state (None unless every row is one-hot) and the checked actions."""
         obs, acts = np.asarray(obs), self._check_actions(acts)
         if obs.shape[:-1] != acts.shape:
             raise ShapeError(f"need one action per observation row, got {acts.shape} for {obs.shape}")
-        ev, rows = self._read(obs)
+        return self._states(obs), acts
+
+    def log_prob_tape(self, obs: np.ndarray, acts: np.ndarray):
+        states, acts = self.index(obs, acts)
+        if states is not None:
+            return self.table_tape(states, acts)
+        ev, rows = _evaluate(self.net, np.asarray(obs)), np.arange(len(acts))
         return (ev.logp if self._normalized else ev.scores)[rows, acts], (ev, rows, acts)
 
+    def table_tape(self, states: np.ndarray, acts: np.ndarray):
+        """``log_prob_tape`` by (state, action) index, unchecked."""
+        ev = self._table()
+        return (ev.logp if self._normalized else ev.scores)[states, acts], (ev, states, acts)
+
     def backprop_log_prob(self, cache, weights: np.ndarray) -> np.ndarray:
+        return self.net.backward(cache[0].tape, self.score_grad(cache, weights))
+
+    def score_grad(self, cache, weights: np.ndarray) -> np.ndarray:
+        """d(sum_i weights[i] * lp_i) / d(cached scores), lp as ``log_prob_tape`` reads it."""
         ev, rows, acts = cache
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != (len(acts),):
@@ -155,7 +174,7 @@ class CategoricalPolicy:
         dy = np.bincount(rows * n_actions + acts, weights, minlength=ev.probs.size).reshape(ev.probs.shape)
         if self._normalized:    # d log softmax / d scores = onehot(a) - probs, per row
             dy -= ev.probs * np.bincount(rows, weights, minlength=n_rows)[:, None]
-        return self.net.backward(ev.tape, dy)
+        return dy
 
     def cdf(self, obs) -> np.ndarray:
         """Cumulative action probabilities at one observation."""

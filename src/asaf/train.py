@@ -44,7 +44,7 @@ from .envs import EnvSpec, TabularSpec, Trajectory, rollout, soft_value_iteratio
 from .errors import NumericalError, UnsupportedError, ValidationError
 from .exact import enumerable, exact_traj_distribution, js_between
 from .nn import AdamState, adam_step, clip_by_global_norm, clip_by_value, serial_blas
-from .policies import CategoricalPolicy, make_policy, tabular_policy_extract
+from .policies import CategoricalPolicy, make_policy, one_hot_rows, tabular_policy_extract
 
 __all__ = [
     "ALGORITHMS",
@@ -190,7 +190,7 @@ def _check_demos(demos: DemoSet, env_spec: EnvSpec) -> None:
     if isinstance(env_spec, TabularSpec):
         # the policies read a tabular state from its one-hot observation row
         obs = np.concatenate([traj.obs for traj in demos.trajectories])
-        bad = np.flatnonzero((np.count_nonzero(obs, axis=1) != 1) | (obs.max(axis=1) != 1.0))
+        bad = np.flatnonzero(~one_hot_rows(obs)[1])
         if len(bad):
             ends = np.cumsum([len(traj) for traj in demos.trajectories])
             i = int(np.searchsorted(ends, bad[0], side="right"))
@@ -226,17 +226,18 @@ def _clip(grad: np.ndarray, cfg: TrainConfig) -> np.ndarray:
     return clip_by_value(grad, cfg.clip)
 
 
-def _pool(trajs: list[Trajectory], cfg: TrainConfig) -> disc.PackedWindows:
+def _pool(trajs: list[Trajectory], cfg: TrainConfig, policy) -> disc.PackedWindows:
     """Windows of w steps at offsets 0, stride, ... of each episode while one
     fits (one window for a shorter episode): the configured ones for asaf_w,
     single transitions for asaf_1, asqf and bc, whole episodes for asaf."""
+    obs, acts = np.concatenate([t.obs for t in trajs]), np.concatenate([t.acts for t in trajs])
+    states, acts = policy.index(obs, acts) if isinstance(policy, CategoricalPolicy) else (None, acts)
     lengths = np.concatenate([t.lengths for t in trajs])
     w, stride = (lengths.max(), 1) if cfg.algorithm == "asaf" else (cfg.w or 1, cfg.stride or 1)
     counts = np.maximum(lengths - w, 0) // stride + 1
     offsets = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-    cuts = disc.PackedWindows(obs=np.concatenate([t.obs for t in trajs]), acts=np.concatenate([t.acts for t in trajs]),
-                              starts=np.repeat(np.cumsum(lengths) - lengths, counts) + stride * offsets,
-                              lengths=np.repeat(np.minimum(lengths, w), counts))
+    starts = np.repeat(np.cumsum(lengths) - lengths, counts) + stride * offsets
+    cuts = disc.PackedWindows(obs, acts, starts, np.repeat(np.minimum(lengths, w), counts), states=states)
     return cuts.take(np.arange(len(cuts)))
 
 
@@ -267,7 +268,7 @@ def train(cfg: TrainConfig, demos: DemoSet, env_spec: EnvSpec):
     collect_rng = np.random.default_rng(ss_collect)
     batch_rng = np.random.default_rng(ss_batch)
 
-    expert = _pool(demos.trajectories, cfg)
+    expert = _pool(demos.trajectories, cfg, learned)
     reference = _ExpertReference(env_spec)
     log = RunLog()
     env_steps = 0
@@ -279,7 +280,7 @@ def train(cfg: TrainConfig, demos: DemoSet, env_spec: EnvSpec):
             if collects:
                 episodes, _ = rollout(env_spec, generator, collect_rng, episodes=cfg.n_g)
                 env_steps += len(episodes)
-                gen_pool = _pool([episodes], cfg)
+                gen_pool = _pool([episodes], cfg, learned)
                 disc.refresh_generator_scores(expert, generator)
                 disc.refresh_generator_scores(gen_pool, generator)
 

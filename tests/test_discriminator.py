@@ -56,7 +56,36 @@ def reference_take(packed, idx):
         starts=np.concatenate([[0], np.cumsum(lengths)[:-1]]),
         lengths=lengths,
         gen_logp=None if packed.gen_logp is None else packed.gen_logp[idx],
+        states=None if packed.states is None else packed.states[rows],
     )
+
+
+def indexed(packed, policy):
+    """The pack with the state ids and checked actions ``policy.index`` gives."""
+    states, acts = policy.index(packed.obs, packed.acts)
+    assert states is not None
+    return replace(packed, acts=acts, states=states)
+
+
+def one_hot_windows(n, n_states, n_actions, rng, max_len=6):
+    return [disc.Window(obs=np.eye(n_states)[rng.integers(0, n_states, size=length)],
+                        acts=rng.integers(0, n_actions, size=length), source=i)
+            for i, length in enumerate(rng.integers(1, max_len + 1, size=n))]
+
+
+def reference_bce_on_packed(learner, packed_e, packed_g):
+    """The two-sided loss with one backward pass per side, the form
+    ``bce_on_packed`` had before both sides of a state table shared one."""
+    lp_e, cache_e = learner.log_prob_tape(packed_e.obs, packed_e.acts)
+    lp_g, cache_g = learner.log_prob_tape(packed_g.obs, packed_g.acts)
+    a_e, a_g = packed_e.segment_sum(lp_e), packed_g.segment_sum(lp_g)
+    m_e, m_g = np.logaddexp(a_e, packed_e.gen_logp), np.logaddexp(a_g, packed_g.gen_logp)
+    loss = -float(np.mean(a_e - m_e)) - float(np.mean(packed_g.gen_logp - m_g))
+    w_e = -np.exp(packed_e.gen_logp - m_e) / len(packed_e)
+    w_g = np.exp(a_g - m_g) / len(packed_g)
+    grad = learner.backprop_log_prob(cache_e, packed_e.per_step(w_e))
+    grad += learner.backprop_log_prob(cache_g, packed_g.per_step(w_g))
+    return loss, grad
 
 
 def one_step_window(action):
@@ -190,21 +219,25 @@ def test_packed_take_reindexes():
     picks=st.lists(st.integers(0, 1000), min_size=1, max_size=12),
     unit=st.booleans(),
     scored=st.booleans(),
+    stated=st.booleans(),
 )
-def test_take_matches_reference_gather(lengths, picks, unit, scored):
+def test_take_matches_reference_gather(lengths, picks, unit, scored, stated):
     rng = np.random.default_rng(len(lengths) + 31 * len(picks))
     if unit:
         lengths = [1] * len(lengths)
     packed = disc.pack_windows(random_windows_of(lengths, rng))
     if scored:
         packed.gen_logp = rng.normal(size=packed.n_windows)
+    if stated:
+        packed.states = rng.integers(0, 5, size=len(packed.obs))
     idx = np.array([p % packed.n_windows for p in picks])   # repeats are common
     got, want = packed.take(idx), reference_take(packed, idx)
     for name in ("obs", "acts", "starts", "lengths"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
-    assert (got.gen_logp is None) == (want.gen_logp is None)
-    if scored:
-        assert np.array_equal(got.gen_logp, want.gen_logp)
+    for name, kept in (("gen_logp", scored), ("states", stated)):
+        assert (getattr(got, name) is None) == (getattr(want, name) is None) == (not kept), name
+        if kept:
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
     assert len(got) == len(idx)
 
 
@@ -310,17 +343,69 @@ def test_bce_fixed_point_gradient_vanishes_on_paired_batches():
 
 
 def test_bce_fixed_point_gradient_vanishes_on_one_hot_windows():
-    # the same cancellation on the state-table path that tabular runs take
+    # the same cancellation on the state-table path that tabular runs take,
+    # where both sides share one backward: each side's score gradient is
+    # the exact negative of the other's, whether or not the packs carry states
     for seed in range(40):
         rng = np.random.default_rng(seed)
         n_states, n_actions = rng.integers(2, 7), rng.integers(2, 5)
         policy = CategoricalPolicy(Mlp.init((n_states, 6, n_actions), rng))
-        wins = [disc.Window(obs=np.eye(n_states)[rng.integers(0, n_states, size=length)],
-                            acts=rng.integers(0, n_actions, size=length), source=i)
-                for i, length in enumerate(rng.integers(1, 7, size=rng.integers(1, 5)))]
+        wins = one_hot_windows(rng.integers(1, 5), n_states, n_actions, rng)
         loss, grad = disc.bce_loss(policy, policy, wins, wins)
         assert loss == pytest.approx(LOG4, abs=1e-9)
         np.testing.assert_array_equal(grad, 0.0)
+        packed = disc.pack_windows(wins)
+        disc.refresh_generator_scores(packed, policy)
+        loss, grad = disc.bce_on_packed(policy, indexed(packed, policy), indexed(packed, policy))
+        assert loss == pytest.approx(LOG4, abs=1e-9)
+        np.testing.assert_array_equal(grad, 0.0)
+
+
+@given(
+    seed=st.integers(0, 2 ** 31 - 1),
+    n_states=st.integers(2, 6),
+    n_actions=st.integers(2, 4),
+    n=st.integers(1, 6),
+    scored=st.booleans(),
+    unit=st.booleans(),
+)
+def test_bce_on_state_carrying_packs(seed, n_states, n_actions, n, scored, unit):
+    # asaf windows, or asqf transitions read by a score net: indexing the
+    # packs changes no bit of the scores or the loss, and the one shared
+    # backward agrees with one backward per side
+    rng = np.random.default_rng(seed)
+    learner = (disc.AsqfModel if scored else CategoricalPolicy)(Mlp.init((n_states, 8, n_actions), rng))
+    generator = CategoricalPolicy(Mlp.init((n_states, 8, n_actions), rng))
+    packs = [disc.pack_windows(one_hot_windows(n, n_states, n_actions, rng, max_len=1 if unit else 6))
+             for _ in range(2)]
+    stated = [indexed(p, learner) for p in packs]
+    for p, q in zip(packs, stated):
+        disc.refresh_generator_scores(p, generator)
+        disc.refresh_generator_scores(q, generator)
+        assert np.array_equal(p.gen_logp, q.gen_logp)
+    loss, grad = disc.bce_on_packed(learner, *stated)
+    plain_loss, plain_grad = disc.bce_on_packed(learner, *packs)
+    want_loss, want_grad = reference_bce_on_packed(learner, *packs)
+    assert loss == plain_loss == want_loss
+    np.testing.assert_array_equal(grad, plain_grad)
+    np.testing.assert_allclose(grad, want_grad, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("scored", [False, True])
+def test_shared_backward_matches_finite_differences(scored):
+    rng = np.random.default_rng(21)
+    learner = (disc.AsqfModel if scored else CategoricalPolicy)(Mlp((4, 6, 3)))
+    generator = CategoricalPolicy(Mlp.init((4, 6, 3), rng))
+    packs = [indexed(disc.pack_windows(one_hot_windows(5, 4, 3, rng, max_len=1 if scored else 4)), learner)
+             for _ in range(2)]
+    for p in packs:
+        disc.refresh_generator_scores(p, generator)
+
+    def f(theta):
+        learner.net.params = theta
+        return disc.bce_on_packed(learner, *packs)
+
+    assert grad_check(f, Mlp.init((4, 6, 3), rng).params) < 1e-4
 
 
 def test_bce_paired_batches_lower_bounded_by_log4():

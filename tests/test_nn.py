@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -302,6 +303,45 @@ def test_adam_is_functional():
     np.testing.assert_array_equal(params, 1.0)
     np.testing.assert_array_equal(state.m, 0.0)
     assert state.t == 0
+
+
+def reference_adam_step(state, params, grads, lr):
+    """Adam as one expression per line, the form ``adam_step`` computes in
+    two scratch buffers."""
+    t = state.t + 1
+    m = state.beta1 * state.m + (1.0 - state.beta1) * grads
+    v = state.beta2 * state.v + (1.0 - state.beta2) * grads * grads
+    m_hat = m / (1.0 - state.beta1 ** t)
+    v_hat = v / (1.0 - state.beta2 ** t)
+    return params - lr * m_hat / (np.sqrt(v_hat) + state.eps), replace(state, m=m, v=v, t=t)
+
+
+@given(
+    seed=st.integers(0, 2 ** 31 - 1),
+    n=st.integers(1, 40),
+    scale=st.integers(-8, 8),
+    betas=st.sampled_from([(0.9, 0.999), (0.5, 0.9), (0.0, 0.0), (0.99, 0.9999)]),
+    eps=st.sampled_from([1e-8, 0.0, 0.1]),
+)
+def test_adam_step_is_bitwise_the_reference(seed, n, scale, betas, eps):
+    rng = np.random.default_rng(seed)
+    ours = theirs = AdamState.for_params(np.zeros(n), beta1=betas[0], beta2=betas[1], eps=eps)
+    p_ours = p_theirs = rng.normal(size=n)
+    for _ in range(5):
+        grads, lr = rng.normal(size=n) * 10.0 ** scale, 10.0 ** rng.uniform(-5, 0)
+        kept = (p_ours.copy(), grads.copy(), ours.m.copy(), ours.v.copy(), ours.t)
+        new_p, new_state = adam_step(ours, p_ours, grads, lr)
+        # the caller's params, gradient and state are left as they were
+        for was, now in zip(kept, (p_ours, grads, ours.m, ours.v, ours.t)):
+            np.testing.assert_array_equal(now, was)
+        assert not any(np.shares_memory(a, b) for a in (new_p, new_state.m, new_state.v)
+                       for b in (p_ours, grads, ours.m, ours.v))
+        p_ours, ours = new_p, new_state
+        p_theirs, theirs = reference_adam_step(theirs, p_theirs, grads, lr)
+        np.testing.assert_array_equal(p_ours, p_theirs)
+        np.testing.assert_array_equal(ours.m, theirs.m)
+        np.testing.assert_array_equal(ours.v, theirs.v)
+        assert ours.t == theirs.t
 
 
 def test_adam_rejects_bad_input():

@@ -44,6 +44,17 @@ on reaching the goal, reproduces both new digests and keeps every other one.
 The ``gen-expert`` files draw each episode from its own stream and kept
 their digests.
 
+``chain_asaf``, ``chain_asaf_w``, ``chain_asaf_1``, ``chain_asqf`` and
+``gridworld_asqf`` were recorded again when ``bce_on_packed`` began to run
+one backward pass for both sides whenever both read the learner's state
+table: each side's weights are added per (state, action) on their own, the
+two score gradients are summed, and the sum is backpropagated once, where
+the two sides used to be backpropagated apart and their gradients summed.
+The same code made to run the two backward passes again reproduces all five
+old digests and keeps the other nine, so the pools' one-time indexing by
+state and the in-place ``adam_step`` move no bits.  ``chain_bc`` has one
+side and ``pointmass_asaf_1`` has no state table, so both kept their digests.
+
 A recipe's digest is SHA-256 over the final ``policy.net.params`` bytes
 followed by ``repr(log)``; a ``gen-expert`` digest is SHA-256 over the file it
 writes; a rollout digest is SHA-256 over the ``obs`` and ``acts`` bytes and
@@ -82,12 +93,12 @@ RECIPES = {
 }
 
 RECIPE_DIGESTS = {
-    "chain_asaf": "19c3d141a0afee3040fed84dd7809b15839f2a0b66694cd425709fa873cc0499",
-    "chain_asaf_w": "4230630fe0f3c309a2769495a7cbae5d053a633057fb23b3deaedfbdab0e94f1",
-    "chain_asaf_1": "5311c2f59d0f272aec5666be816e7e252ebf5397830b1e287b79bb0692e1f113",
-    "chain_asqf": "1396991e308fde5e6fd84502d5d867860d79f84eff7bfad332dd0f74a7841502",
+    "chain_asaf": "54705476f26391be5844d6bf91b77d6a93f52fcfa0f839df230a7c2359b8e81a",
+    "chain_asaf_w": "e095e0f3cdf74986c65f68ef01366d621f43f54aad29e71791962afe4f08b7c0",
+    "chain_asaf_1": "31d8221a7f3bbf9f00e692d81bf183adc028edb992853256a90b6ce2c1211d0e",
+    "chain_asqf": "35b772acb383173adac236be80f340e20c861ed4b37a767619e6375d1b751006",
     "chain_bc": "018b2607f7ff565a83b9d2eaa6701af04d2b911352cb2ad62c12baf59ff04b7c",
-    "gridworld_asqf": "145db901671e913758ce1c682a420cdef7de22f7815fd0ceca4484ee19f6cbcc",
+    "gridworld_asqf": "84e595fc4cd6f92daeedb5b043dd279b7822fcf21f963641b52d26d57a5db0b1",
     "pointmass_asaf_1": "5530d0761906084eb26ce6eb2fe8fdb73ced4ab6379f31e5a6a8f062d851aa51",
 }
 

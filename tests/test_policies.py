@@ -15,6 +15,7 @@ from asaf.policies import (
     LOG_STD_MAX,
     LOG_STD_MIN,
     make_policy,
+    one_hot_rows,
     tabular_policy_extract,
 )
 
@@ -189,7 +190,7 @@ def test_state_table_matches_the_row_path(seed, n_states, n_actions, n_rows):
     assert forwards == [n_states]
 
 
-@pytest.mark.parametrize("bad", [
+NOT_ONE_HOT = [
     [0.0, 0.0, 0.0, 0.0],
     [0.5, 0.5, 0.0, 0.0],
     [1.0, 1.0, 0.0, 0.0],
@@ -197,7 +198,50 @@ def test_state_table_matches_the_row_path(seed, n_states, n_actions, n_rows):
     [-1.0, 1.0, 0.0, 0.0],
     [1.0, 1e-9, 0.0, 0.0],
     [0.0, 0.0, 1.0 + 1e-12, 0.0],
-])
+]
+
+
+def reference_one_hot(obs):
+    """The demo check's own row test, before it shared ``one_hot_rows``."""
+    return (np.count_nonzero(obs, axis=1) == 1) & (obs.max(axis=1) == 1.0)
+
+
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 12))
+def test_one_hot_rows_matches_the_demo_row_test(seed, n_rows):
+    rng = np.random.default_rng(seed)
+    pool = np.vstack([np.eye(4), NOT_ONE_HOT, [[np.nan, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, np.nan]]])
+    obs = pool[rng.integers(0, len(pool), size=n_rows)]
+    if rng.random() < 0.5:
+        obs = np.eye(4)[rng.integers(0, 4, size=n_rows)]
+    states, hot = one_hot_rows(obs)
+    np.testing.assert_array_equal(hot, reference_one_hot(obs))
+    np.testing.assert_array_equal(states[hot], np.argmax(obs[hot], axis=1))
+    for row, want in zip(obs, hot):     # a single row is one row of the mask
+        s, h = one_hot_rows(row)
+        assert h.shape == (1,) and h[0] == want
+        assert s == np.argmax(row) or not want
+
+
+def test_index_checks_once_and_the_table_reads_by_state():
+    rng = np.random.default_rng(14)
+    policy = CategoricalPolicy.init(4, 3, (8,), rng)
+    obs, acts = np.eye(4)[[0, 2, 3, 2]], np.array([1.0, 0.0, 2.0, 2.0])
+    states, checked = policy.index(obs, acts)
+    np.testing.assert_array_equal(states, [0, 2, 3, 2])
+    assert checked.dtype == np.int64
+    lp, cache = policy.table_tape(states, checked)
+    lp_ref, cache_ref = policy.log_prob_tape(obs, acts)
+    np.testing.assert_array_equal(lp, lp_ref)
+    weights = rng.normal(size=4)
+    np.testing.assert_array_equal(policy.backprop_log_prob(cache, weights), policy.backprop_log_prob(cache_ref, weights))
+    # rows that are not all one-hot get no states; the actions are checked either way
+    assert policy.index(np.vstack([obs[:3], NOT_ONE_HOT[1]]), acts)[0] is None
+    for bad, error in (([0, 1, 3, 0], ValueError), ([0.5, 1, 2, 0], UnsupportedError), ([0, 1, 2], ShapeError)):
+        with pytest.raises(error):
+            policy.index(obs, np.array(bad))
+
+
+@pytest.mark.parametrize("bad", NOT_ONE_HOT)
 def test_rows_that_are_not_one_hot_take_the_row_path(bad):
     rng = np.random.default_rng(13)
     policy = CategoricalPolicy.init(4, 3, (8,), rng)

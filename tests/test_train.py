@@ -312,18 +312,22 @@ def test_tabular_training_runs_the_nets_on_the_states_only(chain_demos, monkeypa
     # every forward of a tabular run evaluates all S states at once: the
     # generator's scores of both pools, its samples, the learner's loss pass
     # (asqf's score net included), the evaluation and the exact oracle all
-    # read state tables
+    # read state tables; both sides of an update share one backward over them
     rows, forward = [], Mlp.forward
+    backwards, backward = [], Mlp.backward
     monkeypatch.setattr(Mlp, "forward", lambda net, x: rows.append(np.shape(x)) or forward(net, x))
+    monkeypatch.setattr(Mlp, "backward", lambda net, tape, dy: backwards.append(np.shape(dy)) or backward(net, tape, dy))
     # the pool holds whole episodes (asaf) or their 5 transitions each (asqf)
     for algorithm, pool_per_episode in (("asaf", 1), ("asqf", 5)):
         rows.clear()
+        backwards.clear()
         cfg = tiny_cfg(algorithm=algorithm, steps=2)
         policy, log = train(cfg, chain_demos, chain_spec())
         assert set(rows) == {(4, 4)}, algorithm
         # one table for the first generator, one per update, one per later generator
         minibatches = -(-cfg.n_g * pool_per_episode // cfg.batch)
         assert len(rows) == 1 + cfg.steps * cfg.epochs * minibatches + cfg.steps, algorithm
+        assert backwards == [(4, 2)] * (cfg.steps * cfg.epochs * minibatches), algorithm
         assert log.rows[-1].js_to_expert is not None
 
 
@@ -401,6 +405,27 @@ def test_train_dispatches_by_algorithm(chain_demos):
         assert log.rows[-1].step == 1
     policy, _ = train(tiny_cfg(algorithm="asqf", steps=1, epochs=1, batch=16), chain_demos, chain_spec())
     assert isinstance(policy, CategoricalPolicy)
+
+
+def test_interleaved_repeat_calls_are_bitwise_equal():
+    # the benchmark's repeat check: three recipes called in turn in one
+    # process, twice over, each call's result bitwise the same as its first;
+    # no cache, memo or pool may carry state from one train() call to another
+    chain, pointmass = chain_spec(), pointmass_spec()
+    chain_demos = collect_expert_demos(chain, n=20, alpha=1.0, seed=1)
+    pointmass_demos = collect_expert_demos(pointmass, n=3, alpha=1.0, seed=1)
+    runs = [(tiny_cfg(steps=4, n_g=10, batch=10, eval_interval=2, hidden=(64, 64), seed=1), chain_demos, chain),
+            (tiny_cfg(algorithm="asaf_1", steps=2, n_g=2, batch=100, hidden=(64, 64), seed=1), pointmass_demos, pointmass),
+            (tiny_cfg(algorithm="asqf", steps=3, batch=16, seed=1), chain_demos, chain)]
+    first = []
+    for repeat in range(2):
+        for i, (cfg, demos, spec) in enumerate(runs):
+            policy, log = train(cfg, demos, spec)
+            got = (policy.net.params.tobytes(), repr(log))
+            if repeat == 0:
+                first.append(got)
+            else:
+                assert got == first[i], cfg.algorithm
 
 
 # ---------------------------------------------------------------- divergence
