@@ -95,6 +95,9 @@ class PackedWindows:
     of length 1, see ``transitions_from``) all use this one layout.
     ``starts`` marks each window's first row in the packed arrays; summing a
     per-step vector with reduceat over ``starts`` gives per-window totals.
+    Both read windows that lie back to back, as ``take`` packs them; then a
+    pack with as many windows as rows has one-step windows, and both return
+    their input, bitwise what reduceat and repeat give.
     ``gen_logp`` caches the frozen generator's per-window log-likelihood; it
     is filled in by the caller whenever the generator changes.  ``states``,
     from ``CategoricalPolicy.index``, lets the losses read a state table by index.
@@ -115,10 +118,10 @@ class PackedWindows:
         return len(self.starts)
 
     def segment_sum(self, per_step: np.ndarray) -> np.ndarray:
-        return np.add.reduceat(per_step, self.starts)
+        return per_step if len(self.starts) == len(self.acts) else np.add.reduceat(per_step, self.starts)
 
     def per_step(self, per_window: np.ndarray) -> np.ndarray:
-        return np.repeat(per_window, self.lengths)
+        return per_window if len(self.starts) == len(self.acts) else np.repeat(per_window, self.lengths)
 
     def log_prob_tape(self, policy):
         """``policy.log_prob_tape`` of the packed steps, read by state index when the pack has one."""
@@ -142,6 +145,18 @@ class PackedWindows:
             gen_logp=None if self.gen_logp is None else self.gen_logp[idx],
             states=None if self.states is None else self.states[rows],
         )
+
+    def span(self, lo: int, hi: int) -> "PackedWindows":
+        """Windows ``lo:hi`` of a pack whose windows lie back to back, bitwise
+        what ``take`` of them gives: rows sliced, starts shifted.  A span of
+        every window is the pack itself."""
+        hi = min(hi, len(self.starts))
+        if lo == 0 and hi == len(self.starts):
+            return self
+        a, b = self.starts[lo], self.starts[hi - 1] + self.lengths[hi - 1]
+        return PackedWindows(self.obs[a:b], self.acts[a:b], self.starts[lo:hi] - a, self.lengths[lo:hi],
+                             gen_logp=None if self.gen_logp is None else self.gen_logp[lo:hi],
+                             states=None if self.states is None else self.states[a:b])
 
 
 def pack_windows(windows: list[Window]) -> PackedWindows:
@@ -194,7 +209,7 @@ def bce_on_packed(learner, packed_e: PackedWindows, packed_g: PackedWindows) -> 
     m_g = np.logaddexp(a_g, packed_g.gen_logp)
     log_d_e = a_e - m_e                      # log D on expert windows
     log_1md_g = packed_g.gen_logp - m_g      # log(1 - D) on generator windows
-    loss = -float(np.mean(log_d_e)) - float(np.mean(log_1md_g))
+    loss = -float(log_d_e.sum() / n_e) - float(log_1md_g.sum() / n_g)   # np.mean, bit for bit
 
     w_e = packed_e.per_step(-np.exp(packed_e.gen_logp - m_e) / n_e)   # -(1 - D)/n
     w_g = packed_g.per_step(np.exp(a_g - m_g) / n_g)                  # +D/n

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ShapeError, ValidationError
+from .errors import ShapeError, ValidationError, check_count
 from .nn import logsumexp_rows
 
 __all__ = [
@@ -461,8 +461,8 @@ def rollout(env_spec: EnvSpec, policy, seed, episodes: int | None = None):
     Rewards are summed apart from the (obs, act) pairs, so imitation code
     can drop them unseen.
     """
-    if episodes is not None and episodes < 1:
-        raise ValidationError(f"episodes must be >= 1, got {episodes}")
+    if episodes is not None:
+        check_count("episodes", episodes, 1)
     listed = isinstance(seed, list) and episodes is not None
     if listed and len(seed) != episodes:
         raise ValidationError(f"need one seed per episode, got {len(seed)} for {episodes}")

@@ -1,9 +1,12 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and ``check_count``, which
+raises one where a count enters the library.
 
 Plain ValueError/TypeError are used for ordinary bad arguments; the classes
 here exist where callers (in particular the CLI) need to tell failure modes
 apart.
 """
+
+import numbers
 
 
 class ConfigError(ValueError):
@@ -18,6 +21,15 @@ class ConfigError(ValueError):
 
 class ValidationError(ValueError):
     """Inputs are well-formed but violate a semantic contract."""
+
+
+def check_count(name: str, value, least: int) -> None:
+    """Refuse a count below ``least`` or that is no Python or NumPy integer
+    (``True`` and ``2.0`` compare equal to one)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValidationError(f"{name} must be >= {least}, got {value}")
 
 
 class UnsupportedError(ValidationError):

@@ -78,6 +78,10 @@ def param_count(sizes: tuple[int, ...]) -> int:
     return sum(i * o + o for i, o in zip(sizes[:-1], sizes[1:]))
 
 
+def _affine(h: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    return (h * weights[:, 0] if weights.shape[1] == 1 else h @ weights.T) + bias
+
+
 @dataclass
 class GradTape:
     """Activations cached by a forward pass, consumed by one backward pass."""
@@ -168,6 +172,8 @@ class Mlp:
         """Run the net on a vector or a batch of row vectors.
 
         Returns (output, tape); output has the same leading shape as ``x``.
+        A layer with one input column is the broadcast product ``h * W[:, 0]``,
+        bitwise the K=1 matrix product: each rounds once.
         """
         x = np.asarray(x, dtype=np.float64)
         single = x.ndim == 1
@@ -180,7 +186,7 @@ class Mlp:
         last = len(self._layers) - 1
         for i, (weights, bias) in enumerate(self._layers):
             inputs.append(h)
-            z = h @ weights.T + bias
+            z = _affine(h, weights, bias)
             preacts.append(z)
             h = z if i == last else np.maximum(z, 0.0)
         tape = GradTape(version=self._version, single=single, inputs=inputs, preacts=preacts)
@@ -194,7 +200,7 @@ class Mlp:
             raise ShapeError(f"input must be (B, {self.sizes[0]}), got shape {x.shape}")
         h, last = x[:, None, :], len(self._layers) - 1
         for i, (weights, bias) in enumerate(self._layers):
-            z = h @ weights.T + bias
+            z = _affine(h, weights, bias)
             h = z if i == last else np.maximum(z, 0.0)
         return h[:, 0, :]
 

@@ -13,7 +13,10 @@ asaf_1), its transition-wise scored form (asqf) and behavioral cloning (bc).
    the one cross-entropy ``disc.bce_on_packed`` (the generator pool defines
    an epoch; expert windows are drawn with replacement to pair each batch
    one-to-one); bc passes over the demo transitions alone and minimizes
-   ``disc.nll_on_packed``, their negative log-likelihood,
+   ``disc.nll_on_packed``, their negative log-likelihood.  Each side of an
+   epoch is gathered once and each minibatch reads a span of the gather;
+   the expert picks of all its minibatches are drawn first, by the same
+   ``integers`` calls in the same order, so no draw changes,
 4. freeze the learned net into the next generator: a snapshot of its
    softmax policy (for asqf, the softmax of the scores).
 
@@ -41,7 +44,7 @@ import numpy as np
 
 from . import discriminator as disc
 from .envs import EnvSpec, TabularSpec, Trajectory, rollout, soft_value_iteration
-from .errors import NumericalError, UnsupportedError, ValidationError
+from .errors import NumericalError, UnsupportedError, ValidationError, check_count
 from .exact import enumerable, exact_traj_distribution, js_between
 from .nn import AdamState, adam_step, clip_by_global_norm, clip_by_value, serial_blas
 from .policies import CategoricalPolicy, make_policy, one_hot_rows, tabular_policy_extract
@@ -77,16 +80,19 @@ class TrainConfig:
     hidden: tuple[int, ...] = (64, 64)
 
     def validated(self) -> "TrainConfig":
+        least = {"batch": 1, "n_g": 1, "epochs": 0, "steps": 0, "eval_k": 1, "eval_interval": 1, "seed": 0}
+        for name, low in least.items():
+            check_count(name, getattr(self, name), low)
+        for name, value in [("w", self.w), ("stride", self.stride), *(("hidden size", h) for h in self.hidden)]:
+            if value is not None:
+                check_count(name, value, 1)
         cfg = replace(self, hidden=tuple(int(h) for h in self.hidden))
         if cfg.algorithm not in ALGORITHMS:
             raise ValidationError(f"unknown algorithm {cfg.algorithm!r}, expected one of {ALGORITHMS}")
         if cfg.algorithm == "asaf_w":
-            if cfg.w is None or cfg.w < 1:
+            if cfg.w is None:
                 raise ValidationError("asaf_w needs a window length w >= 1")
-            if cfg.stride is None:
-                cfg = replace(cfg, stride=cfg.w)
-            elif cfg.stride < 1:
-                raise ValidationError("stride must be >= 1")
+            cfg = replace(cfg, stride=cfg.stride or cfg.w)
         elif cfg.algorithm == "asaf_1":
             if cfg.w not in (None, 1) or cfg.stride not in (None, 1):
                 raise ValidationError("asaf_1 is fixed to w = 1, stride = 1")
@@ -96,26 +102,10 @@ class TrainConfig:
                 raise ValidationError(f"{cfg.algorithm} does not take w/stride")
         if not (np.isfinite(cfg.lr_d) and cfg.lr_d > 0.0):
             raise ValidationError(f"lr_d must be finite and positive, got {cfg.lr_d}")
-        if cfg.batch < 1:
-            raise ValidationError("batch must be >= 1")
-        if cfg.n_g < 1:
-            raise ValidationError("n_g must be >= 1")
-        if cfg.epochs < 0:
-            raise ValidationError("epochs must be >= 0")
         if not cfg.clip > 0.0:   # inf never clips; NaN is refused
             raise ValidationError(f"clip must be positive, got {cfg.clip}")
         if cfg.clip_mode not in ("norm", "value"):
             raise ValidationError(f"clip_mode must be 'norm' or 'value', got {cfg.clip_mode!r}")
-        if cfg.steps < 0:
-            raise ValidationError("steps must be >= 0")
-        if cfg.eval_k < 1:
-            raise ValidationError("eval_k must be >= 1")
-        if cfg.eval_interval < 1:
-            raise ValidationError("eval_interval must be >= 1")
-        if cfg.seed < 0:
-            raise ValidationError("seed must be >= 0")
-        if any(h < 1 for h in cfg.hidden):
-            raise ValidationError("hidden sizes must be >= 1")
         return cfg
 
 
@@ -160,10 +150,8 @@ def evaluate_policy(policy, env_spec: EnvSpec, k: int = 20, seed: int = 0) -> tu
     policy's own distribution is drawn from, never its argmax.  A non-finite
     return raises ``NumericalError``.
     """
-    if k < 1:
-        raise ValidationError("k must be >= 1")
-    if seed < 0:
-        raise ValidationError("seed must be >= 0")
+    check_count("k", k, 1)
+    check_count("seed", seed, 0)
     _, returns = rollout(env_spec, policy, [(seed, i) for i in range(k)], episodes=k)
     if not np.isfinite(returns).all():
         raise NumericalError("non-finite evaluation return")
@@ -288,14 +276,18 @@ def train(cfg: TrainConfig, demos: DemoSet, env_spec: EnvSpec):
             losses = []
             for epoch in range(cfg.epochs):
                 order = batch_rng.permutation(len(epoch_pool))
-                for k, lo in enumerate(range(0, len(order), cfg.batch)):
+                lows = range(0, len(order), cfg.batch)
+                epoch_g = epoch_pool.take(order)
+                if collects:   # the expert picks, one integers call per minibatch as before
+                    epoch_e = expert.take(np.concatenate(
+                        [batch_rng.integers(0, len(expert), size=min(cfg.batch, len(order) - lo)) for lo in lows]))
+                for k, lo in enumerate(lows):
                     where = f"outer step {m + 1}, epoch {epoch + 1}, minibatch {k + 1}"
-                    idx = order[lo : lo + cfg.batch]
+                    batch_g = epoch_g.span(lo, lo + cfg.batch)
                     if collects:
-                        batch_e = expert.take(batch_rng.integers(0, len(expert), size=len(idx)))
-                        loss, grad = disc.bce_on_packed(learned, batch_e, gen_pool.take(idx))
+                        loss, grad = disc.bce_on_packed(learned, epoch_e.span(lo, lo + cfg.batch), batch_g)
                     else:
-                        loss, grad = disc.nll_on_packed(learned, expert.take(idx))
+                        loss, grad = disc.nll_on_packed(learned, batch_g)
                     learned.net.params, adam = adam_step(adam, learned.net.params, _clip(grad, cfg), cfg.lr_d)
                     if not losses:
                         log.first_batch_losses.append(loss)

@@ -22,7 +22,7 @@ from .envs import (
     rollout,
     soft_value_iteration,
 )
-from .errors import ValidationError
+from .errors import check_count
 from .exact import stage_marginals, verify_lemma1
 from .nn import Mlp, grad_check
 from .policies import CategoricalPolicy, GaussianPolicy, tabular_policy_extract
@@ -62,10 +62,8 @@ def collect_expert_demos(env_spec, n: int, alpha: float, seed: int) -> DemoSet:
     a discrete environment and the scripted controller on pointmass, which
     ignores ``alpha``.
     """
-    if n < 1:
-        raise ValidationError(f"need at least one episode, got {n}")
-    if seed < 0:
-        raise ValidationError("seed must be >= 0")
+    check_count("n", n, 1)
+    check_count("seed", seed, 0)
     if isinstance(env_spec, PointMassSpec):
         expert, generator = ScriptedPointMassPolicy(), "scripted_proportional"
     else:

@@ -241,6 +241,54 @@ def test_take_matches_reference_gather(lengths, picks, unit, scored, stated):
     assert len(got) == len(idx)
 
 
+def assert_same_pack(got, want):
+    for name in ("obs", "acts", "starts", "lengths", "gen_logp", "states"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+@given(
+    lengths=st.lists(st.integers(1, 6), min_size=1, max_size=30),
+    batch=st.integers(1, 12),
+    unit=st.booleans(),
+    scored=st.booleans(),
+    stated=st.booleans(),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_spans_of_an_epoch_gather_equal_minibatch_takes(lengths, batch, unit, scored, stated, seed):
+    # train() gathers each side once per epoch and reads each minibatch,
+    # the last one ragged, as a span of that gather
+    rng = np.random.default_rng(seed)
+    if unit:
+        lengths = [1] * len(lengths)
+    packed = disc.pack_windows(random_windows_of(lengths, rng))
+    if scored:
+        packed.gen_logp = rng.normal(size=packed.n_windows)
+    if stated:
+        packed.states = rng.integers(0, 5, size=len(packed.obs))
+    order = rng.permutation(len(packed))
+    epoch = packed.take(order)
+    for lo in range(0, len(order), batch):
+        assert_same_pack(epoch.span(lo, lo + batch), packed.take(order[lo : lo + batch]))
+    assert epoch.span(0, len(order) + batch) is epoch
+
+
+@given(st.integers(1, 200), st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_one_step_packs_skip_the_window_sums(n, seed, spanned):
+    # asaf_1, asqf and bc packs hold one-step windows, where reduceat and
+    # repeat are identities that segment_sum and per_step skip
+    rng = np.random.default_rng(seed)
+    packed = transitions(rng.normal(size=(n, 2)), rng.integers(0, 3, size=n))
+    if spanned:
+        lo = int(rng.integers(0, n))
+        packed = packed.take(rng.permutation(n)).span(lo, int(rng.integers(lo + 1, n + 1)))
+    v = rng.normal(size=len(packed)) * np.exp(rng.uniform(-30, 30, size=len(packed)))
+    assert packed.segment_sum(v).tobytes() == np.add.reduceat(v, packed.starts).tobytes()
+    assert packed.per_step(v).tobytes() == np.repeat(v, packed.lengths).tobytes()
+
+
 def test_refresh_generator_scores():
     rng = np.random.default_rng(3)
     gen = CategoricalPolicy(Mlp.init((2, 6, 2), rng))

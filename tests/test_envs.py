@@ -624,6 +624,15 @@ def test_rollout_refuses_a_seed_list_of_the_wrong_length():
         rollout(spec, policy, 0, episodes=0)
 
 
+@pytest.mark.parametrize("episodes", [2.5, True, np.float64(2.0)])
+def test_rollout_refuses_non_integer_episode_counts(episodes):
+    # 2.5 used to die in a bare TypeError inside the loop; True ran one episode
+    spec, policy = lockstep_case("chain", "learned", 0)
+    with pytest.raises(ValidationError, match="episodes must be an integer"):
+        rollout(spec, policy, 0, episodes=episodes)
+    assert len(rollout(spec, policy, 0, episodes=np.int64(2))[1]) == 2
+
+
 def test_soft_expert_log_prob_matches_table():
     spec = chain_spec()
     table = soft_value_iteration(spec.mdp, 1.0)

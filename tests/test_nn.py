@@ -1,6 +1,7 @@
 """Numeric kit: logsumexp, the flat-parameter net, Adam, clipping, grad_check,
 and the single-threaded BLAS scope."""
 
+import contextlib
 import os
 import subprocess
 import sys
@@ -417,6 +418,31 @@ def test_forward_rows_has_the_bits_of_one_row_forwards(sizes, batch, seed):
     with serial_blas():
         assert net.forward_rows(x).tobytes() == alone.tobytes()
         assert np.stack([net.forward(row)[0] for row in x]).tobytes() == alone.tobytes()
+
+
+@given(st.lists(st.integers(1, 70), min_size=1, max_size=3), st.integers(1, 200), st.integers(0, 2 ** 32 - 1),
+       st.booleans())
+def test_one_column_layers_equal_the_matrix_product(hidden, batch, seed, zeros):
+    # a layer with one input column is a broadcast product; it must keep the
+    # bits of the K=1 matrix product, with and without the single-thread scope
+    rng = np.random.default_rng(seed)
+    sizes = (1, *hidden, int(rng.integers(1, 5)))
+    net = Mlp(sizes, rng.normal(size=nn.param_count(sizes)) * rng.uniform(0.01, 100.0))
+    x = rng.normal(size=(batch, 1)) * rng.uniform(0.01, 100.0)
+    if zeros:
+        x[rng.random(batch) < 0.5] = 0.0
+
+    def matrix_product(h):
+        for i in range(len(sizes) - 1):
+            z = h @ net.weights(i).T + net.biases(i)
+            h = z if i == len(sizes) - 2 else np.maximum(z, 0.0)
+        return h
+
+    want = matrix_product(x)
+    for scope in (contextlib.nullcontext, serial_blas):
+        with scope():
+            assert net.forward(x)[0].tobytes() == want.tobytes()
+            assert net.forward_rows(x).tobytes() == matrix_product(x[:, None, :])[:, 0, :].tobytes()
 
 
 def test_forward_rows_checks_its_input():

@@ -16,6 +16,7 @@ from asaf.envs import (
     one_hot,
     pointmass_spec,
 )
+from asaf import discriminator as disc
 from asaf import nn
 from asaf.errors import NumericalError, UnsupportedError, ValidationError
 from asaf.formats import runlog_csv
@@ -86,6 +87,26 @@ def test_config_validation_errors():
         TrainConfig(seed=-1).validated()
 
 
+@pytest.mark.parametrize("name, bad", [
+    ("hidden size", dict(hidden=(8.7,))), ("hidden size", dict(hidden=(8, True))), ("eval_k", dict(eval_k=True)),
+    ("batch", dict(batch=2.5)), ("steps", dict(steps=1.5)), ("epochs", dict(epochs=1.0)),
+    ("n_g", dict(n_g=np.float64(2.0))), ("seed", dict(seed=False)), ("eval_interval", dict(eval_interval=3.0)),
+    ("w", dict(algorithm="asaf_w", w=2.0)), ("stride", dict(algorithm="asaf_w", w=2, stride=True)),
+    ("w", dict(algorithm="asaf_1", w=True)),
+])
+def test_config_refuses_non_integer_counts(name, bad):
+    # 2.5 used to fail deep inside train(); 8.7, 1.0 and True ran as 8, 1 and 1
+    with pytest.raises(ValidationError, match=f"^{name} must be an integer"):
+        TrainConfig(**bad).validated()
+
+
+def test_config_accepts_numpy_integers():
+    cfg = TrainConfig(algorithm="asaf_w", w=np.int64(2), batch=np.int32(3), seed=np.uint8(4),
+                      hidden=(np.int64(8),)).validated()
+    assert (cfg.w, cfg.stride, cfg.batch, cfg.seed, cfg.hidden) == (2, 2, 3, 4, (8,))
+    assert type(cfg.hidden[0]) is int
+
+
 def test_config_stride_defaults_to_w():
     cfg = TrainConfig(algorithm="asaf_w", w=3).validated()
     assert cfg.stride == 3
@@ -127,6 +148,16 @@ def test_evaluate_is_deterministic():
         evaluate_policy(policy, pointmass_spec(), k=0)
     with pytest.raises(ValidationError):
         evaluate_policy(policy, pointmass_spec(), k=1, seed=-1)
+
+
+@pytest.mark.parametrize("k", [2.5, True, np.float64(2.0)])
+def test_evaluate_and_expert_demos_refuse_non_integer_counts(k):
+    # 2.5 used to die in a bare TypeError; True ran one episode
+    with pytest.raises(ValidationError, match="k must be an integer"):
+        evaluate_policy(ConstantPolicy(1), chain_spec(), k=k)
+    with pytest.raises(ValidationError, match="n must be an integer"):
+        collect_expert_demos(chain_spec(), n=k, alpha=1.0, seed=0)
+    assert len(collect_expert_demos(chain_spec(), n=np.int64(2), alpha=1.0, seed=np.int64(0))) == 2
 
 
 def test_evaluate_refuses_a_non_finite_return():
@@ -332,6 +363,22 @@ def test_tabular_training_runs_the_nets_on_the_states_only(chain_demos, monkeypa
 
 
 # ---------------------------------------------------------------- asqf loop
+
+@pytest.mark.parametrize("env_id, algorithm, cfg_kw, per_epoch", [
+    ("pointmass", "asaf_1", dict(n_g=2, batch=30), 2),   # 100 transitions: minibatches of 30, 30, 30 and 10
+    ("chain", "asaf", dict(n_g=3, batch=4), 2),          # 3 episodes: one minibatch, two gathers an update as before
+    ("chain", "bc", dict(batch=7), 1),                   # bc gathers the demo transitions alone
+])
+def test_updates_gather_each_side_once_per_epoch(env_id, algorithm, cfg_kw, per_epoch, monkeypatch):
+    spec = env_by_id(env_id)
+    demos = collect_expert_demos(spec, n=4, alpha=1.0, seed=3)
+    calls, take = [], disc.PackedWindows.take
+    monkeypatch.setattr(disc.PackedWindows, "take", lambda self, idx: calls.append(len(idx)) or take(self, idx))
+    cfg = tiny_cfg(algorithm=algorithm, **cfg_kw)
+    train(cfg, demos, spec)
+    pools = 1 + (cfg.steps if algorithm != "bc" else 0)   # each pool is built with one take
+    assert len(calls) == pools + per_epoch * cfg.steps * cfg.epochs
+
 
 def test_asqf_smoke_and_determinism(chain_demos):
     cfg = tiny_cfg(algorithm="asqf", steps=2, epochs=1, batch=16, n_g=2)
