@@ -32,7 +32,6 @@ from .discriminator import (
     AsqfModel,
     Window,
     asqf_bce_loss,
-    asqf_extract_policy,
     bce_loss,
     structured_log_d,
     window_split,
@@ -84,7 +83,6 @@ __all__ = [
     "Window",
     "adam_step",
     "asqf_bce_loss",
-    "asqf_extract_policy",
     "bce_loss",
     "chain_spec",
     "collect_expert_demos",

@@ -40,7 +40,6 @@ __all__ = [
     "PackedWindows",
     "Window",
     "asqf_bce_loss",
-    "asqf_extract_policy",
     "bce_loss",
     "bce_on_packed",
     "nll_on_packed",
@@ -191,9 +190,11 @@ def bce_on_packed(learner, packed_e: PackedWindows, packed_g: PackedWindows) -> 
     Both packs must carry cached generator scores.  The expert and generator
     sides must hold the same number of windows; the loss weighs each side by
     1/n.  Gradient per window: expert side -(1 - D)/n, generator side +D/n,
-    distributed onto each step's log-prob gradient.  Sides that read one
-    state table add their score gradients, each summed on its own so that
-    they cancel exactly at the fixed point, and run one backward.
+    distributed onto each step's log-prob gradient.  Both sides go to the
+    learner's ``backprop_log_prob`` in one call, which decides whether they
+    share a backward (a ``CategoricalPolicy`` does when they read one state
+    table, each side summed on its own so they cancel exactly at the fixed
+    point).
     """
     if packed_e.gen_logp is None or packed_g.gen_logp is None:
         raise ValueError("generator scores not cached; call refresh_generator_scores first")
@@ -213,11 +214,7 @@ def bce_on_packed(learner, packed_e: PackedWindows, packed_g: PackedWindows) -> 
 
     w_e = packed_e.per_step(-np.exp(packed_e.gen_logp - m_e) / n_e)   # -(1 - D)/n
     w_g = packed_g.per_step(np.exp(a_g - m_g) / n_g)                  # +D/n
-    if isinstance(learner, CategoricalPolicy) and cache_e[0] is cache_g[0]:
-        dy = learner.score_grad(cache_e, w_e) + learner.score_grad(cache_g, w_g)
-        grad = learner.net.backward(cache_e[0].tape, dy)
-    else:
-        grad = learner.backprop_log_prob(cache_e, w_e) + learner.backprop_log_prob(cache_g, w_g)
+    grad = learner.backprop_log_prob(cache_e, w_e, (cache_g, w_g))
     if not (np.isfinite(loss) and np.all(np.isfinite(grad))):
         raise NumericalError("non-finite discriminator loss or gradient")
     return loss, grad
@@ -268,8 +265,3 @@ def asqf_bce_loss(model: AsqfModel, generator, expert: PackedWindows, gen: Packe
                    replace(p, gen_logp=p.segment_sum(p.log_prob_tape(generator)[0]))
                    for p in (expert, gen))
     return bce_on_packed(model, expert, gen)
-
-
-def asqf_extract_policy(model: AsqfModel) -> CategoricalPolicy:
-    """Freeze the current scores into a softmax policy (an independent copy)."""
-    return model.snapshot()

@@ -24,7 +24,9 @@ the step of an array of states with its random numbers drawn beforehand
 policy ``act`` and one ``step_rows`` per time step, until the horizon or a
 step into a terminal state.  Each episode first draws all its noise in the
 order stepping it alone would: the reset draw, then for each of the
-``horizon`` steps the policy's draws before the step's.
+``horizon`` steps the policy's draws before the step's.  A policy declares
+its draws as ``draws`` and acts through ``act(obs, noise, t)``, given the
+step index ``t``, which only a stage-indexed expert reads.
 
 Discrete environments expose one-hot observations so the same network code
 serves tabular and continuous tasks.  Experts are exact: stage-indexed soft
@@ -38,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ShapeError, ValidationError, check_count
+from .errors import ShapeError, UnsupportedError, ValidationError, check_count
 from .nn import logsumexp_rows
 
 __all__ = [
@@ -410,24 +412,23 @@ class ScriptedPointMassPolicy:
     action_kind = "continuous"
     draws = ("random", 0)
 
-    def act(self, obs, noise) -> np.ndarray:
-        """clamp(-5 x, -1, 1) for each (B, 1) observation row; draws nothing."""
+    def act(self, obs, noise, t: int) -> np.ndarray:
+        """clamp(-5 x, -1, 1) for each (B, 1) observation row, at any step; draws nothing."""
         return np.minimum(np.maximum(-5.0 * np.asarray(obs)[:, :1], -1.0), 1.0)
 
     def sample(self, obs, rng) -> np.ndarray:
-        return self.act(np.reshape(obs, (1, -1)), None)[0]
+        return self.act(np.reshape(obs, (1, -1)), None, 0)[0]
 
 
 class SoftExpertPolicy:
     """Stage-indexed sampler for a SoftQTable expert on a one-hot discrete env.
 
     The optimal entropy-regularized policy of a finite-horizon task depends
-    on the stage, so sampling needs the step index: rollout() passes it to
-    any policy with ``stage_indexed`` set.
+    on the stage, so its ``act`` reads the step index that rollout() passes
+    to every policy.
     """
 
     action_kind = "discrete"
-    stage_indexed = True
     draws = ("random", 1)
 
     def __init__(self, qtable: SoftQTable):
@@ -454,56 +455,43 @@ def rollout(env_spec: EnvSpec, policy, seed, episodes: int | None = None):
     return it and its undiscounted return (with ``episodes``, a (k,) array).
 
     ``seed`` is a Generator or seed the episodes share in turn, or with
-    ``episodes`` a list of k seeds, one stream each.  A policy with ``draws``
-    and ``act`` steps all k together in the draw layout of the module
-    docstring; one with ``sample`` alone runs one episode at a time, drawing
-    as it goes.  A ``stage_indexed`` policy also gets the step index.
-    Rewards are summed apart from the (obs, act) pairs, so imitation code
-    can drop them unseen.
+    ``episodes`` a list of k seeds, one stream each.  All k episodes step
+    together in the draw layout of the module docstring, so the policy needs
+    ``draws`` and ``act(obs, noise, t)``.  Rewards are summed apart from the
+    (obs, act) pairs, so imitation code can drop them unseen.
     """
     if episodes is not None:
         check_count("episodes", episodes, 1)
+    try:
+        (kind, n_pol), act = policy.draws, policy.act
+    except AttributeError:
+        raise UnsupportedError(f"{type(policy).__name__} lacks the sampling protocol: "
+                               "draws and act(obs, noise, t)") from None
     listed = isinstance(seed, list) and episodes is not None
     if listed and len(seed) != episodes:
         raise ValidationError(f"need one seed per episode, got {len(seed)} for {episodes}")
     rngs = [np.random.default_rng(s) for s in seed] if listed else [np.random.default_rng(seed)] * (episodes or 1)
-    stage_indexed, k, horizon = getattr(policy, "stage_indexed", False), len(rngs), env_spec.horizon
-    if hasattr(policy, "act"):   # all k together; each episode draws its noise before any step
-        (kind, n_pol), (env_kind, n_env) = policy.draws, env_spec.draws
-        noise, starts = np.empty((k, horizon, n_pol + n_env)), []
-        for i, rng in enumerate(rngs):
-            starts.append(env_spec.reset(rng))
-            noise[i] = getattr(rng, kind if n_pol else env_kind)((horizon, n_pol + n_env))
-        states, live = np.array(starts), slice(None)    # every episode; once one ends, the running ones
-        obs, lengths, returns = np.empty((k, horizon, env_spec.obs_dim)), np.full(k, horizon), np.zeros(k)
-        discrete = env_spec.action_kind == "discrete"
-        acts = np.empty((k, horizon) if discrete else (k, horizon, env_spec.act_dim), np.int64 if discrete else np.float64)
-        for t in range(horizon):
-            o, z = env_spec.observe(states[live]), noise[live, t]
-            a = policy.act(o, z[:, :n_pol], t) if stage_indexed else policy.act(o, z[:, :n_pol])
-            obs[live, t] = o    # before the step: o may be a view of the states it overwrites
-            states[live], reward, terminal = env_spec.step_rows(states[live], a, z[:, n_pol:])
-            acts[live, t] = a
-            returns[live] += reward
-            if np.count_nonzero(terminal):
-                running = np.arange(k)[live]
-                lengths[running[terminal]], live = t + 1, running[~terminal]
-                if not len(live):
-                    break
-        stepped = np.arange(horizon) < lengths[:, None]
-        obs, acts = obs[stepped], acts[stepped]
-    else:   # one episode at a time, each step drawing as it goes
-        obs, acts, lengths, returns = [], [], [], []
-        for rng in rngs:
-            state, total = env_spec.reset(rng), 0.0
-            for t in range(horizon):
-                obs.append(env_spec.observe(state))
-                acts.append(policy.sample(obs[-1], rng, t) if stage_indexed else policy.sample(obs[-1], rng))
-                state, reward, terminal = env_spec.step(state, acts[-1], rng)
-                total += reward
-                if terminal:
-                    break
-            lengths.append(t + 1)
-            returns.append(total)
-    traj = Trajectory(obs=np.asarray(obs), acts=np.asarray(acts), lengths=lengths)
-    return (traj, float(returns[0])) if episodes is None else (traj, np.asarray(returns))
+    (env_kind, n_env), k, horizon = env_spec.draws, len(rngs), env_spec.horizon
+    noise, starts = np.empty((k, horizon, n_pol + n_env)), []
+    for i, rng in enumerate(rngs):  # each episode draws its noise before any step
+        starts.append(env_spec.reset(rng))
+        noise[i] = getattr(rng, kind if n_pol else env_kind)((horizon, n_pol + n_env))
+    states, live = np.array(starts), slice(None)    # every episode; once one ends, the running ones
+    obs, lengths, returns = np.empty((k, horizon, env_spec.obs_dim)), np.full(k, horizon), np.zeros(k)
+    discrete = env_spec.action_kind == "discrete"
+    acts = np.empty((k, horizon) if discrete else (k, horizon, env_spec.act_dim), np.int64 if discrete else np.float64)
+    for t in range(horizon):
+        o, z = env_spec.observe(states[live]), noise[live, t]
+        a = act(o, z[:, :n_pol], t)
+        obs[live, t] = o    # before the step: o may be a view of the states it overwrites
+        states[live], reward, terminal = env_spec.step_rows(states[live], a, z[:, n_pol:])
+        acts[live, t] = a
+        returns[live] += reward
+        if np.count_nonzero(terminal):
+            running = np.arange(k)[live]
+            lengths[running[terminal]], live = t + 1, running[~terminal]
+            if not len(live):
+                break
+    stepped = np.arange(horizon) < lengths[:, None]
+    traj = Trajectory(obs=obs[stepped], acts=acts[stepped], lengths=lengths)
+    return (traj, float(returns[0])) if episodes is None else (traj, returns)

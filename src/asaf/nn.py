@@ -256,19 +256,11 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray, lr: float
     if not np.all(np.isfinite(grads)):
         raise NumericalError("non-finite entries in gradient")
     t = state.t + 1
-    # m = b1 m + (1 - b1) g,  v = b2 v + (1 - b2) g g,  params - lr m^ / (sqrt(v^) + eps),
-    # each operation in that order, with every intermediate in scratch a or b
-    m, v = np.multiply(state.beta1, state.m), np.multiply(state.beta2, state.v)
-    a = np.multiply(1.0 - state.beta1, grads)
-    m += a
-    np.multiply(np.multiply(1.0 - state.beta2, grads, out=a), grads, out=a)
-    v += a
-    b = np.divide(v, 1.0 - state.beta2 ** t)
-    np.sqrt(b, out=b)
-    b += state.eps
-    np.multiply(lr, np.divide(m, 1.0 - state.beta1 ** t, out=a), out=a)
-    a /= b
-    return np.subtract(params, a, out=a), replace(state, m=m, v=v, t=t)
+    m = state.beta1 * state.m + (1.0 - state.beta1) * grads
+    v = state.beta2 * state.v + (1.0 - state.beta2) * grads * grads
+    m_hat = m / (1.0 - state.beta1 ** t)
+    v_hat = v / (1.0 - state.beta2 ** t)
+    return params - lr * m_hat / (np.sqrt(v_hat) + state.eps), replace(state, m=m, v=v, t=t)
 
 
 def clip_by_global_norm(grads: np.ndarray, threshold: float) -> np.ndarray:

@@ -4,13 +4,15 @@ Both policies share one gradient protocol used by the discriminator losses:
 
 * ``log_prob_tape(obs, acts)`` runs a taped forward pass and returns
   per-sample log-probabilities,
-* ``backprop_log_prob(tape, weights)`` backpropagates
-  sum_i weights[i] * log pi(a_i | s_i) into a flat parameter gradient.
+* ``backprop_log_prob(cache, weights, *more_pairs)`` backpropagates
+  sum_i weights[i] * log pi(a_i | s_i) into a flat parameter gradient,
+  summed over the (cache, weights) pair and any ``more_pairs`` of them.
 
 They also share one sampling protocol: ``draws`` names the ``Generator``
-method and the count of numbers one action takes, ``act(obs, noise)`` maps
-observation rows and their drawn noise to actions, and ``sample(obs, rng)``
-wraps it for one observation.
+method and the count of numbers one action takes, ``act(obs, noise, t)``
+maps observation rows, their drawn noise and the step index to actions (a
+stationary policy ignores ``t``), and ``sample(obs, rng)`` wraps it for one
+observation.
 
 Log-probabilities are densities for the Gaussian case, so they can be
 positive; everything downstream works in the log domain and never needs
@@ -82,7 +84,9 @@ class CategoricalPolicy:
     version and shared by every log-prob, CDF, sample and gradient tape of
     that version.  Any other input is evaluated afresh on its own rows.
     ``score_grad`` adds the row weights per evaluated row, and
-    ``backprop_log_prob`` runs one backward of that over the record's rows.
+    ``backprop_log_prob`` runs one backward of that over the record's rows;
+    pairs that read one record add their score gradients, each summed on its
+    own, and share one backward.
     ``table_tape`` reads states that ``index`` has checked once.
     """
 
@@ -160,8 +164,15 @@ class CategoricalPolicy:
         ev = self._table()
         return (ev.logp if self._normalized else ev.scores)[states, acts], (ev, states, acts)
 
-    def backprop_log_prob(self, cache, weights: np.ndarray) -> np.ndarray:
-        return self.net.backward(cache[0].tape, self.score_grad(cache, weights))
+    def backprop_log_prob(self, cache, weights: np.ndarray, *more_pairs) -> np.ndarray:
+        ev, dy, rest = cache[0], self.score_grad(cache, weights), []
+        for c, w in more_pairs:     # a pair that reads this evaluation joins its backward
+            if c[0] is ev:
+                dy += self.score_grad(c, w)
+            else:
+                rest.append((c, w))
+        grad = self.net.backward(ev.tape, dy)
+        return grad + self.backprop_log_prob(*rest[0], *rest[1:]) if rest else grad
 
     def score_grad(self, cache, weights: np.ndarray) -> np.ndarray:
         """d(sum_i weights[i] * lp_i) / d(cached scores), lp as ``log_prob_tape`` reads it."""
@@ -181,14 +192,14 @@ class CategoricalPolicy:
         ev, rows = self._read(np.asarray(obs))
         return np.take(ev.cdf, rows, axis=0)
 
-    def act(self, obs, u: np.ndarray) -> np.ndarray:
-        """Inverse-CDF draws (CDF entries <= u) for (B, obs_dim) rows and (B, 1) uniforms."""
+    def act(self, obs, u: np.ndarray, t: int) -> np.ndarray:
+        """Inverse-CDF draws (CDF entries <= u) for (B, obs_dim) rows and (B, 1) uniforms, at any step."""
         ev, rows = self._read(np.asarray(obs))
         return (np.take(ev.cdf, rows, axis=0) <= u).sum(axis=-1)
 
     def sample(self, obs, rng: np.random.Generator) -> int:
         """Inverse-CDF draw from the softmax distribution."""
-        return int(self.act(obs, rng.random(1)))
+        return int(self.act(obs, rng.random(1), 0))
 
     def snapshot(self) -> "CategoricalPolicy":
         """A frozen copy of the softmax policy, always a plain ``CategoricalPolicy``."""
@@ -255,7 +266,11 @@ class GaussianPolicy:
         cache = (tape, zscore, std, raw)
         return lp, cache
 
-    def backprop_log_prob(self, cache, weights: np.ndarray) -> np.ndarray:
+    def backprop_log_prob(self, cache, weights: np.ndarray, *more_pairs) -> np.ndarray:
+        """One backward per (cache, weights) pair, the gradients added in order."""
+        return sum((self._backprop(*pair) for pair in more_pairs), self._backprop(cache, weights))
+
+    def _backprop(self, cache, weights: np.ndarray) -> np.ndarray:
         tape, zscore, std, raw = cache
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != (len(zscore),):
@@ -266,13 +281,13 @@ class GaussianPolicy:
         dy = np.concatenate([d_mean, d_log_std * active], axis=1) * weights[:, None]
         return self.net.backward(tape, dy)
 
-    def act(self, obs, z: np.ndarray) -> np.ndarray:
-        """mean + std * z for (B, obs_dim) rows and (B, act_dim) normals, each row on its own."""
+    def act(self, obs, z: np.ndarray, t: int) -> np.ndarray:
+        """mean + std * z for (B, obs_dim) rows and (B, act_dim) normals, each row on its own, at any step."""
         mean, _, log_std = self._heads(self.net.forward_rows(obs))
         return mean + np.exp(log_std) * z
 
     def sample(self, obs, rng: np.random.Generator) -> np.ndarray:
-        return self.act(np.reshape(obs, (1, -1)), rng.standard_normal((1, self.act_dim)))[0]
+        return self.act(np.reshape(obs, (1, -1)), rng.standard_normal((1, self.act_dim)), 0)[0]
 
     def snapshot(self) -> "GaussianPolicy":
         return GaussianPolicy(self.net.copy())

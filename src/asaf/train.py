@@ -202,7 +202,7 @@ class _ExpertReference:
             self.mdp = env_spec.mdp
 
     def js(self, policy) -> float | None:
-        if self.dist is None or not isinstance(policy, CategoricalPolicy):
+        if self.dist is None:   # a tabular train() always holds a CategoricalPolicy generator
             return None
         table = tabular_policy_extract(policy, self.mdp.n_states)
         return js_between(exact_traj_distribution(self.mdp, table), self.dist)

@@ -22,7 +22,7 @@ from .envs import (
     rollout,
     soft_value_iteration,
 )
-from .errors import check_count
+from .errors import ValidationError, check_count
 from .exact import stage_marginals, verify_lemma1
 from .nn import Mlp, grad_check
 from .policies import CategoricalPolicy, GaussianPolicy, tabular_policy_extract
@@ -60,10 +60,13 @@ def collect_expert_demos(env_spec, n: int, alpha: float, seed: int) -> DemoSet:
 
     The expert is the exact soft-optimal policy at temperature ``alpha`` on
     a discrete environment and the scripted controller on pointmass, which
-    ignores ``alpha``.
+    ignores ``alpha`` but, like every environment, refuses one that is not
+    finite and positive.
     """
     check_count("n", n, 1)
     check_count("seed", seed, 0)
+    if not (np.isfinite(alpha) and alpha > 0.0):
+        raise ValidationError(f"alpha must be finite and positive, got {alpha}")
     if isinstance(env_spec, PointMassSpec):
         expert, generator = ScriptedPointMassPolicy(), "scripted_proportional"
     else:

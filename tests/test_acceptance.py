@@ -131,7 +131,7 @@ def test_c5_window_reductions_are_exact():
     horizon = env.mdp.horizon
 
     # full-horizon windows are the trajectories themselves
-    trajs = [rollout(env, _UniformPolicy(rng), seed=(1, i))[0] for i in range(4)]
+    trajs = [rollout(env, _UniformPolicy(), seed=(1, i))[0] for i in range(4)]
     max_loss_diff = 0.0
     learner = CategoricalPolicy.init(4, 2, (12,), rng)
     generator = CategoricalPolicy.init(4, 2, (12,), rng)
@@ -172,13 +172,13 @@ def test_c5_window_reductions_are_exact():
 
 
 class _UniformPolicy:
+    """Either of two actions with probability 1/2, from one uniform each."""
+
     action_kind = "discrete"
+    draws = ("random", 1)
 
-    def __init__(self, rng):
-        self._rng = rng
-
-    def sample(self, obs, rng):
-        return int(rng.integers(0, 2))
+    def act(self, obs, u, t):
+        return (u[:, 0] >= 0.5).astype(np.int64)
 
 
 # ---------------------------------------------------------------- criterion 6

@@ -88,6 +88,17 @@ def reference_bce_on_packed(learner, packed_e, packed_g):
     return loss, grad
 
 
+def reference_two_sided_backward(learner, cache_e, w_e, cache_g, w_g):
+    """The gradient step of ``bce_on_packed`` as it was before the learner's
+    ``backprop_log_prob`` took both sides: a ``CategoricalPolicy`` whose two
+    sides read one evaluation added their score gradients and ran one
+    backward, and any other learner ran one backward per side."""
+    if isinstance(learner, CategoricalPolicy) and cache_e[0] is cache_g[0]:
+        dy = learner.score_grad(cache_e, w_e) + learner.score_grad(cache_g, w_g)
+        return learner.net.backward(cache_e[0].tape, dy)
+    return learner.backprop_log_prob(cache_e, w_e) + learner.backprop_log_prob(cache_g, w_g)
+
+
 def one_step_window(action):
     return disc.Window(obs=np.zeros((1, 1)), acts=np.array([action]))
 
@@ -439,6 +450,43 @@ def test_bce_on_state_carrying_packs(seed, n_states, n_actions, n, scored, unit)
     np.testing.assert_allclose(grad, want_grad, rtol=0, atol=1e-12)
 
 
+@given(
+    seed=st.integers(0, 2 ** 31 - 1),
+    kind=st.sampled_from(["table", "scored_table", "rows", "scored_rows", "gaussian"]),
+    n_states=st.integers(2, 6),
+    n_actions=st.integers(2, 4),
+    n=st.integers(1, 6),
+    unit=st.booleans(),
+    stated=st.booleans(),
+)
+def test_backprop_of_two_pairs_matches_the_old_branches(seed, kind, n_states, n_actions, n, unit, stated):
+    # both sides of a state table share one backward, bitwise the old merged
+    # branch; sides read from their own rows (Gaussian, or categorical rows
+    # that are not one-hot) run one backward each, bitwise two single calls
+    rng = np.random.default_rng(seed)
+    if kind == "gaussian":
+        learner = GaussianPolicy(Mlp.init((n_states, 8, 2 * n_actions), rng))
+    else:
+        learner = (disc.AsqfModel if kind.startswith("scored") else CategoricalPolicy)(
+            Mlp.init((n_states, 8, n_actions), rng))
+    packs = [disc.pack_windows(one_hot_windows(n, n_states, n_actions, rng, max_len=1 if unit else 6))
+             for _ in range(2)]
+    if kind.endswith("table") and stated:
+        packs = [indexed(p, learner) for p in packs]
+    elif not kind.endswith("table"):
+        packs = [replace(p, obs=p.obs + rng.normal(size=p.obs.shape)) for p in packs]
+    if kind == "gaussian":
+        packs = [replace(p, acts=rng.normal(size=(len(p.obs), n_actions))) for p in packs]
+    (_, cache_e), (_, cache_g) = (p.log_prob_tape(learner) for p in packs)
+    w_e, w_g = (rng.normal(size=len(p.obs)) for p in packs)
+    grad = learner.backprop_log_prob(cache_e, w_e, (cache_g, w_g))
+    assert np.array_equal(grad, reference_two_sided_backward(learner, cache_e, w_e, cache_g, w_g))
+    if kind.endswith("table"):
+        assert cache_e[0] is cache_g[0]
+    else:
+        assert np.array_equal(grad, learner.backprop_log_prob(cache_e, w_e) + learner.backprop_log_prob(cache_g, w_g))
+
+
 @pytest.mark.parametrize("scored", [False, True])
 def test_shared_backward_matches_finite_differences(scored):
     rng = np.random.default_rng(21)
@@ -702,7 +750,7 @@ def test_nll_on_packed_matches_reference(kind):
 def test_asqf_extract_policy_is_softmax_of_scores():
     rng = np.random.default_rng(16)
     model = disc.AsqfModel(Mlp.init((3, 6, 2), rng))
-    policy = disc.asqf_extract_policy(model)
+    policy = model.snapshot()
     obs = rng.normal(size=(4, 3))
     scores = model.scores(obs)
     want = scores - scores.max(axis=1, keepdims=True)

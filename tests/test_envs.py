@@ -25,7 +25,7 @@ from asaf.envs import (
     soft_value_iteration,
     TabularMdp,
 )
-from asaf.errors import ShapeError, ValidationError
+from asaf.errors import ShapeError, UnsupportedError, ValidationError
 from asaf.policies import make_policy
 from asaf.verify import collect_expert_demos
 from test_pinned import random_mdp_spec
@@ -411,7 +411,7 @@ def test_pointmass_episode_length_and_start():
     spec = pointmass_spec()
     x0 = spec.reset(np.random.default_rng(11))
     assert -1.0 <= x0 <= 1.0
-    traj, _ = rollout(spec, ConstantPolicy(0.0), seed=11)   # the reset is the episode's first draw
+    traj, _ = rollout(spec, ConstantPolicy([0.0]), seed=11)   # the reset is the episode's first draw
     assert len(traj) == 50
     assert traj.obs[0, 0] == x0 and np.all(traj.obs == x0)
 
@@ -419,10 +419,10 @@ def test_pointmass_episode_length_and_start():
 @pytest.mark.parametrize("horizon", [0, -3])
 def test_pointmass_horizon_below_one_is_refused(horizon):
     with pytest.raises(ValidationError, match=f"horizon must be >= 1, got {horizon}"):
-        rollout(PointMassSpec(horizon=horizon), ConstantPolicy(0.0), seed=0)
+        rollout(PointMassSpec(horizon=horizon), ConstantPolicy([0.0]), seed=0)
     with pytest.raises(ValidationError, match=f"horizon must be >= 1, got {horizon}"):
         collect_expert_demos(pointmass_spec(horizon=horizon), n=2, alpha=1.0, seed=0)
-    assert len(rollout(PointMassSpec(horizon=1), ConstantPolicy(0.0), seed=0)[0]) == 1
+    assert len(rollout(PointMassSpec(horizon=1), ConstantPolicy([0.0]), seed=0)[0]) == 1
 
 
 def test_pointmass_rejects_vector_action():
@@ -460,23 +460,27 @@ def test_cli_reads_the_env_registry(capsys):
 # ---------------------------------------------------------------- rollouts
 
 class ConstantPolicy:
+    """Plays one action (a pointmass action is a list of one real); draws nothing."""
+
+    draws = ("random", 0)
+
     def __init__(self, action):
         self.action = action
 
-    def sample(self, obs, rng):
-        return self.action
+    def act(self, obs, noise, t):
+        return np.repeat([self.action], len(obs), axis=0)
 
 
 class Scripted:
     """Plays a fixed action sequence; asking for an action past its end raises."""
 
-    stage_indexed = True
+    draws = ("random", 0)
 
     def __init__(self, actions):
         self.actions = list(actions)
 
-    def sample(self, obs, rng, t):
-        return self.actions[t]
+    def act(self, obs, noise, t):
+        return np.full(len(obs), self.actions[t])
 
 
 def test_rollout_constant_policy_return():
@@ -531,17 +535,6 @@ def test_tabular_step_refuses_non_integral_actions():
 
 # ---------------------------------------------------------------- lockstep rollouts
 
-class SampleOnly:
-    """A policy with ``sample`` alone: a uniform action on a discrete task,
-    a standard normal one on the point mass."""
-
-    def __init__(self, spec):
-        self.n = getattr(spec, "n_actions", None)
-
-    def sample(self, obs, rng):
-        return int(rng.integers(self.n)) if self.n else rng.standard_normal(1)
-
-
 def lockstep_case(env, kind, seed):
     spec = {"chain": chain_spec, "random_mdp": random_mdp_spec, "gridworld": gridworld_spec,
             "pointmass": lambda: pointmass_spec(horizon=12)}[env]()
@@ -550,34 +543,30 @@ def lockstep_case(env, kind, seed):
         policy = make_policy(spec, (8, 8), rng)
     elif kind == "asqf":
         policy = AsqfModel.init(spec.obs_dim, spec.n_actions, (8, 8), rng).snapshot()
-    elif kind == "expert":
+    else:
         policy = (ScriptedPointMassPolicy() if env == "pointmass"
                   else SoftExpertPolicy(soft_value_iteration(spec.mdp, float(rng.uniform(0.05, 2.0)))))
-    else:
-        policy = SampleOnly(spec)
     return spec, policy
 
 
-LOCKSTEP_CASES = [(env, kind) for env in ("chain", "random_mdp", "gridworld")
-                  for kind in ("learned", "asqf", "expert", "sample_only")]
-LOCKSTEP_CASES += [("pointmass", kind) for kind in ("learned", "expert", "sample_only")]
+LOCKSTEP_CASES = [(env, kind) for env in ("chain", "random_mdp", "gridworld") for kind in ("learned", "asqf", "expert")]
+LOCKSTEP_CASES += [("pointmass", kind) for kind in ("learned", "expert")]
 
 
 def reference_episode(spec, policy, rng):
-    """One episode stepped alone through ``sample`` and ``step``, each drawing
-    as it goes.  An episode of a lockstep policy that ends early then draws
-    the rest of its full-horizon block, as the lockstep loop does."""
-    stage_indexed = getattr(policy, "stage_indexed", False)
+    """One episode stepped alone through one-row ``act`` calls and ``step``,
+    each drawing as it goes.  An episode that ends early then draws the rest
+    of its full-horizon block, as the lockstep loop does."""
+    (kind, n_pol), (_, n_env) = policy.draws, spec.draws
     state, obs, acts, total = spec.reset(rng), [], [], 0.0
     for t in range(spec.horizon):
         obs.append(spec.observe(state))
-        acts.append(policy.sample(obs[-1], rng, t) if stage_indexed else policy.sample(obs[-1], rng))
+        acts.append(policy.act(obs[-1][None, :], getattr(rng, kind)((1, n_pol)), t)[0])
         state, reward, terminal = spec.step(state, acts[-1], rng)
         total += reward
         if terminal:
             break
-    if hasattr(policy, "act") and len(obs) < spec.horizon:
-        (kind, n_pol), (_, n_env) = policy.draws, spec.draws
+    if len(obs) < spec.horizon:
         getattr(rng, kind)((spec.horizon - len(obs), n_pol + n_env))
     return np.asarray(obs), np.asarray(acts), total
 
@@ -614,6 +603,30 @@ def test_lockstep_on_a_seed_list_equals_one_rollout_per_seed(case, seed, k):
     assert [len(p) for p in parts] == traj.lengths.tolist()
     assert all(p.obs.tobytes() == t.obs.tobytes() and p.acts.tobytes() == t.acts.tobytes()
                for p, (t, _) in zip(parts, one))
+
+
+class SampleOnly:
+    """A policy with ``sample`` alone, the protocol that rollout no longer steps."""
+
+    def sample(self, obs, rng):
+        return 0
+
+
+class ActOnly:
+    """A policy that acts but does not declare its draws."""
+
+    def act(self, obs, noise, t):
+        return np.zeros(len(obs), dtype=np.int64)
+
+
+@pytest.mark.parametrize("policy", [SampleOnly(), ActOnly()])
+def test_rollout_refuses_a_policy_without_draws_and_act(policy):
+    # either used to end in an AttributeError, or (sample alone) ran one episode at a time
+    want = rf"^{type(policy).__name__} lacks the sampling protocol: draws and act\(obs, noise, t\)$"
+    with pytest.raises(UnsupportedError, match=want):
+        rollout(chain_spec(), policy, seed=0)
+    with pytest.raises(UnsupportedError, match="sampling protocol"):
+        rollout(chain_spec(), policy, [0, 1], episodes=2)
 
 
 def test_rollout_refuses_a_seed_list_of_the_wrong_length():

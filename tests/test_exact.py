@@ -178,13 +178,14 @@ def test_occupancy_monte_carlo_cross_check():
 
     class TablePolicy:
         action_kind = "discrete"
+        draws = ("random", 1)
 
         def __init__(self, table):
             self.table = table
 
-        def sample(self, obs, rng):
-            p = self.table[int(np.argmax(obs))]
-            return int(np.searchsorted(np.cumsum(p), rng.random(), side="right"))
+        def act(self, obs, u, t):
+            cdf = np.cumsum(self.table[np.argmax(obs, axis=1)], axis=1)
+            return (cdf <= u).sum(axis=1)
 
     base = chain_spec().mdp
     mdp = TabularMdp(transitions=base.transitions, start=base.start, rewards=base.rewards,

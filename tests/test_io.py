@@ -395,6 +395,14 @@ def test_cli_gen_expert_rejects_bad_args(tmp_path, capsys):
     assert main(["gen-expert", "--env", "chain", "--n", "0", "--out", out]) == 3
     assert main(["gen-expert", "--env", "chain", "--alpha", "-1", "--out", out]) == 3
     assert "validation error" in capsys.readouterr().err
+    # every env refuses an alpha that is not finite and positive; pointmass,
+    # which ignores alpha, used to write its demos and exit 0
+    for env in ("chain", "gridworld", "pointmass"):
+        for alpha in ("nan", "inf", "-inf", "0", "-1"):
+            assert main(["gen-expert", "--env", env, f"--alpha={alpha}", "--n", "2", "--out", out]) == 3
+            err = capsys.readouterr().err
+            assert f"validation error: alpha must be finite and positive, got {float(alpha)}" in err
+            assert "Traceback" not in err and not os.path.exists(out)
 
 
 # ---------------------------------------------------------------- cli: train/eval

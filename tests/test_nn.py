@@ -307,8 +307,7 @@ def test_adam_is_functional():
 
 
 def reference_adam_step(state, params, grads, lr):
-    """Adam as one expression per line, the form ``adam_step`` computes in
-    two scratch buffers."""
+    """Adam as one expression per line, written apart from ``adam_step``."""
     t = state.t + 1
     m = state.beta1 * state.m + (1.0 - state.beta1) * grads
     v = state.beta2 * state.v + (1.0 - state.beta2) * grads * grads

@@ -51,12 +51,13 @@ def chain_demos():
 
 class ConstantPolicy:
     action_kind = "discrete"
+    draws = ("random", 0)
 
     def __init__(self, action):
         self.action = action
 
-    def sample(self, obs, rng):
-        return self.action
+    def act(self, obs, noise, t):
+        return np.full(len(obs), self.action)
 
 
 # ---------------------------------------------------------------- config
@@ -163,9 +164,10 @@ def test_evaluate_and_expert_demos_refuse_non_integer_counts(k):
 def test_evaluate_refuses_a_non_finite_return():
     class NanPolicy:
         action_kind = "continuous"
+        draws = ("random", 0)
 
-        def sample(self, obs, rng):
-            return np.array([np.nan])
+        def act(self, obs, noise, t):
+            return np.full((len(obs), 1), np.nan)
 
     with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="non-finite evaluation return"):
         evaluate_policy(NanPolicy(), pointmass_spec(), k=2, seed=0)
