@@ -106,6 +106,12 @@ def cmd_verify(args) -> int:
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes a value that starts with '-' for an option unless it is a
+    # plain negative number: glue `--alpha -inf` (-nan, -1e-3) into `--alpha=-inf`
+    for i in range(len(argv) - 2, -1, -1):
+        if argv[i] == "--alpha" and argv[i + 1].startswith("-") and not argv[i + 1].startswith("--"):
+            argv[i:i + 2] = [f"--alpha={argv[i + 1]}"]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

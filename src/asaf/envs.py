@@ -441,9 +441,6 @@ class SoftExpertPolicy:
         cdf = self._cdf[min(t, len(self._cdf) - 1), np.argmax(obs, axis=1)]
         return (cdf <= u).sum(axis=1)
 
-    def sample(self, obs, rng: np.random.Generator, t: int) -> int:
-        return int(self.act(np.reshape(obs, (1, -1)), rng.random((1, 1)), t)[0])
-
     def log_prob(self, obs, action, t: int) -> float:
         s = int(np.argmax(np.asarray(obs)))
         t = min(t, self._tables.shape[0] - 1)

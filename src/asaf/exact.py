@@ -175,7 +175,8 @@ def js_divergence(p, q) -> float:
         mask = a > 0.0
         return 0.5 * float(np.sum(a[mask] * (np.log(a[mask]) - np.log(m[mask]))))
 
-    return half_kl(p) + half_kl(q)
+    # near-equal inputs can round the two halves to a sum just below zero
+    return max(0.0, half_kl(p) + half_kl(q))
 
 
 def js_between(d1: TrajDistribution, d2: TrajDistribution) -> float:

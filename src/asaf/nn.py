@@ -3,7 +3,9 @@
 Everything is float64 and operates on flat parameter vectors so that the
 optimizer, gradient clipping, and finite-difference checking all see one
 contiguous array.  Layout per layer: weights (row-major, out x in), then
-biases.  Hidden activations are ReLU, the output layer is linear.
+biases.  Hidden activations are ReLU, the output layer is linear.  A layer
+adds its bias and ReLU in place, so a tape holds only each layer's input and
+the net's output: ``inputs[i] > 0`` is the ReLU mask of layer i-1.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import ctypes
 import functools
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -78,18 +80,21 @@ def param_count(sizes: tuple[int, ...]) -> int:
     return sum(i * o + o for i, o in zip(sizes[:-1], sizes[1:]))
 
 
-def _affine(h: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    return (h * weights[:, 0] if weights.shape[1] == 1 else h @ weights.T) + bias
+def _layer(h: np.ndarray, weights: np.ndarray, bias: np.ndarray, relu: bool) -> np.ndarray:
+    z = h * weights[:, 0] if weights.shape[1] == 1 else h @ weights.T
+    z += bias
+    return np.maximum(z, 0.0, out=z) if relu else z
 
 
 @dataclass
 class GradTape:
-    """Activations cached by a forward pass, consumed by one backward pass."""
+    """Layer inputs and output of a forward pass, read but never written by
+    backward; ``inputs[i] > 0`` is where layer i-1's pre-activation is > 0."""
 
     version: int
     single: bool
-    inputs: list[np.ndarray]    # input to each layer, shape (B, n_in)
-    preacts: list[np.ndarray]   # pre-activation of each layer, shape (B, n_out)
+    inputs: list[np.ndarray]    # input to each layer (ReLU output after layer 0), shape (B, n_in)
+    output: np.ndarray          # the net's output, shape (B, n_out)
 
 
 class Mlp:
@@ -181,15 +186,11 @@ class Mlp:
             x = x[None, :]
         if x.ndim != 2 or x.shape[1] != self.sizes[0]:
             raise ShapeError(f"input must have trailing dim {self.sizes[0]}, got shape {x.shape}")
-        inputs, preacts = [], []
-        h = x
-        last = len(self._layers) - 1
+        inputs, h, last = [], x, len(self._layers) - 1
         for i, (weights, bias) in enumerate(self._layers):
             inputs.append(h)
-            z = _affine(h, weights, bias)
-            preacts.append(z)
-            h = z if i == last else np.maximum(z, 0.0)
-        tape = GradTape(version=self._version, single=single, inputs=inputs, preacts=preacts)
+            h = _layer(h, weights, bias, i < last)
+        tape = GradTape(version=self._version, single=single, inputs=inputs, output=h)
         return (h[0] if single else h), tape
 
     def forward_rows(self, x) -> np.ndarray:
@@ -200,15 +201,14 @@ class Mlp:
             raise ShapeError(f"input must be (B, {self.sizes[0]}), got shape {x.shape}")
         h, last = x[:, None, :], len(self._layers) - 1
         for i, (weights, bias) in enumerate(self._layers):
-            z = _affine(h, weights, bias)
-            h = z if i == last else np.maximum(z, 0.0)
+            h = _layer(h, weights, bias, i < last)
         return h[:, 0, :]
 
     def backward(self, tape: GradTape, dy) -> np.ndarray:
         """Accumulate d(sum of dy . y)/d(params) into a flat gradient.
 
-        For a batch, gradients are summed over rows.  The tape must come
-        from a forward pass at the current parameters.
+        For a batch, gradients are summed over rows.  The tape must come from
+        a forward pass at the current parameters; it and ``dy`` are only read.
         """
         if tape.version != self._version:
             raise TapeError("tape is stale: parameters changed since the forward pass")
@@ -217,16 +217,17 @@ class Mlp:
             if dy.shape != (self.sizes[-1],):
                 raise ShapeError(f"dy must have shape ({self.sizes[-1]},), got {dy.shape}")
             dy = dy[None, :]
-        elif dy.shape != tape.preacts[-1].shape:
-            raise ShapeError(f"dy must have shape {tape.preacts[-1].shape}, got {dy.shape}")
-        grad = np.zeros_like(self._params)
+        elif dy.shape != tape.output.shape:
+            raise ShapeError(f"dy must have shape {tape.output.shape}, got {dy.shape}")
+        grad = np.empty_like(self._params)    # every entry is written below
         delta = dy
         for i in range(len(self._slices) - 1, -1, -1):
-            w, b, _, _ = self._slices[i]
-            grad[w] = (delta.T @ tape.inputs[i]).ravel()
-            grad[b] = delta.sum(axis=0)
+            w, b, n_in, n_out = self._slices[i]
+            np.matmul(delta.T, tape.inputs[i], out=grad[w].reshape(n_out, n_in))
+            np.sum(delta, axis=0, out=grad[b])
             if i > 0:
-                delta = (delta @ self._layers[i][0]) * (tape.preacts[i - 1] > 0.0)
+                delta = delta @ self._layers[i][0]
+                delta *= tape.inputs[i] > 0.0
         return grad
 
 
@@ -255,12 +256,17 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray, lr: float
         raise ShapeError(f"params/grads/state shapes disagree: {params.shape} vs {grads.shape} vs {state.m.shape}")
     if not np.all(np.isfinite(grads)):
         raise NumericalError("non-finite entries in gradient")
-    t = state.t + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * grads
-    v = state.beta2 * state.v + (1.0 - state.beta2) * grads * grads
-    m_hat = m / (1.0 - state.beta1 ** t)
-    v_hat = v / (1.0 - state.beta2 ** t)
-    return params - lr * m_hat / (np.sqrt(v_hat) + state.eps), replace(state, m=m, v=v, t=t)
+    # the textbook order of operations, written into m, v and two scratch arrays
+    t, beta1, beta2 = state.t + 1, state.beta1, state.beta2
+    m, a = beta1 * state.m, np.multiply(grads, 1.0 - beta1)
+    m += a
+    v = beta2 * state.v
+    v += np.multiply(np.multiply(grads, 1.0 - beta2, out=a), grads, out=a)
+    b = np.sqrt(np.divide(v, 1.0 - beta2 ** t, out=a))
+    b += state.eps
+    np.multiply(np.divide(m, 1.0 - beta1 ** t, out=a), lr, out=a)
+    a /= b
+    return np.subtract(params, a, out=a), AdamState(m, v, t, beta1, beta2, state.eps)
 
 
 def clip_by_global_norm(grads: np.ndarray, threshold: float) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from asaf.envs import TabularMdp, chain_spec, soft_value_iteration
@@ -245,6 +245,7 @@ def test_js_rejects_bad_input():
 
 @given(st.lists(st.floats(1e-3, 1.0), min_size=2, max_size=6),
        st.lists(st.floats(1e-3, 1.0), min_size=2, max_size=6))
+@example([1.0, 1.0], [1.0, 0.9999999999999999])     # rounded to -2.8e-17 before the clamp
 def test_js_symmetric_and_bounded(ws_p, ws_q):
     n = min(len(ws_p), len(ws_q))
     p = np.array(ws_p[:n]) / np.sum(ws_p[:n])

@@ -405,6 +405,22 @@ def test_cli_gen_expert_rejects_bad_args(tmp_path, capsys):
             assert "Traceback" not in err and not os.path.exists(out)
 
 
+def test_cli_gen_expert_reads_a_separate_negative_alpha_token(tmp_path, capsys):
+    # argparse takes a token that starts with '-' for an option unless it is
+    # a plain negative number; these used to exit 2 with "expected one argument"
+    out = str(tmp_path / "x.jsonl")
+    for alpha in ("-inf", "-nan", "-1e-3", "-1"):
+        assert main(["gen-expert", "--env", "chain", f"--alpha={alpha}", "--out", out]) == 3
+        joined = capsys.readouterr().err
+        assert main(["gen-expert", "--env", "chain", "--alpha", alpha, "--out", out]) == 3
+        assert capsys.readouterr().err == joined
+        assert joined.startswith("validation error: alpha must be finite and positive")
+    # a missing value is still a usage error
+    assert main(["gen-expert", "--env", "chain", "--alpha", "--out", out]) == 2
+    assert "expected one argument" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 # ---------------------------------------------------------------- cli: train/eval
 
 @pytest.fixture()

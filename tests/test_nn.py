@@ -229,6 +229,105 @@ def test_backward_dy_shape_checked():
         net.backward(tape, np.zeros((3, 2)))
 
 
+def reference_affine(h, weights, bias):
+    return (h * weights[:, 0] if weights.shape[1] == 1 else h @ weights.T) + bias
+
+
+def reference_forward(net, x):
+    """``Mlp.forward`` with a fresh array per step: (output, layer inputs, pre-activations)."""
+    x = np.asarray(x, dtype=np.float64)
+    single = x.ndim == 1
+    h, last = (x[None, :] if single else x), len(net.sizes) - 2
+    inputs, preacts = [], []
+    for i in range(last + 1):
+        inputs.append(h)
+        z = reference_affine(h, net.weights(i), net.biases(i))
+        preacts.append(z)
+        h = z if i == last else np.maximum(z, 0.0)
+    return (h[0] if single else h), inputs, preacts
+
+
+def reference_forward_rows(net, x):
+    h, last = x[:, None, :], len(net.sizes) - 2
+    for i in range(last + 1):
+        z = reference_affine(h, net.weights(i), net.biases(i))
+        h = z if i == last else np.maximum(z, 0.0)
+    return h[:, 0, :]
+
+
+def reference_backward(net, inputs, preacts, dy):
+    """``Mlp.backward`` on a zeroed gradient, masking with the kept pre-activations."""
+    dy = np.asarray(dy, dtype=np.float64)
+    delta = dy[None, :] if dy.ndim == 1 else dy
+    grad = np.zeros(net.n_params)
+    for i, (w, b, _, _) in reversed(list(enumerate(nn._layer_slices(net.sizes)))):
+        grad[w] = (delta.T @ inputs[i]).ravel()
+        grad[b] = delta.sum(axis=0)
+        if i > 0:
+            delta = (delta @ net.weights(i)) * (preacts[i - 1] > 0.0)
+    return grad
+
+
+widths = st.one_of(st.just(1), st.integers(1, 70))
+
+
+def random_net_and_rows(sizes, batch, seed, boundary):
+    """A net, its input (a (batch, in) matrix, or one vector when batch is None)
+    and a draw of further values of the same kind.
+    On the ReLU boundary every value is a small integer or -0.0, so many
+    pre-activations are exactly zero and many inputs and outputs negative."""
+    rng = np.random.default_rng(seed)
+    shape = (sizes[0],) if batch is None else (batch, sizes[0])
+    if boundary:
+        def draw(size):
+            a = rng.integers(-2, 3, size=size).astype(np.float64)
+            a[rng.random(size) < 0.2] = -0.0
+            return a
+        return Mlp(sizes, draw(param_count(sizes))), draw(shape), draw
+    return Mlp.init(sizes, rng), rng.normal(size=shape) * rng.uniform(0.1, 10.0), lambda size: rng.normal(size=size)
+
+
+@given(st.lists(st.integers(1, 70), min_size=0, max_size=2), widths, widths,
+       st.one_of(st.none(), st.just(1), st.integers(1, 120)), st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_in_place_layers_are_bitwise_the_reference(hidden, n_in, n_out, batch, seed, boundary):
+    # one input column (the broadcast product), one output column, batch 1
+    # and single vectors, with exact zeros and negatives at the ReLU, with and
+    # without the single-thread scope
+    sizes = (n_in, *hidden, n_out)
+    net, x, draw = random_net_and_rows(sizes, batch, seed, boundary)
+    want_y, want_inputs, want_preacts = reference_forward(net, x)
+    dy = draw(want_y.shape)
+    want_grad = reference_backward(net, want_inputs, want_preacts, dy)
+    for scope in (contextlib.nullcontext, serial_blas):
+        with scope():
+            y, tape = net.forward(x)
+            assert y.tobytes() == want_y.tobytes()
+            assert [a.tobytes() for a in tape.inputs] == [a.tobytes() for a in want_inputs]
+            assert tape.output.tobytes() == want_preacts[-1].tobytes()
+            assert net.backward(tape, dy).tobytes() == want_grad.tobytes()
+            if batch is not None:
+                assert net.forward_rows(x).tobytes() == reference_forward_rows(net, x).tobytes()
+
+
+@given(st.lists(st.integers(1, 30), min_size=2, max_size=4),
+       st.one_of(st.none(), st.integers(1, 50)), st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_backward_only_reads_its_tape_and_dy(sizes, batch, seed, boundary):
+    # the Gaussian loss and the micro benchmarks run backward twice on one tape
+    net, x, draw = random_net_and_rows(sizes, batch, seed, boundary)
+    y, tape = net.forward(x)
+    dy = draw(y.shape)
+    read = (dy, *tape.inputs, tape.output)
+    kept = [a.copy() for a in read]
+    first = net.backward(tape, dy)
+    assert net.backward(tape, dy).tobytes() == first.tobytes()
+    assert [a.tobytes() for a in read] == [a.tobytes() for a in kept]
+    with pytest.raises(ShapeError):
+        net.backward(tape, np.zeros(y.shape[:-1] + (sizes[-1] + 1,)))
+    net.params = net.params
+    with pytest.raises(TapeError):
+        net.backward(tape, dy)
+
+
 def test_params_setter_copies_and_checks_shape():
     net = Mlp((2, 2))
     fresh = np.ones(net.n_params)
