@@ -122,11 +122,12 @@ class PackedWindows:
     def per_step(self, per_window: np.ndarray) -> np.ndarray:
         return per_window if len(self.starts) == len(self.acts) else np.repeat(per_window, self.lengths)
 
-    def log_prob_tape(self, policy):
-        """``policy.log_prob_tape`` of the packed steps, read by state index when the pack has one."""
+    def log_prob_tape(self, policy, split: int | None = None):
+        """``policy.log_prob_tape`` of the packed steps, cut into two row blocks
+        at ``split`` if given, read by state index when the pack has one."""
         if self.states is None:
-            return policy.log_prob_tape(self.obs, self.acts)
-        return policy.table_tape(self.states, self.acts)
+            return policy.log_prob_tape(self.obs, self.acts, split)
+        return policy.table_tape(self.states, self.acts, split)
 
     def take(self, idx: np.ndarray) -> "PackedWindows":
         """Windows ``idx`` (repeats allowed) packed in that order, gathered in
@@ -190,32 +191,39 @@ def bce_on_packed(learner, packed_e: PackedWindows, packed_g: PackedWindows) -> 
     Both packs must carry cached generator scores.  The expert and generator
     sides must hold the same number of windows; the loss weighs each side by
     1/n.  Gradient per window: expert side -(1 - D)/n, generator side +D/n,
-    distributed onto each step's log-prob gradient.  Both sides go to the
-    learner's ``backprop_log_prob`` in one call, which decides whether they
-    share a backward (a ``CategoricalPolicy`` does when they read one state
-    table, each side summed on its own so they cancel exactly at the fixed
-    point).
+    distributed onto each step's log-prob gradient.  The learner runs once
+    on both sides: one tape over the expert rows then the generator rows (by
+    state id when both packs carry them), cut into two row blocks, and one
+    backward, so each side keeps the bits a tape of its own gives and the
+    two sides of one state table cancel exactly at the fixed point.
     """
     if packed_e.gen_logp is None or packed_g.gen_logp is None:
         raise ValueError("generator scores not cached; call refresh_generator_scores first")
-    n_e, n_g = packed_e.n_windows, packed_g.n_windows
-    if n_e != n_g or n_e == 0:
-        raise ValueError(f"need equally many expert and generator windows, got {n_e} vs {n_g}")
+    n, n_g = packed_e.n_windows, packed_g.n_windows
+    if n != n_g or n == 0:
+        raise ValueError(f"need equally many expert and generator windows, got {n} vs {n_g}")
 
-    lp_e, cache_e = packed_e.log_prob_tape(learner)
-    lp_g, cache_g = packed_g.log_prob_tape(learner)
-    a_e = packed_e.segment_sum(lp_e)
-    a_g = packed_g.segment_sum(lp_g)
-    m_e = np.logaddexp(a_e, packed_e.gen_logp)
-    m_g = np.logaddexp(a_g, packed_g.gen_logp)
-    log_d_e = a_e - m_e                      # log D on expert windows
-    log_1md_g = packed_g.gen_logp - m_g      # log(1 - D) on generator windows
-    loss = -float(log_d_e.sum() / n_e) - float(log_1md_g.sum() / n_g)   # np.mean, bit for bit
+    split = len(packed_e.acts)
+    both = PackedWindows(
+        obs=np.concatenate([packed_e.obs, packed_g.obs]),
+        acts=np.concatenate([packed_e.acts, packed_g.acts]),
+        starts=np.concatenate([packed_e.starts, packed_g.starts + split]),
+        lengths=np.concatenate([packed_e.lengths, packed_g.lengths]),
+        gen_logp=np.concatenate([packed_e.gen_logp, packed_g.gen_logp]),
+        states=None if packed_e.states is None or packed_g.states is None else
+        np.concatenate([packed_e.states, packed_g.states]))
+    lp, cache = both.log_prob_tape(learner, split)
+    a = both.segment_sum(lp)
+    m = np.logaddexp(a, both.gen_logp)
+    x = both.gen_logp - m                    # log(1 - D); log D = a - m
+    loss = -float((a[:n] - m[:n]).sum() / n) - float(x[n:].sum() / n)   # np.mean per side, bit for bit
 
-    w_e = packed_e.per_step(-np.exp(packed_e.gen_logp - m_e) / n_e)   # -(1 - D)/n
-    w_g = packed_g.per_step(np.exp(a_g - m_g) / n_g)                  # +D/n
-    grad = learner.backprop_log_prob(cache_e, w_e, (cache_g, w_g))
-    if not (np.isfinite(loss) and np.all(np.isfinite(grad))):
+    np.subtract(a[n:], m[n:], out=x[n:])     # log D on generator windows, log(1 - D) on expert ones
+    w = np.exp(x, out=x)
+    w /= n
+    np.negative(w[:n], out=w[:n])            # -(1 - D)/n, then +D/n
+    grad = learner.backprop_log_prob(cache, both.per_step(w))
+    if not (np.isfinite(loss) and np.isfinite(grad).all()):
         raise NumericalError("non-finite discriminator loss or gradient")
     return loss, grad
 

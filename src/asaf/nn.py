@@ -6,6 +6,10 @@ contiguous array.  Layout per layer: weights (row-major, out x in), then
 biases.  Hidden activations are ReLU, the output layer is linear.  A layer
 adds its bias and ReLU in place, so a tape holds only each layer's input and
 the net's output: ``inputs[i] > 0`` is the ReLU mask of layer i-1.
+
+A batch may be cut into two row blocks: every matrix product and every sum
+over rows runs once per block, bitwise a pass over each block alone, which a
+product over the stacked rows is not; the elementwise work runs once.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ __all__ = [
     "log_softmax_rows",
     "logsumexp",
     "logsumexp_rows",
+    "row_blocks",
     "serial_blas",
 ]
 
@@ -56,8 +61,8 @@ def logsumexp_rows(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
         raise ShapeError(f"logsumexp_rows expects a matrix, got shape {a.shape}")
-    m = np.max(a, axis=1, keepdims=True)
-    return (m + np.log(np.sum(np.exp(a - m), axis=1, keepdims=True)))[:, 0]
+    m = np.maximum.reduce(a, axis=1, keepdims=True)
+    return (m + np.log(np.add.reduce(np.exp(a - m), axis=1, keepdims=True)))[:, 0]
 
 
 def log_softmax_rows(a: np.ndarray) -> np.ndarray:
@@ -80,8 +85,23 @@ def param_count(sizes: tuple[int, ...]) -> int:
     return sum(i * o + o for i, o in zip(sizes[:-1], sizes[1:]))
 
 
-def _layer(h: np.ndarray, weights: np.ndarray, bias: np.ndarray, relu: bool) -> np.ndarray:
-    z = h * weights[:, 0] if weights.shape[1] == 1 else h @ weights.T
+def row_blocks(split: int | None) -> tuple[slice, ...]:
+    """The row blocks of a batch: all rows, or the rows before and from ``split``."""
+    return (slice(None),) if split is None else (slice(None, split), slice(split, None))
+
+
+def _matmul(a: np.ndarray, b: np.ndarray, split: int | None) -> np.ndarray:
+    """``a @ b``, one product per row block of ``a`` when ``split`` cuts it in two."""
+    if split is None:
+        return a @ b
+    out = np.empty((len(a), b.shape[1]))
+    for rows in row_blocks(split):
+        np.matmul(a[rows], b, out=out[rows])
+    return out
+
+
+def _layer(h: np.ndarray, weights: np.ndarray, bias: np.ndarray, relu: bool, split: int | None = None) -> np.ndarray:
+    z = h * weights[:, 0] if weights.shape[1] == 1 else _matmul(h, weights.T, split)
     z += bias
     return np.maximum(z, 0.0, out=z) if relu else z
 
@@ -95,6 +115,7 @@ class GradTape:
     single: bool
     inputs: list[np.ndarray]    # input to each layer (ReLU output after layer 0), shape (B, n_in)
     output: np.ndarray          # the net's output, shape (B, n_out)
+    split: int | None = None    # first row of the second row block, if the batch has two
 
 
 class Mlp:
@@ -173,12 +194,13 @@ class Mlp:
     def biases(self, layer: int) -> np.ndarray:
         return self._layers[layer][1]
 
-    def forward(self, x) -> tuple[np.ndarray, GradTape]:
+    def forward(self, x, split: int | None = None) -> tuple[np.ndarray, GradTape]:
         """Run the net on a vector or a batch of row vectors.
 
         Returns (output, tape); output has the same leading shape as ``x``.
-        A layer with one input column is the broadcast product ``h * W[:, 0]``,
-        bitwise the K=1 matrix product: each rounds once.
+        ``split`` cuts a batch into the non-empty row blocks ``x[:split]`` and
+        ``x[split:]``.  A layer with one input column is the broadcast product
+        ``h * W[:, 0]``, bitwise the K=1 matrix product: each rounds once.
         """
         x = np.asarray(x, dtype=np.float64)
         single = x.ndim == 1
@@ -186,11 +208,13 @@ class Mlp:
             x = x[None, :]
         if x.ndim != 2 or x.shape[1] != self.sizes[0]:
             raise ShapeError(f"input must have trailing dim {self.sizes[0]}, got shape {x.shape}")
+        if split is not None and (single or not 0 < split < len(x)):
+            raise ShapeError(f"split {split} does not cut a batch of shape {x.shape} into two row blocks")
         inputs, h, last = [], x, len(self._layers) - 1
         for i, (weights, bias) in enumerate(self._layers):
             inputs.append(h)
-            h = _layer(h, weights, bias, i < last)
-        tape = GradTape(version=self._version, single=single, inputs=inputs, output=h)
+            h = _layer(h, weights, bias, i < last, split)
+        tape = GradTape(version=self._version, single=single, inputs=inputs, output=h, split=split)
         return (h[0] if single else h), tape
 
     def forward_rows(self, x) -> np.ndarray:
@@ -207,8 +231,9 @@ class Mlp:
     def backward(self, tape: GradTape, dy) -> np.ndarray:
         """Accumulate d(sum of dy . y)/d(params) into a flat gradient.
 
-        For a batch, gradients are summed over rows.  The tape must come from
-        a forward pass at the current parameters; it and ``dy`` are only read.
+        For a batch, gradients are summed over rows, each row block's on its
+        own and the blocks' sums then added.  The tape must come from a
+        forward pass at the current parameters; it and ``dy`` are only read.
         """
         if tape.version != self._version:
             raise TapeError("tape is stale: parameters changed since the forward pass")
@@ -220,14 +245,19 @@ class Mlp:
         elif dy.shape != tape.output.shape:
             raise ShapeError(f"dy must have shape {tape.output.shape}, got {dy.shape}")
         grad = np.empty_like(self._params)    # every entry is written below
+        first, *rest = row_blocks(tape.split)
         delta = dy
         for i in range(len(self._slices) - 1, -1, -1):
             w, b, n_in, n_out = self._slices[i]
-            np.matmul(delta.T, tape.inputs[i], out=grad[w].reshape(n_out, n_in))
-            np.sum(delta, axis=0, out=grad[b])
+            h, grad_w, grad_b = tape.inputs[i], grad[w].reshape(n_out, n_in), grad[b]
+            np.matmul(delta[first].T, h[first], out=grad_w)
+            np.add.reduce(delta[first], axis=0, out=grad_b)
+            for rows in rest:
+                grad_w += delta[rows].T @ h[rows]
+                grad_b += np.add.reduce(delta[rows], axis=0)
             if i > 0:
-                delta = delta @ self._layers[i][0]
-                delta *= tape.inputs[i] > 0.0
+                delta = _matmul(delta, self._layers[i][0], tape.split)
+                delta *= h > 0.0
         return grad
 
 

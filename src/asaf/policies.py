@@ -2,11 +2,12 @@
 
 Both policies share one gradient protocol used by the discriminator losses:
 
-* ``log_prob_tape(obs, acts)`` runs a taped forward pass and returns
-  per-sample log-probabilities,
-* ``backprop_log_prob(cache, weights, *more_pairs)`` backpropagates
-  sum_i weights[i] * log pi(a_i | s_i) into a flat parameter gradient,
-  summed over the (cache, weights) pair and any ``more_pairs`` of them.
+* ``log_prob_tape(obs, acts, split=None)`` runs one taped forward pass and
+  returns per-sample log-probabilities; ``split`` cuts the rows into two
+  blocks, the two sides of a loss, each with the bits a tape of its own gives,
+* ``backprop_log_prob(cache, weights)`` backpropagates
+  sum_i weights[i] * log pi(a_i | s_i) into a flat parameter gradient in one
+  backward pass, each row block summed on its own.
 
 They also share one sampling protocol: ``draws`` names the ``Generator``
 method and the count of numbers one action takes, ``act(obs, noise, t)``
@@ -21,12 +22,13 @@ them bounded.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError, ShapeError, UnsupportedError
-from .nn import GradTape, Mlp, log_softmax_rows
+from .nn import GradTape, Mlp, log_softmax_rows, row_blocks
 
 __all__ = [
     "CategoricalPolicy",
@@ -56,13 +58,21 @@ class _Evaluation:
     cdf: np.ndarray     # (R, A) cumulative probabilities per row
 
 
-def _evaluate(net: Mlp, rows: np.ndarray) -> _Evaluation:
-    scores, tape = net.forward(rows)
+def _evaluate(net: Mlp, rows: np.ndarray, split: int | None = None) -> _Evaluation:
+    scores, tape = net.forward(rows, split)
     if not np.isfinite(scores).all():
         raise NumericalError("non-finite net scores")
     logp = log_softmax_rows(scores)
     probs = np.exp(logp)
     return _Evaluation(net, net._version, tape, scores, logp, probs, np.cumsum(probs, axis=1))
+
+
+@functools.cache
+def _identity(n: int) -> np.ndarray:
+    """The read-only (n, n) identity: every one-hot state row, in state order."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
 
 
 def one_hot_rows(obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -83,10 +93,10 @@ class CategoricalPolicy:
     the net on all ``S = net.in_dim`` states, made once per parameter
     version and shared by every log-prob, CDF, sample and gradient tape of
     that version.  Any other input is evaluated afresh on its own rows.
-    ``score_grad`` adds the row weights per evaluated row, and
-    ``backprop_log_prob`` runs one backward of that over the record's rows;
-    pairs that read one record add their score gradients, each summed on its
-    own, and share one backward.
+    ``score_grad`` adds the row weights per evaluated row, each row block on
+    its own and the blocks' sums then added, so two sides that read one
+    state table cancel exactly where their weights do; ``backprop_log_prob``
+    runs one backward of that over the record's rows.
     ``table_tape`` reads states that ``index`` has checked once.
     """
 
@@ -107,7 +117,7 @@ class CategoricalPolicy:
         """The state table of the net's current parameters, built on first use."""
         net, memo = self.net, self._memo
         if memo is None or memo.net is not net or memo.version != net._version:
-            memo = self._memo = _evaluate(net, np.eye(net.in_dim))
+            memo = self._memo = _evaluate(net, _identity(net.in_dim))
         return memo
 
     def _states(self, obs: np.ndarray) -> np.ndarray | None:
@@ -152,39 +162,35 @@ class CategoricalPolicy:
             raise ShapeError(f"need one action per observation row, got {acts.shape} for {obs.shape}")
         return self._states(obs), acts
 
-    def log_prob_tape(self, obs: np.ndarray, acts: np.ndarray):
+    def log_prob_tape(self, obs: np.ndarray, acts: np.ndarray, split: int | None = None):
         states, acts = self.index(obs, acts)
         if states is not None:
-            return self.table_tape(states, acts)
-        ev, rows = _evaluate(self.net, np.asarray(obs)), np.arange(len(acts))
-        return (ev.logp if self._normalized else ev.scores)[rows, acts], (ev, rows, acts)
+            return self.table_tape(states, acts, split)
+        ev, rows = _evaluate(self.net, np.asarray(obs), split), np.arange(len(acts))
+        return (ev.logp if self._normalized else ev.scores)[rows, acts], (ev, rows, acts, split)
 
-    def table_tape(self, states: np.ndarray, acts: np.ndarray):
+    def table_tape(self, states: np.ndarray, acts: np.ndarray, split: int | None = None):
         """``log_prob_tape`` by (state, action) index, unchecked."""
         ev = self._table()
-        return (ev.logp if self._normalized else ev.scores)[states, acts], (ev, states, acts)
+        return (ev.logp if self._normalized else ev.scores)[states, acts], (ev, states, acts, split)
 
-    def backprop_log_prob(self, cache, weights: np.ndarray, *more_pairs) -> np.ndarray:
-        ev, dy, rest = cache[0], self.score_grad(cache, weights), []
-        for c, w in more_pairs:     # a pair that reads this evaluation joins its backward
-            if c[0] is ev:
-                dy += self.score_grad(c, w)
-            else:
-                rest.append((c, w))
-        grad = self.net.backward(ev.tape, dy)
-        return grad + self.backprop_log_prob(*rest[0], *rest[1:]) if rest else grad
+    def backprop_log_prob(self, cache, weights: np.ndarray) -> np.ndarray:
+        return self.net.backward(cache[0].tape, self.score_grad(cache, weights))
 
     def score_grad(self, cache, weights: np.ndarray) -> np.ndarray:
         """d(sum_i weights[i] * lp_i) / d(cached scores), lp as ``log_prob_tape`` reads it."""
-        ev, rows, acts = cache
+        ev, rows, acts, split = cache
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != (len(acts),):
             raise ShapeError(f"weights must have shape ({len(acts)},), got {weights.shape}")
-        # the weights of the rows that read one evaluated row add up onto it
+        # the weights of a block's rows that read one evaluated row add up onto it
         n_rows, n_actions = ev.probs.shape
-        dy = np.bincount(rows * n_actions + acts, weights, minlength=ev.probs.size).reshape(ev.probs.shape)
-        if self._normalized:    # d log softmax / d scores = onehot(a) - probs, per row
-            dy -= ev.probs * np.bincount(rows, weights, minlength=n_rows)[:, None]
+        dy = None
+        for b in row_blocks(split):
+            d = np.bincount(rows[b] * n_actions + acts[b], weights[b], minlength=ev.probs.size).reshape(ev.probs.shape)
+            if self._normalized:    # d log softmax / d scores = onehot(a) - probs, per row
+                d -= ev.probs * np.bincount(rows[b], weights[b], minlength=n_rows)[:, None]
+            dy = d if dy is None else np.add(dy, d, out=dy)
         return dy
 
     def cdf(self, obs) -> np.ndarray:
@@ -253,24 +259,22 @@ class GaussianPolicy:
         lp, _ = self.log_prob_tape(obs, acts)
         return lp
 
-    def log_prob_tape(self, obs: np.ndarray, acts: np.ndarray):
+    def log_prob_tape(self, obs: np.ndarray, acts: np.ndarray, split: int | None = None):
         obs = np.asarray(obs, dtype=np.float64)
         if obs.ndim != 2:
             raise ShapeError(f"observations must be (B, obs_dim), got {obs.shape}")
         acts = self._check_acts(acts, len(obs))
-        out, tape = self.net.forward(obs)
+        out, tape = self.net.forward(obs, split)
         mean, raw, log_std = self._heads(out)
         std = np.exp(log_std)
         zscore = (acts - mean) / std
-        lp = np.sum(-0.5 * zscore * zscore - log_std - _HALF_LOG_2PI, axis=1)
-        cache = (tape, zscore, std, raw)
-        return lp, cache
+        lp = np.multiply(zscore, -0.5)   # -0.5 * z * z - log_std - log(2 pi) / 2, in place
+        lp *= zscore
+        lp -= log_std
+        lp -= _HALF_LOG_2PI
+        return np.add.reduce(lp, axis=1), (tape, zscore, std, raw)
 
-    def backprop_log_prob(self, cache, weights: np.ndarray, *more_pairs) -> np.ndarray:
-        """One backward per (cache, weights) pair, the gradients added in order."""
-        return sum((self._backprop(*pair) for pair in more_pairs), self._backprop(cache, weights))
-
-    def _backprop(self, cache, weights: np.ndarray) -> np.ndarray:
+    def backprop_log_prob(self, cache, weights: np.ndarray) -> np.ndarray:
         tape, zscore, std, raw = cache
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != (len(zscore),):
@@ -308,4 +312,4 @@ def tabular_policy_extract(policy: CategoricalPolicy, n_states: int) -> np.ndarr
     """
     if policy.net.in_dim != n_states:
         raise ShapeError(f"policy expects obs_dim {policy.net.in_dim}, not {n_states}")
-    return np.exp(policy.log_probs(np.eye(n_states)))
+    return np.exp(policy.log_probs(_identity(n_states)))

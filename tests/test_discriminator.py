@@ -460,9 +460,11 @@ def test_bce_on_state_carrying_packs(seed, n_states, n_actions, n, scored, unit)
     stated=st.booleans(),
 )
 def test_backprop_of_two_pairs_matches_the_old_branches(seed, kind, n_states, n_actions, n, unit, stated):
-    # both sides of a state table share one backward, bitwise the old merged
-    # branch; sides read from their own rows (Gaussian, or categorical rows
-    # that are not one-hot) run one backward each, bitwise two single calls
+    # one tape over both sides, cut into two row blocks, and one backward:
+    # the log-probabilities are bitwise those of a tape per side, and the
+    # gradient bitwise the old branches (both sides of a state table merged
+    # into one backward, sides read from their own rows, Gaussian or
+    # categorical rows that are not one-hot, one backward each)
     rng = np.random.default_rng(seed)
     if kind == "gaussian":
         learner = GaussianPolicy(Mlp.init((n_states, 8, 2 * n_actions), rng))
@@ -477,12 +479,18 @@ def test_backprop_of_two_pairs_matches_the_old_branches(seed, kind, n_states, n_
         packs = [replace(p, obs=p.obs + rng.normal(size=p.obs.shape)) for p in packs]
     if kind == "gaussian":
         packs = [replace(p, acts=rng.normal(size=(len(p.obs), n_actions))) for p in packs]
-    (_, cache_e), (_, cache_g) = (p.log_prob_tape(learner) for p in packs)
+    (lp_e, cache_e), (lp_g, cache_g) = (p.log_prob_tape(learner) for p in packs)
     w_e, w_g = (rng.normal(size=len(p.obs)) for p in packs)
-    grad = learner.backprop_log_prob(cache_e, w_e, (cache_g, w_g))
-    assert np.array_equal(grad, reference_two_sided_backward(learner, cache_e, w_e, cache_g, w_g))
+    split, acts = len(packs[0].acts), np.concatenate([p.acts for p in packs])
+    if packs[0].states is None:
+        lp, cache = learner.log_prob_tape(np.concatenate([p.obs for p in packs]), acts, split)
+    else:
+        lp, cache = learner.table_tape(np.concatenate([p.states for p in packs]), acts, split)
+    assert lp.tobytes() == np.concatenate([lp_e, lp_g]).tobytes()
+    grad = learner.backprop_log_prob(cache, np.concatenate([w_e, w_g]))
+    assert grad.tobytes() == reference_two_sided_backward(learner, cache_e, w_e, cache_g, w_g).tobytes()
     if kind.endswith("table"):
-        assert cache_e[0] is cache_g[0]
+        assert cache[0] is cache_e[0] is cache_g[0]
     else:
         assert np.array_equal(grad, learner.backprop_log_prob(cache_e, w_e) + learner.backprop_log_prob(cache_g, w_g))
 

@@ -147,6 +147,9 @@ def test_forward_shape_errors():
         net.forward(np.zeros((2, 2)))
     with pytest.raises(ShapeError):
         net.forward(np.zeros((2, 2, 3)))
+    for x, split in ((np.zeros(3), 1), (np.zeros((2, 3)), 0), (np.zeros((2, 3)), 2)):
+        with pytest.raises(ShapeError):     # two row blocks, neither empty
+            net.forward(x, split)
 
 
 def test_constructor_rejects_bad_sizes_and_params():
@@ -326,6 +329,29 @@ def test_backward_only_reads_its_tape_and_dy(sizes, batch, seed, boundary):
     net.params = net.params
     with pytest.raises(TapeError):
         net.backward(tape, dy)
+
+
+block_rows = st.one_of(st.just(1), st.integers(10, 18), st.integers(1, 40))
+
+
+@given(st.sampled_from([(1, 64, 64, 2), (4, 8, 3)]), block_rows, block_rows, st.integers(0, 2 ** 32 - 1),
+       st.booleans())
+def test_two_row_blocks_are_bitwise_two_passes(sizes, rows_e, rows_g, seed, boundary):
+    # the two sides of a loss run as one forward and one backward over two
+    # row blocks; a single product over the stacked rows would round
+    # differently (64 x 64 layers at 1 and at 10-18 rows, the 64 -> 2 head at
+    # most row counts that are not multiples of 4), one per block must not
+    net, x, draw = random_net_and_rows(sizes, rows_e + rows_g, seed, boundary)
+    dy = draw((len(x), sizes[-1]))
+    for scope in (contextlib.nullcontext, serial_blas):
+        with scope():
+            (y_e, tape_e), (y_g, tape_g) = net.forward(x[:rows_e]), net.forward(x[rows_e:])
+            y, tape = net.forward(x, rows_e)
+            assert y.tobytes() == np.concatenate([y_e, y_g]).tobytes()
+            assert [a.tobytes() for a in tape.inputs] == [np.concatenate(a).tobytes()
+                                                          for a in zip(tape_e.inputs, tape_g.inputs)]
+            want = net.backward(tape_e, dy[:rows_e]) + net.backward(tape_g, dy[rows_e:])
+            assert net.backward(tape, dy).tobytes() == want.tobytes()
 
 
 def test_params_setter_copies_and_checks_shape():

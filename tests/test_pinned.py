@@ -64,6 +64,7 @@ change the last bits of a matrix product and so every digest.
 """
 
 import hashlib
+import importlib
 
 import numpy as np
 import pytest
@@ -78,6 +79,7 @@ from asaf.envs import (
     pointmass_spec,
     rollout,
 )
+from asaf.nn import Mlp
 from asaf.policies import make_policy
 from asaf.train import DemoSet, TrainConfig, train
 from asaf.verify import collect_expert_demos
@@ -148,16 +150,19 @@ def pointmass_demos(n, seed):
     return DemoSet(trajs, env_id="pointmass", action_kind="continuous", obs_dim=1, mean_return=0.0)
 
 
-def recipe_digest(name):
+def recipe(name):
+    """(config, demos, environment) of a pinned recipe."""
     cfg = TrainConfig(**{**dict(steps=3, epochs=2, n_g=3, batch=4, eval_interval=1, eval_k=3,
                                 seed=0, hidden=(8, 8)), **RECIPES[name]})
     if name.startswith("pointmass"):
-        env, demos = pointmass_spec(), pointmass_demos(3, seed=0)
-    elif name.startswith("gridworld"):
-        env, demos = gridworld_spec(), collect_expert_demos(gridworld_spec(), n=5, alpha=0.25, seed=0)
-    else:
-        env, demos = chain_spec(), collect_expert_demos(chain_spec(), n=20, alpha=1.0, seed=0)
-    policy, log = train(cfg, demos, env)
+        return cfg, pointmass_demos(3, seed=0), pointmass_spec()
+    if name.startswith("gridworld"):
+        return cfg, collect_expert_demos(gridworld_spec(), n=5, alpha=0.25, seed=0), gridworld_spec()
+    return cfg, collect_expert_demos(chain_spec(), n=20, alpha=1.0, seed=0), chain_spec()
+
+
+def recipe_digest(name):
+    policy, log = train(*recipe(name))
     return hashlib.sha256(np.asarray(policy.net.params).tobytes() + repr(log).encode()).hexdigest()
 
 
@@ -178,3 +183,29 @@ def test_pinned_digests(name, tmp_path, capsys):
 @pytest.mark.parametrize("name", sorted(ROLLOUT_DIGESTS))
 def test_pinned_rollout_streams(name):
     assert rollout_digest(name) == ROLLOUT_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", ["pointmass_asaf_1", "chain_asaf"])
+def test_one_learner_forward_and_backward_per_update(name, monkeypatch):
+    # the learner runs once on both sides of an update: pointmass tapes the
+    # expert rows then the generator rows, cut into two blocks where they
+    # meet; chain evaluates its state table once.  Each update then runs one
+    # backward.  Nets no backward reads (the generators) are not counted.
+    calls, forward, backward = [], Mlp.forward, Mlp.backward
+    monkeypatch.setattr(Mlp, "forward", lambda net, x, split=None: calls.append(
+        ("forward", net, np.shape(x), split)) or forward(net, x, split))
+    monkeypatch.setattr(Mlp, "backward", lambda net, tape, dy: calls.append(
+        ("backward", net, np.shape(dy), tape.split)) or backward(net, tape, dy))
+    module = importlib.import_module("asaf.train")
+    updates, step = [], module.adam_step
+    monkeypatch.setattr(module, "adam_step", lambda *a: updates.append(len(calls)) or step(*a))
+    train(*recipe(name))
+    learners = {id(net) for kind, net, _, _ in calls if kind == "backward"}
+    assert len(learners) == 1
+    learner = [(kind, shape, split) for kind, net, shape, split in calls if id(net) in learners]
+    assert updates and [kind for kind, _, _ in learner] == ["forward", "backward"] * len(updates)
+    for (_, rows, split), (_, dy, tape_split) in zip(learner[::2], learner[1::2]):
+        if name == "chain_asaf":
+            assert (rows, split, dy, tape_split) == ((4, 4), None, (4, 2), None)
+        else:
+            assert rows == (2 * split, 1) and dy == (2 * split, 2) and tape_split == split

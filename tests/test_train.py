@@ -348,7 +348,7 @@ def test_tabular_training_runs_the_nets_on_the_states_only(chain_demos, monkeypa
     # read state tables; both sides of an update share one backward over them
     rows, forward = [], Mlp.forward
     backwards, backward = [], Mlp.backward
-    monkeypatch.setattr(Mlp, "forward", lambda net, x: rows.append(np.shape(x)) or forward(net, x))
+    monkeypatch.setattr(Mlp, "forward", lambda net, x, *split: rows.append(np.shape(x)) or forward(net, x, *split))
     monkeypatch.setattr(Mlp, "backward", lambda net, tape, dy: backwards.append(np.shape(dy)) or backward(net, tape, dy))
     # the pool holds whole episodes (asaf) or their 5 transitions each (asqf)
     for algorithm, pool_per_episode in (("asaf", 1), ("asqf", 5)):
