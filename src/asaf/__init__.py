@@ -23,16 +23,13 @@ from .envs import (
     chain_spec,
     env_by_id,
     gridworld_spec,
-    pointmass_spec,
     rollout,
-    scripted_pointmass_expert,
     soft_value_iteration,
 )
 from .discriminator import (
     AsqfModel,
     Window,
     asqf_bce_loss,
-    bce_loss,
     structured_log_d,
     window_split,
 )
@@ -83,7 +80,6 @@ __all__ = [
     "Window",
     "adam_step",
     "asqf_bce_loss",
-    "bce_loss",
     "chain_spec",
     "collect_expert_demos",
     "env_by_id",
@@ -97,9 +93,7 @@ __all__ = [
     "logsumexp",
     "make_policy",
     "occupancy",
-    "pointmass_spec",
     "rollout",
-    "scripted_pointmass_expert",
     "soft_value_iteration",
     "structured_log_d",
     "tabular_policy_extract",

@@ -23,6 +23,10 @@ states), so ``bce_on_packed`` and ``structured_log_d`` serve it unchanged.
 Its snapshot is softmax(f), a plain ``CategoricalPolicy``; it only makes
 sense for discrete actions.  Behavioral cloning's negative log-likelihood
 (``nll_on_packed``) completes the set of losses.
+
+``windows_from`` cuts episodes into the one packed layout every loss reads;
+``Window``, ``window_split`` and ``pack_windows``, its list-form reference,
+stay because the benchmark imports them and a test checks it against them.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ __all__ = [
     "PackedWindows",
     "Window",
     "asqf_bce_loss",
-    "bce_loss",
     "bce_on_packed",
     "nll_on_packed",
     "pack_windows",
@@ -48,12 +51,13 @@ __all__ = [
     "structured_log_d",
     "transitions_from",
     "window_split",
+    "windows_from",
 ]
 
 
 @dataclass
 class Window:
-    """A contiguous (obs, act) slice of one trajectory."""
+    """A contiguous (obs, act) slice of one trajectory (list-form reference)."""
 
     obs: np.ndarray
     acts: np.ndarray
@@ -69,7 +73,7 @@ def window_split(traj: Trajectory, w: int, stride: int, source: int = -1) -> lis
 
     Offsets are 0, stride, 2 stride, ... while a full window fits.  An
     episode shorter than w yields a single truncated window so no data is
-    ever dropped.
+    ever dropped.  The list-form reference of ``windows_from``.
     """
     if w < 1:
         raise ValueError(f"window length must be >= 1, got {w}")
@@ -91,7 +95,7 @@ class PackedWindows:
     """A list of windows flattened for batched net evaluation.
 
     Whole trajectories, fixed-size windows and single transitions (windows
-    of length 1, see ``transitions_from``) all use this one layout.
+    of length 1), as ``windows_from`` cuts them, all use this one layout.
     ``starts`` marks each window's first row in the packed arrays; summing a
     per-step vector with reduceat over ``starts`` gives per-window totals.
     Both read windows that lie back to back, as ``take`` packs them; then a
@@ -160,6 +164,7 @@ class PackedWindows:
 
 
 def pack_windows(windows: list[Window]) -> PackedWindows:
+    """A window list back to back (list-form reference of ``windows_from``)."""
     if not windows:
         raise ValueError("cannot pack an empty window list")
     lengths = np.array([len(w) for w in windows], dtype=np.int64)
@@ -228,15 +233,6 @@ def bce_on_packed(learner, packed_e: PackedWindows, packed_g: PackedWindows) -> 
     return loss, grad
 
 
-def bce_loss(learner, generator, expert_windows: list[Window], gen_windows: list[Window]) -> tuple[float, np.ndarray]:
-    """Convenience wrapper over ``bce_on_packed`` for plain window lists."""
-    packed_e = pack_windows(expert_windows)
-    packed_g = pack_windows(gen_windows)
-    refresh_generator_scores(packed_e, generator)
-    refresh_generator_scores(packed_g, generator)
-    return bce_on_packed(learner, packed_e, packed_g)
-
-
 def nll_on_packed(learner, packed: PackedWindows) -> tuple[float, np.ndarray]:
     """Behavioral cloning: mean negative log-likelihood of the packed steps
     and its gradient in the learner's parameters."""
@@ -244,11 +240,25 @@ def nll_on_packed(learner, packed: PackedWindows) -> tuple[float, np.ndarray]:
     return -float(np.mean(logp)), learner.backprop_log_prob(cache, np.full(len(logp), -1.0 / len(logp)))
 
 
+def windows_from(trajs, w: int | None = None, stride: int = 1) -> PackedWindows:
+    """The windows of w steps at offsets 0, stride, ... of every episode in
+    ``trajs`` while one fits, one truncated window for a shorter episode, and
+    with ``w=None`` each whole episode; packed back to back, unindexed."""
+    if (w is not None and w < 1) or stride < 1:
+        raise ValueError(f"need w >= 1 and stride >= 1, got w={w}, stride={stride}")
+    obs, acts = np.concatenate([t.obs for t in trajs]), np.concatenate([t.acts for t in trajs])
+    lengths = np.concatenate([t.lengths for t in trajs])
+    w = lengths.max() if w is None else w
+    counts = np.maximum(lengths - w, 0) // stride + 1
+    offsets = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    starts = np.repeat(np.cumsum(lengths) - lengths, counts) + stride * offsets
+    cuts = PackedWindows(obs, acts, starts, np.repeat(np.minimum(lengths, w), counts))
+    return cuts.take(np.arange(len(cuts)))
+
+
 def transitions_from(trajs) -> PackedWindows:
     """All steps of ``trajs`` as windows of length 1."""
-    obs = np.concatenate([t.obs for t in trajs])
-    acts = np.concatenate([np.atleast_1d(t.acts) for t in trajs])
-    return PackedWindows(obs=obs, acts=acts, starts=np.arange(len(obs)), lengths=np.ones(len(obs), dtype=np.int64))
+    return windows_from(trajs, 1)
 
 
 class AsqfModel(CategoricalPolicy):
@@ -260,10 +270,6 @@ class AsqfModel(CategoricalPolicy):
     """
 
     _normalized = False
-
-    def scores(self, obs) -> np.ndarray:
-        ev, rows = self._read(np.asarray(obs))
-        return np.take(ev.scores, rows, axis=0)
 
 
 def asqf_bce_loss(model: AsqfModel, generator, expert: PackedWindows, gen: PackedWindows) -> tuple[float, np.ndarray]:

@@ -12,14 +12,14 @@ An environment is its spec.  ``TabularSpec`` and ``PointMassSpec`` hold no
 episode state; each answers three pure methods:
 
 * ``reset(rng) -> state``: draw a start state,
-* ``observe(state) -> obs``: the observation of a state,
-* ``step(state, action, rng) -> (state, reward, terminal)``: one transition,
-  refusing an action outside the action space (on a tabular task, any
-  action that is not an integer in ``[0, A)``).
+* ``observe(states) -> obs``: the observation of a state, or one row per
+  state of an array,
+* ``step_rows(states, actions, u) -> (states, rewards, terminal flags)``:
+  one transition of an array of states, given the random numbers the step
+  draws beforehand (``draws``: the ``Generator`` method and the count per
+  step), refusing an action outside the action space (on a tabular task,
+  any action that is not an integer in ``[0, A)``).
 
-``observe`` also takes an array of states, and ``step`` wraps ``step_rows``,
-the step of an array of states with its random numbers drawn beforehand
-(``draws``: the ``Generator`` method and the count per step).
 :func:`rollout` is the one episode loop.  It steps k episodes together, one
 policy ``act`` and one ``step_rows`` per time step, until the horizon or a
 step into a terminal state.  Each episode first draws all its noise in the
@@ -58,9 +58,7 @@ __all__ = [
     "gridworld_mdp",
     "gridworld_spec",
     "one_hot",
-    "pointmass_spec",
     "rollout",
-    "scripted_pointmass_expert",
     "soft_value_iteration",
 ]
 
@@ -151,10 +149,6 @@ class SoftQTable:
 
     q: np.ndarray
     alpha: float
-
-    def value(self, t: int) -> np.ndarray:
-        """Soft state values v[t, s] = alpha * logsumexp_a q[t, s, a] / alpha."""
-        return self.alpha * logsumexp_rows(self.q[t] / self.alpha)
 
     def policy(self, t: int) -> np.ndarray:
         """Stage-t maximum-entropy action distribution exp((q - v) / alpha)
@@ -254,11 +248,6 @@ class TabularSpec:
 
     def observe(self, state) -> np.ndarray:
         return one_hot(state, self.mdp.n_states)
-
-    def step(self, state: int, action, rng: np.random.Generator) -> tuple[int, float, bool]:
-        """(next state drawn with one uniform, reward, whether it is terminal)."""
-        nxt, reward, terminal = self.step_rows(np.array([state]), np.reshape(action, 1), rng.random((1, 1)))
-        return int(nxt[0]), float(reward[0]), bool(terminal[0])
 
     def step_rows(self, states: np.ndarray, acts, u: np.ndarray):
         """(next states, rewards, terminal flags) of (k,) states and actions,
@@ -363,13 +352,8 @@ class PointMassSpec:
         """The row [x] of a position, or one row per position of an array."""
         return np.asarray(x, dtype=np.float64)[..., None]
 
-    def step(self, x: float, action, rng: np.random.Generator) -> tuple[float, float, bool]:
-        """(x', -x'^2, False): no state is terminal, and the step draws nothing."""
-        nxt, reward, _ = self.step_rows(np.array([x]), np.reshape(action, (1, -1)), None)
-        return float(nxt[0]), float(reward[0]), False
-
     def step_rows(self, xs: np.ndarray, acts, u=None):
-        """(x', -x'^2, all False) of (k,) positions and (k, 1) actions."""
+        """(x', -x'^2, all False) of (k,) positions and (k, 1) actions; draws nothing."""
         acts = np.asarray(acts, dtype=np.float64)
         if acts.shape != (len(xs), 1):
             raise ShapeError(f"actions must be one scalar per position, shape ({len(xs)}, 1), got {acts.shape}")
@@ -385,12 +369,8 @@ def gridworld_spec(horizon: int = 30, expert_alpha: float = 1.0) -> TabularSpec:
     return TabularSpec(mdp=gridworld_mdp(horizon), env_id="gridworld", expert_alpha=expert_alpha)
 
 
-def pointmass_spec(horizon: int = 50) -> PointMassSpec:
-    return PointMassSpec(horizon=horizon)
-
-
 # Named instances addressable from configs and the command line.
-ENVS = {"chain": chain_spec, "gridworld": gridworld_spec, "pointmass": pointmass_spec}
+ENVS = {"chain": chain_spec, "gridworld": gridworld_spec, "pointmass": PointMassSpec}
 
 
 def env_by_id(env_id: str) -> EnvSpec:
@@ -401,13 +381,8 @@ def env_by_id(env_id: str) -> EnvSpec:
     return ENVS[env_id]()
 
 
-def scripted_pointmass_expert(x: float) -> float:
-    """Proportional controller a = clamp(-5 x, -1, 1)."""
-    return float(np.clip(-5.0 * x, -1.0, 1.0))
-
-
 class ScriptedPointMassPolicy:
-    """The scripted controller wrapped in the policy sampling protocol."""
+    """The scripted proportional controller a = clamp(-5 x, -1, 1)."""
 
     action_kind = "continuous"
     draws = ("random", 0)
@@ -415,9 +390,6 @@ class ScriptedPointMassPolicy:
     def act(self, obs, noise, t: int) -> np.ndarray:
         """clamp(-5 x, -1, 1) for each (B, 1) observation row, at any step; draws nothing."""
         return np.minimum(np.maximum(-5.0 * np.asarray(obs)[:, :1], -1.0), 1.0)
-
-    def sample(self, obs, rng) -> np.ndarray:
-        return self.act(np.reshape(obs, (1, -1)), None, 0)[0]
 
 
 class SoftExpertPolicy:
@@ -432,19 +404,12 @@ class SoftExpertPolicy:
     draws = ("random", 1)
 
     def __init__(self, qtable: SoftQTable):
-        self.qtable = qtable
-        self._tables = qtable.policy_table()
-        self._cdf = np.cumsum(self._tables, axis=2)
+        self._cdf = np.cumsum(qtable.policy_table(), axis=2)
 
     def act(self, obs, u: np.ndarray, t: int) -> np.ndarray:
         """Inverse-CDF draws at stage t for (B, S) one-hot rows from (B, 1) uniforms."""
         cdf = self._cdf[min(t, len(self._cdf) - 1), np.argmax(obs, axis=1)]
         return (cdf <= u).sum(axis=1)
-
-    def log_prob(self, obs, action, t: int) -> float:
-        s = int(np.argmax(np.asarray(obs)))
-        t = min(t, self._tables.shape[0] - 1)
-        return float(np.log(self._tables[t, s, int(action)]))
 
 
 def rollout(env_spec: EnvSpec, policy, seed, episodes: int | None = None):

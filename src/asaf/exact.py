@@ -58,17 +58,6 @@ class TrajDistribution:
     policy_factors: dict[tuple, float]
     dynamics_factors: dict[tuple, float]
 
-    def total(self) -> float:
-        return float(sum(self.probs.values()))
-
-    def action_marginal(self) -> dict[tuple, float]:
-        """Marginal over action sequences (a0, ..., a_{T-1})."""
-        out: dict[tuple, float] = {}
-        for key, p in self.probs.items():
-            acts = key[1::2]
-            out[acts] = out.get(acts, 0.0) + p
-        return out
-
 
 def enumerable(mdp: TabularMdp) -> bool:
     """Whether |A|^T * S, the enumeration's size bound, is within the budget."""

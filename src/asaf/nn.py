@@ -32,7 +32,6 @@ __all__ = [
     "Mlp",
     "adam_step",
     "clip_by_global_norm",
-    "clip_by_value",
     "grad_check",
     "log_softmax_rows",
     "logsumexp",
@@ -308,13 +307,6 @@ def clip_by_global_norm(grads: np.ndarray, threshold: float) -> np.ndarray:
     if norm > threshold:
         return grads * (threshold / norm)
     return grads.copy()
-
-
-def clip_by_value(grads: np.ndarray, threshold: float) -> np.ndarray:
-    """Clamp each gradient entry into [-threshold, +threshold]."""
-    if threshold <= 0.0:
-        raise ValueError("clip threshold must be positive")
-    return np.clip(np.asarray(grads, dtype=np.float64), -threshold, threshold)
 
 
 def grad_check(f, params: np.ndarray, h: float = 1e-5) -> float:

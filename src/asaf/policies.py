@@ -10,10 +10,10 @@ Both policies share one gradient protocol used by the discriminator losses:
   backward pass, each row block summed on its own.
 
 They also share one sampling protocol: ``draws`` names the ``Generator``
-method and the count of numbers one action takes, ``act(obs, noise, t)``
+method and the count of numbers one action takes, and ``act(obs, noise, t)``
 maps observation rows, their drawn noise and the step index to actions (a
-stationary policy ignores ``t``), and ``sample(obs, rng)`` wraps it for one
-observation.
+stationary policy ignores ``t``).  ``sample(obs, rng)`` is a convenience of
+the learned policies that wraps ``act`` for one observation.
 
 Log-probabilities are densities for the Gaussian case, so they can be
 positive; everything downstream works in the log domain and never needs
@@ -91,8 +91,8 @@ class CategoricalPolicy:
     When every input row is exactly one-hot (one entry 1, the rest 0), the
     rows are states, and the record is the state table: one evaluation of
     the net on all ``S = net.in_dim`` states, made once per parameter
-    version and shared by every log-prob, CDF, sample and gradient tape of
-    that version.  Any other input is evaluated afresh on its own rows.
+    version and shared by every log-prob, action and gradient tape of that
+    version.  Any other input is evaluated afresh on its own rows.
     ``score_grad`` adds the row weights per evaluated row, each row block on
     its own and the blocks' sums then added, so two sides that read one
     state table cancel exactly where their weights do; ``backprop_log_prob``
@@ -148,10 +148,6 @@ class CategoricalPolicy:
         ev, rows = self._read(np.asarray(obs))
         return np.take(ev.logp, rows, axis=0)
 
-    def log_prob(self, obs, action) -> float:
-        (a,) = self._check_actions(np.reshape(action, 1))
-        return float(self.log_probs(obs)[a])
-
     def log_prob_batch(self, obs: np.ndarray, acts: np.ndarray) -> np.ndarray:
         return self.log_prob_tape(obs, acts)[0]
 
@@ -192,11 +188,6 @@ class CategoricalPolicy:
                 d -= ev.probs * np.bincount(rows[b], weights[b], minlength=n_rows)[:, None]
             dy = d if dy is None else np.add(dy, d, out=dy)
         return dy
-
-    def cdf(self, obs) -> np.ndarray:
-        """Cumulative action probabilities at one observation."""
-        ev, rows = self._read(np.asarray(obs))
-        return np.take(ev.cdf, rows, axis=0)
 
     def act(self, obs, u: np.ndarray, t: int) -> np.ndarray:
         """Inverse-CDF draws (CDF entries <= u) for (B, obs_dim) rows and (B, 1) uniforms, at any step."""
@@ -248,12 +239,6 @@ class GaussianPolicy:
         if acts.shape != (n, self.act_dim):
             raise ShapeError(f"actions must have shape ({n}, {self.act_dim}), got {acts.shape}")
         return acts
-
-    def log_prob(self, obs, action) -> float:
-        obs = np.asarray(obs, dtype=np.float64)
-        action = np.asarray(action, dtype=np.float64).reshape(-1)
-        lp, _ = self.log_prob_tape(obs[None, :], action[None, :])
-        return float(lp[0])
 
     def log_prob_batch(self, obs: np.ndarray, acts: np.ndarray) -> np.ndarray:
         lp, _ = self.log_prob_tape(obs, acts)

@@ -46,7 +46,7 @@ from . import discriminator as disc
 from .envs import EnvSpec, TabularSpec, Trajectory, rollout, soft_value_iteration
 from .errors import NumericalError, UnsupportedError, ValidationError, check_count
 from .exact import enumerable, exact_traj_distribution, js_between
-from .nn import AdamState, adam_step, clip_by_global_norm, clip_by_value, serial_blas
+from .nn import AdamState, adam_step, clip_by_global_norm, serial_blas
 from .policies import CategoricalPolicy, make_policy, one_hot_rows, tabular_policy_extract
 
 __all__ = [
@@ -72,7 +72,7 @@ class TrainConfig:
     n_g: int = 10                   # episodes collected between updates
     epochs: int = 50                # passes over the collected pool per outer step
     clip: float = 1.0
-    clip_mode: str = "norm"         # "norm" or "value"
+    clip_mode: str = "norm"         # the only mode: the global norm is clipped to ``clip``
     steps: int = 100                # outer steps
     eval_k: int = 20
     eval_interval: int = 10
@@ -104,8 +104,8 @@ class TrainConfig:
             raise ValidationError(f"lr_d must be finite and positive, got {cfg.lr_d}")
         if not cfg.clip > 0.0:   # inf never clips; NaN is refused
             raise ValidationError(f"clip must be positive, got {cfg.clip}")
-        if cfg.clip_mode not in ("norm", "value"):
-            raise ValidationError(f"clip_mode must be 'norm' or 'value', got {cfg.clip_mode!r}")
+        if cfg.clip_mode != "norm":
+            raise ValidationError(f"clip_mode must be 'norm', got {cfg.clip_mode!r}")
         return cfg
 
 
@@ -170,6 +170,8 @@ def _check_demos(demos: DemoSet, env_spec: EnvSpec) -> None:
     discrete = demos.action_kind == "discrete"
     for i, traj in enumerate(demos.trajectories):
         where = f"episode {i} (demo file line {i + 2})"
+        if traj.obs.shape[1] != env_spec.obs_dim:
+            raise ValidationError(f"{where}: observation rows {traj.obs.shape[1]} wide, expected {env_spec.obs_dim}")
         want = (len(traj),) if discrete else (len(traj), env_spec.act_dim)
         if traj.acts.shape != want:
             raise ValidationError(f"{where}: actions of shape {traj.acts.shape}, expected {want}")
@@ -208,25 +210,15 @@ class _ExpertReference:
         return js_between(exact_traj_distribution(self.mdp, table), self.dist)
 
 
-def _clip(grad: np.ndarray, cfg: TrainConfig) -> np.ndarray:
-    if cfg.clip_mode == "norm":
-        return clip_by_global_norm(grad, cfg.clip)
-    return clip_by_value(grad, cfg.clip)
-
-
 def _pool(trajs: list[Trajectory], cfg: TrainConfig, policy) -> disc.PackedWindows:
-    """Windows of w steps at offsets 0, stride, ... of each episode while one
-    fits (one window for a shorter episode): the configured ones for asaf_w,
-    single transitions for asaf_1, asqf and bc, whole episodes for asaf."""
-    obs, acts = np.concatenate([t.obs for t in trajs]), np.concatenate([t.acts for t in trajs])
-    states, acts = policy.index(obs, acts) if isinstance(policy, CategoricalPolicy) else (None, acts)
-    lengths = np.concatenate([t.lengths for t in trajs])
-    w, stride = (lengths.max(), 1) if cfg.algorithm == "asaf" else (cfg.w or 1, cfg.stride or 1)
-    counts = np.maximum(lengths - w, 0) // stride + 1
-    offsets = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-    starts = np.repeat(np.cumsum(lengths) - lengths, counts) + stride * offsets
-    cuts = disc.PackedWindows(obs, acts, starts, np.repeat(np.minimum(lengths, w), counts), states=states)
-    return cuts.take(np.arange(len(cuts)))
+    """The windows ``cfg.algorithm`` reads: the configured ones for asaf_w,
+    single transitions for asaf_1, asqf and bc, whole episodes for asaf; a
+    categorical learner's pack carries each row's state id."""
+    w, stride = (None, 1) if cfg.algorithm == "asaf" else (cfg.w or 1, cfg.stride or 1)
+    pack = disc.windows_from(trajs, w, stride)
+    if isinstance(policy, CategoricalPolicy):
+        pack.states, pack.acts = policy.index(pack.obs, pack.acts)
+    return pack
 
 
 @serial_blas()
@@ -288,7 +280,8 @@ def train(cfg: TrainConfig, demos: DemoSet, env_spec: EnvSpec):
                         loss, grad = disc.bce_on_packed(learned, epoch_e.span(lo, lo + cfg.batch), batch_g)
                     else:
                         loss, grad = disc.nll_on_packed(learned, batch_g)
-                    learned.net.params, adam = adam_step(adam, learned.net.params, _clip(grad, cfg), cfg.lr_d)
+                    grad = clip_by_global_norm(grad, cfg.clip)
+                    learned.net.params, adam = adam_step(adam, learned.net.params, grad, cfg.lr_d)
                     if not losses:
                         log.first_batch_losses.append(loss)
                     losses.append(loss)

@@ -98,10 +98,15 @@ def lemma1_suite() -> list[CheckResult]:
     return out
 
 
-def _bce_point_check(learner, generator, expert_windows, gen_windows, rng) -> float:
+def _bce_point_check(learner, generator, obs, acts, rng) -> float:
+    """Gradient check of the loss on the episodes ``(obs[i], acts[i])``, the
+    first half on the expert side, scored as ``train()`` scores them."""
+    pack, half = disc.windows_from([Trajectory(o, a) for o, a in zip(obs, acts)]), len(obs) // 2
+    disc.refresh_generator_scores(pack, generator)
+
     def f(theta):
         learner.net.params = theta
-        return disc.bce_loss(learner, generator, expert_windows, gen_windows)
+        return disc.bce_on_packed(learner, pack.span(0, half), pack.span(half, len(obs)))
 
     point = Mlp.init(learner.net.sizes, rng).params
     return grad_check(f, point, h=1e-5)
@@ -117,16 +122,14 @@ def gradient_suite(points: int = 10) -> list[CheckResult]:
     generator = CategoricalPolicy.init(3, 2, (8,), rng)
     obs = rng.normal(size=(4, 3, 3))
     acts = rng.integers(0, 2, size=(4, 3))
-    wins = [disc.Window(obs=obs[i], acts=acts[i], source=i) for i in range(4)]
-    worst = max(_bce_point_check(learner, generator, wins[:2], wins[2:], rng) for _ in range(points))
+    worst = max(_bce_point_check(learner, generator, obs, acts, rng) for _ in range(points))
     out.append(CheckResult(name="grad_bce_categorical", value=worst, threshold=1e-4))
 
     # the same on one-hot states, through the policies' state tables
     learner = CategoricalPolicy.init(3, 2, (8,), rng)
     generator = CategoricalPolicy.init(3, 2, (8,), rng)
     obs = np.eye(3)[rng.integers(0, 3, size=(4, 3))]
-    wins = [disc.Window(obs=obs[i], acts=acts[i], source=i) for i in range(4)]
-    worst = max(_bce_point_check(learner, generator, wins[:2], wins[2:], rng) for _ in range(points))
+    worst = max(_bce_point_check(learner, generator, obs, acts, rng) for _ in range(points))
     out.append(CheckResult(name="grad_bce_categorical_one_hot", value=worst, threshold=1e-4))
 
     # trajectory discriminator, gaussian policy
@@ -134,8 +137,7 @@ def gradient_suite(points: int = 10) -> list[CheckResult]:
     generator = GaussianPolicy.init(2, 1, (6,), rng)
     obs = rng.normal(size=(4, 3, 2))
     acts = rng.normal(size=(4, 3, 1))
-    wins = [disc.Window(obs=obs[i], acts=acts[i], source=i) for i in range(4)]
-    worst = max(_bce_point_check(learner, generator, wins[:2], wins[2:], rng) for _ in range(points))
+    worst = max(_bce_point_check(learner, generator, obs, acts, rng) for _ in range(points))
     out.append(CheckResult(name="grad_bce_gaussian", value=worst, threshold=1e-4))
 
     # transition-wise scored discriminator
@@ -166,8 +168,7 @@ def gradient_suite(points: int = 10) -> list[CheckResult]:
     model = disc.AsqfModel.init(3, 2, (8,), rng)
     generator = CategoricalPolicy.init(3, 2, (8,), rng)
     obs, acts = np.eye(3)[rng.integers(0, 3, size=(12, 1))], rng.integers(0, 2, size=(12, 1))
-    wins = [disc.Window(obs=obs[i], acts=acts[i], source=i) for i in range(12)]
-    worst = max(_bce_point_check(model, generator, wins[:6], wins[6:], rng) for _ in range(points))
+    worst = max(_bce_point_check(model, generator, obs, acts, rng) for _ in range(points))
     out.append(CheckResult(name="grad_bce_asqf_one_hot", value=worst, threshold=1e-4))
     return out
 

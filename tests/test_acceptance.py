@@ -38,6 +38,7 @@ from asaf.verify import (
     lemma1_suite,
     theorem1_suite,
 )
+from test_discriminator import scored_packs
 
 LOG4 = math.log(4.0)
 
@@ -88,7 +89,7 @@ def test_c3_matched_policies_give_half_and_log4():
         for w in wins:
             log_d, _ = disc.structured_log_d(learner, generator, w)
             worst_d = max(worst_d, abs(math.exp(log_d) - 0.5))
-        loss, _ = disc.bce_loss(learner, generator, wins[:3], wins[3:])
+        loss, _ = disc.bce_on_packed(learner, *scored_packs(generator, wins[:3], wins[3:]))
         worst_loss = max(worst_loss, abs(loss - LOG4))
 
         learner = GaussianPolicy.init(2, 1, (8,), rng)
@@ -98,7 +99,7 @@ def test_c3_matched_policies_give_half_and_log4():
         for w in wins:
             log_d, _ = disc.structured_log_d(learner, generator, w)
             worst_d = max(worst_d, abs(math.exp(log_d) - 0.5))
-        loss, _ = disc.bce_loss(learner, generator, wins[:2], wins[2:])
+        loss, _ = disc.bce_on_packed(learner, *scored_packs(generator, wins[:2], wins[2:]))
         worst_loss = max(worst_loss, abs(loss - LOG4))
 
     ok = worst_d <= 1e-10 and worst_loss <= 1e-9
@@ -135,15 +136,13 @@ def test_c5_window_reductions_are_exact():
     max_loss_diff = 0.0
     learner = CategoricalPolicy.init(4, 2, (12,), rng)
     generator = CategoricalPolicy.init(4, 2, (12,), rng)
-    full = [disc.Window(obs=t.obs, acts=t.acts) for t in trajs]
-    split = [w for t in trajs for w in disc.window_split(
-        disc.Window(obs=t.obs, acts=t.acts), w=horizon, stride=1)]
-    assert len(split) == len(full)
-    for a, b in zip(full, split):
-        np.testing.assert_array_equal(a.obs, b.obs)
-        np.testing.assert_array_equal(a.acts, b.acts)
-    loss_full, grad_full = disc.bce_loss(learner, generator, full[:2], full[2:])
-    loss_split, grad_split = disc.bce_loss(learner, generator, split[:2], split[2:])
+    full, split = disc.windows_from(trajs), disc.windows_from(trajs, w=horizon, stride=1)
+    for name in ("obs", "acts", "starts", "lengths"):
+        np.testing.assert_array_equal(getattr(full, name), getattr(split, name))
+    for pack in (full, split):
+        disc.refresh_generator_scores(pack, generator)
+    (loss_full, grad_full), (loss_split, grad_split) = (
+        disc.bce_on_packed(learner, pack.span(0, 2), pack.span(2, 4)) for pack in (full, split))
     max_loss_diff = max(max_loss_diff, abs(loss_full - loss_split))
     same_grads = bool(np.array_equal(grad_full, grad_split))
 
@@ -246,7 +245,7 @@ def test_c8_exact_oracles_agree():
         )
         pi = rng.dirichlet(np.ones(n_a), size=n_s)
         dist = exact_traj_distribution(mdp, pi)
-        worst_total = max(worst_total, abs(dist.total() - 1.0))
+        worst_total = max(worst_total, abs(sum(dist.probs.values()) - 1.0))
         for key, p in dist.probs.items():
             if p != dist.policy_factors[key] * dist.dynamics_factors[key]:
                 factorization_exact = False

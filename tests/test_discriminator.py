@@ -45,6 +45,21 @@ def transitions(obs, acts):
     return disc.transitions_from([Trajectory(obs=obs, acts=acts)])
 
 
+def scored_packs(generator, *window_lists):
+    """Each window list packed and scored by ``generator``, as ``train()``
+    refreshes its pools before ``bce_on_packed`` reads them."""
+    packs = [disc.pack_windows(wins) for wins in window_lists]
+    for packed in packs:
+        disc.refresh_generator_scores(packed, generator)
+    return packs
+
+
+def record_scores(model, obs):
+    """The raw scores of ``obs`` in the evaluation record the model reads them from."""
+    ev, rows = model._read(np.asarray(obs))
+    return np.take(ev.scores, rows, axis=0)
+
+
 def reference_take(packed, idx):
     """Window gather with one np.arange per window, the form ``take`` replaced."""
     idx = np.asarray(idx)
@@ -376,7 +391,7 @@ def test_log_d_components_sum_to_one(seed):
 def test_bce_hand_value():
     learner = bias_only_policy([0.6, 0.4])
     generator = bias_only_policy([0.2, 0.8])
-    loss, _ = disc.bce_loss(learner, generator, [one_step_window(0)], [one_step_window(1)])
+    loss, _ = disc.bce_on_packed(learner, *scored_packs(generator, [one_step_window(0)], [one_step_window(1)]))
     # expert side D = 0.75, generator side 1 - D = 0.8 / 1.2
     assert loss == pytest.approx(-np.log(0.75) - np.log(0.8 / 1.2), abs=1e-12)
 
@@ -386,7 +401,7 @@ def test_bce_at_fixed_point_is_log4():
     policy = CategoricalPolicy(Mlp.init((3, 8, 2), rng))
     wins_e = random_windows(4, 5, 3, 2, rng)
     wins_g = random_windows(4, 5, 3, 2, rng)
-    loss, grad = disc.bce_loss(policy, policy, wins_e, wins_g)
+    loss, grad = disc.bce_on_packed(policy, *scored_packs(policy, wins_e, wins_g))
     assert loss == pytest.approx(LOG4, abs=1e-9)
 
 
@@ -396,7 +411,7 @@ def test_bce_fixed_point_gradient_vanishes_on_paired_batches():
     rng = np.random.default_rng(8)
     policy = CategoricalPolicy(Mlp.init((2, 6, 2), rng))
     wins = random_windows(3, 4, 2, 2, rng)
-    loss, grad = disc.bce_loss(policy, policy, wins, wins)
+    loss, grad = disc.bce_on_packed(policy, *scored_packs(policy, wins, wins))
     assert loss == pytest.approx(LOG4, abs=1e-9)
     np.testing.assert_array_equal(grad, 0.0)
 
@@ -410,11 +425,10 @@ def test_bce_fixed_point_gradient_vanishes_on_one_hot_windows():
         n_states, n_actions = rng.integers(2, 7), rng.integers(2, 5)
         policy = CategoricalPolicy(Mlp.init((n_states, 6, n_actions), rng))
         wins = one_hot_windows(rng.integers(1, 5), n_states, n_actions, rng)
-        loss, grad = disc.bce_loss(policy, policy, wins, wins)
+        packed, _ = scored_packs(policy, wins, wins)
+        loss, grad = disc.bce_on_packed(policy, packed, packed)
         assert loss == pytest.approx(LOG4, abs=1e-9)
         np.testing.assert_array_equal(grad, 0.0)
-        packed = disc.pack_windows(wins)
-        disc.refresh_generator_scores(packed, policy)
         loss, grad = disc.bce_on_packed(policy, indexed(packed, policy), indexed(packed, policy))
         assert loss == pytest.approx(LOG4, abs=1e-9)
         np.testing.assert_array_equal(grad, 0.0)
@@ -519,7 +533,7 @@ def test_bce_paired_batches_lower_bounded_by_log4():
     learner = CategoricalPolicy(Mlp.init((2, 6, 2), rng))
     generator = CategoricalPolicy(Mlp.init((2, 6, 2), rng))
     wins = random_windows(5, 4, 2, 2, rng)
-    loss, _ = disc.bce_loss(learner, generator, wins, wins)
+    loss, _ = disc.bce_on_packed(learner, *scored_packs(generator, wins, wins))
     assert loss > LOG4 + 1e-6
 
 
@@ -530,7 +544,7 @@ def test_bce_loss_is_positive(seed):
     generator = CategoricalPolicy(Mlp.init((2, 5, 2), rng))
     wins_e = random_windows(3, 3, 2, 2, rng)
     wins_g = random_windows(3, 3, 2, 2, rng)
-    loss, _ = disc.bce_loss(learner, generator, wins_e, wins_g)
+    loss, _ = disc.bce_on_packed(learner, *scored_packs(generator, wins_e, wins_g))
     assert loss > 0.0
 
 
@@ -539,7 +553,7 @@ def test_bce_requires_paired_counts_and_cached_scores():
     policy = CategoricalPolicy(Mlp.init((2, 4, 2), rng))
     wins = random_windows(4, 3, 2, 2, rng)
     with pytest.raises(ValueError):
-        disc.bce_loss(policy, policy, wins[:1], wins[1:])
+        disc.bce_on_packed(policy, *scored_packs(policy, wins[:1], wins[1:]))
     packed = disc.pack_windows(wins)
     with pytest.raises(ValueError):
         disc.bce_on_packed(policy, packed, packed)  # gen_logp never cached
@@ -552,14 +566,15 @@ def test_bce_gaussian_windows():
         disc.Window(obs=rng.normal(size=(4, 2)), acts=rng.normal(size=(4, 1)), source=i)
         for i in range(4)
     ]
-    loss, grad = disc.bce_loss(policy, policy, wins[:2], wins[2:])
+    loss, grad = disc.bce_on_packed(policy, *scored_packs(policy, wins[:2], wins[2:]))
     assert loss == pytest.approx(LOG4, abs=1e-9)
 
     generator = GaussianPolicy(Mlp.init((2, 6, 2), rng))
+    packs = scored_packs(generator, wins[:2], wins[2:])
 
     def f(theta):
         policy.net.params = theta
-        return disc.bce_loss(policy, generator, wins[:2], wins[2:])
+        return disc.bce_on_packed(policy, *packs)
 
     assert grad_check(f, Mlp.init((2, 6, 2), rng).params) < 1e-4
 
@@ -579,6 +594,44 @@ def test_transitions_from_flattens():
     assert len(sub) == 2
 
 
+def reference_transitions_from(trajs):
+    """``transitions_from`` as it was written before it called ``windows_from``."""
+    obs = np.concatenate([t.obs for t in trajs])
+    acts = np.concatenate([np.atleast_1d(t.acts) for t in trajs])
+    return disc.PackedWindows(obs=obs, acts=acts, starts=np.arange(len(obs)), lengths=np.ones(len(obs), dtype=np.int64))
+
+
+@given(
+    episodes=st.lists(st.lists(st.integers(1, 7), min_size=1, max_size=4), min_size=1, max_size=4),
+    w=st.one_of(st.none(), st.integers(1, 8)),
+    stride=st.integers(1, 4),
+    continuous=st.booleans(),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_windows_from_matches_the_list_form(episodes, w, stride, continuous, seed):
+    # each inner list holds the episode lengths of one Trajectory; windows
+    # longer than an episode, strides past the window and w=None (whole
+    # episodes) all cut as window_split + pack_windows cut them
+    rng = np.random.default_rng(seed)
+    trajs = [Trajectory(obs=rng.normal(size=(sum(ls), 2)), lengths=ls,
+                        acts=rng.normal(size=(sum(ls), 1)) if continuous else rng.integers(0, 3, size=sum(ls)))
+             for ls in episodes]
+    parts = [part for t in trajs for part in t.episodes()]
+    wins = ([disc.Window(part.obs, part.acts) for part in parts] if w is None else
+            [win for part in parts for win in disc.window_split(part, w, stride)])
+    assert_same_pack(disc.windows_from(trajs, w, stride), disc.pack_windows(wins))
+    if w is None:
+        assert_same_pack(disc.windows_from(trajs, w, stride), disc.windows_from(trajs, max(map(max, episodes))))
+    assert_same_pack(disc.transitions_from(trajs), reference_transitions_from(trajs))
+    assert_same_pack(disc.transitions_from(trajs), disc.windows_from(trajs, 1))
+
+
+def test_windows_from_rejects_bad_args():
+    for w, stride in ((0, 1), (2, 0), (None, 0)):
+        with pytest.raises(ValueError, match="need w >= 1 and stride >= 1"):
+            disc.windows_from([toy_traj(3)], w, stride)
+
+
 # ---------------------------------------------------------------- scored variant
 
 def test_asqf_scores_pick_the_acted_column():
@@ -587,7 +640,7 @@ def test_asqf_scores_pick_the_acted_column():
     obs = rng.normal(size=(5, 3))
     acts = rng.integers(0, 4, size=5)
     f, _ = model.log_prob_tape(obs, acts)
-    full = model.scores(obs)
+    full = record_scores(model, obs)
     np.testing.assert_array_equal(f, full[np.arange(5), acts])
     np.testing.assert_array_equal(model.log_prob_batch(obs, acts), f)
 
@@ -728,7 +781,7 @@ def test_asqf_snapshot_is_the_plain_softmax_policy():
     assert type(policy) is CategoricalPolicy
     for obs in (np.eye(4)[[0, 3, 3, 1]], rng.normal(size=(4, 4))):
         acts = rng.integers(0, 3, size=4)
-        scores = model.scores(obs)
+        scores = record_scores(model, obs)
         np.testing.assert_array_equal(model.log_prob_batch(obs, acts), scores[np.arange(4), acts])
         np.testing.assert_array_equal(policy.log_prob_batch(obs, acts), log_softmax_rows(scores)[np.arange(4), acts])
         np.testing.assert_array_equal(policy.log_probs(obs), model.log_probs(obs))
@@ -760,7 +813,7 @@ def test_asqf_extract_policy_is_softmax_of_scores():
     model = disc.AsqfModel(Mlp.init((3, 6, 2), rng))
     policy = model.snapshot()
     obs = rng.normal(size=(4, 3))
-    scores = model.scores(obs)
+    scores = record_scores(model, obs)
     want = scores - scores.max(axis=1, keepdims=True)
     want = want - np.log(np.exp(want).sum(axis=1, keepdims=True))
     np.testing.assert_allclose(policy.log_probs(obs), want, atol=1e-12)

@@ -19,9 +19,7 @@ from asaf.envs import (
     gridworld_mdp,
     gridworld_spec,
     one_hot,
-    pointmass_spec,
     rollout,
-    scripted_pointmass_expert,
     soft_value_iteration,
     TabularMdp,
 )
@@ -48,6 +46,15 @@ def toggle_mdp(horizon=3, gamma=0.9):
         horizon=horizon,
         gamma=gamma,
     )
+
+
+def step(spec, state, action, rng):
+    """(next state, reward, terminal) of one state through ``step_rows``, with
+    the step's own draws taken from ``rng``."""
+    kind, n = spec.draws
+    acts = np.reshape(action, 1) if spec.action_kind == "discrete" else np.reshape(action, (1, -1))
+    nxt, reward, terminal = spec.step_rows(np.array([state]), acts, getattr(rng, kind)((1, n)))
+    return nxt[0].item(), float(reward[0]), bool(terminal[0])
 
 
 def soft_q_by_recursion(t, s, a, horizon, gamma, alpha):
@@ -137,7 +144,8 @@ def test_backup_resubstitution():
     mdp = chain_spec().mdp
     table = soft_value_iteration(mdp, alpha=1.0)
     for t in range(mdp.horizon - 1):
-        want = mdp.rewards + mdp.gamma * (mdp.transitions @ table.value(t + 1))
+        v = np.log(np.exp(table.q[t + 1]).sum(axis=1))     # alpha = 1
+        want = mdp.rewards + mdp.gamma * (mdp.transitions @ v)
         np.testing.assert_allclose(table.q[t], want, atol=1e-12)
 
 
@@ -206,7 +214,7 @@ def test_chain_env_dynamics():
     np.testing.assert_array_equal(spec.observe(state), one_hot(0, 4))
     for action, want in ((1, (1, 0.4, False)), (0, (0, 0.1, False)), (0, (0, 0.0, False)),
                          (1, (1, 0.4, False)), (1, (2, 0.5, False))):
-        state, r, terminal = spec.step(state, action, rng)
+        state, r, terminal = step(spec, state, action, rng)
         assert (state, r, terminal) == want
         np.testing.assert_array_equal(spec.observe(state), one_hot(state, 4))
     # the chain has no terminal state: rollout stops the same actions after 5 steps
@@ -216,7 +224,7 @@ def test_chain_env_dynamics():
 
 def test_chain_env_rejects_bad_action():
     with pytest.raises(ValueError):
-        chain_spec().step(0, 2, np.random.default_rng(0))
+        chain_spec().step_rows(np.array([0]), np.array([2]), np.zeros((1, 1)))
 
 
 def test_chain_spec_tables():
@@ -254,10 +262,10 @@ def reference_grid_step(cell, t, action, horizon):
 def test_gridworld_walls_block():
     spec, rng = gridworld_spec(), np.random.default_rng(0)
     state = spec.reset(rng)
-    state, r, terminal = spec.step(state, 0, rng)   # up from the corner: blocked
+    state, r, terminal = step(spec, state, 0, rng)   # up from the corner: blocked
     assert (state, r, terminal) == (5 * 0 + 0, -1.0, False)
-    state, _, _ = spec.step(state, 3, rng)          # to (0, 1)
-    state, r, _ = spec.step(state, 1, rng)          # down into the wall at (1, 1)
+    state, _, _ = step(spec, state, 3, rng)          # to (0, 1)
+    state, r, _ = step(spec, state, 1, rng)          # down into the wall at (1, 1)
     assert (state, r) == (5 * 0 + 1, -1.0)
 
 
@@ -266,10 +274,10 @@ def test_gridworld_corridor_reaches_goal():
     state = spec.reset(rng)
     total = 0.0
     for a in (3, 3, 3, 3, 1, 1, 1):
-        state, r, terminal = spec.step(state, a, rng)
+        state, r, terminal = step(spec, state, a, rng)
         total += r
         assert not terminal
-    state, r, terminal = spec.step(state, 1, rng)   # (3, 4) -> goal
+    state, r, terminal = step(spec, state, 1, rng)   # (3, 4) -> goal
     total += r
     assert terminal and state == 5 * 4 + 4
     assert total == 2.0                             # 7 * (-1) + 9
@@ -282,9 +290,9 @@ def test_gridworld_second_corridor_same_length():
     spec, rng = gridworld_spec(), np.random.default_rng(0)
     state = spec.reset(rng)
     for a in (1, 1, 3, 3, 1, 1, 3):
-        state, _, terminal = spec.step(state, a, rng)
+        state, _, terminal = step(spec, state, a, rng)
         assert not terminal
-    state, _, terminal = spec.step(state, 3, rng)
+    state, _, terminal = step(spec, state, 3, rng)
     assert terminal and state == 5 * 4 + 4
     traj, ret = rollout(gridworld_spec(), Scripted(CORRIDORS[1]), seed=0)
     assert len(traj) == 8 and ret == 2.0
@@ -327,7 +335,7 @@ def test_gridworld_steps_match_reference_for_every_state_and_action(horizon):
         # the same maze started in s: its one-step rollouts say whether step 0 ends the episode
         from_s = TabularSpec(TabularMdp(grid.transitions, one_hot(s, 25), grid.rewards, horizon, terminal=grid.terminal))
         for a in range(4):
-            nxt, r, terminal = spec.step(s, a, rng)
+            nxt, r, terminal = step(spec, s, a, rng)
             ended = len(rollout(from_s, ConstantPolicy(a), seed=0)[0]) == 1
             if divmod(s, 5) == REF_GOAL:
                 # the reference never steps from the goal; the table absorbs there for free
@@ -355,7 +363,7 @@ def test_gridworld_episodes_match_reference(actions, horizon):
         if done:
             break
         cell, want_r, done = reference_grid_step(cell, t, a, horizon)
-        state, r, terminal = spec.step(state, a, rng)
+        state, r, terminal = step(spec, state, a, rng)
         assert (state, r, terminal) == (5 * cell[0] + cell[1], want_r, cell == REF_GOAL)
         np.testing.assert_array_equal(spec.observe(state), one_hot(state, 25))
         played.append(a)
@@ -372,20 +380,20 @@ def test_gridworld_episodes_match_reference(actions, horizon):
 # ---------------------------------------------------------------- point mass
 
 def test_pointmass_arithmetic():
-    spec, rng = pointmass_spec(), np.random.default_rng(3)
-    x, r, terminal = spec.step(0.5, 1.0, rng)
+    spec, rng = PointMassSpec(), np.random.default_rng(3)
+    x, r, terminal = step(spec, 0.5, 1.0, rng)
     assert x == pytest.approx(0.6, abs=1e-15) and not terminal
     assert r == pytest.approx(-0.36, abs=1e-15)
     np.testing.assert_array_equal(spec.observe(x), [x])
-    x, r, _ = spec.step(x, 5.0, rng)      # actions clamp to [-1, 1]
+    x, r, _ = step(spec, x, 5.0, rng)      # actions clamp to [-1, 1]
     assert x == pytest.approx(0.7, abs=1e-15)
 
 
 def test_pointmass_position_clamps():
-    spec, rng = pointmass_spec(), np.random.default_rng(0)
-    x, _, _ = spec.step(1.98, 1.0, rng)
+    spec, rng = PointMassSpec(), np.random.default_rng(0)
+    x, _, _ = step(spec, 1.98, 1.0, rng)
     assert x == 2.0
-    x, _, _ = spec.step(x, 1.0, rng)
+    x, _, _ = step(spec, x, 1.0, rng)
     assert x == 2.0
 
 
@@ -398,17 +406,17 @@ def test_pointmass_clamps_match_np_clip(action, x0):
     def same(a, b):
         return bool(np.isnan(a) and np.isnan(b)) or (a == b and np.signbit(a) == np.signbit(b))
 
-    spec, rng = pointmass_spec(horizon=8), np.random.default_rng(0)
+    spec, rng = PointMassSpec(horizon=8), np.random.default_rng(0)
     state = x = x0
     for _ in range(8):
-        state, r, _ = spec.step(state, action, rng)
+        state, r, _ = step(spec, state, action, rng)
         x = float(np.clip(x + 0.1 * float(np.clip(action, -1.0, 1.0)), -2.0, 2.0))
         assert same(spec.observe(state)[0], x)
         assert same(r, -x * x)
 
 
 def test_pointmass_episode_length_and_start():
-    spec = pointmass_spec()
+    spec = PointMassSpec()
     x0 = spec.reset(np.random.default_rng(11))
     assert -1.0 <= x0 <= 1.0
     traj, _ = rollout(spec, ConstantPolicy([0.0]), seed=11)   # the reset is the episode's first draw
@@ -421,20 +429,19 @@ def test_pointmass_horizon_below_one_is_refused(horizon):
     with pytest.raises(ValidationError, match=f"horizon must be >= 1, got {horizon}"):
         rollout(PointMassSpec(horizon=horizon), ConstantPolicy([0.0]), seed=0)
     with pytest.raises(ValidationError, match=f"horizon must be >= 1, got {horizon}"):
-        collect_expert_demos(pointmass_spec(horizon=horizon), n=2, alpha=1.0, seed=0)
+        collect_expert_demos(PointMassSpec(horizon=horizon), n=2, alpha=1.0, seed=0)
     assert len(rollout(PointMassSpec(horizon=1), ConstantPolicy([0.0]), seed=0)[0]) == 1
 
 
 def test_pointmass_rejects_vector_action():
     with pytest.raises(ShapeError):
-        pointmass_spec().step(0.0, np.zeros(2), np.random.default_rng(0))
+        PointMassSpec().step_rows(np.zeros(1), np.zeros((1, 2)))
 
 
 def test_scripted_expert_values():
-    assert scripted_pointmass_expert(0.5) == -1.0
-    assert scripted_pointmass_expert(0.1) == pytest.approx(-0.5)
-    assert scripted_pointmass_expert(-0.05) == pytest.approx(0.25)
-    assert scripted_pointmass_expert(-1.0) == 1.0
+    acts = ScriptedPointMassPolicy().act(np.array([[0.5], [0.1], [-0.05], [-1.0]]), None, 0)
+    np.testing.assert_allclose(acts, [[-1.0], [-0.5], [0.25], [1.0]], rtol=0, atol=1e-15)
+    assert acts[0, 0] == -1.0 and acts[3, 0] == 1.0     # clamped exactly
 
 
 # ---------------------------------------------------------------- env registry
@@ -528,7 +535,7 @@ def test_tabular_step_refuses_non_integral_actions():
         rollout(chain_spec(), ConstantPolicy(1.7), seed=0)
     for action in (1.7, np.nan, -0.5, 2):
         with pytest.raises(ValueError, match="is not an integer in"):
-            chain_spec().step(0, action, np.random.default_rng(0))
+            chain_spec().step_rows(np.array([0]), np.array([action]), np.zeros((1, 1)))
     _, ret = rollout(chain_spec(), ConstantPolicy(1.0), seed=0)     # an integral real steps
     assert ret == pytest.approx(2.9, abs=1e-12)
 
@@ -537,7 +544,7 @@ def test_tabular_step_refuses_non_integral_actions():
 
 def lockstep_case(env, kind, seed):
     spec = {"chain": chain_spec, "random_mdp": random_mdp_spec, "gridworld": gridworld_spec,
-            "pointmass": lambda: pointmass_spec(horizon=12)}[env]()
+            "pointmass": lambda: PointMassSpec(horizon=12)}[env]()
     rng = np.random.default_rng(seed)
     if kind == "learned":
         policy = make_policy(spec, (8, 8), rng)
@@ -554,7 +561,7 @@ LOCKSTEP_CASES += [("pointmass", kind) for kind in ("learned", "expert")]
 
 
 def reference_episode(spec, policy, rng):
-    """One episode stepped alone through one-row ``act`` calls and ``step``,
+    """One episode stepped alone through one-row ``act`` and ``step_rows`` calls,
     each drawing as it goes.  An episode that ends early then draws the rest
     of its full-horizon block, as the lockstep loop does."""
     (kind, n_pol), (_, n_env) = policy.draws, spec.draws
@@ -562,7 +569,7 @@ def reference_episode(spec, policy, rng):
     for t in range(spec.horizon):
         obs.append(spec.observe(state))
         acts.append(policy.act(obs[-1][None, :], getattr(rng, kind)((1, n_pol)), t)[0])
-        state, reward, terminal = spec.step(state, acts[-1], rng)
+        state, reward, terminal = step(spec, state, acts[-1], rng)
         total += reward
         if terminal:
             break
@@ -647,17 +654,20 @@ def test_rollout_refuses_non_integer_episode_counts(episodes):
 
 
 def test_soft_expert_log_prob_matches_table():
+    # the expert draws action 0 exactly for uniforms below pi(0 | s, t) of the
+    # stage's table, and action 1 from there on
     spec = chain_spec()
     table = soft_value_iteration(spec.mdp, 1.0)
     expert = SoftExpertPolicy(table)
     probs = table.policy_table()
+    states = np.eye(4)
     for t in (0, 2, 4):
-        for s in range(4):
-            for a in range(2):
-                want = float(np.log(probs[t, s, a]))
-                assert expert.log_prob(one_hot(s, 4), a, t) == pytest.approx(want, abs=1e-14)
+        p0 = probs[t, :, :1]
+        assert expert.act(states, np.nextafter(p0, 0.0), t).tolist() == [0] * 4
+        assert expert.act(states, p0 * (1 + 1e-12), t).tolist() == [1] * 4
     # stages past the horizon clamp to the final table
-    assert expert.log_prob(one_hot(0, 4), 1, 99) == expert.log_prob(one_hot(0, 4), 1, 4)
+    u = np.random.default_rng(0).random((4, 1))
+    assert expert.act(states, u, 99).tolist() == expert.act(states, u, 4).tolist()
 
 
 # Probability rows with zeros whose sums sit within 1e-9 of 1, as validate()
@@ -679,6 +689,6 @@ def test_cdf_draws_match_generator_choice(row, seed):
     ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
     drawn = [spec.reset(ours)]
     for t in range(20):
-        drawn.append(spec.step(drawn[-1], t % 2, ours)[0])
+        drawn.append(step(spec, drawn[-1], t % 2, ours)[0])
     assert drawn == [int(theirs.choice(n, p=row)) for _ in range(21)]
     assert ours.bit_generator.state == theirs.bit_generator.state

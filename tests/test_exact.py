@@ -80,7 +80,7 @@ def test_enumeration_uniform_toggle():
     assert len(dist.probs) == 4
     for p in dist.probs.values():
         assert p == pytest.approx(0.25, abs=1e-15)
-    assert dist.total() == pytest.approx(1.0, abs=1e-12)
+    assert sum(dist.probs.values()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_enumeration_prunes_zero_probability_actions():
@@ -103,14 +103,14 @@ def test_enumeration_sums_to_one(seed):
     rng = np.random.default_rng(seed)
     mdp = random_mdp(rng, horizon=int(rng.integers(1, 5)))
     dist = exact_traj_distribution(mdp, random_policy(rng, 3, 2))
-    assert dist.total() == pytest.approx(1.0, abs=1e-8)
+    assert sum(dist.probs.values()) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_enumeration_accepts_stage_indexed_policies():
     spec = chain_spec()
     table = soft_value_iteration(spec.mdp, 1.0).policy_table()
     dist = exact_traj_distribution(spec.mdp, table)
-    assert dist.total() == pytest.approx(1.0, abs=1e-10)
+    assert sum(dist.probs.values()) == pytest.approx(1.0, abs=1e-10)
     with pytest.raises(ShapeError):
         exact_traj_distribution(spec.mdp, table[:3])  # wrong stage count
 
@@ -120,13 +120,6 @@ def test_enumeration_capacity_guard():
     huge = TabularMdp(transitions=p, start=np.array([1.0]), rewards=np.zeros((1, 2)), horizon=24)
     with pytest.raises(CapacityError):
         exact_traj_distribution(huge, np.array([[0.5, 0.5]]))
-
-
-def test_action_marginal():
-    dist = exact_traj_distribution(toggle_mdp(horizon=2), UNIFORM2)
-    marg = dist.action_marginal()
-    assert set(marg) == {(0, 0), (0, 1), (1, 0), (1, 1)}
-    assert sum(marg.values()) == pytest.approx(1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------- occupancy

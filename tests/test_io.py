@@ -205,7 +205,7 @@ batch = 16
 n_g = 4
 epochs = 3
 clip = 0.5
-clip_mode = value
+clip_mode = norm
 steps = 12
 eval_k = 8
 eval_interval = 6
@@ -222,7 +222,7 @@ def test_parse_full_config():
     assert setup.out_dir == "out/run1"
     assert (cfg.algorithm, cfg.w, cfg.stride) == ("asaf_w", 2, 1)
     assert (cfg.lr_d, cfg.batch, cfg.n_g, cfg.epochs) == (0.0005, 16, 4, 3)
-    assert (cfg.clip, cfg.clip_mode, cfg.steps) == (0.5, "value", 12)
+    assert (cfg.clip, cfg.clip_mode, cfg.steps) == (0.5, "norm", 12)
     assert (cfg.eval_k, cfg.eval_interval, cfg.seed) == (8, 6, 9)
     cfg.validated()
 
@@ -704,6 +704,19 @@ def test_cli_process_rejects_non_finite_reals(tmp_path):
     proc = run_module("train", "--config", cfg)
     assert proc.returncode == 3, proc.stderr
     assert "validation error: clip must be positive, got nan" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_process_refuses_a_clip_mode_other_than_norm(tmp_path):
+    # global-norm clipping is the one mode; "value" was a second that no recipe set
+    demos, cfg = tmp_path / "demos.jsonl", tmp_path / "run.cfg"
+    main(["gen-expert", "--env", "chain", "--n", "3", "--out", str(demos)])
+    cfg.write_text(f"env = chain\nalgorithm = asaf\ndemos_path = {demos}\nsteps = 1\nclip_mode = value\n"
+                   f"out_dir = {tmp_path / 'out'}\n", encoding="utf-8")
+    proc = run_module("train", "--config", cfg)
+    assert (proc.returncode, proc.stdout) == (3, ""), proc.stderr
+    assert "validation error: clip_mode must be 'norm', got 'value'" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "out").exists()
 

@@ -22,7 +22,6 @@ from asaf.nn import (
     Mlp,
     adam_step,
     clip_by_global_norm,
-    clip_by_value,
     grad_check,
     log_softmax_rows,
     logsumexp,
@@ -490,12 +489,6 @@ def test_clip_by_global_norm():
     assert g[0] == 3.0  # result is always a fresh array
     with pytest.raises(ValueError):
         clip_by_global_norm(g, 0.0)
-
-
-def test_clip_by_value():
-    np.testing.assert_array_equal(clip_by_value(np.array([-2.0, 0.5, 3.0]), 1.0), [-1.0, 0.5, 1.0])
-    with pytest.raises(ValueError):
-        clip_by_value(np.zeros(1), -1.0)
 
 
 @given(hnp.arrays(np.float64, st.integers(1, 6), elements=st.floats(-1e3, 1e3, allow_nan=False)),

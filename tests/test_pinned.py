@@ -55,6 +55,15 @@ old digests and keeps the other nine, so the pools' one-time indexing by
 state and the in-place ``adam_step`` move no bits.  ``chain_bc`` has one
 side and ``pointmass_asaf_1`` has no state table, so both kept their digests.
 
+``pointmass_asaf_1_h64`` runs the (64, 64) net of the shipped recipes at
+15 and 10 rows per row block.  The (8, 8) recipes at batches of at most 32
+rows get the bits of one product per side from one product over both
+stacked sides, so their digests do not guard the per-block products of
+``nn._matmul``; this one does: a ``_matmul`` that ignores ``split`` moves it
+(to ``84ca6c62…``), while at ``batch=100`` it would not.  It was recorded on
+the commit before the window builder moved into ``discriminator.windows_from``,
+before any edit of that change, and the change keeps it.
+
 A recipe's digest is SHA-256 over the final ``policy.net.params`` bytes
 followed by ``repr(log)``; a ``gen-expert`` digest is SHA-256 over the file it
 writes; a rollout digest is SHA-256 over the ``obs`` and ``acts`` bytes and
@@ -75,8 +84,8 @@ from asaf.envs import (
     TabularMdp,
     TabularSpec,
     chain_spec,
+    PointMassSpec,
     gridworld_spec,
-    pointmass_spec,
     rollout,
 )
 from asaf.nn import Mlp
@@ -92,6 +101,7 @@ RECIPES = {
     "chain_bc": dict(algorithm="bc", batch=8),
     "gridworld_asqf": dict(algorithm="asqf", batch=16),
     "pointmass_asaf_1": dict(algorithm="asaf_1", steps=2, epochs=1, n_g=2, batch=32, eval_k=2),
+    "pointmass_asaf_1_h64": dict(algorithm="asaf_1", steps=2, epochs=2, n_g=2, batch=15, eval_k=2, hidden=(64, 64)),
 }
 
 RECIPE_DIGESTS = {
@@ -102,6 +112,7 @@ RECIPE_DIGESTS = {
     "chain_bc": "018b2607f7ff565a83b9d2eaa6701af04d2b911352cb2ad62c12baf59ff04b7c",
     "gridworld_asqf": "84e595fc4cd6f92daeedb5b043dd279b7822fcf21f963641b52d26d57a5db0b1",
     "pointmass_asaf_1": "5530d0761906084eb26ce6eb2fe8fdb73ced4ab6379f31e5a6a8f062d851aa51",
+    "pointmass_asaf_1_h64": "db634138c7354dc6526078e1a41d7c12d53afe1c9f3946aea8855e8288f230b7",
 }
 
 GEN_EXPERT_DIGESTS = {
@@ -132,7 +143,7 @@ def random_mdp_spec(seed=7, n_states=5, n_actions=3):
 
 
 def rollout_digest(name):
-    spec = {"chain": chain_spec, "gridworld": gridworld_spec, "pointmass": pointmass_spec,
+    spec = {"chain": chain_spec, "gridworld": gridworld_spec, "pointmass": PointMassSpec,
             "random_mdp": random_mdp_spec}[name]()
     policy = make_policy(spec, (64, 64), np.random.default_rng(0))
     rng = np.random.default_rng(1)
@@ -146,7 +157,7 @@ def rollout_digest(name):
 
 
 def pointmass_demos(n, seed):
-    trajs = [rollout(pointmass_spec(), ScriptedPointMassPolicy(), seed=(seed, i))[0] for i in range(n)]
+    trajs = [rollout(PointMassSpec(), ScriptedPointMassPolicy(), seed=(seed, i))[0] for i in range(n)]
     return DemoSet(trajs, env_id="pointmass", action_kind="continuous", obs_dim=1, mean_return=0.0)
 
 
@@ -155,7 +166,7 @@ def recipe(name):
     cfg = TrainConfig(**{**dict(steps=3, epochs=2, n_g=3, batch=4, eval_interval=1, eval_k=3,
                                 seed=0, hidden=(8, 8)), **RECIPES[name]})
     if name.startswith("pointmass"):
-        return cfg, pointmass_demos(3, seed=0), pointmass_spec()
+        return cfg, pointmass_demos(3, seed=0), PointMassSpec()
     if name.startswith("gridworld"):
         return cfg, collect_expert_demos(gridworld_spec(), n=5, alpha=0.25, seed=0), gridworld_spec()
     return cfg, collect_expert_demos(chain_spec(), n=20, alpha=1.0, seed=0), chain_spec()

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from asaf.discriminator import AsqfModel
-from asaf.envs import chain_spec, one_hot, pointmass_spec
+from asaf.envs import PointMassSpec, chain_spec, one_hot
 from asaf.errors import NumericalError, ShapeError, TapeError, UnsupportedError
 from asaf.nn import Mlp, grad_check, log_softmax_rows
 from asaf.policies import (
@@ -38,6 +38,17 @@ def bias_only_gaussian(mean, log_std):
 OBS1 = np.zeros(1)
 
 
+def record_cdf(policy, obs):
+    """The action CDF of ``obs`` in the evaluation record that ``act`` reads."""
+    ev, rows = policy._read(np.asarray(obs))
+    return np.take(ev.cdf, rows, axis=0)
+
+
+def gaussian_log_prob(policy, obs, action):
+    """log pi(action | obs) of one observation, read through ``log_prob_batch``."""
+    return float(policy.log_prob_batch(np.reshape(obs, (1, -1)), np.reshape(action, (1, -1)))[0])
+
+
 # ---------------------------------------------------------------- categorical
 
 def test_categorical_zero_net_is_uniform():
@@ -48,12 +59,11 @@ def test_categorical_zero_net_is_uniform():
 
 def test_categorical_log_prob_examples():
     policy = bias_only_categorical(np.log([0.2, 0.3, 0.5]))
-    assert policy.log_prob(OBS1, 0) == pytest.approx(np.log(0.2), abs=1e-12)
-    assert policy.log_prob(OBS1, 2) == pytest.approx(np.log(0.5), abs=1e-12)
-    with pytest.raises(ValueError):
-        policy.log_prob(OBS1, 3)
-    with pytest.raises(ValueError):
-        policy.log_prob(OBS1, -1)
+    lp = policy.log_prob_batch(np.zeros((2, 1)), np.array([0, 2]))
+    np.testing.assert_allclose(lp, np.log([0.2, 0.5]), rtol=0, atol=1e-12)
+    for bad in (3, -1):
+        with pytest.raises(ValueError):
+            policy.log_prob_batch(OBS1[None, :], np.array([bad]))
 
 
 def test_categorical_batch_matches_scalar():
@@ -63,7 +73,7 @@ def test_categorical_batch_matches_scalar():
     acts = rng.integers(0, 2, size=5)
     batch = policy.log_prob_batch(obs, acts)
     for i in range(5):
-        assert batch[i] == pytest.approx(policy.log_prob(obs[i], acts[i]), abs=1e-12)
+        assert batch[i] == pytest.approx(policy.log_prob_batch(obs[i : i + 1], acts[i : i + 1])[0], abs=1e-12)
 
 
 @given(st.integers(0, 2 ** 31 - 1))
@@ -161,7 +171,7 @@ def test_params_are_read_only_and_the_setter_refreshes_the_memo():
     policy.net.params = params
     np.testing.assert_array_equal(policy.net.params, params)
     assert {policy.sample(obs, rng) for _ in range(60)} == {2}
-    np.testing.assert_array_equal(policy.cdf(obs), CategoricalPolicy(Mlp((4, 3), params)).cdf(obs))
+    np.testing.assert_array_equal(record_cdf(policy, obs), record_cdf(CategoricalPolicy(Mlp((4, 3), params)), obs))
 
     # a net swapped in whole is a new key, whatever its version
     policy.net = Mlp((4, 3))
@@ -185,8 +195,9 @@ def test_state_table_matches_the_row_path(seed, n_states, n_actions, n_rows):
     np.testing.assert_allclose(lp_t, lp_r, rtol=0, atol=1e-12)
     np.testing.assert_allclose(policy.backprop_log_prob(cache_t, weights), grad_r, rtol=0, atol=1e-12)
     for x in obs:
-        np.testing.assert_allclose(policy.cdf(x), np.cumsum(np.exp(row_log_probs(net, x)[0])), rtol=0, atol=1e-12)
-        assert policy.cdf(x)[-1] == pytest.approx(1.0, abs=1e-12)
+        cdf = record_cdf(policy, x)
+        np.testing.assert_allclose(cdf, np.cumsum(np.exp(row_log_probs(net, x)[0])), rtol=0, atol=1e-12)
+        assert cdf[-1] == pytest.approx(1.0, abs=1e-12)
     assert forwards == [n_states]
 
 
@@ -256,7 +267,7 @@ def test_rows_that_are_not_one_hot_take_the_row_path(bad):
     np.testing.assert_array_equal(lp, lp_r)
     np.testing.assert_array_equal(policy.backprop_log_prob(cache, weights), grad_r)
     np.testing.assert_array_equal(policy.log_probs(obs), row_log_probs(net, obs))
-    np.testing.assert_array_equal(policy.cdf(bad), np.cumsum(np.exp(row_log_probs(net, bad)[0])))
+    np.testing.assert_array_equal(record_cdf(policy, bad), np.cumsum(np.exp(row_log_probs(net, bad)[0])))
     assert forwards == [4, 4, 4, 1]     # every call ran the net on its own rows
     # the one-hot rows alone read the state table
     policy.log_prob_batch(obs[[0, 1, 3]], acts[[0, 1, 3]])
@@ -309,7 +320,7 @@ def test_mixed_batches_match_the_row_path_bitwise(seed, n_states, n_actions, n_r
     np.testing.assert_array_equal(policy.log_probs(obs), row_log_probs(net, obs))
     for x in obs[noisy]:
         np.testing.assert_array_equal(policy.log_probs(x), row_log_probs(net, x)[0])
-        np.testing.assert_array_equal(policy.cdf(x), np.cumsum(np.exp(row_log_probs(net, x)[0])))
+        np.testing.assert_array_equal(record_cdf(policy, x), np.cumsum(np.exp(row_log_probs(net, x)[0])))
 
 
 def test_discrete_actions_must_be_integral_and_one_dimensional():
@@ -322,7 +333,7 @@ def test_discrete_actions_must_be_integral_and_one_dimensional():
             with pytest.raises(UnsupportedError):
                 policy.log_prob_batch(obs, np.array(bad))
         with pytest.raises(UnsupportedError):
-            policy.log_prob(obs[0], 1.5)
+            policy.log_prob_batch(obs[:1], np.array([1.5]))
         with pytest.raises(ValueError, match="must lie in"):
             policy.log_prob_batch(obs, np.array([0, 3]))
 
@@ -373,14 +384,14 @@ def test_categorical_snapshot_is_frozen():
 
 def test_gaussian_standard_normal_log_prob():
     policy = GaussianPolicy(Mlp((3, 2)))  # mean 0, log-std 0
-    assert policy.log_prob(np.zeros(3), [0.0]) == pytest.approx(-HALF_LOG_2PI, abs=1e-15)
-    assert policy.log_prob(np.zeros(3), [1.0]) == pytest.approx(-0.5 - HALF_LOG_2PI, abs=1e-15)
+    assert gaussian_log_prob(policy, np.zeros(3), [0.0]) == pytest.approx(-HALF_LOG_2PI, abs=1e-15)
+    assert gaussian_log_prob(policy, np.zeros(3), [1.0]) == pytest.approx(-0.5 - HALF_LOG_2PI, abs=1e-15)
 
 
 def test_gaussian_log_prob_hand_value():
     policy = bias_only_gaussian(mean=1.0, log_std=np.log(2.0))
     want = -0.5 * 0.25 - np.log(2.0) - HALF_LOG_2PI  # z = (2 - 1)/2
-    assert policy.log_prob(OBS1, [2.0]) == pytest.approx(want, abs=1e-12)
+    assert gaussian_log_prob(policy, OBS1, [2.0]) == pytest.approx(want, abs=1e-12)
 
 
 def test_gaussian_multidim_log_prob_sums_over_dims():
@@ -421,7 +432,7 @@ def test_gaussian_density_integrates_to_one():
     policy = bias_only_gaussian(mean=0.7, log_std=np.log(0.4))
     mean, std = policy.mean_std(OBS1)
     grid = np.linspace(mean[0] - 8 * std[0], mean[0] + 8 * std[0], 4001)
-    dens = np.array([np.exp(policy.log_prob(OBS1, [a])) for a in grid])
+    dens = np.exp(policy.log_prob_batch(np.zeros((len(grid), 1)), grid[:, None]))
     integral = float(np.sum(0.5 * (dens[1:] + dens[:-1]) * np.diff(grid)))
     assert integral == pytest.approx(1.0, abs=1e-4)
 
@@ -480,7 +491,7 @@ def test_make_policy_dispatch():
     p.sample(one_hot(1, 4), rng)
     p.log_prob_batch(np.eye(4)[[0, 3, 3]], np.array([1, 0, 1]))
     assert rows == [4]          # one-hot chain states read one state table
-    p = make_policy(pointmass_spec(), (16, 8), rng)
+    p = make_policy(PointMassSpec(), (16, 8), rng)
     assert isinstance(p, GaussianPolicy) and p.net.sizes == (1, 16, 8, 2)
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from asaf.envs import (
+    PointMassSpec,
     ScriptedPointMassPolicy,
     TabularMdp,
     TabularSpec,
@@ -14,15 +15,14 @@ from asaf.envs import (
     env_by_id,
     gridworld_spec,
     one_hot,
-    pointmass_spec,
 )
 from asaf import discriminator as disc
 from asaf import nn
 from asaf.errors import NumericalError, UnsupportedError, ValidationError
 from asaf.formats import runlog_csv
 from asaf.nn import Mlp
-from asaf.policies import CategoricalPolicy, tabular_policy_extract
-from asaf.train import DemoSet, TrainConfig, evaluate_policy, train
+from asaf.policies import CategoricalPolicy, make_policy, tabular_policy_extract
+from asaf.train import DemoSet, TrainConfig, _pool, evaluate_policy, train
 from asaf.verify import collect_expert_demos
 
 LOG4 = np.log(4.0)
@@ -80,8 +80,9 @@ def test_config_validation_errors():
         with pytest.raises(ValidationError, match=next(iter(bad))):
             TrainConfig(**bad).validated()
     assert TrainConfig(clip=np.inf).validated().clip == np.inf   # never clips
-    with pytest.raises(ValidationError):
-        TrainConfig(clip_mode="soft").validated()
+    for mode in ("soft", "value"):     # global-norm clipping is the one mode
+        with pytest.raises(ValidationError, match=f"clip_mode must be 'norm', got '{mode}'"):
+            TrainConfig(clip_mode=mode).validated()
     with pytest.raises(ValidationError):
         TrainConfig(eval_interval=0).validated()
     with pytest.raises(ValidationError):
@@ -140,15 +141,15 @@ def test_evaluate_constant_policy_exact():
 
 def test_evaluate_is_deterministic():
     policy = ScriptedPointMassPolicy()
-    a = evaluate_policy(policy, pointmass_spec(), k=10, seed=3)
-    b = evaluate_policy(policy, pointmass_spec(), k=10, seed=3)
+    a = evaluate_policy(policy, PointMassSpec(), k=10, seed=3)
+    b = evaluate_policy(policy, PointMassSpec(), k=10, seed=3)
     assert a == b
-    c = evaluate_policy(policy, pointmass_spec(), k=10, seed=4)
+    c = evaluate_policy(policy, PointMassSpec(), k=10, seed=4)
     assert a != c
     with pytest.raises(ValidationError):
-        evaluate_policy(policy, pointmass_spec(), k=0)
+        evaluate_policy(policy, PointMassSpec(), k=0)
     with pytest.raises(ValidationError):
-        evaluate_policy(policy, pointmass_spec(), k=1, seed=-1)
+        evaluate_policy(policy, PointMassSpec(), k=1, seed=-1)
 
 
 @pytest.mark.parametrize("k", [2.5, True, np.float64(2.0)])
@@ -170,11 +171,11 @@ def test_evaluate_refuses_a_non_finite_return():
             return np.full((len(obs), 1), np.nan)
 
     with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="non-finite evaluation return"):
-        evaluate_policy(NanPolicy(), pointmass_spec(), k=2, seed=0)
+        evaluate_policy(NanPolicy(), PointMassSpec(), k=2, seed=0)
 
 
-def test_scripted_pointmass_expert_return_frozen():
-    mean, std = evaluate_policy(ScriptedPointMassPolicy(), pointmass_spec(), k=200, seed=77)
+def test_scripted_pointmass_policy_return_frozen():
+    mean, std = evaluate_policy(ScriptedPointMassPolicy(), PointMassSpec(), k=200, seed=77)
     assert mean == pytest.approx(-0.7524351410308131, abs=1e-12)
     assert std == pytest.approx(0.8279286054975545, abs=1e-12)
     assert mean > -1.0
@@ -191,7 +192,7 @@ def test_demo_env_mismatch_is_rejected(chain_demos):
     wrong_kind = DemoSet(chain_demos.trajectories, env_id="pointmass", action_kind="discrete",
                          obs_dim=1, mean_return=0.0)
     with pytest.raises(ValidationError):
-        train(tiny_cfg(), wrong_kind, pointmass_spec())
+        train(tiny_cfg(), wrong_kind, PointMassSpec())
     for bad in (-1, 2):
         acts = [np.array([1, 1, 0, 1, 1]), np.array([1, 0, bad, 1, 1])]
         out_of_range = DemoSet([Trajectory(obs=np.eye(4)[[0, 1, 2, 3, 3]], acts=a) for a in acts],
@@ -218,7 +219,41 @@ def test_continuous_demo_actions_must_be_act_dim_wide():
                    env_id="pointmass", action_kind="continuous", obs_dim=1, mean_return=0.0)
     with pytest.raises(ValidationError, match=r"episode 1 \(demo file line 3\): actions of shape \(3, 2\), "
                                               r"expected \(3, 1\)"):
-        train(tiny_cfg(algorithm="asaf_1", steps=1), wide, pointmass_spec())
+        train(tiny_cfg(algorithm="asaf_1", steps=1), wide, PointMassSpec())
+
+
+@pytest.mark.parametrize("env_id, algorithm, width", [("chain", "asaf", 5), ("chain", "asqf", 3),
+                                                      ("gridworld", "asaf_1", 4), ("pointmass", "asaf_1", 2)])
+def test_demo_observation_rows_must_be_obs_dim_wide(env_id, algorithm, width):
+    # a library caller's DemoSet used to die in np.concatenate (tabular) or in the net (pointmass)
+    env = env_by_id(env_id)
+    episodes = collect_expert_demos(env, n=3, alpha=1.0, seed=0).trajectories
+    episodes[1] = Trajectory(obs=np.zeros((len(episodes[1]), width)), acts=episodes[1].acts)
+    demos = DemoSet(episodes, env_id=env_id, action_kind=env.action_kind, obs_dim=env.obs_dim, mean_return=0.0)
+    with pytest.raises(ValidationError, match=rf"^episode 1 \(demo file line 3\): observation rows {width} wide, "
+                                              rf"expected {env.obs_dim}$"):
+        train(tiny_cfg(algorithm=algorithm, steps=1), demos, env)
+
+
+@pytest.mark.parametrize("algorithm, cfg_kw", [("asaf", {}), ("asaf_w", dict(w=2, stride=1)),
+                                               ("asaf_w", dict(w=3, stride=2)), ("asaf_1", {}),
+                                               ("asqf", {}), ("bc", {})])
+def test_pool_state_ids_equal_indexing_before_the_gather(chain_demos, algorithm, cfg_kw):
+    # the pool used to index every demo row and then gather the windows' rows;
+    # indexing the gathered rows gives the same ids, repeated rows included
+    trajs = chain_demos.trajectories
+    cfg = tiny_cfg(algorithm=algorithm, **cfg_kw).validated()
+    policy = make_policy(chain_spec(), (8,), np.random.default_rng(0))
+    pool = _pool(trajs, cfg, policy)
+    states, acts = policy.index(np.concatenate([t.obs for t in trajs]), np.concatenate([t.acts for t in trajs]))
+    firsts = np.cumsum([len(t) for t in trajs]) - [len(t) for t in trajs]
+    windows = [[disc.Window(t.obs, t.acts)] if algorithm == "asaf" else
+               disc.window_split(t, cfg.w or 1, cfg.stride or 1) for t in trajs]
+    rows = np.concatenate([first + win.offset + np.arange(len(win)) for first, wins in zip(firsts, windows)
+                           for win in wins])
+    assert pool.states.dtype == states.dtype and pool.states.tobytes() == states[rows].tobytes()
+    assert pool.acts.dtype == acts.dtype and pool.acts.tobytes() == acts[rows].tobytes()
+    assert pool.obs.tobytes() == np.concatenate([t.obs for t in trajs])[rows].tobytes()
 
 
 # ---------------------------------------------------------------- asaf loop
@@ -296,7 +331,7 @@ def test_pointmass_js_column_is_empty():
         env_id="pointmass", action_kind="continuous", obs_dim=1, mean_return=0.0,
     )
     cfg = tiny_cfg(algorithm="asaf_1", steps=1, n_g=1, epochs=1, batch=8, eval_k=2)
-    _, log = train(cfg, demos, pointmass_spec())
+    _, log = train(cfg, demos, PointMassSpec())
     assert log.rows[-1].js_to_expert is None
     assert log.total_env_steps == 50
 
@@ -403,7 +438,7 @@ def test_asqf_requires_discrete_actions():
         env_id="pointmass", action_kind="continuous", obs_dim=1, mean_return=0.0,
     )
     with pytest.raises(UnsupportedError):
-        train(tiny_cfg(algorithm="asqf", steps=1), demos, pointmass_spec())
+        train(tiny_cfg(algorithm="asqf", steps=1), demos, PointMassSpec())
 
 
 # ---------------------------------------------------------------- bc loop
@@ -460,7 +495,7 @@ def test_interleaved_repeat_calls_are_bitwise_equal():
     # the benchmark's repeat check: three recipes called in turn in one
     # process, twice over, each call's result bitwise the same as its first;
     # no cache, memo or pool may carry state from one train() call to another
-    chain, pointmass = chain_spec(), pointmass_spec()
+    chain, pointmass = chain_spec(), PointMassSpec()
     chain_demos = collect_expert_demos(chain, n=20, alpha=1.0, seed=1)
     pointmass_demos = collect_expert_demos(pointmass, n=3, alpha=1.0, seed=1)
     runs = [(tiny_cfg(steps=4, n_g=10, batch=10, eval_interval=2, hidden=(64, 64), seed=1), chain_demos, chain),
