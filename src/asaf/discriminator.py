@@ -44,7 +44,9 @@ __all__ = [
     "PackedWindows",
     "Window",
     "asqf_bce_loss",
+    "bce_on_joined",
     "bce_on_packed",
+    "joined",
     "nll_on_packed",
     "pack_windows",
     "refresh_generator_scores",
@@ -103,10 +105,12 @@ class PackedWindows:
     their input, bitwise what reduceat and repeat give.
     ``gen_logp`` caches the frozen generator's per-window log-likelihood; it
     is filled in by the caller whenever the generator changes.  ``states``,
-    from ``CategoricalPolicy.index``, lets the losses read a state table by index.
+    from ``CategoricalPolicy.index``, lets the losses read a state table by
+    index; a ``joined`` pack of two indexed packs, and its gathers, then
+    hold no ``obs`` (None).
     """
 
-    obs: np.ndarray
+    obs: np.ndarray | None
     acts: np.ndarray
     starts: np.ndarray
     lengths: np.ndarray
@@ -142,7 +146,7 @@ class PackedWindows:
         starts = np.cumsum(lengths) - lengths
         rows = np.arange(lengths.sum()) + np.repeat(self.starts[idx] - starts, lengths)
         return PackedWindows(
-            obs=self.obs[rows],
+            obs=None if self.obs is None else self.obs[rows],
             acts=self.acts[rows],
             starts=starts,
             lengths=lengths,
@@ -158,7 +162,8 @@ class PackedWindows:
         if lo == 0 and hi == len(self.starts):
             return self
         a, b = self.starts[lo], self.starts[hi - 1] + self.lengths[hi - 1]
-        return PackedWindows(self.obs[a:b], self.acts[a:b], self.starts[lo:hi] - a, self.lengths[lo:hi],
+        return PackedWindows(None if self.obs is None else self.obs[a:b], self.acts[a:b], self.starts[lo:hi] - a,
+                             self.lengths[lo:hi],
                              gen_logp=None if self.gen_logp is None else self.gen_logp[lo:hi],
                              states=None if self.states is None else self.states[a:b])
 
@@ -190,34 +195,42 @@ def structured_log_d(learner, generator, window: Window) -> tuple[float, float]:
     return a - m, g - m
 
 
+def joined(packed_e: PackedWindows, packed_g: PackedWindows) -> PackedWindows:
+    """The windows of ``packed_e`` then those of ``packed_g``, concatenated:
+    by state id alone (``obs`` None) when both carry state ids."""
+    e, g = packed_e, packed_g
+    pairs = [(None, None) if e.states is not None and g.states is not None else (e.obs, g.obs), (e.acts, g.acts),
+             (e.starts, g.starts + len(e.acts)), (e.lengths, g.lengths), (e.gen_logp, g.gen_logp), (e.states, g.states)]
+    return PackedWindows(*(None if a is None or b is None else np.concatenate([a, b]) for a, b in pairs))
+
+
 def bce_on_packed(learner, packed_e: PackedWindows, packed_g: PackedWindows) -> tuple[float, np.ndarray]:
     """Two-sided cross entropy and its gradient in the learner's parameters.
 
     Both packs must carry cached generator scores.  The expert and generator
     sides must hold the same number of windows; the loss weighs each side by
     1/n.  Gradient per window: expert side -(1 - D)/n, generator side +D/n,
-    distributed onto each step's log-prob gradient.  The learner runs once
-    on both sides: one tape over the expert rows then the generator rows (by
-    state id when both packs carry them), cut into two row blocks, and one
-    backward, so each side keeps the bits a tape of its own gives and the
-    two sides of one state table cancel exactly at the fixed point.
+    distributed onto each step's log-prob gradient.  The packs are
+    ``joined`` and handed to ``bce_on_joined``.
     """
     if packed_e.gen_logp is None or packed_g.gen_logp is None:
         raise ValueError("generator scores not cached; call refresh_generator_scores first")
     n, n_g = packed_e.n_windows, packed_g.n_windows
     if n != n_g or n == 0:
         raise ValueError(f"need equally many expert and generator windows, got {n} vs {n_g}")
+    return bce_on_joined(learner, joined(packed_e, packed_g))
 
-    split = len(packed_e.acts)
-    both = PackedWindows(
-        obs=np.concatenate([packed_e.obs, packed_g.obs]),
-        acts=np.concatenate([packed_e.acts, packed_g.acts]),
-        starts=np.concatenate([packed_e.starts, packed_g.starts + split]),
-        lengths=np.concatenate([packed_e.lengths, packed_g.lengths]),
-        gen_logp=np.concatenate([packed_e.gen_logp, packed_g.gen_logp]),
-        states=None if packed_e.states is None or packed_g.states is None else
-        np.concatenate([packed_e.states, packed_g.states]))
-    lp, cache = both.log_prob_tape(learner, split)
+
+def bce_on_joined(learner, both: PackedWindows) -> tuple[float, np.ndarray]:
+    """``bce_on_packed`` of a scored pack of n expert windows then n generator
+    windows, back to back.  The learner runs once on both sides: one tape
+    over all rows (by state id when the pack has them), cut into two row
+    blocks where the generator windows start, and one backward, so each
+    side keeps the bits a tape of its own gives and the two sides of one
+    state table cancel exactly at the fixed point.
+    """
+    n = len(both) // 2
+    lp, cache = both.log_prob_tape(learner, int(both.starts[n]))
     a = both.segment_sum(lp)
     m = np.logaddexp(a, both.gen_logp)
     x = both.gen_logp - m                    # log(1 - D); log D = a - m

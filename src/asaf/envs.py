@@ -75,10 +75,9 @@ class TabularMdp:
     """Finite MDP: transition tensor P[s, a, s'], start dist p0, rewards r[s, a].
 
     The horizon is the longest episode.  An episode also ends on entering a
-    ``terminal`` state, which must be absorbing with zero reward, so the
-    oracles, which run every episode to the horizon, give the returns of the
-    episodes that end early; their stage marginals keep an ended episode's
-    mass in its terminal state.
+    ``terminal`` state, which must be absorbing with zero reward; the
+    oracles end it there too: an enumerated trajectory stops at that state,
+    and the stage marginals drop its mass from the next step on.
 
     ``start_cdf`` and ``transition_cdf`` are the sampling CDFs of p0 and of
     every row of P, each a cumulative sum divided by its last entry, the same

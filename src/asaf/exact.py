@@ -81,7 +81,7 @@ def exact_traj_distribution(mdp: TabularMdp, pi: np.ndarray) -> TrajDistribution
     xi_fac: dict[tuple, float] = {}
 
     def descend(t: int, s: int, prefix: tuple, q: float, xi: float) -> None:
-        if t == mdp.horizon:
+        if t == mdp.horizon or (t > 0 and mdp.terminal_mask[s]):   # the episode has ended
             key = prefix + (s,)
             probs[key] = q * xi
             q_fac[key] = q
@@ -101,13 +101,16 @@ def exact_traj_distribution(mdp: TabularMdp, pi: np.ndarray) -> TrajDistribution
 
 
 def stage_marginals(mdp: TabularMdp, pi: np.ndarray) -> np.ndarray:
-    """State marginals d[t, s] under the policy, by forward DP."""
+    """State marginals d[t, s] of the episodes still running at step t, by
+    forward DP: mass that enters a terminal state leaves, so with terminal
+    states a later row sums to less than 1."""
     stage_pi = _stage_policy(pi, mdp.horizon)
     d = np.zeros((mdp.horizon, mdp.n_states), dtype=np.float64)
     d[0] = mdp.start
     for t in range(mdp.horizon - 1):
         flow = d[t][:, None] * stage_pi[t]              # (S, A) mass per state-action
         d[t + 1] = np.einsum("sa,sap->p", flow, mdp.transitions)
+        d[t + 1, mdp.terminal_mask] = 0.0
     return d
 
 
@@ -125,6 +128,8 @@ def occupancy(mdp: TabularMdp, pi: np.ndarray) -> OccupancyTable:
 
     For a stationary policy d(s, a) factorizes as d(s) pi(a | s); for a
     stage-indexed one the per-stage products are accumulated directly.
+    ``d_t`` holds only running episodes (``stage_marginals``) and Z stays
+    sum_t gamma^t, so with terminal states the totals fall below 1.
     """
     stage_pi = _stage_policy(pi, mdp.horizon)
     d = stage_marginals(mdp, pi)

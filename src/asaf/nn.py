@@ -169,7 +169,12 @@ class Mlp:
         value = np.asarray(value, dtype=np.float64)
         if value.shape != self._params.shape:
             raise ShapeError(f"parameter vector must keep shape {self._params.shape}, got {value.shape}")
-        self._set(value.copy())
+        self._adopt(value.copy())
+
+    def _adopt(self, params: np.ndarray) -> None:
+        """Take ``params``, a float64 vector of the right shape that no one
+        else holds, as the new parameters uncopied; earlier tapes go stale."""
+        self._set(params)
         self._version += 1
 
     @property

@@ -55,7 +55,11 @@ class _Evaluation:
     scores: np.ndarray  # (R, A) raw net outputs
     logp: np.ndarray    # (R, A) log-probabilities, log softmax of the scores
     probs: np.ndarray   # (R, A) probabilities, exp(logp)
-    cdf: np.ndarray     # (R, A) cumulative probabilities per row
+
+    @functools.cached_property
+    def cdf(self) -> np.ndarray:
+        """(R, A) cumulative probabilities per row, built when ``act`` first reads them."""
+        return np.cumsum(self.probs, axis=1)
 
 
 def _evaluate(net: Mlp, rows: np.ndarray, split: int | None = None) -> _Evaluation:
@@ -63,8 +67,7 @@ def _evaluate(net: Mlp, rows: np.ndarray, split: int | None = None) -> _Evaluati
     if not np.isfinite(scores).all():
         raise NumericalError("non-finite net scores")
     logp = log_softmax_rows(scores)
-    probs = np.exp(logp)
-    return _Evaluation(net, net._version, tape, scores, logp, probs, np.cumsum(probs, axis=1))
+    return _Evaluation(net, net._version, tape, scores, logp, np.exp(logp))
 
 
 @functools.cache

@@ -10,13 +10,15 @@ asaf_1), its transition-wise scored form (asqf) and behavioral cloning (bc).
    fixed-size windows or single transitions, and cache the generator's
    log-likelihood of every window,
 3. run ``epochs`` passes of minibatch updates on the learned net, all with
-   the one cross-entropy ``disc.bce_on_packed`` (the generator pool defines
-   an epoch; expert windows are drawn with replacement to pair each batch
-   one-to-one); bc passes over the demo transitions alone and minimizes
-   ``disc.nll_on_packed``, their negative log-likelihood.  Each side of an
-   epoch is gathered once and each minibatch reads a span of the gather;
-   the expert picks of all its minibatches are drawn first, by the same
-   ``integers`` calls in the same order, so no draw changes,
+   the one cross-entropy of ``disc.bce_on_packed`` (the generator pool
+   defines an epoch; expert windows are drawn with replacement to pair each
+   batch one-to-one); bc passes over the demo transitions alone and
+   minimizes ``disc.nll_on_packed``, their negative log-likelihood.  All
+   draws of the step come first, in update order (an epoch's permutation,
+   then one expert pick per minibatch), and one gather from the
+   ``disc.joined`` pools holds every minibatch as its expert windows then
+   its generator windows; each update reads its span with
+   ``disc.bce_on_joined``,
 4. freeze the learned net into the next generator: a snapshot of its
    softmax policy (for asqf, the softmax of the scores).
 
@@ -265,23 +267,26 @@ def train(cfg: TrainConfig, demos: DemoSet, env_spec: EnvSpec):
                 disc.refresh_generator_scores(gen_pool, generator)
 
             epoch_pool = gen_pool if collects else expert
-            losses = []
-            for epoch in range(cfg.epochs):
+            lows = range(0, len(epoch_pool), cfg.batch)
+            sizes = [min(cfg.batch, len(epoch_pool) - lo) for lo in lows]
+            picks = []   # every draw of the step before its first update, in the order that keeps the bits
+            for _ in range(cfg.epochs):
                 order = batch_rng.permutation(len(epoch_pool))
-                lows = range(0, len(order), cfg.batch)
-                epoch_g = epoch_pool.take(order)
-                if collects:   # the expert picks, one integers call per minibatch as before
-                    epoch_e = expert.take(np.concatenate(
-                        [batch_rng.integers(0, len(expert), size=min(cfg.batch, len(order) - lo)) for lo in lows]))
-                for k, lo in enumerate(lows):
+                for lo, size in zip(lows, sizes):   # a minibatch's expert picks, then its generator windows
+                    g = order[lo:lo + size]
+                    picks += [batch_rng.integers(0, len(expert), size=size), g + len(expert)] if collects else [g]
+            if picks:
+                gathered = (disc.joined(expert, gen_pool) if collects else expert).take(np.concatenate(picks))
+            losses, hi = [], 0
+            for epoch in range(cfg.epochs):
+                for k, size in enumerate(sizes):
                     where = f"outer step {m + 1}, epoch {epoch + 1}, minibatch {k + 1}"
-                    batch_g = epoch_g.span(lo, lo + cfg.batch)
-                    if collects:
-                        loss, grad = disc.bce_on_packed(learned, epoch_e.span(lo, lo + cfg.batch), batch_g)
-                    else:
-                        loss, grad = disc.nll_on_packed(learned, batch_g)
+                    lo, hi = hi, hi + size * (1 + collects)
+                    batch = gathered.span(lo, hi)
+                    loss, grad = disc.bce_on_joined(learned, batch) if collects else disc.nll_on_packed(learned, batch)
                     grad = clip_by_global_norm(grad, cfg.clip)
-                    learned.net.params, adam = adam_step(adam, learned.net.params, grad, cfg.lr_d)
+                    params, adam = adam_step(adam, learned.net.params, grad, cfg.lr_d)
+                    learned.net._adopt(params)
                     if not losses:
                         log.first_batch_losses.append(loss)
                     losses.append(loss)

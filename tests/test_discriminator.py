@@ -103,6 +103,29 @@ def reference_bce_on_packed(learner, packed_e, packed_g):
     return loss, grad
 
 
+def reference_one_tape_bce(learner, packed_e, packed_g):
+    """``bce_on_packed`` as it was written before its join and its core were
+    split out: both packs concatenated, one tape cut at the expert rows."""
+    n, split = len(packed_e), len(packed_e.acts)
+    starts = np.concatenate([packed_e.starts, packed_g.starts + split])
+    gen_logp = np.concatenate([packed_e.gen_logp, packed_g.gen_logp])
+    acts = np.concatenate([packed_e.acts, packed_g.acts])
+    if packed_e.states is None or packed_g.states is None:
+        lp, cache = learner.log_prob_tape(np.concatenate([packed_e.obs, packed_g.obs]), acts, split)
+    else:
+        lp, cache = learner.table_tape(np.concatenate([packed_e.states, packed_g.states]), acts, split)
+    a = lp if len(starts) == len(acts) else np.add.reduceat(lp, starts)
+    m = np.logaddexp(a, gen_logp)
+    x = gen_logp - m
+    loss = -float((a[:n] - m[:n]).sum() / n) - float(x[n:].sum() / n)
+    np.subtract(a[n:], m[n:], out=x[n:])
+    w = np.exp(x, out=x)
+    w /= n
+    np.negative(w[:n], out=w[:n])
+    lengths = np.concatenate([packed_e.lengths, packed_g.lengths])
+    return loss, learner.backprop_log_prob(cache, w if len(starts) == len(acts) else np.repeat(w, lengths))
+
+
 def reference_two_sided_backward(learner, cache_e, w_e, cache_g, w_g):
     """The gradient step of ``bce_on_packed`` as it was before the learner's
     ``backprop_log_prob`` took both sides: a ``CategoricalPolicy`` whose two
@@ -284,8 +307,8 @@ def assert_same_pack(got, want):
     seed=st.integers(0, 2 ** 32 - 1),
 )
 def test_spans_of_an_epoch_gather_equal_minibatch_takes(lengths, batch, unit, scored, stated, seed):
-    # train() gathers each side once per epoch and reads each minibatch,
-    # the last one ragged, as a span of that gather
+    # train() gathers an outer step once and reads each minibatch, the
+    # last one of an epoch ragged, as a span of that gather
     rng = np.random.default_rng(seed)
     if unit:
         lengths = [1] * len(lengths)
@@ -507,6 +530,51 @@ def test_backprop_of_two_pairs_matches_the_old_branches(seed, kind, n_states, n_
         assert cache[0] is cache_e[0] is cache_g[0]
     else:
         assert np.array_equal(grad, learner.backprop_log_prob(cache_e, w_e) + learner.backprop_log_prob(cache_g, w_g))
+
+
+@given(
+    seed=st.integers(0, 2 ** 31 - 1),
+    kind=st.sampled_from(["gaussian", "rows", "table", "scored_table"]),
+    max_len=st.integers(1, 5),
+    n=st.integers(1, 12),
+    before=st.integers(0, 6),
+)
+def test_joined_core_is_bitwise_bce_on_packed(seed, kind, max_len, n, before):
+    # train() joins the two pools once, gathers every minibatch of an outer
+    # step in one take, expert picks then generator picks, and hands each
+    # span to bce_on_joined: byte for byte bce_on_packed of the two sides'
+    # own gathers and the one-tape loss it was before, and an indexed
+    # gather without obs reads as one with them
+    rng = np.random.default_rng(seed)
+    n_states, n_actions = 4, 3
+    out = 2 * n_actions if kind == "gaussian" else n_actions
+    make = {"gaussian": GaussianPolicy, "scored_table": disc.AsqfModel}.get(kind, CategoricalPolicy)
+    learner = make(Mlp.init((n_states, 64, 64, out), rng))
+    generator = (GaussianPolicy if kind == "gaussian" else CategoricalPolicy)(Mlp.init((n_states, 8, out), rng))
+    pools = [disc.pack_windows(one_hot_windows(int(rng.integers(1, 15)), n_states, n_actions, rng, max_len))
+             for _ in range(2)]
+    if kind.endswith("table"):
+        pools = [indexed(p, learner) for p in pools]
+    else:
+        pools = [replace(p, obs=p.obs + rng.normal(size=p.obs.shape)) for p in pools]
+    if kind == "gaussian":
+        pools = [replace(p, acts=rng.normal(size=(len(p.obs), n_actions))) for p in pools]
+    for p in pools:
+        disc.refresh_generator_scores(p, generator)
+    pool_e, pool_g = pools
+    picks_e, picks_g = rng.integers(0, len(pool_e), size=n), rng.integers(0, len(pool_g), size=n)
+    idx = np.concatenate([rng.integers(0, len(pool_e) + len(pool_g), size=before), picks_e, picks_g + len(pool_e)])
+    source = disc.joined(pool_e, pool_g)
+    both = source.take(idx).span(before, before + 2 * n)
+    loss, grad = disc.bce_on_joined(learner, both)
+    sides = pool_e.take(picks_e), pool_g.take(picks_g)
+    for want_loss, want_grad in (disc.bce_on_packed(learner, *sides), reference_one_tape_bce(learner, *sides)):
+        assert loss == want_loss and grad.tobytes() == want_grad.tobytes()
+    assert (both.obs is None) == kind.endswith("table")
+    if both.obs is None:
+        with_obs = replace(source, obs=np.concatenate([pool_e.obs, pool_g.obs])).take(idx).span(before, before + 2 * n)
+        got_loss, got_grad = disc.bce_on_joined(learner, with_obs)
+        assert got_loss == loss and got_grad.tobytes() == grad.tobytes()
 
 
 @pytest.mark.parametrize("scored", [False, True])

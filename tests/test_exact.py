@@ -49,16 +49,27 @@ def random_policy(rng, n_states, n_actions):
     return rng.dirichlet(np.ones(n_actions), size=n_states)
 
 
+def with_terminal_states(mdp, terminal):
+    """The MDP with the states ``terminal`` made absorbing, zero-reward and terminal."""
+    p, r = mdp.transitions.copy(), mdp.rewards.copy()
+    for g in terminal:
+        p[g], r[g] = 0.0, 0.0
+        p[g, :, g] = 1.0
+    return TabularMdp(transitions=p, start=mdp.start, rewards=r, horizon=mdp.horizon, gamma=mdp.gamma,
+                      terminal=tuple(terminal))
+
+
 def occupancy_by_enumeration(mdp, pi):
     """Independent oracle: accumulate discounted visitation over every
-    enumerated trajectory instead of running the forward DP."""
+    enumerated trajectory instead of running the forward DP.  A key holds
+    one (state, action) pair per step its episode ran."""
     dist = exact_traj_distribution(mdp, pi)
     w = mdp.gamma ** np.arange(mdp.horizon)
     z = w.sum()
     d_s = np.zeros(mdp.n_states)
     d_sa = np.zeros((mdp.n_states, mdp.n_actions))
     for key, p in dist.probs.items():
-        for t in range(mdp.horizon):
+        for t in range(len(key) // 2):
             s, a = key[2 * t], key[2 * t + 1]
             d_s[s] += w[t] * p
             d_sa[s, a] += w[t] * p
@@ -195,6 +206,60 @@ def test_occupancy_monte_carlo_cross_check():
         for row in traj.obs:
             counts[int(np.argmax(row))] += 1.0
     np.testing.assert_allclose(counts / (n * mdp.horizon), occ.d_state, atol=0.02)
+
+
+def goal_mdp(horizon, leave):
+    """Two states; state 1 is a terminal goal.  From state 0, action 0 goes
+    to the goal with probability ``leave`` and action 1 always does."""
+    p = np.zeros((2, 2, 2))
+    p[0, 0] = [1.0 - leave, leave]
+    p[0, 1, 1] = p[1, :, 1] = 1.0
+    return TabularMdp(transitions=p, start=np.array([1.0, 0.0]), rewards=np.array([[0.0, 1.0], [0.0, 0.0]]),
+                      horizon=horizon, terminal=(1,))
+
+
+@pytest.mark.parametrize("leave, d_state", [
+    (0.0, [1.75 / 3, 0.0]),   # half the episodes end at step 1, a quarter run all 3 steps
+    (1.0, [1 / 3, 0.0]),      # every episode ends after its first step
+])
+def test_terminal_state_ends_the_oracles_episodes(leave, d_state):
+    # two policies that differ only in the goal emit the same episodes; the
+    # oracles used to branch on actions taken in the goal (trajectory JS
+    # 0.349 and 0.514) and keep an ended episode's mass there (0.417 and
+    # 0.667 of the occupancy)
+    mdp = goal_mdp(3, leave)
+    pi_a, pi_b = np.array([[0.5, 0.5], [0.9, 0.1]]), np.array([[0.5, 0.5], [0.1, 0.9]])
+    dist_a, dist_b = exact_traj_distribution(mdp, pi_a), exact_traj_distribution(mdp, pi_b)
+    assert dist_a.probs == dist_b.probs and js_between(dist_a, dist_b) == 0.0
+    assert all(key[-1] == 1 or len(key) == 7 for key in dist_a.probs)
+    assert sum(dist_a.probs.values()) == pytest.approx(1.0, abs=1e-15)
+    for pi in (pi_a, pi_b):
+        occ = occupancy(mdp, pi)
+        np.testing.assert_allclose(occ.d_state, d_state, atol=1e-15)
+        assert occ.normalizer == 3.0   # Z stays sum_t gamma^t, so the total is below 1
+        assert expected_return(mdp, pi) == pytest.approx(0.5 + 0.25 + 0.125 if leave == 0.0 else 0.5, abs=1e-15)
+
+
+@settings(max_examples=40)
+@given(st.integers(0, 2 ** 31 - 1))
+def test_dp_matches_enumeration_with_terminal_states(seed):
+    rng = np.random.default_rng(seed)
+    n_states = int(rng.integers(2, 5))
+    terminal = sorted(rng.choice(n_states, size=int(rng.integers(1, n_states)), replace=False).tolist())
+    mdp = with_terminal_states(random_mdp(rng, n_states=n_states, horizon=int(rng.integers(1, 6)),
+                                          gamma=float(rng.choice([1.0, 0.9]))), terminal)
+    pi = random_policy(rng, n_states, 2)
+    dist = exact_traj_distribution(mdp, pi)
+    assert sum(dist.probs.values()) == pytest.approx(1.0, abs=1e-12)
+    assert all(len(key) == 2 * mdp.horizon + 1 or mdp.terminal_mask[key[-1]] for key in dist.probs)
+    occ = occupancy(mdp, pi)
+    d_s, d_sa = occupancy_by_enumeration(mdp, pi)
+    np.testing.assert_allclose(occ.d_state, d_s, atol=1e-12)
+    np.testing.assert_allclose(occ.d_state_action, d_sa, atol=1e-12)
+    assert not stage_marginals(mdp, pi)[1:, terminal].any()
+    total = sum(p * sum(mdp.rewards[key[2 * t], key[2 * t + 1]] for t in range(len(key) // 2))
+                for key, p in dist.probs.items())
+    assert expected_return(mdp, pi) == pytest.approx(total, abs=1e-12)
 
 
 # ---------------------------------------------------------------- returns

@@ -401,12 +401,12 @@ def test_tabular_training_runs_the_nets_on_the_states_only(chain_demos, monkeypa
 
 # ---------------------------------------------------------------- asqf loop
 
-@pytest.mark.parametrize("env_id, algorithm, cfg_kw, per_epoch", [
+@pytest.mark.parametrize("env_id, algorithm, cfg_kw, sides", [
     ("pointmass", "asaf_1", dict(n_g=2, batch=30), 2),   # 100 transitions: minibatches of 30, 30, 30 and 10
-    ("chain", "asaf", dict(n_g=3, batch=4), 2),          # 3 episodes: one minibatch, two gathers an update as before
+    ("chain", "asaf", dict(n_g=3, batch=4), 2),          # 3 episodes: one minibatch of 3 windows a side
     ("chain", "bc", dict(batch=7), 1),                   # bc gathers the demo transitions alone
 ])
-def test_updates_gather_each_side_once_per_epoch(env_id, algorithm, cfg_kw, per_epoch, monkeypatch):
+def test_updates_gather_once_per_outer_step(env_id, algorithm, cfg_kw, sides, monkeypatch):
     spec = env_by_id(env_id)
     demos = collect_expert_demos(spec, n=4, alpha=1.0, seed=3)
     calls, take = [], disc.PackedWindows.take
@@ -414,7 +414,10 @@ def test_updates_gather_each_side_once_per_epoch(env_id, algorithm, cfg_kw, per_
     cfg = tiny_cfg(algorithm=algorithm, **cfg_kw)
     train(cfg, demos, spec)
     pools = 1 + (cfg.steps if algorithm != "bc" else 0)   # each pool is built with one take
-    assert len(calls) == pools + per_epoch * cfg.steps * cfg.epochs
+    assert len(calls) == pools + cfg.steps
+    # the one gather of a step holds every window of its epochs, both sides of each minibatch
+    epoch_pools, gathers = (calls[1::2], calls[2::2]) if sides == 2 else (calls[:1] * cfg.steps, calls[1:])
+    assert gathers == [sides * n * cfg.epochs for n in epoch_pools]
 
 
 def test_asqf_smoke_and_determinism(chain_demos):
