@@ -43,7 +43,7 @@ from .exact import (
     occupancy,
     verify_lemma1,
 )
-from .nn import AdamState, Mlp, adam_step, grad_check, logsumexp
+from .nn import AdamState, Mlp, adam_step, grad_check
 from .policies import CategoricalPolicy, GaussianPolicy, make_policy, tabular_policy_extract
 from .train import (
     DemoSet,
@@ -90,7 +90,6 @@ __all__ = [
     "gridworld_spec",
     "js_between",
     "js_divergence",
-    "logsumexp",
     "make_policy",
     "occupancy",
     "rollout",

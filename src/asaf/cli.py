@@ -19,7 +19,7 @@ import argparse
 import os
 import sys
 
-from .envs import ENVS, env_by_id
+from .envs import ENVS, EXPERT_ALPHA, env_by_id
 from .errors import ConfigError, FormatError, NumericalError, ValidationError
 from .formats import load_checkpoint, parse_run_config, read_demos, save_checkpoint, write_demos, write_runlog_csv
 from .train import evaluate_policy, train
@@ -35,7 +35,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen-expert", help="record expert demonstrations")
     gen.add_argument("--env", required=True, choices=tuple(ENVS))
     gen.add_argument("--n", type=int, default=None, help="episode count (default depends on env)")
-    gen.add_argument("--alpha", type=float, default=1.0, help="expert softness for discrete envs")
+    gen.add_argument("--alpha", type=float, default=EXPERT_ALPHA, help="expert softness for discrete envs")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True)
 

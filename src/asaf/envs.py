@@ -45,6 +45,7 @@ from .nn import logsumexp_rows
 
 __all__ = [
     "ENVS",
+    "EXPERT_ALPHA",
     "EnvSpec",
     "PointMassSpec",
     "ScriptedPointMassPolicy",
@@ -63,6 +64,8 @@ __all__ = [
 ]
 
 _ATOL = 1e-9
+
+EXPERT_ALPHA = 1.0    # the temperature of the expert js_to_expert tracks; gen-expert's default
 
 
 def one_hot(i, n: int) -> np.ndarray:
@@ -144,22 +147,19 @@ class TabularMdp:
 
 @dataclass
 class SoftQTable:
-    """Stage-indexed soft action values: q[t, s, a] for t in 0..T-1."""
+    """Stage-indexed soft action values q[t, s, a] for t in 0..T-1, at the
+    temperature ``alpha``; ``policy_table()[t]`` is the stage-t expert."""
 
     q: np.ndarray
     alpha: float
 
-    def policy(self, t: int) -> np.ndarray:
-        """Stage-t maximum-entropy action distribution exp((q - v) / alpha)
-        per state, shape (S, A)."""
-        z = self.q[t] / self.alpha
-        z = z - z.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        return e / e.sum(axis=1, keepdims=True)
-
     def policy_table(self) -> np.ndarray:
-        """All stages stacked: shape (T, S, A)."""
-        return np.stack([self.policy(t) for t in range(self.q.shape[0])])
+        """The maximum-entropy action distribution exp((q - v) / alpha) of
+        every stage and state, shape (T, S, A)."""
+        z = self.q / self.alpha
+        z = z - z.max(axis=2, keepdims=True)
+        e = np.exp(z)
+        return e / e.sum(axis=2, keepdims=True)
 
     def greedy_table(self) -> np.ndarray:
         """Argmax action per (t, s)."""
@@ -220,12 +220,11 @@ class Trajectory:
 
 @dataclass
 class TabularSpec:
-    """Environment spec wrapping a TabularMdp; expert_alpha is the default
-    temperature used when an exact expert for this instance is requested."""
+    """Environment spec wrapping a TabularMdp.  Its exact expert is soft
+    value iteration on the MDP; training tracks it at ``EXPERT_ALPHA``."""
 
     mdp: TabularMdp
     env_id: str = "tabular"
-    expert_alpha: float = 1.0
     action_kind: str = field(init=False, default="discrete")
     draws = ("random", 1)
 
@@ -260,8 +259,8 @@ class TabularSpec:
         return nxt, self.mdp.rewards[states, a], self.mdp.terminal_mask[nxt]
 
 
-def chain_spec(horizon: int = 5, gamma: float = 0.3, expert_alpha: float = 1.0) -> TabularSpec:
-    """The canonical 4-state, 2-action chain.
+def chain_spec() -> TabularSpec:
+    """The canonical 4-state, 2-action chain: horizon 5, discount 0.3.
 
     Action 1 moves right (clamped at state 3), action 0 moves left (clamped
     at 0).  Reward 0.1 * state + 0.4 for the right move, so drifting right
@@ -278,8 +277,7 @@ def chain_spec(horizon: int = 5, gamma: float = 0.3, expert_alpha: float = 1.0) 
         r[s, 1] = 0.1 * s + 0.4
     p0 = np.zeros(n)
     p0[0] = 1.0
-    mdp = TabularMdp(transitions=p, start=p0, rewards=r, horizon=horizon, gamma=gamma)
-    return TabularSpec(mdp=mdp, env_id="chain", expert_alpha=expert_alpha)
+    return TabularSpec(mdp=TabularMdp(transitions=p, start=p0, rewards=r, horizon=5, gamma=0.3), env_id="chain")
 
 
 # 5x5 maze: S start, G goal, # wall.  Two disjoint 8-step corridors reach G.
@@ -364,8 +362,8 @@ class PointMassSpec:
 EnvSpec = TabularSpec | PointMassSpec
 
 
-def gridworld_spec(horizon: int = 30, expert_alpha: float = 1.0) -> TabularSpec:
-    return TabularSpec(mdp=gridworld_mdp(horizon), env_id="gridworld", expert_alpha=expert_alpha)
+def gridworld_spec(horizon: int = 30) -> TabularSpec:
+    return TabularSpec(mdp=gridworld_mdp(horizon), env_id="gridworld")
 
 
 # Named instances addressable from configs and the command line.

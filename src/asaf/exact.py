@@ -207,11 +207,11 @@ def bce_from_enumeration(mdp: TabularMdp, learner_pi, generator_pi, expert_pi) -
     return float(loss)
 
 
-def verify_lemma1(p_expert, p_generator, steps: int = 5000, lr: float = 0.1) -> float:
+def verify_lemma1(p_expert, p_generator) -> float:
     """Fixed-point check for the discriminator objective on finite support.
 
-    Parameterize a candidate distribution as softmax(z) and run plain
-    gradient ascent on
+    Parameterize a candidate distribution as softmax(z) and run 5,000 steps
+    of plain gradient ascent at rate 0.1 on
 
         L = sum_i pE_i log(p_i / (p_i + pG_i)) + pG_i log(pG_i / (p_i + pG_i)).
 
@@ -226,14 +226,10 @@ def verify_lemma1(p_expert, p_generator, steps: int = 5000, lr: float = 0.1) -> 
         if np.any(vec <= 0.0) or abs(vec.sum() - 1.0) > 1e-8:
             raise ValueError(f"{name} distribution must be strictly positive and sum to 1")
     z = np.zeros_like(p_e)
-    for _ in range(steps):
-        zs = z - z.max()
-        p = np.exp(zs)
+    for step in range(5001):
+        p = np.exp(z - z.max())
         p /= p.sum()
+        if step == 5000:
+            return float(np.abs(p - p_e).sum())
         dl_dp = p_e / p - (p_e + p_g) / (p + p_g)
-        grad_z = p * (dl_dp - float(p @ dl_dp))
-        z = z + lr * grad_z
-    zs = z - z.max()
-    p = np.exp(zs)
-    p /= p.sum()
-    return float(np.abs(p - p_e).sum())
+        z = z + 0.1 * (p * (dl_dp - float(p @ dl_dp)))

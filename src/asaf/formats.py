@@ -1,17 +1,19 @@
 """On-disk formats: demo files, run configs, checkpoints, curve CSVs.
 
-Demo file (UTF-8 text, one JSON object per line):
+Demo file (UTF-8 text, one JSON object per line, blank lines skipped):
     line 1   header: {"format_version": 1, "env": str, "action_kind": str,
-                      "obs_dim": int, "n_trajectories": int, "mean_return": float}
-    line 2+  one trajectory each: {"obs": [[...]], "acts": [...], "len": int}
+                      "obs_dim": int, "n_trajectories": int, "mean_return": float,
+                      "generator": str}    generator: optional, written if non-empty
+    line 2+  one episode of >= 1 steps each: {"obs": [[...]], "acts": [...], "len": int}
 
 Reals are written with 17 significant digits and always carry a decimal
 point, which makes the round trip bit-exact for float64 (including the sign
 of zero).  Discrete actions are plain JSON integers; continuous actions are
 rows of reals.  Non-finite reals have no JSON form and are refused by the
 writer and the reader alike; the reader also refuses integers beyond int64,
-a ``mean_return`` that is not a number, and a ``format_version``,
-``obs_dim``, ``n_trajectories`` or ``len`` that is not an integer.
+a ``mean_return`` that is not a number, a ``generator`` that is not a
+string, and a ``format_version``, ``obs_dim``, ``n_trajectories`` or ``len``
+that is not an integer.  Errors name the line as numbered in the file.
 
 Run config (UTF-8 text): one ``key = value`` per line, blank lines and
 ``#`` comments ignored; ``hidden`` takes comma-separated layer sizes
@@ -26,6 +28,7 @@ Checkpoint (binary, little-endian):
     u32         policy kind: 0 categorical, 1 gaussian
     u32         number of layer sizes, then that many u32 layer sizes
     f64 * n     flat parameters, n implied by the layer sizes
+The loader refuses a layer size of 0, and an odd output width for gaussian.
 
 Curves CSV: header ``step,env_steps,mean_return,std_return,bce_loss,
 js_to_expert``; the last column is empty when no exact tracking exists.
@@ -41,7 +44,7 @@ import numpy as np
 
 from .envs import Trajectory
 from .errors import ConfigError, FormatError
-from .nn import Mlp
+from .nn import Mlp, param_count
 from .policies import CategoricalPolicy, GaussianPolicy
 from .train import DemoSet, RunLog, TrainConfig
 
@@ -78,11 +81,13 @@ def _json_reals(rows) -> str:
 
 
 def write_demos(path, demos: DemoSet) -> None:
-    """Write a demo file; non-finite values are refused before the file is
-    opened, since JSON has no literal for them."""
+    """Write a demo file; non-finite values (JSON has no literal for them)
+    and episodes with no steps are refused before the file is opened."""
     if not np.isfinite(demos.mean_return):
         raise FormatError(f"{path}: mean_return {demos.mean_return} is not finite")
     for lineno, traj in enumerate(demos.trajectories, start=2):
+        if len(traj) == 0:
+            raise FormatError(f"{path}: line {lineno}: episode has no steps")
         if not (np.all(np.isfinite(traj.obs)) and np.all(np.isfinite(traj.acts))):
             raise FormatError(f"{path}: line {lineno}: non-finite observation or action")
     with open(path, "w", encoding="utf-8") as fh:
@@ -91,6 +96,7 @@ def write_demos(path, demos: DemoSet) -> None:
             + f'"format_version": {FORMAT_VERSION}, "env": {json.dumps(demos.env_id)}, '
             + f'"action_kind": {json.dumps(demos.action_kind)}, "obs_dim": {demos.obs_dim}, '
             + f'"n_trajectories": {len(demos)}, "mean_return": {format_real(demos.mean_return)}'
+            + (f', "generator": {json.dumps(demos.generator)}' if demos.generator else "")
             + "}\n"
         )
         for traj in demos.trajectories:
@@ -108,8 +114,8 @@ def read_demos(path) -> DemoSet:
         raise FormatError(f"{path}: empty demo file")
     header = _parse_json_line(path, 1, lines[0])
     required = {"format_version", "env", "action_kind", "obs_dim", "n_trajectories", "mean_return"}
-    if set(header) != required:
-        raise FormatError(f"{path}: header keys {sorted(header)} do not match {sorted(required)}")
+    if set(header) - {"generator"} != required:
+        raise FormatError(f"{path}: header keys {sorted(header)} do not match {sorted(required)} (generator optional)")
     for key in ("format_version", "obs_dim", "n_trajectories"):
         _check_int(path, 1, key, header[key])
     if header["format_version"] != FORMAT_VERSION:
@@ -118,12 +124,14 @@ def read_demos(path) -> DemoSet:
         raise FormatError(f"{path}: bad action_kind {header['action_kind']!r}")
     if type(header["mean_return"]) not in (int, float):
         raise FormatError(f"{path}: line 1: mean_return {header['mean_return']!r} is not a number")
-    body = [ln for ln in lines[1:] if ln.strip()]
+    if type(header.get("generator", "")) is not str:
+        raise FormatError(f"{path}: line 1: generator {header['generator']!r} is not a string")
+    body = [(i, ln) for i, ln in enumerate(lines[1:], start=2) if ln.strip()]
     if len(body) != header["n_trajectories"]:
         raise FormatError(f"{path}: header promises {header['n_trajectories']} trajectories, found {len(body)}")
     discrete = header["action_kind"] == "discrete"
     trajectories = []
-    for i, line in enumerate(body, start=2):
+    for i, line in body:
         rec = _parse_json_line(path, i, line)
         if set(rec) != {"obs", "acts", "len"}:
             raise FormatError(f"{path}: line {i}: trajectory keys must be obs/acts/len")
@@ -150,6 +158,7 @@ def read_demos(path) -> DemoSet:
         action_kind=header["action_kind"],
         obs_dim=header["obs_dim"],
         mean_return=float(header["mean_return"]),
+        generator=header.get("generator", ""),
     )
 
 
@@ -250,15 +259,12 @@ def parse_run_config(text: str, source: str = "<config>") -> RunSetup:
 
 # ---------------------------------------------------------------- checkpoint
 
-_KIND_CODES = {"categorical": 0, "gaussian": 1}
+_KINDS = (CategoricalPolicy, GaussianPolicy)    # a policy kind's code is its index
 
 
 def save_checkpoint(path, policy) -> None:
-    if isinstance(policy, CategoricalPolicy):
-        kind = _KIND_CODES["categorical"]
-    elif isinstance(policy, GaussianPolicy):
-        kind = _KIND_CODES["gaussian"]
-    else:
+    kind = next((code for code, cls in enumerate(_KINDS) if isinstance(policy, cls)), None)
+    if kind is None:
         raise FormatError(f"cannot checkpoint policy type {type(policy).__name__}")
     sizes = policy.net.sizes
     with open(path, "wb") as fh:
@@ -280,18 +286,21 @@ def load_checkpoint(path):
         raise FormatError(f"{path}: truncated checkpoint header") from exc
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"{path}: unsupported checkpoint version {version}")
-    if kind not in _KIND_CODES.values():
+    if kind >= len(_KINDS):
         raise FormatError(f"{path}: unknown policy kind {kind}")
     if n_sizes < 2:
         raise FormatError(f"{path}: need at least two layer sizes, got {n_sizes}")
+    if min(sizes) < 1:
+        raise FormatError(f"{path}: layer sizes {sizes} include a size of 0")
+    if _KINDS[kind] is GaussianPolicy and sizes[-1] % 2:
+        raise FormatError(f"{path}: a gaussian net needs an even output width (mean, log-std pairs), got {sizes[-1]}")
     offset = 16 + 4 * n_sizes
-    n_params = sum(i * o + o for i, o in zip(sizes[:-1], sizes[1:]))
+    n_params = param_count(sizes)
     expected = offset + 8 * n_params
     if len(blob) != expected:
         raise FormatError(f"{path}: expected {expected} bytes for sizes {sizes}, file has {len(blob)}")
     params = np.frombuffer(blob, dtype="<f8", count=n_params, offset=offset).astype(np.float64)
-    net = Mlp(sizes, params)
-    return CategoricalPolicy(net) if kind == 0 else GaussianPolicy(net)
+    return _KINDS[kind](Mlp(sizes, params))
 
 
 # ---------------------------------------------------------------- curves csv

@@ -1,11 +1,12 @@
 """Small fully-connected network stack with hand-rolled reverse mode.
 
 Everything is float64 and operates on flat parameter vectors so that the
-optimizer, gradient clipping, and finite-difference checking all see one
-contiguous array.  Layout per layer: weights (row-major, out x in), then
-biases.  Hidden activations are ReLU, the output layer is linear.  A layer
-adds its bias and ReLU in place, so a tape holds only each layer's input and
-the net's output: ``inputs[i] > 0`` is the ReLU mask of layer i-1.
+optimizer (Adam at the constants ``ADAM_*``), gradient clipping, and
+finite-difference checking (step ``FD_STEP``) all see one contiguous array.
+Layout per layer: weights (row-major, out x in), then biases.  Hidden
+activations are ReLU, the output layer is linear.  A layer adds its bias and
+ReLU in place, so a tape holds only each layer's input and the net's output:
+``inputs[i] > 0`` is the ReLU mask of layer i-1.
 
 A batch may be cut into two row blocks: every matrix product and every sum
 over rows runs once per block, bitwise a pass over each block alone, which a
@@ -34,29 +35,17 @@ __all__ = [
     "clip_by_global_norm",
     "grad_check",
     "log_softmax_rows",
-    "logsumexp",
     "logsumexp_rows",
     "row_blocks",
     "serial_blas",
 ]
 
-
-def logsumexp(v) -> float:
-    """log(sum(exp(v))) with the maximum shifted out for stability."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1:
-        raise ShapeError(f"logsumexp expects a vector, got shape {v.shape}")
-    if v.size == 0:
-        raise ValueError("logsumexp of an empty vector")
-    m = np.max(v)
-    if not np.isfinite(m):
-        # all -inf collapses to -inf; +inf or nan propagates
-        return float(m + 0.0) if m == -np.inf else float(m)
-    return float(m + np.log(np.sum(np.exp(v - m))))
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8    # Adam's decay rates and eps
+FD_STEP = 1e-5                                         # grad_check's central-difference step
 
 
 def logsumexp_rows(a: np.ndarray) -> np.ndarray:
-    """Row-wise logsumexp for a 2-D array."""
+    """Row-wise log(sum(exp(row))) of a 2-D array, each row's maximum shifted out."""
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
         raise ShapeError(f"logsumexp_rows expects a matrix, got shape {a.shape}")
@@ -272,14 +261,11 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
-    def for_params(cls, params: np.ndarray, **kw) -> "AdamState":
+    def for_params(cls, params: np.ndarray) -> "AdamState":
         n = np.asarray(params).size
-        return cls(m=np.zeros(n, dtype=np.float64), v=np.zeros(n, dtype=np.float64), **kw)
+        return cls(m=np.zeros(n, dtype=np.float64), v=np.zeros(n, dtype=np.float64))
 
 
 def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray, lr: float):
@@ -291,16 +277,16 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray, lr: float
     if not np.all(np.isfinite(grads)):
         raise NumericalError("non-finite entries in gradient")
     # the textbook order of operations, written into m, v and two scratch arrays
-    t, beta1, beta2 = state.t + 1, state.beta1, state.beta2
-    m, a = beta1 * state.m, np.multiply(grads, 1.0 - beta1)
+    t = state.t + 1
+    m, a = ADAM_BETA1 * state.m, np.multiply(grads, 1.0 - ADAM_BETA1)
     m += a
-    v = beta2 * state.v
-    v += np.multiply(np.multiply(grads, 1.0 - beta2, out=a), grads, out=a)
-    b = np.sqrt(np.divide(v, 1.0 - beta2 ** t, out=a))
-    b += state.eps
-    np.multiply(np.divide(m, 1.0 - beta1 ** t, out=a), lr, out=a)
+    v = ADAM_BETA2 * state.v
+    v += np.multiply(np.multiply(grads, 1.0 - ADAM_BETA2, out=a), grads, out=a)
+    b = np.sqrt(np.divide(v, 1.0 - ADAM_BETA2 ** t, out=a))
+    b += ADAM_EPS
+    np.multiply(np.divide(m, 1.0 - ADAM_BETA1 ** t, out=a), lr, out=a)
     a /= b
-    return np.subtract(params, a, out=a), AdamState(m, v, t, beta1, beta2, state.eps)
+    return np.subtract(params, a, out=a), AdamState(m, v, t)
 
 
 def clip_by_global_norm(grads: np.ndarray, threshold: float) -> np.ndarray:
@@ -314,8 +300,8 @@ def clip_by_global_norm(grads: np.ndarray, threshold: float) -> np.ndarray:
     return grads.copy()
 
 
-def grad_check(f, params: np.ndarray, h: float = 1e-5) -> float:
-    """Compare an analytic gradient against central differences.
+def grad_check(f, params: np.ndarray) -> float:
+    """Compare an analytic gradient against central differences of step ``FD_STEP``.
 
     ``f(params) -> (value, grad)``.  Returns the worst relative error
     max_i |g_i - fd_i| / max(1e-12, |g_i| + |fd_i|).
@@ -328,11 +314,11 @@ def grad_check(f, params: np.ndarray, h: float = 1e-5) -> float:
     worst = 0.0
     for i in range(params.size):
         bumped = params.copy()
-        bumped[i] = params[i] + h
+        bumped[i] = params[i] + FD_STEP
         up, _ = f(bumped)
-        bumped[i] = params[i] - h
+        bumped[i] = params[i] - FD_STEP
         down, _ = f(bumped)
-        fd = (up - down) / (2.0 * h)
+        fd = (up - down) / (2.0 * FD_STEP)
         err = abs(grad[i] - fd) / max(1e-12, abs(grad[i]) + abs(fd))
         worst = max(worst, err)
     return worst

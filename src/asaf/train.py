@@ -45,7 +45,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import discriminator as disc
-from .envs import EnvSpec, TabularSpec, Trajectory, rollout, soft_value_iteration
+from .envs import EXPERT_ALPHA, EnvSpec, TabularSpec, Trajectory, rollout, soft_value_iteration
 from .errors import NumericalError, UnsupportedError, ValidationError, check_count
 from .exact import enumerable, exact_traj_distribution, js_between
 from .nn import AdamState, adam_step, clip_by_global_norm, serial_blas
@@ -172,6 +172,8 @@ def _check_demos(demos: DemoSet, env_spec: EnvSpec) -> None:
     discrete = demos.action_kind == "discrete"
     for i, traj in enumerate(demos.trajectories):
         where = f"episode {i} (demo file line {i + 2})"
+        if len(traj) == 0:     # it would score as a zero-length window, read from the next one's rows
+            raise ValidationError(f"{where}: episode has no steps")
         if traj.obs.shape[1] != env_spec.obs_dim:
             raise ValidationError(f"{where}: observation rows {traj.obs.shape[1]} wide, expected {env_spec.obs_dim}")
         want = (len(traj),) if discrete else (len(traj), env_spec.act_dim)
@@ -195,13 +197,13 @@ def _eval_seed(cfg: TrainConfig, outer_step: int) -> int:
 
 
 class _ExpertReference:
-    """Cached exact expert trajectory distribution for tabular tracking;
-    None where the trajectories are too many to enumerate."""
+    """The exact trajectory distribution of the soft-VI expert at ``EXPERT_ALPHA``,
+    whatever made the demos; None where it is too large to enumerate."""
 
     def __init__(self, env_spec: EnvSpec):
         self.dist = None
         if isinstance(env_spec, TabularSpec) and enumerable(env_spec.mdp):
-            expert = soft_value_iteration(env_spec.mdp, env_spec.expert_alpha)
+            expert = soft_value_iteration(env_spec.mdp, EXPERT_ALPHA)
             self.dist = exact_traj_distribution(env_spec.mdp, expert.policy_table())
             self.mdp = env_spec.mdp
 

@@ -13,6 +13,7 @@ import numpy as np
 
 from . import discriminator as disc
 from .envs import (
+    EXPERT_ALPHA,
     PointMassSpec,
     ScriptedPointMassPolicy,
     SoftExpertPolicy,
@@ -93,26 +94,32 @@ def lemma1_suite() -> list[CheckResult]:
     }
     out = []
     for name, p_g in generators.items():
-        gap = verify_lemma1(p_e, p_g, steps=5000, lr=0.1)
+        gap = verify_lemma1(p_e, p_g)
         out.append(CheckResult(name=f"lemma1_gap_vs_{name}", value=gap, threshold=1e-2))
     return out
 
 
-def _bce_point_check(learner, generator, obs, acts, rng) -> float:
-    """Gradient check of the loss on the episodes ``(obs[i], acts[i])``, the
-    first half on the expert side, scored as ``train()`` scores them."""
-    pack, half = disc.windows_from([Trajectory(o, a) for o, a in zip(obs, acts)]), len(obs) // 2
-    disc.refresh_generator_scores(pack, generator)
-
+def _fd_check(name: str, learner, loss, rng) -> CheckResult:
+    """The worst ``grad_check`` error of ``loss()`` in the learner's
+    parameters over 10 points drawn from ``rng``."""
     def f(theta):
         learner.net.params = theta
-        return disc.bce_on_packed(learner, pack.span(0, half), pack.span(half, len(obs)))
+        return loss()
 
-    point = Mlp.init(learner.net.sizes, rng).params
-    return grad_check(f, point, h=1e-5)
+    worst = max(grad_check(f, Mlp.init(learner.net.sizes, rng).params) for _ in range(10))
+    return CheckResult(name=name, value=worst, threshold=1e-4)
 
 
-def gradient_suite(points: int = 10) -> list[CheckResult]:
+def _bce_check(name: str, learner, generator, obs, acts, rng) -> CheckResult:
+    """``_fd_check`` of the loss on the episodes ``(obs[i], acts[i])``, the
+    first half on the expert side, packed and scored as ``train()`` does."""
+    pack, half = disc.windows_from([Trajectory(o, a) for o, a in zip(obs, acts)]), len(obs) // 2
+    disc.refresh_generator_scores(pack, generator)
+    expert, gen = pack.span(0, half), pack.span(half, len(obs))
+    return _fd_check(name, learner, lambda: disc.bce_on_packed(learner, expert, gen), rng)
+
+
+def gradient_suite() -> list[CheckResult]:
     """Finite-difference agreement for every loss used in training."""
     rng = np.random.default_rng(7)
     out = []
@@ -122,54 +129,38 @@ def gradient_suite(points: int = 10) -> list[CheckResult]:
     generator = CategoricalPolicy.init(3, 2, (8,), rng)
     obs = rng.normal(size=(4, 3, 3))
     acts = rng.integers(0, 2, size=(4, 3))
-    worst = max(_bce_point_check(learner, generator, obs, acts, rng) for _ in range(points))
-    out.append(CheckResult(name="grad_bce_categorical", value=worst, threshold=1e-4))
+    out.append(_bce_check("grad_bce_categorical", learner, generator, obs, acts, rng))
 
-    # the same on one-hot states, through the policies' state tables
+    # the same on one-hot states, through the policies' state tables, with the actions above
     learner = CategoricalPolicy.init(3, 2, (8,), rng)
     generator = CategoricalPolicy.init(3, 2, (8,), rng)
     obs = np.eye(3)[rng.integers(0, 3, size=(4, 3))]
-    worst = max(_bce_point_check(learner, generator, obs, acts, rng) for _ in range(points))
-    out.append(CheckResult(name="grad_bce_categorical_one_hot", value=worst, threshold=1e-4))
+    out.append(_bce_check("grad_bce_categorical_one_hot", learner, generator, obs, acts, rng))
 
     # trajectory discriminator, gaussian policy
     learner = GaussianPolicy.init(2, 1, (6,), rng)
     generator = GaussianPolicy.init(2, 1, (6,), rng)
     obs = rng.normal(size=(4, 3, 2))
     acts = rng.normal(size=(4, 3, 1))
-    worst = max(_bce_point_check(learner, generator, obs, acts, rng) for _ in range(points))
-    out.append(CheckResult(name="grad_bce_gaussian", value=worst, threshold=1e-4))
+    out.append(_bce_check("grad_bce_gaussian", learner, generator, obs, acts, rng))
 
     # transition-wise scored discriminator
     model = disc.AsqfModel.init(3, 2, (8,), rng)
     generator = CategoricalPolicy.init(3, 2, (8,), rng)
     expert = disc.transitions_from([Trajectory(obs=rng.normal(size=(6, 3)), acts=rng.integers(0, 2, size=6))])
     gen = disc.transitions_from([Trajectory(obs=rng.normal(size=(6, 3)), acts=rng.integers(0, 2, size=6))])
-
-    def f_asqf(theta):
-        model.net.params = theta
-        return disc.asqf_bce_loss(model, generator, expert, gen)
-
-    worst = max(grad_check(f_asqf, Mlp.init(model.net.sizes, rng).params, h=1e-5) for _ in range(points))
-    out.append(CheckResult(name="grad_bce_asqf", value=worst, threshold=1e-4))
+    out.append(_fd_check("grad_bce_asqf", model, lambda: disc.asqf_bce_loss(model, generator, expert, gen), rng))
 
     # behavioral cloning negative log-likelihood
     policy = CategoricalPolicy.init(3, 2, (8,), rng)
     demos = disc.transitions_from([Trajectory(obs=rng.normal(size=(6, 3)), acts=rng.integers(0, 2, size=6))])
-
-    def f_bc(theta):
-        policy.net.params = theta
-        return disc.nll_on_packed(policy, demos)
-
-    worst = max(grad_check(f_bc, Mlp.init(policy.net.sizes, rng).params, h=1e-5) for _ in range(points))
-    out.append(CheckResult(name="grad_bc_nll", value=worst, threshold=1e-4))
+    out.append(_fd_check("grad_bc_nll", policy, lambda: disc.nll_on_packed(policy, demos), rng))
 
     # the scored discriminator on one-hot states, through the score net's state table
     model = disc.AsqfModel.init(3, 2, (8,), rng)
     generator = CategoricalPolicy.init(3, 2, (8,), rng)
     obs, acts = np.eye(3)[rng.integers(0, 3, size=(12, 1))], rng.integers(0, 2, size=(12, 1))
-    worst = max(_bce_point_check(model, generator, obs, acts, rng) for _ in range(points))
-    out.append(CheckResult(name="grad_bce_asqf_one_hot", value=worst, threshold=1e-4))
+    out.append(_bce_check("grad_bce_asqf_one_hot", model, generator, obs, acts, rng))
     return out
 
 
@@ -246,14 +237,10 @@ def asqf_suite() -> list[CheckResult]:
     demos = collect_expert_demos(env, n=200, alpha=1.0, seed=123)
     policy, _ = train(asqf_chain_config(), demos, env)
     table = tabular_policy_extract(policy, env.mdp.n_states)
-    expert_q = soft_value_iteration(env.mdp, env.expert_alpha)
+    expert_q = soft_value_iteration(env.mdp, EXPERT_ALPHA)
     greedy = expert_q.greedy_table()
     reachable = stage_marginals(env.mdp, expert_q.policy_table()) > 0.0
-    mismatches = 0
-    for t in range(env.mdp.horizon):
-        for s in range(env.mdp.n_states):
-            if reachable[t, s] and int(np.argmax(table[s])) != int(greedy[t, s]):
-                mismatches += 1
+    mismatches = np.count_nonzero(reachable & (np.argmax(table, axis=1) != greedy))
     out.append(CheckResult(name="asqf_chain_argmax_mismatches", value=float(mismatches), threshold=0.0))
 
     grid = gridworld_spec()

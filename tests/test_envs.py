@@ -175,7 +175,7 @@ def test_maxent_policy_examples():
     mdp = toggle_mdp(horizon=1)
     # only the terminal stage: q = r, so the policy is softmax(r / alpha)
     table = soft_value_iteration(mdp, alpha=1.0)
-    p = table.policy(0)[0]
+    p = table.policy_table()[0][0]
     want = np.exp([0.0, 0.5]) / np.exp([0.0, 0.5]).sum()
     np.testing.assert_allclose(p, want, atol=1e-12)
     assert p.sum() == pytest.approx(1.0, abs=1e-12)
@@ -187,13 +187,13 @@ def test_maxent_policy_examples():
         rewards=np.zeros((2, 2)),
         horizon=1,
     )
-    np.testing.assert_allclose(soft_value_iteration(flat, 1.0).policy(0)[0], [0.5, 0.5], atol=1e-15)
+    np.testing.assert_allclose(soft_value_iteration(flat, 1.0).policy_table()[0][0], [0.5, 0.5], atol=1e-15)
 
 
 def test_smaller_alpha_sharpens_policy():
     mdp = toggle_mdp(horizon=1)
-    soft = soft_value_iteration(mdp, alpha=1.0).policy(0)[0]
-    sharp = soft_value_iteration(mdp, alpha=0.1).policy(0)[0]
+    soft = soft_value_iteration(mdp, alpha=1.0).policy_table()[0][0]
+    sharp = soft_value_iteration(mdp, alpha=0.1).policy_table()[0][0]
     assert sharp[1] > soft[1] > 0.5  # action 1 pays 0.5 vs 0 in state 0
 
 

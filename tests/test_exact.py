@@ -324,13 +324,13 @@ def test_js_between_trajectory_distributions():
 # ---------------------------------------------------------------- fixed point
 
 def test_lemma1_recovers_expert_distribution():
-    gap = verify_lemma1([0.7, 0.2, 0.1], [1 / 3, 1 / 3, 1 / 3], steps=5000, lr=0.1)
+    gap = verify_lemma1([0.7, 0.2, 0.1], [1 / 3, 1 / 3, 1 / 3])
     assert gap < 1e-2
 
 
 def test_lemma1_is_generator_independent():
     for p_g in ([0.1, 0.2, 0.7], [0.5, 0.25, 0.25]):
-        assert verify_lemma1([0.7, 0.2, 0.1], p_g, steps=5000, lr=0.1) < 1e-2
+        assert verify_lemma1([0.7, 0.2, 0.1], p_g) < 1e-2
 
 
 def test_lemma1_rejects_bad_distributions():

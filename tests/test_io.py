@@ -61,6 +61,7 @@ def test_demo_round_trip_discrete(tmp_path):
     back = read_demos(path)
     assert (back.env_id, back.action_kind, back.obs_dim) == ("chain", "discrete", 4)
     assert back.mean_return == demos.mean_return
+    assert back.generator == demos.generator == "soft_vi(alpha=1.0)"
     assert len(back) == 6
     for a, b in zip(demos.trajectories, back.trajectories):
         np.testing.assert_array_equal(a.obs, b.obs)
@@ -78,8 +79,9 @@ def test_demo_round_trip_continuous(tmp_path):
                     mean_return=-0.125)
     path = tmp_path / "demos.jsonl"
     write_demos(path, demos)
+    assert '"generator"' not in path.read_text(encoding="utf-8")   # the header of files written before the key
     back = read_demos(path)
-    assert back.action_kind == "continuous"
+    assert back.action_kind == "continuous" and back.generator == ""
     for a, b in zip(demos.trajectories, back.trajectories):
         np.testing.assert_array_equal(a.obs, b.obs)
         assert np.signbit(b.obs[0, 0]) == np.signbit(a.obs[0, 0])
@@ -110,8 +112,25 @@ def test_demo_file_errors(tmp_path):
     with pytest.raises(FormatError, match="format_version"):
         read_demos(path)
 
+    write_lines(path, [GOOD_HEADER[:-1] + ', "author": "x"}', GOOD_BODY])
+    with pytest.raises(FormatError, match="header keys"):
+        read_demos(path)
+
+    for generator in ("1", "null", '["soft_vi"]'):
+        write_lines(path, [GOOD_HEADER[:-1] + f', "generator": {generator}}}', GOOD_BODY])
+        with pytest.raises(FormatError, match="line 1: generator .* is not a string"):
+            read_demos(path)
+
     write_lines(path, [GOOD_HEADER, GOOD_BODY, GOOD_BODY])
     with pytest.raises(FormatError, match="promises 1"):
+        read_demos(path)
+
+    # blank lines are skipped, and an error names the line as numbered in the file
+    three = GOOD_HEADER.replace('"n_trajectories": 1', '"n_trajectories": 3')
+    write_lines(path, [three, GOOD_BODY, "", "  ", GOOD_BODY, GOOD_BODY, ""])
+    assert len(read_demos(path)) == 3
+    write_lines(path, [three, GOOD_BODY, "", "", GOOD_BODY, GOOD_BODY.replace('"len": 1', '"len": 2')])
+    with pytest.raises(FormatError, match="line 6: len field"):
         read_demos(path)
 
     write_lines(path, [GOOD_HEADER, '{"obs": [[1.0,0.0]], "acts": [0], "len": 1'])
@@ -182,6 +201,7 @@ def test_write_demos_rejects_non_finite_before_opening(tmp_path):
         (Trajectory(obs=np.array([[0.0], [np.nan]]), acts=np.zeros((2, 1))), 0.0, "line 3"),
         (Trajectory(obs=np.zeros((2, 1)), acts=np.array([[np.inf], [0.0]])), 0.0, "line 3"),
         (good, float("-inf"), "mean_return"),
+        (Trajectory(obs=np.zeros((0, 1)), acts=np.zeros((0, 1))), 0.0, "line 3: episode has no steps"),
     ]
     for traj, mean_return, where in cases:
         demos = DemoSet([good, traj], env_id="pointmass", action_kind="continuous", obs_dim=1,
@@ -620,6 +640,22 @@ def test_cli_rejects_tabular_demo_rows_that_are_not_one_hot(tmp_path, capsys):
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind, sizes, env", [(0, (4, 0, 2), "chain"), (1, (1, 8, 3), "pointmass")])
+def test_cli_process_rejects_malformed_checkpoints(tmp_path, kind, sizes, env):
+    # a layer size of 0 and a gaussian net of odd output width used to end
+    # in a ValueError or ShapeError traceback and exit 1
+    n_params = sum(i * o + o for i, o in zip(sizes[:-1], sizes[1:]))
+    ckpt = tmp_path / "p.ckpt"
+    ckpt.write_bytes(b"ASAF" + struct.pack(f"<III{len(sizes)}I", 1, kind, len(sizes), *sizes)
+                     + np.zeros(n_params, dtype="<f8").tobytes())
+    with pytest.raises(FormatError):
+        load_checkpoint(ckpt)
+    proc = run_module("eval", "--checkpoint", ckpt, "--env", env)
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr.startswith("file error: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_cli_process_reports_numerical_error(tmp_path):

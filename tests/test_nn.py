@@ -1,4 +1,4 @@
-"""Numeric kit: logsumexp, the flat-parameter net, Adam, clipping, grad_check,
+"""Numeric kit: row-wise logsumexp, the flat-parameter net, Adam, clipping, grad_check,
 and the single-threaded BLAS scope."""
 
 import contextlib
@@ -6,7 +6,6 @@ import os
 import subprocess
 import sys
 import threading
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +23,6 @@ from asaf.nn import (
     clip_by_global_norm,
     grad_check,
     log_softmax_rows,
-    logsumexp,
     logsumexp_rows,
     param_count,
     serial_blas,
@@ -39,37 +37,43 @@ finite_vectors = hnp.arrays(
 
 # ---------------------------------------------------------------- logsumexp
 
+def reference_logsumexp(v) -> float:
+    """log(sum(exp(v))) of a vector, in Python floats, apart from ``logsumexp_rows``."""
+    m = max(v)
+    return m + float(np.log(sum(np.exp(x - m) for x in v)))
+
+
+def one_row(v) -> float:
+    """``logsumexp_rows`` of the one-row matrix [v]."""
+    out = logsumexp_rows(np.array([v], dtype=np.float64))
+    assert out.shape == (1,)
+    return float(out[0])
+
+
 def test_logsumexp_examples():
-    assert logsumexp([0.0, 0.0]) == pytest.approx(np.log(2.0), abs=1e-15)
-    assert logsumexp([5.0]) == 5.0
-    assert logsumexp([np.log(1.0), np.log(2.0), np.log(3.0)]) == pytest.approx(np.log(6.0), abs=1e-14)
+    assert one_row([0.0, 0.0]) == pytest.approx(np.log(2.0), abs=1e-15)
+    assert one_row([5.0]) == 5.0
+    assert one_row([np.log(1.0), np.log(2.0), np.log(3.0)]) == pytest.approx(np.log(6.0), abs=1e-14)
 
 
 def test_logsumexp_does_not_overflow():
-    assert logsumexp([1000.0, 1000.0]) == pytest.approx(1000.0 + np.log(2.0), abs=1e-12)
-    assert logsumexp([-1000.0, -1001.0]) == pytest.approx(-1000.0 + np.log1p(np.exp(-1.0)), abs=1e-12)
+    assert one_row([1000.0, 1000.0]) == pytest.approx(1000.0 + np.log(2.0), abs=1e-12)
+    assert one_row([-1000.0, -1001.0]) == pytest.approx(-1000.0 + np.log1p(np.exp(-1.0)), abs=1e-12)
 
 
 def test_logsumexp_minus_inf_entries_drop_out():
-    assert logsumexp([-np.inf, 0.0]) == 0.0
-    assert logsumexp([-np.inf, -np.inf]) == -np.inf
-
-
-def test_logsumexp_rejects_bad_input():
-    with pytest.raises(ValueError):
-        logsumexp([])
-    with pytest.raises(ShapeError):
-        logsumexp(np.zeros((2, 2)))
+    assert one_row([-np.inf, 0.0]) == 0.0
+    assert one_row([2.0, -np.inf, -np.inf]) == 2.0
 
 
 @given(finite_vectors, st.floats(-100.0, 100.0, allow_nan=False))
 def test_logsumexp_shift_invariance(v, c):
-    assert abs(logsumexp(v + c) - (logsumexp(v) + c)) < 1e-10
+    assert abs(one_row(v + c) - (one_row(v) + c)) < 1e-10
 
 
 @given(finite_vectors)
 def test_logsumexp_bounds(v):
-    val = logsumexp(v)
+    val = one_row(v)
     assert np.max(v) <= val + 1e-12
     assert val <= np.max(v) + np.log(len(v)) + 1e-12
 
@@ -79,7 +83,7 @@ def test_logsumexp_rows_matches_vector_form():
     a = rng.normal(size=(5, 4))
     rows = logsumexp_rows(a)
     for i in range(5):
-        assert rows[i] == pytest.approx(logsumexp(a[i]), abs=1e-14)
+        assert rows[i] == pytest.approx(reference_logsumexp(a[i]), abs=1e-14)
     with pytest.raises(ShapeError):
         logsumexp_rows(np.zeros(3))
 
@@ -432,24 +436,18 @@ def test_adam_is_functional():
 
 def reference_adam_step(state, params, grads, lr):
     """Adam as one expression per line, written apart from ``adam_step``."""
-    t = state.t + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * grads
-    v = state.beta2 * state.v + (1.0 - state.beta2) * grads * grads
-    m_hat = m / (1.0 - state.beta1 ** t)
-    v_hat = v / (1.0 - state.beta2 ** t)
-    return params - lr * m_hat / (np.sqrt(v_hat) + state.eps), replace(state, m=m, v=v, t=t)
+    t, beta1, beta2 = state.t + 1, nn.ADAM_BETA1, nn.ADAM_BETA2
+    m = beta1 * state.m + (1.0 - beta1) * grads
+    v = beta2 * state.v + (1.0 - beta2) * grads * grads
+    m_hat = m / (1.0 - beta1 ** t)
+    v_hat = v / (1.0 - beta2 ** t)
+    return params - lr * m_hat / (np.sqrt(v_hat) + nn.ADAM_EPS), AdamState(m, v, t)
 
 
-@given(
-    seed=st.integers(0, 2 ** 31 - 1),
-    n=st.integers(1, 40),
-    scale=st.integers(-8, 8),
-    betas=st.sampled_from([(0.9, 0.999), (0.5, 0.9), (0.0, 0.0), (0.99, 0.9999)]),
-    eps=st.sampled_from([1e-8, 0.0, 0.1]),
-)
-def test_adam_step_is_bitwise_the_reference(seed, n, scale, betas, eps):
+@given(seed=st.integers(0, 2 ** 31 - 1), n=st.integers(1, 40), scale=st.integers(-8, 8))
+def test_adam_step_is_bitwise_the_reference(seed, n, scale):
     rng = np.random.default_rng(seed)
-    ours = theirs = AdamState.for_params(np.zeros(n), beta1=betas[0], beta2=betas[1], eps=eps)
+    ours = theirs = AdamState.for_params(np.zeros(n))
     p_ours = p_theirs = rng.normal(size=n)
     for _ in range(5):
         grads, lr = rng.normal(size=n) * 10.0 ** scale, 10.0 ** rng.uniform(-5, 0)

@@ -64,10 +64,25 @@ stacked sides, so their digests do not guard the per-block products of
 the commit before the window builder moved into ``discriminator.windows_from``,
 before any edit of that change, and the change keeps it.
 
+The three ``gen-expert`` digests were recorded again when the demo header
+gained its optional ``generator`` key, written after ``mean_return`` when
+``DemoSet.generator`` is non-empty, which it is for every expert.  Each new
+file with ``, "generator": "soft_vi(alpha=1.0)"`` (chain, gridworld) or
+``, "generator": "scripted_proportional"`` (pointmass) cut from its header
+hashes to the old digest, so nothing else in the files moved.
+
+The verify-suite digest pins the values of the ``gradients`` and ``lemma1``
+suites bit for bit: the finite-difference checks of every loss (the step of
+``grad_check``, the draws of ``gradient_suite`` from its one generator) and
+the fixed-point ascent of ``verify_lemma1``.  It was recorded before those
+suites' options became constants and their loops one helper.
+
 A recipe's digest is SHA-256 over the final ``policy.net.params`` bytes
 followed by ``repr(log)``; a ``gen-expert`` digest is SHA-256 over the file it
 writes; a rollout digest is SHA-256 over the ``obs`` and ``acts`` bytes and
-the return of 100 episodes drawn one after another from one ``Generator``.
+the return of 100 episodes drawn one after another from one ``Generator``;
+the verify-suite digest is SHA-256 over one line per check of the two suites,
+``"{name} {value.hex()} {threshold.hex()}\n"``.
 The digests hold for float64 NumPy on x86-64; a different BLAS or CPU may
 change the last bits of a matrix product and so every digest.
 """
@@ -91,7 +106,7 @@ from asaf.envs import (
 from asaf.nn import Mlp
 from asaf.policies import make_policy
 from asaf.train import DemoSet, TrainConfig, train
-from asaf.verify import collect_expert_demos
+from asaf.verify import collect_expert_demos, gradient_suite, lemma1_suite
 
 RECIPES = {
     "chain_asaf": {},
@@ -116,9 +131,9 @@ RECIPE_DIGESTS = {
 }
 
 GEN_EXPERT_DIGESTS = {
-    "chain": "6c9dcd8143c23ce3b3e5025a849a2b6c0575f0c34e6375cf282570578c40f665",
-    "gridworld": "2c139d91291d2d64bbdf074a644e1c55544d91cc3b8e99fbcf75342a4f52c227",
-    "pointmass": "01b8c358dc2a65d5e41fe076abcf34b6eca8f2a2f38a4e31f93dde279ef839fb",
+    "chain": "6b2c9b21c5732b8e9d4f4971866789ab25644d8e41e989ea6bb2ae8c3f16f32e",
+    "gridworld": "3186257a268ee1e8777c75dfa0f46c51014653f1fb3a8176035240631ee1b474",
+    "pointmass": "fb8c9c45408b81b8d69dd8091ae8b3e5bb3a8cb682ddf2be8fdc090544dcf462",
 }
 
 ROLLOUT_DIGESTS = {
@@ -127,6 +142,8 @@ ROLLOUT_DIGESTS = {
     "pointmass": "2052850387945810375463da6c2146c9b9206c22f19dce395c3226562d7562c4",
     "random_mdp": "8f38e2119a299e580cbfb2b3c6a05b67254bb039b71022d2f27184f15226d2bf",
 }
+
+VERIFY_SUITES_DIGEST = "f0dc034bd8d8fe657516ff414e8615a265290fa9babcb930e05854f703a75720"
 
 
 def random_mdp_spec(seed=7, n_states=5, n_actions=3):
@@ -194,6 +211,12 @@ def test_pinned_digests(name, tmp_path, capsys):
 @pytest.mark.parametrize("name", sorted(ROLLOUT_DIGESTS))
 def test_pinned_rollout_streams(name):
     assert rollout_digest(name) == ROLLOUT_DIGESTS[name]
+
+
+def test_pinned_verify_suite_values():
+    rows = gradient_suite() + lemma1_suite()
+    text = "".join(f"{r.name} {float(r.value).hex()} {float(r.threshold).hex()}\n" for r in rows)
+    assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_SUITES_DIGEST
 
 
 @pytest.mark.parametrize("name", ["pointmass_asaf_1", "chain_asaf"])

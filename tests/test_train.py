@@ -201,6 +201,23 @@ def test_demo_env_mismatch_is_rejected(chain_demos):
             train(tiny_cfg(), out_of_range, chain_spec())
 
 
+@pytest.mark.parametrize("algorithm", ["asaf", "asaf_1", "bc"])
+@pytest.mark.parametrize("env", ["chain", "pointmass"])
+def test_demo_episode_with_no_steps_is_rejected(env, algorithm):
+    # whole-episode windows used to give it a zero-length window, scored
+    # with the first step of the episode after it
+    if env == "chain":
+        spec, full = chain_spec(), Trajectory(obs=np.eye(4)[[0, 1, 2, 3, 3]], acts=np.ones(5, dtype=np.int64))
+        empty = Trajectory(obs=np.zeros((0, 4)), acts=np.zeros(0, dtype=np.int64))
+    else:
+        spec, full = PointMassSpec(), Trajectory(obs=np.zeros((50, 1)), acts=np.zeros((50, 1)))
+        empty = Trajectory(obs=np.zeros((0, 1)), acts=np.zeros((0, 1)))
+    demos = DemoSet([full, empty, full], env_id=env, action_kind=spec.action_kind, obs_dim=spec.obs_dim,
+                    mean_return=0.0)
+    with pytest.raises(ValidationError, match=r"episode 1 \(demo file line 3\): episode has no steps"):
+        train(tiny_cfg(algorithm=algorithm, steps=1), demos, spec)
+
+
 @pytest.mark.parametrize("row", [[0.0, 0.0, 0.0, 0.0], [0.0, 1.0, 1.0, 0.0], [0.5, 0.5, 0.0, 0.0],
                                  [2.0, 0.0, 0.0, 0.0], [1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0 + 1e-16 * 4]])
 @pytest.mark.parametrize("episode, step", [(0, 0), (1, 2), (2, 1)])
