@@ -68,9 +68,9 @@ def cmd_train(args) -> int:
     except OSError as exc:
         raise FormatError(f"cannot read config {args.config}: {exc.strerror}") from exc
     setup = parse_run_config(text, source=args.config)
-    env_spec = env_by_id(setup.env_id)
+    env_spec, config = setup.validated()
     demos = read_demos(setup.demos_path)
-    policy, log = train(setup.config, demos, env_spec)
+    policy, log = train(config, demos, env_spec)
     os.makedirs(setup.out_dir, exist_ok=True)
     curves = os.path.join(setup.out_dir, "curves.csv")
     ckpt = os.path.join(setup.out_dir, "policy.ckpt")

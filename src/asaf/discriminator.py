@@ -106,8 +106,7 @@ class PackedWindows:
     ``gen_logp`` caches the frozen generator's per-window log-likelihood; it
     is filled in by the caller whenever the generator changes.  ``states``,
     from ``CategoricalPolicy.index``, lets the losses read a state table by
-    index; a ``joined`` pack of two indexed packs, and its gathers, then
-    hold no ``obs`` (None).
+    index; such a pack may hold no ``obs`` (None), as ``train``'s pools do.
     """
 
     obs: np.ndarray | None
@@ -196,11 +195,11 @@ def structured_log_d(learner, generator, window: Window) -> tuple[float, float]:
 
 
 def joined(packed_e: PackedWindows, packed_g: PackedWindows) -> PackedWindows:
-    """The windows of ``packed_e`` then those of ``packed_g``, concatenated:
-    by state id alone (``obs`` None) when both carry state ids."""
+    """The windows of ``packed_e`` then those of ``packed_g``, concatenated;
+    a field that either pack lacks (None) is None."""
     e, g = packed_e, packed_g
-    pairs = [(None, None) if e.states is not None and g.states is not None else (e.obs, g.obs), (e.acts, g.acts),
-             (e.starts, g.starts + len(e.acts)), (e.lengths, g.lengths), (e.gen_logp, g.gen_logp), (e.states, g.states)]
+    pairs = [(e.obs, g.obs), (e.acts, g.acts), (e.starts, g.starts + len(e.acts)), (e.lengths, g.lengths),
+             (e.gen_logp, g.gen_logp), (e.states, g.states)]
     return PackedWindows(*(None if a is None or b is None else np.concatenate([a, b]) for a, b in pairs))
 
 

@@ -36,6 +36,7 @@ for the point mass.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,12 +66,21 @@ __all__ = [
 
 _ATOL = 1e-9
 
-EXPERT_ALPHA = 1.0    # the temperature of the expert js_to_expert tracks; gen-expert's default
+EXPERT_ALPHA = 1.0    # gen-expert's temperature; js_to_expert's when the demos name none
+
+
+@functools.cache
+def _identity(n: int) -> np.ndarray:
+    """The read-only (n, n) identity, built once per n: every one-hot state row, in state order."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
 
 
 def one_hot(i, n: int) -> np.ndarray:
-    """Row i of the n x n identity, or one row per index of an array."""
-    return np.eye(n)[i]
+    """Row i of the cached read-only n x n identity (a view; ``slice(None)``
+    gives every state's row), or one fresh row per index of an array."""
+    return _identity(n)[i]
 
 
 @dataclass
@@ -221,7 +231,7 @@ class Trajectory:
 @dataclass
 class TabularSpec:
     """Environment spec wrapping a TabularMdp.  Its exact expert is soft
-    value iteration on the MDP; training tracks it at ``EXPERT_ALPHA``."""
+    value iteration on the MDP; training tracks it at the demos' temperature."""
 
     mdp: TabularMdp
     env_id: str = "tabular"
@@ -374,7 +384,7 @@ def env_by_id(env_id: str) -> EnvSpec:
     """The named instance ``env_id`` of ``ENVS`` at its defaults."""
     if env_id not in ENVS:
         *head, last = ENVS
-        raise ValidationError(f"unknown environment id {env_id!r} (expected {', '.join(head)}, or {last})")
+        raise ValidationError(f"unknown environment id {env_id!r} (expected {', '.join(head)}, or {last})", key="env")
     return ENVS[env_id]()
 
 

@@ -20,16 +20,21 @@ class ConfigError(ValueError):
 
 
 class ValidationError(ValueError):
-    """Inputs are well-formed but violate a semantic contract."""
+    """Inputs are well-formed but violate a semantic contract; ``key`` names
+    the config key a refusal is about, where there is one."""
+
+    def __init__(self, message: str, key: str | None = None):
+        super().__init__(message)
+        self.key = key
 
 
 def check_count(name: str, value, least: int) -> None:
     """Refuse a count below ``least`` or that is no Python or NumPy integer
     (``True`` and ``2.0`` compare equal to one)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
+        raise ValidationError(f"{name} must be an integer, got {value!r}", key=name)
     if value < least:
-        raise ValidationError(f"{name} must be >= {least}, got {value}")
+        raise ValidationError(f"{name} must be >= {least}, got {value}", key=name)
 
 
 class UnsupportedError(ValidationError):

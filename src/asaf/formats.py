@@ -13,12 +13,14 @@ rows of reals.  Non-finite reals have no JSON form and are refused by the
 writer and the reader alike; the reader also refuses integers beyond int64,
 a ``mean_return`` that is not a number, a ``generator`` that is not a
 string, and a ``format_version``, ``obs_dim``, ``n_trajectories`` or ``len``
-that is not an integer.  Errors name the line as numbered in the file.
+that is not an integer.  Errors name the line as numbered in the file, and
+``DemoSet.lines`` keeps each episode's line for the checks ``train`` makes.
 
 Run config (UTF-8 text): one ``key = value`` per line, blank lines and
 ``#`` comments ignored; ``hidden`` takes comma-separated layer sizes
 (``hidden = 64, 64``).  Unknown keys are an error, as are malformed
-values; both report the offending line number.  Missing keys fall back to
+values; both report the offending line number, as does a value that
+``RunSetup.validated`` refuses.  Missing keys fall back to
 the documented defaults in DEFAULTS below; env, algorithm, and demos_path
 have no default and must be present for training.
 
@@ -38,12 +40,12 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .envs import Trajectory
-from .errors import ConfigError, FormatError
+from .envs import EnvSpec, Trajectory, env_by_id
+from .errors import ConfigError, FormatError, ValidationError
 from .nn import Mlp, param_count
 from .policies import CategoricalPolicy, GaussianPolicy
 from .train import DemoSet, RunLog, TrainConfig
@@ -159,6 +161,7 @@ def read_demos(path) -> DemoSet:
         obs_dim=header["obs_dim"],
         mean_return=float(header["mean_return"]),
         generator=header.get("generator", ""),
+        lines=[i for i, _ in body],
     )
 
 
@@ -207,16 +210,28 @@ _ALL_KEYS = _INT_KEYS | _REAL_KEYS | _STR_KEYS | {"hidden"}
 
 @dataclass
 class RunSetup:
-    """A parsed run config: what to train, on what, and where to write."""
+    """A parsed run config: what to train, on what, and where to write;
+    ``lines`` maps each key the file gives to its line."""
 
     env_id: str
     config: TrainConfig
     demos_path: str
     out_dir: str
+    lines: dict[str, int] = field(default_factory=dict, compare=False)
+
+    def validated(self) -> tuple[EnvSpec, TrainConfig]:
+        """The environment and the checked config; a refusal about a key the
+        file gives names that key's line."""
+        try:
+            return env_by_id(self.env_id), self.config.validated()
+        except ValidationError as exc:
+            if exc.key not in self.lines:
+                raise
+            raise type(exc)(f"line {self.lines[exc.key]}: {exc}", key=exc.key) from None
 
 
 def parse_run_config(text: str, source: str = "<config>") -> RunSetup:
-    values: dict = {}
+    values, lines = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -228,6 +243,7 @@ def parse_run_config(text: str, source: str = "<config>") -> RunSetup:
             raise ConfigError(f"{source}: unknown key {key!r}", line=lineno)
         if key in values:
             raise ConfigError(f"{source}: duplicate key {key!r}", line=lineno)
+        lines[key] = lineno
         if key in _INT_KEYS:
             try:
                 values[key] = int(val)
@@ -254,7 +270,8 @@ def parse_run_config(text: str, source: str = "<config>") -> RunSetup:
             raise ConfigError(f"{source}: required key {key!r} is missing")
     merged = {**DEFAULTS, **values}
     cfg = TrainConfig(**{f.name: merged[f.name] for f in fields(TrainConfig) if f.name in merged})
-    return RunSetup(env_id=merged["env"], config=cfg, demos_path=merged["demos_path"], out_dir=merged["out_dir"])
+    return RunSetup(env_id=merged["env"], config=cfg, demos_path=merged["demos_path"], out_dir=merged["out_dir"],
+                    lines=lines)
 
 
 # ---------------------------------------------------------------- checkpoint

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .envs import one_hot
 from .errors import NumericalError, ShapeError, UnsupportedError
 from .nn import GradTape, Mlp, log_softmax_rows, row_blocks
 
@@ -70,21 +71,10 @@ def _evaluate(net: Mlp, rows: np.ndarray, split: int | None = None) -> _Evaluati
     return _Evaluation(net, net._version, tape, scores, logp, np.exp(logp))
 
 
-@functools.cache
-def _identity(n: int) -> np.ndarray:
-    """The read-only (n, n) identity: every one-hot state row, in state order."""
-    eye = np.eye(n)
-    eye.flags.writeable = False
-    return eye
-
-
 def one_hot_rows(obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's argmax, and whether each row is exactly one-hot (one entry 1, the rest 0)."""
+    """Each row's argmax, and whether each row is its argmax's identity row (a mask of one for one row)."""
     states = obs.argmax(axis=-1)
-    hot = (obs[states, None] if obs.ndim == 1 else obs[np.arange(len(obs)), states]) == 1
-    if np.count_nonzero(obs) != np.count_nonzero(hot):   # a nonzero beside some row's peak of 1
-        hot &= np.count_nonzero(obs, axis=-1) == 1
-    return states, hot
+    return states, np.atleast_1d((obs == one_hot(states, obs.shape[-1])).all(axis=-1))
 
 
 class CategoricalPolicy:
@@ -96,11 +86,11 @@ class CategoricalPolicy:
     the net on all ``S = net.in_dim`` states, made once per parameter
     version and shared by every log-prob, action and gradient tape of that
     version.  Any other input is evaluated afresh on its own rows.
-    ``score_grad`` adds the row weights per evaluated row, each row block on
-    its own and the blocks' sums then added, so two sides that read one
+    A tape codes each (row, action) pair once, ``row * A + action``;
+    ``score_grad`` adds the row weights per code and per row, each row block
+    on its own and the blocks' sums then added, so two sides that read one
     state table cancel exactly where their weights do; ``backprop_log_prob``
-    runs one backward of that over the record's rows.
-    ``table_tape`` reads states that ``index`` has checked once.
+    runs one backward of that.  ``table_tape`` reads checked states.
     """
 
     action_kind = "discrete"
@@ -120,7 +110,7 @@ class CategoricalPolicy:
         """The state table of the net's current parameters, built on first use."""
         net, memo = self.net, self._memo
         if memo is None or memo.net is not net or memo.version != net._version:
-            memo = self._memo = _evaluate(net, _identity(net.in_dim))
+            memo = self._memo = _evaluate(net, one_hot(slice(None), net.in_dim))
         return memo
 
     def _states(self, obs: np.ndarray) -> np.ndarray | None:
@@ -128,7 +118,7 @@ class CategoricalPolicy:
         if obs.ndim not in (1, 2) or obs.shape[-1] != self.net.in_dim:
             return None
         states, hot = one_hot_rows(obs)
-        return states if np.count_nonzero(hot) == len(hot) else None
+        return states if hot.all() else None
 
     def _read(self, obs: np.ndarray) -> tuple[_Evaluation, np.ndarray]:
         """The evaluation holding the rows of ``obs`` and each row's index in it."""
@@ -165,30 +155,29 @@ class CategoricalPolicy:
         states, acts = self.index(obs, acts)
         if states is not None:
             return self.table_tape(states, acts, split)
-        ev, rows = _evaluate(self.net, np.asarray(obs), split), np.arange(len(acts))
-        return (ev.logp if self._normalized else ev.scores)[rows, acts], (ev, rows, acts, split)
+        return self.table_tape(np.arange(len(acts)), acts, split, _evaluate(self.net, np.asarray(obs), split))
 
-    def table_tape(self, states: np.ndarray, acts: np.ndarray, split: int | None = None):
-        """``log_prob_tape`` by (state, action) index, unchecked."""
-        ev = self._table()
-        return (ev.logp if self._normalized else ev.scores)[states, acts], (ev, states, acts, split)
+    def table_tape(self, rows: np.ndarray, acts: np.ndarray, split: int | None = None, ev: _Evaluation | None = None):
+        """``log_prob_tape`` by (row, action) index into ``ev``, the state table
+        by default, unchecked: each pair read by its flat code."""
+        ev, codes = ev or self._table(), rows * self.n_actions + acts
+        return (ev.logp if self._normalized else ev.scores).ravel()[codes], (ev, rows, codes, split)
 
     def backprop_log_prob(self, cache, weights: np.ndarray) -> np.ndarray:
         return self.net.backward(cache[0].tape, self.score_grad(cache, weights))
 
     def score_grad(self, cache, weights: np.ndarray) -> np.ndarray:
         """d(sum_i weights[i] * lp_i) / d(cached scores), lp as ``log_prob_tape`` reads it."""
-        ev, rows, acts, split = cache
+        ev, rows, codes, split = cache
         weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != (len(acts),):
-            raise ShapeError(f"weights must have shape ({len(acts)},), got {weights.shape}")
+        if weights.shape != (len(codes),):
+            raise ShapeError(f"weights must have shape ({len(codes)},), got {weights.shape}")
         # the weights of a block's rows that read one evaluated row add up onto it
-        n_rows, n_actions = ev.probs.shape
         dy = None
         for b in row_blocks(split):
-            d = np.bincount(rows[b] * n_actions + acts[b], weights[b], minlength=ev.probs.size).reshape(ev.probs.shape)
+            d = np.bincount(codes[b], weights[b], minlength=ev.probs.size).reshape(ev.probs.shape)
             if self._normalized:    # d log softmax / d scores = onehot(a) - probs, per row
-                d -= ev.probs * np.bincount(rows[b], weights[b], minlength=n_rows)[:, None]
+                d -= ev.probs * np.bincount(rows[b], weights[b], minlength=len(ev.probs))[:, None]
             dy = d if dy is None else np.add(dy, d, out=dy)
         return dy
 
@@ -300,4 +289,4 @@ def tabular_policy_extract(policy: CategoricalPolicy, n_states: int) -> np.ndarr
     """
     if policy.net.in_dim != n_states:
         raise ShapeError(f"policy expects obs_dim {policy.net.in_dim}, not {n_states}")
-    return np.exp(policy.log_probs(_identity(n_states)))
+    return np.exp(policy.log_probs(one_hot(slice(None), n_states)))

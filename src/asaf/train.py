@@ -40,6 +40,7 @@ checkpoint with ``evaluate_policy``.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -82,6 +83,7 @@ class TrainConfig:
     hidden: tuple[int, ...] = (64, 64)
 
     def validated(self) -> "TrainConfig":
+        """The config checked and completed; a refusal's ``key`` names the field it is about."""
         least = {"batch": 1, "n_g": 1, "epochs": 0, "steps": 0, "eval_k": 1, "eval_interval": 1, "seed": 0}
         for name, low in least.items():
             check_count(name, getattr(self, name), low)
@@ -90,30 +92,31 @@ class TrainConfig:
                 check_count(name, value, 1)
         cfg = replace(self, hidden=tuple(int(h) for h in self.hidden))
         if cfg.algorithm not in ALGORITHMS:
-            raise ValidationError(f"unknown algorithm {cfg.algorithm!r}, expected one of {ALGORITHMS}")
+            raise ValidationError(f"unknown algorithm {cfg.algorithm!r}, expected one of {ALGORITHMS}", key="algorithm")
         if cfg.algorithm == "asaf_w":
             if cfg.w is None:
-                raise ValidationError("asaf_w needs a window length w >= 1")
+                raise ValidationError("asaf_w needs a window length w >= 1", key="w")
             cfg = replace(cfg, stride=cfg.stride or cfg.w)
         elif cfg.algorithm == "asaf_1":
-            if cfg.w not in (None, 1) or cfg.stride not in (None, 1):
-                raise ValidationError("asaf_1 is fixed to w = 1, stride = 1")
+            if wrong := [key for key in ("w", "stride") if getattr(cfg, key) not in (None, 1)]:
+                raise ValidationError("asaf_1 is fixed to w = 1, stride = 1", key=wrong[0])
             cfg = replace(cfg, w=1, stride=1)
-        else:
-            if cfg.w is not None or cfg.stride is not None:
-                raise ValidationError(f"{cfg.algorithm} does not take w/stride")
+        elif given := [key for key in ("w", "stride") if getattr(cfg, key) is not None]:
+            raise ValidationError(f"{cfg.algorithm} does not take w/stride", key=given[0])
         if not (np.isfinite(cfg.lr_d) and cfg.lr_d > 0.0):
-            raise ValidationError(f"lr_d must be finite and positive, got {cfg.lr_d}")
+            raise ValidationError(f"lr_d must be finite and positive, got {cfg.lr_d}", key="lr_d")
         if not cfg.clip > 0.0:   # inf never clips; NaN is refused
-            raise ValidationError(f"clip must be positive, got {cfg.clip}")
+            raise ValidationError(f"clip must be positive, got {cfg.clip}", key="clip")
         if cfg.clip_mode != "norm":
-            raise ValidationError(f"clip_mode must be 'norm', got {cfg.clip_mode!r}")
+            raise ValidationError(f"clip_mode must be 'norm', got {cfg.clip_mode!r}", key="clip_mode")
         return cfg
 
 
 @dataclass
 class DemoSet:
-    """Expert demonstrations plus the metadata needed to check compatibility."""
+    """Expert demonstrations plus the metadata needed to check compatibility;
+    ``lines``, each episode's line in the demo file it was read from, is
+    None for a set built in memory."""
 
     trajectories: list[Trajectory]
     env_id: str
@@ -121,6 +124,7 @@ class DemoSet:
     obs_dim: int
     mean_return: float
     generator: str = ""
+    lines: list[int] | None = field(default=None, compare=False)
 
     def __len__(self) -> int:
         return len(self.trajectories)
@@ -169,9 +173,9 @@ def _check_demos(demos: DemoSet, env_spec: EnvSpec) -> None:
         raise ValidationError(f"demo action kind {demos.action_kind!r} does not match env {env_spec.action_kind!r}")
     if demos.obs_dim != env_spec.obs_dim:
         raise ValidationError(f"demo obs_dim {demos.obs_dim} does not match env {env_spec.obs_dim}")
-    discrete = demos.action_kind == "discrete"
+    discrete, tabular = demos.action_kind == "discrete", isinstance(env_spec, TabularSpec)
     for i, traj in enumerate(demos.trajectories):
-        where = f"episode {i} (demo file line {i + 2})"
+        where = f"episode {i}" if demos.lines is None else f"episode {i} (demo file line {demos.lines[i]})"
         if len(traj) == 0:     # it would score as a zero-length window, read from the next one's rows
             raise ValidationError(f"{where}: episode has no steps")
         if traj.obs.shape[1] != env_spec.obs_dim:
@@ -181,29 +185,33 @@ def _check_demos(demos: DemoSet, env_spec: EnvSpec) -> None:
             raise ValidationError(f"{where}: actions of shape {traj.acts.shape}, expected {want}")
         if discrete and np.any(bad := (traj.acts < 0) | (traj.acts >= env_spec.n_actions)):
             raise ValidationError(f"{where}: action {traj.acts[bad][0]} is outside [0, {env_spec.n_actions})")
-    if isinstance(env_spec, TabularSpec):
-        # the policies read a tabular state from its one-hot observation row
-        obs = np.concatenate([traj.obs for traj in demos.trajectories])
-        bad = np.flatnonzero(~one_hot_rows(obs)[1])
-        if len(bad):
-            ends = np.cumsum([len(traj) for traj in demos.trajectories])
-            i = int(np.searchsorted(ends, bad[0], side="right"))
-            row = int(bad[0] - ends[i] + len(demos.trajectories[i]))
-            raise ValidationError(f"episode {i} (demo file line {i + 2}): observation row {row} is not a one-hot state")
+        if tabular and not (hot := one_hot_rows(traj.obs)[1]).all():   # the policies read a state from its row
+            raise ValidationError(f"{where}: observation row {np.argmin(hot)} is not a one-hot state")
 
 
 def _eval_seed(cfg: TrainConfig, outer_step: int) -> int:
     return cfg.seed + 100003 * outer_step
 
 
-class _ExpertReference:
-    """The exact trajectory distribution of the soft-VI expert at ``EXPERT_ALPHA``,
-    whatever made the demos; None where it is too large to enumerate."""
+def _demo_alpha(generator: str) -> float:
+    """The temperature x of demos whose generator reads ``soft_vi(alpha=<x>)``,
+    as ``collect_expert_demos`` names it, if x is a finite positive real; else
+    ``EXPERT_ALPHA``."""
+    try:
+        alpha = float(re.fullmatch(r"soft_vi\(alpha=(.+)\)", generator)[1])
+    except (TypeError, ValueError):     # no match, or no real
+        return EXPERT_ALPHA
+    return alpha if np.isfinite(alpha) and alpha > 0.0 else EXPERT_ALPHA
 
-    def __init__(self, env_spec: EnvSpec):
+
+class _ExpertReference:
+    """The exact trajectory distribution of the soft-VI expert at the demos'
+    temperature; None where it is too large to enumerate."""
+
+    def __init__(self, env_spec: EnvSpec, generator: str):
         self.dist = None
         if isinstance(env_spec, TabularSpec) and enumerable(env_spec.mdp):
-            expert = soft_value_iteration(env_spec.mdp, EXPERT_ALPHA)
+            expert = soft_value_iteration(env_spec.mdp, _demo_alpha(generator))
             self.dist = exact_traj_distribution(env_spec.mdp, expert.policy_table())
             self.mdp = env_spec.mdp
 
@@ -217,11 +225,13 @@ class _ExpertReference:
 def _pool(trajs: list[Trajectory], cfg: TrainConfig, policy) -> disc.PackedWindows:
     """The windows ``cfg.algorithm`` reads: the configured ones for asaf_w,
     single transitions for asaf_1, asqf and bc, whole episodes for asaf; a
-    categorical learner's pack carries each row's state id."""
+    categorical learner's pack of one-hot rows holds state ids in their place."""
     w, stride = (None, 1) if cfg.algorithm == "asaf" else (cfg.w or 1, cfg.stride or 1)
     pack = disc.windows_from(trajs, w, stride)
     if isinstance(policy, CategoricalPolicy):
-        pack.states, pack.acts = policy.index(pack.obs, pack.acts)
+        states, pack.acts = policy.index(pack.obs, pack.acts)
+        if states is not None:
+            pack.obs, pack.states = None, states
     return pack
 
 
@@ -253,7 +263,7 @@ def train(cfg: TrainConfig, demos: DemoSet, env_spec: EnvSpec):
     batch_rng = np.random.default_rng(ss_batch)
 
     expert = _pool(demos.trajectories, cfg, learned)
-    reference = _ExpertReference(env_spec)
+    reference = _ExpertReference(env_spec, demos.generator)
     log = RunLog()
     env_steps = 0
 

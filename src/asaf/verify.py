@@ -20,6 +20,7 @@ from .envs import (
     Trajectory,
     chain_spec,
     gridworld_spec,
+    one_hot,
     rollout,
     soft_value_iteration,
 )
@@ -134,7 +135,7 @@ def gradient_suite() -> list[CheckResult]:
     # the same on one-hot states, through the policies' state tables, with the actions above
     learner = CategoricalPolicy.init(3, 2, (8,), rng)
     generator = CategoricalPolicy.init(3, 2, (8,), rng)
-    obs = np.eye(3)[rng.integers(0, 3, size=(4, 3))]
+    obs = one_hot(rng.integers(0, 3, size=(4, 3)), 3)
     out.append(_bce_check("grad_bce_categorical_one_hot", learner, generator, obs, acts, rng))
 
     # trajectory discriminator, gaussian policy
@@ -159,7 +160,7 @@ def gradient_suite() -> list[CheckResult]:
     # the scored discriminator on one-hot states, through the score net's state table
     model = disc.AsqfModel.init(3, 2, (8,), rng)
     generator = CategoricalPolicy.init(3, 2, (8,), rng)
-    obs, acts = np.eye(3)[rng.integers(0, 3, size=(12, 1))], rng.integers(0, 2, size=(12, 1))
+    obs, acts = one_hot(rng.integers(0, 3, size=(12, 1)), 3), rng.integers(0, 2, size=(12, 1))
     out.append(_bce_check("grad_bce_asqf_one_hot", model, generator, obs, acts, rng))
     return out
 

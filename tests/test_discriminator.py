@@ -439,6 +439,25 @@ def test_bce_fixed_point_gradient_vanishes_on_paired_batches():
     np.testing.assert_array_equal(grad, 0.0)
 
 
+@given(seed=st.integers(0, 2 ** 31 - 1), gaussian=st.booleans(), rows=st.integers(1, 40), w=st.integers(1, 4))
+def test_bce_fixed_point_gradient_vanishes_on_wide_nets(seed, gaussian, rows, w):
+    # the same on (64, 64) nets, Gaussian or categorical on rows that are
+    # not one-hot: each side's log-probs and gradient are the exact negative
+    # of the other's only because every matrix product runs once per row
+    # block; one product over both stacked sides rounds differently here
+    rng = np.random.default_rng(seed)
+    obs_dim = 1 if gaussian else 4
+    if gaussian:
+        policy, acts = GaussianPolicy(Mlp.init((obs_dim, 64, 64, 2), rng)), rng.normal(size=(rows, 1))
+    else:
+        policy, acts = CategoricalPolicy(Mlp.init((obs_dim, 64, 64, 3), rng)), rng.integers(0, 3, size=rows)
+    packed = disc.windows_from([Trajectory(rng.normal(size=(rows, obs_dim)), acts)], w, stride=w)
+    disc.refresh_generator_scores(packed, policy)
+    loss, grad = disc.bce_on_packed(policy, packed, packed)
+    assert loss == pytest.approx(LOG4, abs=1e-9)
+    np.testing.assert_array_equal(grad, 0.0)
+
+
 def test_bce_fixed_point_gradient_vanishes_on_one_hot_windows():
     # the same cancellation on the state-table path that tabular runs take,
     # where both sides share one backward: each side's score gradient is
@@ -543,8 +562,9 @@ def test_joined_core_is_bitwise_bce_on_packed(seed, kind, max_len, n, before):
     # train() joins the two pools once, gathers every minibatch of an outer
     # step in one take, expert picks then generator picks, and hands each
     # span to bce_on_joined: byte for byte bce_on_packed of the two sides'
-    # own gathers and the one-tape loss it was before, and an indexed
-    # gather without obs reads as one with them
+    # own gathers and the one-tape loss it was before; indexed pools hold
+    # state ids in place of their rows, as train()'s do, and read as packs
+    # that keep their rows, which joined keeps too
     rng = np.random.default_rng(seed)
     n_states, n_actions = 4, 3
     out = 2 * n_actions if kind == "gaussian" else n_actions
@@ -554,7 +574,8 @@ def test_joined_core_is_bitwise_bce_on_packed(seed, kind, max_len, n, before):
     pools = [disc.pack_windows(one_hot_windows(int(rng.integers(1, 15)), n_states, n_actions, rng, max_len))
              for _ in range(2)]
     if kind.endswith("table"):
-        pools = [indexed(p, learner) for p in pools]
+        rows = [p.obs for p in pools]
+        pools = [replace(indexed(p, learner), obs=None) for p in pools]
     else:
         pools = [replace(p, obs=p.obs + rng.normal(size=p.obs.shape)) for p in pools]
     if kind == "gaussian":
@@ -572,7 +593,8 @@ def test_joined_core_is_bitwise_bce_on_packed(seed, kind, max_len, n, before):
         assert loss == want_loss and grad.tobytes() == want_grad.tobytes()
     assert (both.obs is None) == kind.endswith("table")
     if both.obs is None:
-        with_obs = replace(source, obs=np.concatenate([pool_e.obs, pool_g.obs])).take(idx).span(before, before + 2 * n)
+        with_obs = disc.joined(*(replace(p, obs=o) for p, o in zip(pools, rows))).take(idx).span(before, before + 2 * n)
+        assert with_obs.obs is not None
         got_loss, got_grad = disc.bce_on_joined(learner, with_obs)
         assert got_loss == loss and got_grad.tobytes() == grad.tobytes()
 

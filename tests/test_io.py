@@ -7,6 +7,7 @@ import shutil
 import struct
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ import asaf
 from asaf.cli import main
 from asaf.envs import chain_spec, soft_value_iteration
 from asaf.errors import ConfigError, FormatError
-from asaf.exact import expected_return
+from asaf.exact import exact_traj_distribution, expected_return, js_between
 from asaf.formats import (
     CSV_HEADER,
     DEFAULTS,
@@ -31,8 +32,8 @@ from asaf.formats import (
     write_demos,
 )
 from asaf.nn import Mlp
-from asaf.policies import CategoricalPolicy, GaussianPolicy
-from asaf.train import RunLog, RunRecord, train
+from asaf.policies import CategoricalPolicy, GaussianPolicy, tabular_policy_extract
+from asaf.train import RunLog, RunRecord, TrainConfig, train
 from asaf.verify import collect_expert_demos
 
 
@@ -739,7 +740,7 @@ def test_cli_process_rejects_non_finite_reals(tmp_path):
                    f"out_dir = {tmp_path / 'out'}\n", encoding="utf-8")
     proc = run_module("train", "--config", cfg)
     assert proc.returncode == 3, proc.stderr
-    assert "validation error: clip must be positive, got nan" in proc.stderr
+    assert "validation error: line 5: clip must be positive, got nan" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "out").exists()
 
@@ -752,9 +753,64 @@ def test_cli_process_refuses_a_clip_mode_other_than_norm(tmp_path):
                    f"out_dir = {tmp_path / 'out'}\n", encoding="utf-8")
     proc = run_module("train", "--config", cfg)
     assert (proc.returncode, proc.stdout) == (3, ""), proc.stderr
-    assert "validation error: clip_mode must be 'norm', got 'value'" in proc.stderr
+    assert "validation error: line 5: clip_mode must be 'norm', got 'value'" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "out").exists()
+
+
+def test_js_to_expert_tracks_the_temperature_that_made_the_demos(tmp_path):
+    path = tmp_path / "soft.jsonl"
+    assert main(["gen-expert", "--env", "chain", "--n", "20", "--alpha", "0.5", "--out", str(path)]) == 0
+    demos, mdp = read_demos(path), chain_spec().mdp
+    assert demos.generator == "soft_vi(alpha=0.5)"
+    cfg = TrainConfig(algorithm="asaf", steps=1, epochs=0, n_g=2, eval_k=2, eval_interval=1, hidden=(8,), seed=4)
+    policy, log = train(cfg, demos, chain_spec())   # no update: the logged generator is the untrained net
+    untrained = exact_traj_distribution(mdp, tabular_policy_extract(policy, mdp.n_states))
+    js = {alpha: js_between(untrained, exact_traj_distribution(mdp, soft_value_iteration(mdp, alpha).policy_table()))
+          for alpha in (0.5, 1.0)}
+    assert log.rows[0].js_to_expert == js[0.5] != js[1.0]
+
+
+@pytest.mark.parametrize("lines, message", [
+    ({5: "batch = 0"}, "line 5: batch must be >= 1, got 0"),
+    ({5: "lr_d = -0.5"}, "line 5: lr_d must be finite and positive, got -0.5"),
+    ({5: "clip = 0"}, "line 5: clip must be positive, got 0.0"),
+    ({5: "w = 2"}, "line 5: asaf does not take w/stride"),
+    ({2: "algorithm = bc", 6: "stride = 3"}, "line 6: bc does not take w/stride"),
+    ({2: "algorithm = asaf_1", 5: "w = 2"}, "line 5: asaf_1 is fixed to w = 1, stride = 1"),
+    ({2: "algorithm = gail"}, "line 2: unknown algorithm 'gail'"),
+    ({1: "env = cartpole"}, "line 1: unknown environment id 'cartpole'"),
+    ({2: "algorithm = asaf_w"}, "asaf_w needs a window length w >= 1"),   # about a key the file omits
+])
+def test_cli_process_config_refusals_name_their_line(tmp_path, lines, message):
+    # the refusals of TrainConfig.validated and env_by_id name the config
+    # line of the key they are about, before the demo file is read
+    text = {1: "env = chain", 2: "algorithm = asaf", 3: "demos_path = missing.jsonl", 4: "# a comment", **lines}
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("\n".join(text.get(i, "") for i in range(1, max(text) + 1)) + "\n", encoding="utf-8")
+    proc = run_module("train", "--config", cfg)
+    assert (proc.returncode, proc.stdout) == (3, ""), proc.stderr
+    assert proc.stderr.startswith(f"validation error: {message}"), proc.stderr
+    assert "Traceback" not in proc.stderr
+    if "line" not in message:
+        assert "line" not in proc.stderr
+
+
+def test_cli_process_demo_errors_cite_the_line_an_episode_came_from(tmp_path):
+    # read_demos skips blank lines, so an episode's line is not its index + 2
+    demos, cfg = tmp_path / "demos.jsonl", tmp_path / "run.cfg"
+    main(["gen-expert", "--env", "chain", "--n", "3", "--out", str(demos)])
+    header, *episodes = demos.read_text(encoding="utf-8").splitlines()
+    episodes[2] = re.sub(r'"acts": \[\d', '"acts": [5', episodes[2])
+    demos.write_text("\n".join([header, "", *episodes]) + "\n", encoding="utf-8")   # episode 2 on line 5
+    cfg.write_text(f"env = chain\nalgorithm = asaf\ndemos_path = {demos}\nsteps = 1\n"
+                   f"out_dir = {tmp_path / 'out'}\n", encoding="utf-8")
+    proc = run_module("train", "--config", cfg)
+    assert (proc.returncode, proc.stdout) == (3, ""), proc.stderr
+    assert "validation error: episode 2 (demo file line 5): action 5 is outside [0, 2)" in proc.stderr
+    assert "Traceback" not in proc.stderr and not (tmp_path / "out").exists()
+    read = read_demos(demos)
+    assert read.lines == [3, 4, 5] and read == replace(read, lines=None)    # lines take no part in equality
 
 
 @pytest.mark.skipif(shutil.which("asaf") is None, reason="console script not on PATH")
