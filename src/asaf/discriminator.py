@@ -226,7 +226,8 @@ def bce_on_joined(learner, both: PackedWindows) -> tuple[float, np.ndarray]:
     over all rows (by state id when the pack has them), cut into two row
     blocks where the generator windows start, and one backward, so each
     side keeps the bits a tape of its own gives and the two sides of one
-    state table cancel exactly at the fixed point.
+    state table cancel exactly at the fixed point.  A non-finite loss raises
+    ``NumericalError``; the gradient is left to ``nn.adam_step``'s check.
     """
     n = len(both) // 2
     lp, cache = both.log_prob_tape(learner, int(both.starts[n]))
@@ -234,15 +235,14 @@ def bce_on_joined(learner, both: PackedWindows) -> tuple[float, np.ndarray]:
     m = np.logaddexp(a, both.gen_logp)
     x = both.gen_logp - m                    # log(1 - D); log D = a - m
     loss = -float((a[:n] - m[:n]).sum() / n) - float(x[n:].sum() / n)   # np.mean per side, bit for bit
+    if not np.isfinite(loss):
+        raise NumericalError("non-finite discriminator loss")
 
     np.subtract(a[n:], m[n:], out=x[n:])     # log D on generator windows, log(1 - D) on expert ones
     w = np.exp(x, out=x)
     w /= n
     np.negative(w[:n], out=w[:n])            # -(1 - D)/n, then +D/n
-    grad = learner.backprop_log_prob(cache, both.per_step(w))
-    if not (np.isfinite(loss) and np.isfinite(grad).all()):
-        raise NumericalError("non-finite discriminator loss or gradient")
-    return loss, grad
+    return loss, learner.backprop_log_prob(cache, both.per_step(w))
 
 
 def nll_on_packed(learner, packed: PackedWindows) -> tuple[float, np.ndarray]:

@@ -2,7 +2,8 @@
 
 These are the oracles the learning code is tested against: full trajectory
 distributions by brute-force enumeration, occupancy measures by forward
-dynamic programming, Jensen-Shannon divergence, and a direct fixed-point
+dynamic programming, Jensen-Shannon divergence, trajectory KL by stages and
+the stationary table closest to a policy in it, and a direct fixed-point
 check for the finite-support discriminator objective.
 
 A trajectory key is the complete tuple (s0, a0, s1, a1, ..., s_T) including
@@ -29,7 +30,10 @@ __all__ = [
     "expected_return",
     "js_divergence",
     "js_between",
+    "js_bound",
+    "mle_projection",
     "occupancy",
+    "stage_kl",
     "stage_marginals",
     "verify_lemma1",
 ]
@@ -158,6 +162,8 @@ def js_divergence(p, q) -> float:
     q = np.asarray(q, dtype=np.float64)
     if p.shape != q.shape:
         raise ShapeError(f"supports must align, got {p.shape} vs {q.shape}")
+    if not (np.isfinite(p).all() and np.isfinite(q).all()):   # NaN passes every check below
+        raise ValueError("probabilities must be finite")
     if np.any(p < 0.0) or np.any(q < 0.0):
         raise ValueError("probabilities must be nonnegative")
     for name, vec in (("p", p), ("q", q)):
@@ -179,6 +185,46 @@ def js_between(d1: TrajDistribution, d2: TrajDistribution) -> float:
     p = np.array([d1.probs.get(k, 0.0) for k in keys])
     q = np.array([d2.probs.get(k, 0.0) for k in keys])
     return js_divergence(p, q)
+
+
+def stage_kl(mdp: TabularMdp, p_pi, q_pi) -> float:
+    """KL(P‖Q) in nats between the trajectory distributions of two policy
+    tables, each stationary (S, A) or stage-indexed (T, S, A), with no
+    enumeration.  The dynamics factors cancel, so it is
+
+        sum_t sum_s d_t(s) KL(p_t(.|s) ‖ q_t(.|s)),
+
+    d_t the stage marginals of P's running episodes.  It is infinite where Q
+    gives no mass to an action P takes; a sum that rounds below zero, as at
+    P = Q up to rounding, is reported as 0, as ``js_divergence`` does.
+    """
+    p, q = _stage_policy(p_pi, mdp.horizon), _stage_policy(q_pi, mdp.horizon)
+    if p.shape != (mdp.horizon, mdp.n_states, mdp.n_actions) or q.shape != p.shape:
+        raise ShapeError(f"policy tables {p.shape} and {q.shape} do not fit {mdp.n_states} states, "
+                         f"{mdp.n_actions} actions")
+    if not (np.isfinite(p).all() and np.isfinite(q).all()) or (p < 0.0).any() or (q < 0.0).any():
+        raise ValueError("policy tables must be finite and nonnegative")
+    flow = stage_marginals(mdp, p)[:, :, None] * p      # P's mass on each (t, s, a)
+    on = flow > 0.0
+    with np.errstate(divide="ignore"):
+        return max(0.0, float(np.sum(flow[on] * (np.log(p[on]) - np.log(q[on])))))
+
+
+def js_bound(mdp: TabularMdp, p_pi, q_pi) -> float:
+    """(KL(P‖Q) + KL(Q‖P)) / 4 by ``stage_kl``, an upper bound on JS(P, Q):
+    KL(P‖M) <= KL(P‖Q) / 2 for M = (P + Q) / 2, as KL is convex in its
+    second argument, and likewise for Q."""
+    return (stage_kl(mdp, p_pi, q_pi) + stage_kl(mdp, q_pi, p_pi)) / 4.0
+
+
+def mle_projection(mdp: TabularMdp, pi) -> np.ndarray:
+    """The stationary (S, A) table L that minimises ``stage_kl(mdp, pi, L)``,
+    the maximum-likelihood fit to ``pi``'s episodes: ``pi``'s undiscounted
+    state-action occupancy of running episodes, normalised per state, and
+    uniform on a state no running episode visits."""
+    flow = np.einsum("ts,tsa->sa", stage_marginals(mdp, pi), _stage_policy(pi, mdp.horizon))
+    mass = flow.sum(axis=1, keepdims=True)
+    return np.divide(flow, mass, out=np.full_like(flow, 1.0 / mdp.n_actions), where=mass > 0.0)
 
 
 def bce_from_enumeration(mdp: TabularMdp, learner_pi, generator_pi, expert_pi) -> float:

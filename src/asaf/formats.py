@@ -48,7 +48,7 @@ from .envs import EnvSpec, Trajectory, env_by_id
 from .errors import ConfigError, FormatError, ValidationError
 from .nn import Mlp, param_count
 from .policies import CategoricalPolicy, GaussianPolicy
-from .train import DemoSet, RunLog, TrainConfig
+from .train import DemoSet, RunLog, TrainConfig, check_algorithm_fits
 
 __all__ = [
     "DEFAULTS",
@@ -220,10 +220,12 @@ class RunSetup:
     lines: dict[str, int] = field(default_factory=dict, compare=False)
 
     def validated(self) -> tuple[EnvSpec, TrainConfig]:
-        """The environment and the checked config; a refusal about a key the
-        file gives names that key's line."""
+        """The environment and the checked config that fits it; a refusal
+        about a key the file gives names that key's line."""
         try:
-            return env_by_id(self.env_id), self.config.validated()
+            env, config = env_by_id(self.env_id), self.config.validated()
+            check_algorithm_fits(config.algorithm, env)
+            return env, config
         except ValidationError as exc:
             if exc.key not in self.lines:
                 raise

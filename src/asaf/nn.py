@@ -109,9 +109,9 @@ class GradTape:
 class Mlp:
     """Feedforward net over a flat float64 parameter vector.
 
-    ``params`` is read-only; assigning a new vector through the property
-    setter invalidates any tape produced earlier, which turns
-    use-after-update bugs into TapeError instead of silently wrong gradients.
+    ``params`` is read-only; the property setter stores a copy of a new
+    vector and makes every earlier tape stale, which turns use-after-update
+    bugs into TapeError instead of silently wrong gradients.
     The per-layer ``(W, b)`` views into the vector are rebuilt on every
     assignment, so forward and backward never re-slice it.
     """
@@ -158,12 +158,7 @@ class Mlp:
         value = np.asarray(value, dtype=np.float64)
         if value.shape != self._params.shape:
             raise ShapeError(f"parameter vector must keep shape {self._params.shape}, got {value.shape}")
-        self._adopt(value.copy())
-
-    def _adopt(self, params: np.ndarray) -> None:
-        """Take ``params``, a float64 vector of the right shape that no one
-        else holds, as the new parameters uncopied; earlier tapes go stale."""
-        self._set(params)
+        self._set(value.copy())
         self._version += 1
 
     @property
@@ -304,14 +299,17 @@ def grad_check(f, params: np.ndarray) -> float:
     """Compare an analytic gradient against central differences of step ``FD_STEP``.
 
     ``f(params) -> (value, grad)``.  Returns the worst relative error
-    max_i |g_i - fd_i| / max(1e-12, |g_i| + |fd_i|).
+    max_i |g_i - fd_i| / max(1e-12, |g_i| + |fd_i|), or NaN when the loss or
+    a gradient entry is not finite, so no threshold passes it.
     """
     params = np.asarray(params, dtype=np.float64)
-    _, grad = f(params)
+    value, grad = f(params)
     grad = np.asarray(grad, dtype=np.float64)
     if grad.shape != params.shape:
         raise ShapeError(f"analytic gradient shape {grad.shape} does not match params {params.shape}")
-    worst = 0.0
+    if not np.isfinite(value):
+        return float("nan")
+    errs = np.zeros(params.size)
     for i in range(params.size):
         bumped = params.copy()
         bumped[i] = params[i] + FD_STEP
@@ -319,9 +317,8 @@ def grad_check(f, params: np.ndarray) -> float:
         bumped[i] = params[i] - FD_STEP
         down, _ = f(bumped)
         fd = (up - down) / (2.0 * FD_STEP)
-        err = abs(grad[i] - fd) / max(1e-12, abs(grad[i]) + abs(fd))
-        worst = max(worst, err)
-    return worst
+        errs[i] = abs(grad[i] - fd) / max(1e-12, abs(grad[i]) + abs(fd))
+    return float(np.max(errs, initial=0.0))    # np.max keeps a NaN, Python's max may drop it
 
 
 # get/set thread-count symbol pairs, in the order OpenBLAS builds name them:

@@ -22,7 +22,6 @@ them bounded.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,11 +55,6 @@ class _Evaluation:
     scores: np.ndarray  # (R, A) raw net outputs
     logp: np.ndarray    # (R, A) log-probabilities, log softmax of the scores
     probs: np.ndarray   # (R, A) probabilities, exp(logp)
-
-    @functools.cached_property
-    def cdf(self) -> np.ndarray:
-        """(R, A) cumulative probabilities per row, built when ``act`` first reads them."""
-        return np.cumsum(self.probs, axis=1)
 
 
 def _evaluate(net: Mlp, rows: np.ndarray, split: int | None = None) -> _Evaluation:
@@ -184,7 +178,7 @@ class CategoricalPolicy:
     def act(self, obs, u: np.ndarray, t: int) -> np.ndarray:
         """Inverse-CDF draws (CDF entries <= u) for (B, obs_dim) rows and (B, 1) uniforms, at any step."""
         ev, rows = self._read(np.asarray(obs))
-        return (np.take(ev.cdf, rows, axis=0) <= u).sum(axis=-1)
+        return (np.take(ev.probs, rows, axis=0).cumsum(axis=-1) <= u).sum(axis=-1)
 
     def sample(self, obs, rng: np.random.Generator) -> int:
         """Inverse-CDF draw from the softmax distribution."""

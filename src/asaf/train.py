@@ -58,6 +58,7 @@ __all__ = [
     "RunLog",
     "RunRecord",
     "TrainConfig",
+    "check_algorithm_fits",
     "evaluate_policy",
     "train",
 ]
@@ -164,6 +165,12 @@ def evaluate_policy(policy, env_spec: EnvSpec, k: int = 20, seed: int = 0) -> tu
     return float(returns.mean()), float(returns.std())
 
 
+def check_algorithm_fits(algorithm: str, env_spec: EnvSpec) -> None:
+    """Refuse an algorithm that cannot act in the environment's action space."""
+    if algorithm == "asqf" and env_spec.action_kind != "discrete":
+        raise UnsupportedError("the scored discriminator requires discrete actions", key="algorithm")
+
+
 def _check_demos(demos: DemoSet, env_spec: EnvSpec) -> None:
     if len(demos) == 0:
         raise ValidationError("demo set is empty")
@@ -248,8 +255,7 @@ def train(cfg: TrainConfig, demos: DemoSet, env_spec: EnvSpec):
     returns or raises.
     """
     cfg = cfg.validated()
-    if cfg.algorithm == "asqf" and env_spec.action_kind != "discrete":
-        raise UnsupportedError("the scored discriminator requires discrete actions")
+    check_algorithm_fits(cfg.algorithm, env_spec)
     _check_demos(demos, env_spec)
 
     ss_init, ss_collect, ss_batch = np.random.SeedSequence(cfg.seed).spawn(3)
@@ -297,8 +303,7 @@ def train(cfg: TrainConfig, demos: DemoSet, env_spec: EnvSpec):
                     batch = gathered.span(lo, hi)
                     loss, grad = disc.bce_on_joined(learned, batch) if collects else disc.nll_on_packed(learned, batch)
                     grad = clip_by_global_norm(grad, cfg.clip)
-                    params, adam = adam_step(adam, learned.net.params, grad, cfg.lr_d)
-                    learned.net._adopt(params)
+                    learned.net.params, adam = adam_step(adam, learned.net.params, grad, cfg.lr_d)
                     if not losses:
                         log.first_batch_losses.append(loss)
                     losses.append(loss)

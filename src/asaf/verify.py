@@ -33,6 +33,8 @@ from .train import DemoSet, TrainConfig, evaluate_policy, train
 __all__ = [
     "CheckResult",
     "SUITES",
+    "asqf_chain_check",
+    "asqf_gridworld_check",
     "asqf_suite",
     "collect_expert_demos",
     "gradient_suite",
@@ -107,8 +109,8 @@ def _fd_check(name: str, learner, loss, rng) -> CheckResult:
         learner.net.params = theta
         return loss()
 
-    worst = max(grad_check(f, Mlp.init(learner.net.sizes, rng).params) for _ in range(10))
-    return CheckResult(name=name, value=worst, threshold=1e-4)
+    worst = np.max([grad_check(f, Mlp.init(learner.net.sizes, rng).params) for _ in range(10)])
+    return CheckResult(name=name, value=float(worst), threshold=1e-4)
 
 
 def _bce_check(name: str, learner, generator, obs, acts, rng) -> CheckResult:
@@ -229,11 +231,8 @@ def asqf_gridworld_config() -> TrainConfig:
 GRIDWORLD_DEMO_ALPHA = 0.25
 
 
-def asqf_suite() -> list[CheckResult]:
-    """Scored-discriminator checks: exact argmax recovery on the chain and
-    near-expert return on the maze."""
-    out = []
-
+def asqf_chain_check() -> CheckResult:
+    """The scored discriminator recovers the chain expert's argmax on every reachable state."""
     env = chain_spec()
     demos = collect_expert_demos(env, n=200, alpha=1.0, seed=123)
     policy, _ = train(asqf_chain_config(), demos, env)
@@ -242,8 +241,12 @@ def asqf_suite() -> list[CheckResult]:
     greedy = expert_q.greedy_table()
     reachable = stage_marginals(env.mdp, expert_q.policy_table()) > 0.0
     mismatches = np.count_nonzero(reachable & (np.argmax(table, axis=1) != greedy))
-    out.append(CheckResult(name="asqf_chain_argmax_mismatches", value=float(mismatches), threshold=0.0))
+    return CheckResult(name="asqf_chain_argmax_mismatches", value=float(mismatches), threshold=0.0)
 
+
+def asqf_gridworld_check() -> tuple[CheckResult, CategoricalPolicy]:
+    """The scored discriminator's return on the maze is near the expert's;
+    also returns the trained policy, for reports beside the check."""
     grid = gridworld_spec()
     demos = collect_expert_demos(grid, n=50, alpha=GRIDWORLD_DEMO_ALPHA, seed=7)
     policy, _ = train(asqf_gridworld_config(), demos, grid)
@@ -252,8 +255,13 @@ def asqf_suite() -> list[CheckResult]:
     expert_mean, _ = evaluate_policy(expert, grid, k=eval_k, seed=eval_seed)
     learner_mean, _ = evaluate_policy(policy, grid, k=eval_k, seed=eval_seed)
     rel_gap = abs(learner_mean - expert_mean) / abs(expert_mean)
-    out.append(CheckResult(name="asqf_gridworld_return_gap", value=rel_gap, threshold=0.10))
-    return out
+    return CheckResult(name="asqf_gridworld_return_gap", value=rel_gap, threshold=0.10), policy
+
+
+def asqf_suite() -> list[CheckResult]:
+    """Scored-discriminator checks: exact argmax recovery on the chain and
+    near-expert return on the maze."""
+    return [asqf_chain_check(), asqf_gridworld_check()[0]]
 
 
 SUITES = {

@@ -12,8 +12,11 @@ from asaf.exact import (
     exact_traj_distribution,
     expected_return,
     js_between,
+    js_bound,
     js_divergence,
+    mle_projection,
     occupancy,
+    stage_kl,
     stage_marginals,
     verify_lemma1,
 )
@@ -262,6 +265,81 @@ def test_dp_matches_enumeration_with_terminal_states(seed):
     assert expected_return(mdp, pi) == pytest.approx(total, abs=1e-12)
 
 
+# ---------------------------------------------------------------- stage-wise KL and the projection
+
+def random_case(seed, terminals, stationary):
+    """A random MDP, with terminal states (a start state among them, since
+    every state has start mass) or none, and two strictly positive policy
+    tables, stationary or stage-indexed."""
+    rng = np.random.default_rng(seed)
+    n_states, n_actions = int(rng.integers(2, 5)), int(rng.integers(2, 4))
+    mdp = random_mdp(rng, n_states=n_states, n_actions=n_actions, horizon=int(rng.integers(1, 5)))
+    if terminals:
+        mdp = with_terminal_states(mdp, sorted(rng.choice(n_states, size=int(rng.integers(1, n_states)),
+                                                          replace=False).tolist()))
+    shape = (n_states,) if stationary else (mdp.horizon, n_states)
+    return rng, mdp, *(rng.dirichlet(np.ones(n_actions), size=shape) for _ in range(2))
+
+
+@settings(max_examples=40)
+@given(st.integers(0, 2 ** 31 - 1), st.booleans(), st.booleans())
+def test_stage_kl_matches_enumeration_and_bounds_js(seed, terminals, stationary):
+    _, mdp, p_pi, q_pi = random_case(seed, terminals, stationary)
+    dist_p, dist_q = exact_traj_distribution(mdp, p_pi), exact_traj_distribution(mdp, q_pi)
+    for (a, b), (da, db) in [((p_pi, q_pi), (dist_p, dist_q)), ((q_pi, p_pi), (dist_q, dist_p))]:
+        enumerated = sum(w * np.log(w / db.probs[key]) for key, w in da.probs.items())
+        assert stage_kl(mdp, a, b) == pytest.approx(enumerated, rel=1e-9, abs=1e-14)
+    assert stage_kl(mdp, p_pi, p_pi) == 0.0
+    assert js_between(dist_p, dist_q) <= js_bound(mdp, p_pi, q_pi)
+
+
+@settings(max_examples=40)
+@given(st.integers(0, 2 ** 31 - 1), st.booleans(), st.booleans())
+def test_mle_projection_is_the_closest_stationary_table(seed, terminals, stationary):
+    rng, mdp, pi, _ = random_case(seed, terminals, stationary)
+    proj = mle_projection(mdp, pi)
+    np.testing.assert_allclose(proj.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    floor = stage_kl(mdp, pi, proj)
+    if stationary:
+        assert floor < 1e-12
+    for _ in range(5):
+        nearby = proj * np.exp(0.01 * rng.normal(size=proj.shape))
+        for table in (rng.dirichlet(np.ones(mdp.n_actions), size=mdp.n_states), nearby / nearby.sum(axis=1)[:, None]):
+            assert floor <= stage_kl(mdp, pi, table) + 1e-15
+
+
+def test_mle_projection_is_uniform_where_no_episode_runs():
+    # from state 0, one step never reaches state 1; a goal entered at step 1 holds no running episode
+    np.testing.assert_array_equal(mle_projection(toggle_mdp(horizon=1), [[0.2, 0.8], [0.9, 0.1]]),
+                                  [[0.2, 0.8], [0.5, 0.5]])
+    np.testing.assert_array_equal(mle_projection(goal_mdp(3, 1.0), [[0.2, 0.8], [0.9, 0.1]]),
+                                  [[0.2, 0.8], [0.5, 0.5]])
+
+
+def test_chain_floor_and_its_js_bound():
+    # the soft-VI chain expert is stage-indexed, so a stationary learner stays this far from it
+    mdp = chain_spec().mdp
+    expert = soft_value_iteration(mdp, 1.0).policy_table()
+    proj = mle_projection(mdp, expert)
+    floor = stage_kl(mdp, expert, proj)
+    js = js_between(exact_traj_distribution(mdp, expert), exact_traj_distribution(mdp, proj))
+    bound = js_bound(mdp, expert, proj)
+    assert (floor, js, bound) == pytest.approx((2.7843e-4, 6.9617e-5, 1.3924e-4), rel=1e-4)
+    assert js <= bound
+
+
+def test_stage_kl_refuses_tables_that_are_not_finite_or_do_not_fit():
+    mdp, good = toggle_mdp(horizon=2), np.full((2, 2), 0.5)
+    for bad in ([[np.nan, 0.5], [0.5, 0.5]], [[np.inf, 0.5], [0.5, 0.5]], [[-0.5, 1.5], [0.5, 0.5]]):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            stage_kl(mdp, bad, good)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            stage_kl(mdp, good, bad)
+    with pytest.raises(ShapeError):
+        stage_kl(mdp, good, np.full((3, 2), 0.5))
+    assert stage_kl(mdp, good, [[1.0, 0.0], [0.5, 0.5]]) == np.inf   # Q never takes an action P takes
+
+
 # ---------------------------------------------------------------- returns
 
 def test_expected_return_hand_values():
@@ -299,6 +377,12 @@ def test_js_rejects_bad_input():
         js_divergence([0.5, 0.5], [0.8, 0.1])
     with pytest.raises(ValueError):
         js_divergence([-0.5, 1.5], [0.5, 0.5])
+    # NaN passes the sign and sum checks and max(0.0, nan) is 0.0: it used to read as identical inputs
+    for bad in ([np.nan, np.nan], [np.inf, 0.0], [np.nan, 0.5, 0.5], [0.5, 0.5, np.nan]):
+        with pytest.raises(ValueError, match="finite"):
+            js_divergence(bad, np.full(len(bad), 1.0 / len(bad)))
+        with pytest.raises(ValueError, match="finite"):
+            js_divergence(np.full(len(bad), 1.0 / len(bad)), bad)
 
 
 @given(st.lists(st.floats(1e-3, 1.0), min_size=2, max_size=6),

@@ -781,10 +781,11 @@ def test_js_to_expert_tracks_the_temperature_that_made_the_demos(tmp_path):
     ({2: "algorithm = gail"}, "line 2: unknown algorithm 'gail'"),
     ({1: "env = cartpole"}, "line 1: unknown environment id 'cartpole'"),
     ({2: "algorithm = asaf_w"}, "asaf_w needs a window length w >= 1"),   # about a key the file omits
+    ({1: "env = pointmass", 2: "algorithm = asqf"}, "line 2: the scored discriminator requires discrete actions"),
 ])
 def test_cli_process_config_refusals_name_their_line(tmp_path, lines, message):
-    # the refusals of TrainConfig.validated and env_by_id name the config
-    # line of the key they are about, before the demo file is read
+    # the refusals of TrainConfig.validated, env_by_id and check_algorithm_fits
+    # name the config line of the key they are about, before the demo file is read
     text = {1: "env = chain", 2: "algorithm = asaf", 3: "demos_path = missing.jsonl", 4: "# a comment", **lines}
     cfg = tmp_path / "run.cfg"
     cfg.write_text("\n".join(text.get(i, "") for i in range(1, max(text) + 1)) + "\n", encoding="utf-8")

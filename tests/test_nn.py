@@ -2,11 +2,13 @@
 and the single-threaded BLAS scope."""
 
 import contextlib
+import itertools
 import os
 import subprocess
 import sys
 import threading
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from asaf import nn
+from asaf import nn, verify
 from asaf.errors import NumericalError, ShapeError, TapeError
 from asaf.nn import (
     AdamState,
@@ -359,10 +361,18 @@ def test_two_row_blocks_are_bitwise_two_passes(sizes, rows_e, rows_g, seed, boun
 
 def test_params_setter_copies_and_checks_shape():
     net = Mlp((2, 2))
+    _, tape = net.forward(np.ones(2))
     fresh = np.ones(net.n_params)
     net.params = fresh
     fresh[0] = 99.0
     assert net.params[0] == 1.0
+    # every assignment leaves older tapes stale, the Adam result train() assigns included
+    with pytest.raises(TapeError):
+        net.backward(tape, np.ones(2))
+    _, tape = net.forward(np.ones(2))
+    net.params, _ = adam_step(AdamState.for_params(net.params), net.params, net.backward(tape, np.ones(2)), 0.1)
+    with pytest.raises(TapeError):
+        net.backward(tape, np.ones(2))
     with pytest.raises(ShapeError):
         net.params = np.ones(net.n_params + 1)
 
@@ -509,6 +519,32 @@ def test_grad_check_flags_wrong_gradient():
         return float(np.sum(x * x)), 3.0 * x
 
     assert grad_check(f, np.array([1.0, -2.0, 0.5])) > 0.1
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_grad_check_fails_closed_on_non_finite_values(bad):
+    # max(worst, nan) keeps worst, so a NaN error used to read as a perfect 0.0
+    x = np.array([1.0, -2.0, 0.5])
+    cases = [lambda x: (float(np.sum(x * x)), np.full(x.size, bad)),             # every gradient entry
+             lambda x: (float(np.sum(x * x)), 2.0 * x + np.eye(x.size)[1] * bad),  # one entry among finite ones
+             lambda x: (float(np.sum(x * x)) + bad, 2.0 * x),                     # the loss
+             lambda x: (float(np.sum(x * x)) + (bad if x[2] > 0.5 else 0.0), 2.0 * x)]   # at one bumped point
+    with np.errstate(invalid="ignore"):
+        for f in cases:
+            err = grad_check(f, x)
+            assert np.isnan(err) and not verify.CheckResult("fd", err, 1e-4).passed
+
+
+def test_fd_check_keeps_a_nan_from_a_later_point():
+    # the gradient suite's check takes the worst of ten points; Python's max drops a NaN that is not first
+    net, calls = Mlp((1, 1)), itertools.count()
+
+    def loss():
+        p = net.params
+        return float(p @ p), 2.0 * p * (np.nan if next(calls) == 5 else 1.0)   # the second point's gradient
+
+    result = verify._fd_check("fd", SimpleNamespace(net=net), loss, np.random.default_rng(0))
+    assert np.isnan(result.value) and not result.passed
 
 
 def test_grad_check_rejects_shape_mismatch():

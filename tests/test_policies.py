@@ -39,9 +39,9 @@ OBS1 = np.zeros(1)
 
 
 def record_cdf(policy, obs):
-    """The action CDF of ``obs`` in the evaluation record that ``act`` reads."""
+    """The action CDF of ``obs`` from the evaluation record that ``act`` reads."""
     ev, rows = policy._read(np.asarray(obs))
-    return np.take(ev.cdf, rows, axis=0)
+    return np.cumsum(np.take(ev.probs, rows, axis=0), axis=-1)
 
 
 def gaussian_log_prob(policy, obs, action):
@@ -321,6 +321,24 @@ def test_mixed_batches_match_the_row_path_bitwise(seed, n_states, n_actions, n_r
     for x in obs[noisy]:
         np.testing.assert_array_equal(policy.log_probs(x), row_log_probs(net, x)[0])
         np.testing.assert_array_equal(record_cdf(policy, x), np.cumsum(np.exp(row_log_probs(net, x)[0])))
+
+
+@given(st.integers(0, 2 ** 31 - 1), st.integers(2, 6), st.integers(2, 4), st.integers(1, 12), st.booleans())
+def test_act_compares_u_with_the_cumsum_of_each_sampled_row(seed, n_states, n_actions, n_rows, noisy):
+    rng = np.random.default_rng(seed)
+    policy = CategoricalPolicy.init(n_states, n_actions, (8,), rng)
+    obs = np.eye(n_states)[rng.integers(0, n_states, size=n_rows)]
+    if noisy:
+        obs[rng.integers(n_rows)] += rng.normal(size=n_states)
+    u = rng.random((n_rows, 1))
+    for x, ux in [(obs, u), *zip(obs, u)]:     # 2-D rows, then each row 1-D
+        ev, rows = policy._read(x)
+        cdf = np.array([np.cumsum(ev.probs[r]) for r in np.atleast_1d(rows)])
+        # a u set to one of its row's own CDF entries makes `<=` decide on the last bit
+        ties = rng.random(len(cdf)) < 0.5
+        picked = cdf[np.arange(len(cdf)), rng.integers(0, n_actions, len(cdf))]
+        ux = np.where(ties, picked, ux.ravel()).reshape(ux.shape)
+        np.testing.assert_array_equal(np.atleast_1d(policy.act(x, ux, 0)), (cdf <= ux.reshape(-1, 1)).sum(axis=1))
 
 
 def test_discrete_actions_must_be_integral_and_one_dimensional():

@@ -452,13 +452,33 @@ def test_asqf_smoke_and_determinism(chain_demos):
     assert all(np.isfinite(v) and v > 0.0 for v in l1.first_batch_losses)
 
 
+@pytest.mark.parametrize("algorithm, loss", [("asaf_1", "bce_on_joined"), ("bc", "nll_on_packed")])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_non_finite_gradient_names_the_update_that_made_it(algorithm, loss, bad, monkeypatch):
+    # the losses check only their value; Adam's one gradient check raises, with the update's place
+    spec = PointMassSpec()
+    demos = collect_expert_demos(spec, n=2, alpha=1.0, seed=0)
+    calls, real = iter(range(1, 100)), getattr(disc, loss)
+
+    def poisoned(*args):
+        value, grad = real(*args)
+        if next(calls) == 3:    # 100 transitions per pool, 2 minibatches per epoch: epoch 2, minibatch 1
+            grad[7] = bad
+        return value, grad
+
+    monkeypatch.setattr(disc, loss, poisoned)
+    with pytest.raises(NumericalError, match=r"^outer step 1, epoch 2, minibatch 1: non-finite entries in gradient$"):
+        train(tiny_cfg(algorithm=algorithm, steps=1, n_g=2, batch=50), demos, spec)
+
+
 def test_asqf_requires_discrete_actions():
     demos = DemoSet(
         [Trajectory(obs=np.zeros((2, 1)), acts=np.zeros((2, 1)))],
         env_id="pointmass", action_kind="continuous", obs_dim=1, mean_return=0.0,
     )
-    with pytest.raises(UnsupportedError):
+    with pytest.raises(UnsupportedError, match="requires discrete actions") as info:
         train(tiny_cfg(algorithm="asqf", steps=1), demos, PointMassSpec())
+    assert info.value.key == "algorithm"
 
 
 # ---------------------------------------------------------------- bc loop
