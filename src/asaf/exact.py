@@ -35,6 +35,7 @@ __all__ = [
     "occupancy",
     "stage_kl",
     "stage_marginals",
+    "unroll",
     "verify_lemma1",
 ]
 
@@ -227,6 +228,27 @@ def mle_projection(mdp: TabularMdp, pi) -> np.ndarray:
     return np.divide(flow, mass, out=np.full_like(flow, 1.0 / mdp.n_actions), where=mass > 0.0)
 
 
+def unroll(mdp: TabularMdp) -> TabularMdp:
+    """The MDP on stage-state pairs: state t * S + s is state s of ``mdp`` at
+    stage t = 0..T, and an action moves (t, s) to (t + 1, s') as ``mdp`` moves
+    s to s'.  Stage T and every (t, g) of a terminal g are absorbing with zero
+    reward, and each (t, g) is terminal, so a stage-indexed table of ``mdp``
+    is a stationary one here, with the same trajectory distribution once each
+    state id is read modulo S."""
+    n, t_max = mdp.n_states, mdp.horizon
+    size = (t_max + 1) * n
+    p, r, start = np.zeros((size, mdp.n_actions, size)), np.zeros((size, mdp.n_actions)), np.zeros(size)
+    for t in range(t_max):
+        p[t * n:(t + 1) * n, :, (t + 1) * n:(t + 2) * n] = mdp.transitions
+        r[t * n:(t + 1) * n] = mdp.rewards
+    terminal = [t * n + g for t in range(t_max + 1) for g in mdp.terminal]
+    absorbing = terminal + list(range(t_max * n, size))
+    p[absorbing], r[absorbing] = 0.0, 0.0
+    p[absorbing, :, absorbing] = 1.0
+    start[:n] = mdp.start
+    return TabularMdp(transitions=p, start=start, rewards=r, horizon=t_max, gamma=mdp.gamma, terminal=tuple(terminal))
+
+
 def bce_from_enumeration(mdp: TabularMdp, learner_pi, generator_pi, expert_pi) -> float:
     """Exact expected two-sided cross entropy of the structured discriminator.
 
@@ -238,18 +260,13 @@ def bce_from_enumeration(mdp: TabularMdp, learner_pi, generator_pi, expert_pi) -
     d_g = exact_traj_distribution(mdp, generator_pi)
     d_l = exact_traj_distribution(mdp, learner_pi)
     loss = 0.0
-    for key, p in d_e.probs.items():
-        if p == 0.0:
-            continue
-        a = np.log(d_l.policy_factors[key])
-        g = np.log(d_g.policy_factors[key])
-        loss -= p * (a - np.logaddexp(a, g))
-    for key, p in d_g.probs.items():
-        if p == 0.0:
-            continue
-        a = np.log(d_l.policy_factors[key])
-        g = np.log(d_g.policy_factors[key])
-        loss -= p * (g - np.logaddexp(a, g))
+    for side, scored in ((d_e, d_l), (d_g, d_g)):   # log D on expert keys, then log(1 - D) on generator keys
+        for key, p in side.probs.items():
+            if p == 0.0:
+                continue
+            a = np.log(d_l.policy_factors[key])
+            g = np.log(d_g.policy_factors[key])
+            loss -= p * (np.log(scored.policy_factors[key]) - np.logaddexp(a, g))
     return float(loss)
 
 

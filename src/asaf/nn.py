@@ -285,14 +285,13 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray, lr: float
 
 
 def clip_by_global_norm(grads: np.ndarray, threshold: float) -> np.ndarray:
-    """Scale the whole gradient down so its 2-norm is at most threshold."""
+    """Scale the whole gradient down so its 2-norm is at most threshold: a
+    new array when it is scaled, else the input itself (float64), uncopied."""
     if threshold <= 0.0:
         raise ValueError("clip threshold must be positive")
     grads = np.asarray(grads, dtype=np.float64)
     norm = float(np.linalg.norm(grads))
-    if norm > threshold:
-        return grads * (threshold / norm)
-    return grads.copy()
+    return grads * (threshold / norm) if norm > threshold else grads
 
 
 def grad_check(f, params: np.ndarray) -> float:

@@ -171,19 +171,7 @@ def theorem1_config() -> TrainConfig:
     # Paper-style settings except fewer passes per collection: at this scale
     # Adam's scale-free steps just wander once the discriminator sits at its
     # fixed point, so extra passes add noise rather than fit.
-    return TrainConfig(
-        algorithm="asaf",
-        lr_d=0.001,
-        batch=10,
-        n_g=10,
-        epochs=10,
-        clip=1.0,
-        steps=200,
-        eval_k=20,
-        eval_interval=25,
-        seed=0,
-        hidden=(64, 64),
-    )
+    return TrainConfig(epochs=10, steps=200, eval_interval=25)
 
 
 def theorem1_suite() -> list[CheckResult]:
@@ -197,35 +185,11 @@ def theorem1_suite() -> list[CheckResult]:
 
 
 def asqf_chain_config() -> TrainConfig:
-    return TrainConfig(
-        algorithm="asqf",
-        lr_d=0.001,
-        batch=100,
-        n_g=10,
-        epochs=10,
-        clip=1.0,
-        steps=200,
-        eval_k=20,
-        eval_interval=50,
-        seed=0,
-        hidden=(64, 64),
-    )
+    return TrainConfig(algorithm="asqf", batch=100, epochs=10, steps=200, eval_interval=50)
 
 
 def asqf_gridworld_config() -> TrainConfig:
-    return TrainConfig(
-        algorithm="asqf",
-        lr_d=0.001,
-        batch=128,
-        n_g=10,
-        epochs=10,
-        clip=1.0,
-        steps=300,
-        eval_k=20,
-        eval_interval=100,
-        seed=0,
-        hidden=(64, 64),
-    )
+    return TrainConfig(algorithm="asqf", batch=128, epochs=10, steps=300, eval_interval=100)
 
 
 GRIDWORLD_DEMO_ALPHA = 0.25

@@ -13,16 +13,18 @@ import numpy as np
 
 from asaf import discriminator as disc
 from asaf.envs import (
+    EXPERT_ALPHA,
     PointMassSpec,
     ScriptedPointMassPolicy,
     TabularMdp,
+    TabularSpec,
     Trajectory,
     chain_spec,
     gridworld_spec,
     rollout,
     soft_value_iteration,
 )
-from asaf.exact import exact_traj_distribution, js_bound, mle_projection, occupancy, stage_kl
+from asaf.exact import exact_traj_distribution, js_bound, mle_projection, occupancy, stage_kl, unroll
 from asaf.formats import (
     load_checkpoint,
     read_demos,
@@ -32,7 +34,7 @@ from asaf.formats import (
 )
 from asaf.nn import Mlp
 from asaf.policies import CategoricalPolicy, GaussianPolicy, tabular_policy_extract
-from asaf.train import DemoSet, TrainConfig, evaluate_policy, train
+from asaf.train import TrainConfig, evaluate_policy, train
 from asaf.verify import (
     GRIDWORLD_DEMO_ALPHA,
     asqf_chain_check,
@@ -40,6 +42,7 @@ from asaf.verify import (
     collect_expert_demos,
     gradient_suite,
     lemma1_suite,
+    theorem1_config,
     theorem1_suite,
 )
 from test_discriminator import scored_packs
@@ -75,6 +78,15 @@ def test_c2_chain_trajectory_matching_reaches_low_js():
     report("criterion 2 (chain trajectory matching)",
            f"final JS {result.value:.3g} <= 0.01 within 200 outer steps in {elapsed:.2f}s",
            ok)
+    # the theorem's premise met: on the unrolled chain the stage-indexed expert is a stationary policy
+    chain = chain_spec()
+    unrolled, floors = TabularSpec(mdp=unroll(chain.mdp)), []
+    for mdp in (chain.mdp, unrolled.mdp):
+        expert = soft_value_iteration(mdp, 1.0).policy_table()
+        floors.append(stage_kl(mdp, expert, mle_projection(mdp, expert)))
+    _, log = train(theorem1_config(), collect_expert_demos(unrolled, n=200, alpha=1.0, seed=0), unrolled)
+    print(f"      reported, not judged: floor KL(P_E||P_proj) chain {floors[0]:.3g}, unrolled chain {floors[1]:.3g}; "
+          f"final JS chain {result.value:.3g}, unrolled chain {log.rows[-1].js_to_expert:.3g}", flush=True)
     assert ok, result.line()
 
 
@@ -213,22 +225,12 @@ def test_c6_scored_discriminator_recovers_chain_and_gridworld():
 def test_c7_transition_wise_matching_on_pointmass():
     t0 = time.monotonic()
     env = PointMassSpec()
-    expert = ScriptedPointMassPolicy()
-    trajs, rets = [], []
-    for i in range(25):
-        traj, ret = rollout(env, expert, seed=(5, i))
-        trajs.append(traj)
-        rets.append(ret)
-    demos = DemoSet(trajectories=trajs, env_id="pointmass", action_kind="continuous",
-                    obs_dim=1, mean_return=float(np.mean(rets)))
-
-    cfg = TrainConfig(algorithm="asaf_1", lr_d=0.001, batch=100, n_g=10, epochs=10,
-                      clip=1.0, steps=300, eval_k=20, eval_interval=50, seed=0,
-                      hidden=(64, 64))
+    demos = collect_expert_demos(env, n=25, alpha=EXPERT_ALPHA, seed=5)
+    cfg = TrainConfig(algorithm="asaf_1", batch=100, epochs=10, steps=300, eval_interval=50)
     policy, _ = train(cfg, demos, env)
     elapsed = time.monotonic() - t0
 
-    expert_mean, _ = evaluate_policy(expert, env, k=50, seed=99)
+    expert_mean, _ = evaluate_policy(ScriptedPointMassPolicy(), env, k=50, seed=99)
     learner_mean, _ = evaluate_policy(policy, env, k=50, seed=99)
     rel_gap = abs(learner_mean - expert_mean) / abs(expert_mean)
     ok = rel_gap <= 0.10 and elapsed < 300.0

@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from asaf.envs import TabularMdp, chain_spec, soft_value_iteration
+from asaf.envs import EXPERT_ALPHA, TabularMdp, chain_spec, gridworld_spec, soft_value_iteration
 from asaf.errors import CapacityError, ShapeError
 from asaf.exact import (
     bce_from_enumeration,
@@ -18,6 +18,7 @@ from asaf.exact import (
     occupancy,
     stage_kl,
     stage_marginals,
+    unroll,
     verify_lemma1,
 )
 
@@ -340,6 +341,61 @@ def test_stage_kl_refuses_tables_that_are_not_finite_or_do_not_fit():
     assert stage_kl(mdp, good, [[1.0, 0.0], [0.5, 0.5]]) == np.inf   # Q never takes an action P takes
 
 
+# ---------------------------------------------------------------- the unrolled MDP
+
+def unrolled_table(pi):
+    """A stage-indexed (T, S, A) table as a stationary table of the unrolled
+    MDP: stage t's rows, then uniform rows for stage T, where no action is taken."""
+    t_max, n_states, n_actions = pi.shape
+    return np.concatenate([pi.reshape(t_max * n_states, n_actions), np.full((n_states, n_actions), 1.0 / n_actions)])
+
+
+def folded(dist, n_states):
+    """An enumerated distribution of the unrolled MDP keyed by the original
+    MDP's states: each state id of a key read modulo S."""
+    return {tuple(x if i % 2 else x % n_states for i, x in enumerate(key)): p for key, p in dist.probs.items()}
+
+
+def test_unrolled_mdp_is_stage_by_state():
+    mdp = with_terminal_states(random_mdp(np.random.default_rng(0), n_states=3, horizon=2), [1])
+    u = unroll(mdp)
+    assert (u.n_states, u.n_actions, u.horizon, u.gamma) == (9, 2, 2, 0.9)
+    assert u.terminal == (1, 4, 7)
+    np.testing.assert_array_equal(u.start, np.concatenate([mdp.start, np.zeros(6)]))
+    np.testing.assert_array_equal(u.transitions[[3, 5], :, 6:], mdp.transitions[[0, 2]])   # stage 1 to stage 2
+    np.testing.assert_array_equal(u.rewards[[3, 5]], mdp.rewards[[0, 2]])
+    for absorbing in (1, 4, 6, 7, 8):
+        np.testing.assert_array_equal(u.transitions[absorbing, :, absorbing], 1.0)
+        np.testing.assert_array_equal(u.rewards[absorbing], 0.0)
+
+
+def test_unrolled_chain_expert_has_the_chain_trajectory_distribution():
+    mdp = chain_spec().mdp
+    expert = soft_value_iteration(mdp, EXPERT_ALPHA).policy_table()
+    unrolled = exact_traj_distribution(unroll(mdp), unrolled_table(expert))
+    assert folded(unrolled, mdp.n_states) == exact_traj_distribution(mdp, expert).probs
+
+
+@settings(max_examples=40)
+@given(st.integers(0, 2 ** 31 - 1))
+def test_unrolled_stage_table_has_the_trajectory_distribution_with_terminal_states(seed):
+    _, mdp, pi, _ = random_case(seed, terminals=True, stationary=False)
+    unrolled = exact_traj_distribution(unroll(mdp), unrolled_table(pi))
+    assert folded(unrolled, mdp.n_states) == exact_traj_distribution(mdp, pi).probs
+
+
+@pytest.mark.parametrize("spec, floor", [(chain_spec, 2.7843e-4), (gridworld_spec, 5.919e-9)])
+def test_unrolled_projection_is_the_stage_expert_and_its_floor_is_zero(spec, floor):
+    mdp = spec().mdp
+    expert = soft_value_iteration(mdp, EXPERT_ALPHA).policy_table()
+    u, table = unroll(mdp), unrolled_table(expert)
+    proj = mle_projection(u, table)
+    visited = stage_marginals(u, table).sum(axis=0) > 0.0
+    np.testing.assert_allclose(proj[visited], table[visited], rtol=0, atol=1e-15)
+    assert stage_kl(u, table, proj) == 0.0
+    assert stage_kl(mdp, expert, mle_projection(mdp, expert)) == pytest.approx(floor, rel=1e-3)
+
+
 # ---------------------------------------------------------------- returns
 
 def test_expected_return_hand_values():
@@ -452,3 +508,47 @@ def test_bce_enumeration_expert_is_the_minimizer():
     for _ in range(5):
         other = random_policy(rng, 2, 2)
         assert at_expert <= bce_from_enumeration(mdp, other, gen, expert) + 1e-12
+
+
+def off_support_case(seed, terminal):
+    """A random MDP whose last state s_off holds no start mass and is entered
+    only through the last action, with probability at least 0.2; an expert
+    that never takes that action, so it never visits s_off; a generator that
+    takes every action with probability above 0.09, so it visits s_off from
+    step 1 on; and a learner equal to the generator except at s_off, every
+    entry above 0.09.  With ``terminal``, state 0 is terminal and holds no
+    start mass either."""
+    rng = np.random.default_rng(seed)
+    n_states, n_actions = int(rng.integers(3, 5)), int(rng.integers(2, 4))
+    off, sneak = n_states - 1, n_actions - 1
+    p = rng.dirichlet(np.ones(n_states), size=(n_states, n_actions))
+    p[:, :sneak, off] = 0.0
+    p[:, sneak] *= 0.8
+    p[:, sneak, off] += 0.2
+    start = np.zeros(n_states)
+    start[int(terminal):off] = rng.dirichlet(np.ones(off - int(terminal)))
+    mdp = TabularMdp(transitions=p / p.sum(axis=2, keepdims=True), start=start,
+                     rewards=rng.normal(size=(n_states, n_actions)), horizon=int(rng.integers(2, 5)))
+    if terminal:
+        mdp = with_terminal_states(mdp, [0])
+    expert = np.zeros((n_states, n_actions))
+    expert[:, :sneak] = rng.dirichlet(np.ones(sneak), size=n_states)
+    weights = rng.uniform(1.0, 5.0, size=(n_states + 1, n_actions))
+    generator = weights[:n_states] / weights[:n_states].sum(axis=1, keepdims=True)
+    learner = generator.copy()
+    learner[off] = weights[n_states] / weights[n_states].sum()
+    return mdp, off, expert, generator, learner
+
+
+@settings(max_examples=100)
+@given(st.integers(0, 2 ** 31 - 1), st.booleans())
+def test_the_generator_maximises_the_loss_off_the_expert_support(seed, terminal):
+    # At a state the expert never visits only the generator term is left,
+    # E_G[log(2 q_G / (q_G + q))] <= log 2 by Jensen, with equality at q = q_G:
+    # there the generator is the loss's maximum, not its minimum.
+    mdp, off, expert, generator, learner = off_support_case(seed, terminal)
+    assume(np.abs(learner[off] - generator[off]).sum() >= 0.1)
+    assert not stage_marginals(mdp, expert)[:, off].any()
+    assert stage_marginals(mdp, generator)[1:, off].sum() > 0.0
+    assert bce_from_enumeration(mdp, generator, generator, expert) == pytest.approx(LOG4, rel=0, abs=1e-12)
+    assert bce_from_enumeration(mdp, learner, generator, expert) < LOG4 - 1e-12

@@ -491,12 +491,20 @@ def test_adam_rejects_bad_input():
 def test_clip_by_global_norm():
     np.testing.assert_allclose(clip_by_global_norm(np.array([3.0, 4.0]), 1.0), [0.6, 0.8], atol=1e-15)
     g = np.array([3.0, 4.0])
-    out = clip_by_global_norm(g, 10.0)
-    np.testing.assert_array_equal(out, g)
-    out[0] = 0.0
-    assert g[0] == 3.0  # result is always a fresh array
+    assert clip_by_global_norm(g, 10.0) is g   # within the threshold the input itself, uncopied
+    assert clip_by_global_norm(g, 5.0) is g
     with pytest.raises(ValueError):
         clip_by_global_norm(g, 0.0)
+
+
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 50), st.floats(-150.0, 150.0), st.floats(1e-3, 0.999))
+def test_a_clipped_gradient_is_a_new_array_scaled_by_threshold_over_norm(seed, size, exponent, share):
+    g = np.random.default_rng(seed).normal(size=size) * 10.0 ** exponent
+    before, t = g.copy(), share * float(np.linalg.norm(g))
+    out = clip_by_global_norm(g, t)
+    assert out is not g
+    np.testing.assert_array_equal(out, g * (t / np.linalg.norm(g)))
+    np.testing.assert_array_equal(g, before)
 
 
 @given(hnp.arrays(np.float64, st.integers(1, 6), elements=st.floats(-1e3, 1e3, allow_nan=False)),
