@@ -11,6 +11,8 @@ trajectory distributions, occupancies, and divergences can be enumerated
 and compared against training outcomes at tight tolerances.
 """
 
+import types
+
 from .envs import (
     EnvSpec,
     PointMassSpec,
@@ -57,46 +59,6 @@ from .verify import collect_expert_demos
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdamState",
-    "AsqfModel",
-    "CategoricalPolicy",
-    "DemoSet",
-    "EnvSpec",
-    "GaussianPolicy",
-    "Mlp",
-    "OccupancyTable",
-    "PointMassSpec",
-    "RunLog",
-    "RunRecord",
-    "ScriptedPointMassPolicy",
-    "SoftExpertPolicy",
-    "SoftQTable",
-    "TabularMdp",
-    "TabularSpec",
-    "TrainConfig",
-    "TrajDistribution",
-    "Trajectory",
-    "Window",
-    "adam_step",
-    "asqf_bce_loss",
-    "chain_spec",
-    "collect_expert_demos",
-    "env_by_id",
-    "evaluate_policy",
-    "exact_traj_distribution",
-    "expected_return",
-    "grad_check",
-    "gridworld_spec",
-    "js_between",
-    "js_divergence",
-    "make_policy",
-    "occupancy",
-    "rollout",
-    "soft_value_iteration",
-    "structured_log_d",
-    "tabular_policy_extract",
-    "train",
-    "verify_lemma1",
-    "window_split",
-]
+# every name imported above, and none of the submodules those imports bind
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, types.ModuleType))

@@ -3,7 +3,9 @@
 Subcommands:
 
 * ``gen-expert``: roll out the exact expert of an environment into a demo file,
-* ``train``: run a config file end to end, writing curves.csv and policy.ckpt,
+* ``train``: run a config file end to end, writing curves.csv and policy.ckpt
+  to ``out_dir``, which it creates before it reads the demos (and removes
+  again if reading them or training fails),
 * ``eval``: evaluate a checkpoint, printing ``mean=<v> std=<v> K=<k>``,
 * ``verify``: run a named verification suite, one pass/fail line per check.
 
@@ -69,9 +71,17 @@ def cmd_train(args) -> int:
         raise FormatError(f"cannot read config {args.config}: {exc.strerror}") from exc
     setup = parse_run_config(text, source=args.config)
     env_spec, config = setup.validated()
-    demos = read_demos(setup.demos_path)
-    policy, log = train(config, demos, env_spec)
-    os.makedirs(setup.out_dir, exist_ok=True)
+    out_dir = os.path.normpath(setup.out_dir)              # no "x/.." for makedirs to make x of
+    path, made = os.path.abspath(out_dir), []             # what makedirs makes, deepest first
+    while not os.path.lexists(path):
+        path, made = os.path.dirname(path), made + [path]
+    try:
+        setup.at_line("out_dir", os.makedirs, out_dir, exist_ok=True)
+        policy, log = train(config, setup.at_line("demos_path", read_demos, setup.demos_path), env_spec)
+    except BaseException:
+        for path in filter(os.path.isdir, made):         # a failed run leaves no directory behind
+            os.rmdir(path)
+        raise
     curves = os.path.join(setup.out_dir, "curves.csv")
     ckpt = os.path.join(setup.out_dir, "policy.ckpt")
     write_runlog_csv(curves, log)

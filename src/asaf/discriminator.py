@@ -98,15 +98,14 @@ class PackedWindows:
 
     Whole trajectories, fixed-size windows and single transitions (windows
     of length 1), as ``windows_from`` cuts them, all use this one layout.
-    ``starts`` marks each window's first row in the packed arrays; summing a
-    per-step vector with reduceat over ``starts`` gives per-window totals.
-    Both read windows that lie back to back, as ``take`` packs them; then a
-    pack with as many windows as rows has one-step windows, and both return
-    their input, bitwise what reduceat and repeat give.
-    ``gen_logp`` caches the frozen generator's per-window log-likelihood; it
-    is filled in by the caller whenever the generator changes.  ``states``,
-    from ``CategoricalPolicy.index``, lets the losses read a state table by
-    index; such a pack may hold no ``obs`` (None), as ``train``'s pools do.
+    ``starts`` marks each window's first row in the packed arrays;
+    ``segment_sum`` (reduceat over ``starts``) and ``per_step`` (repeat by
+    ``lengths``) read windows that lie back to back, as ``take`` packs them,
+    and return their input on one-step windows, bitwise the same.
+    ``gen_logp`` caches the frozen generator's per-window log-likelihood,
+    refreshed whenever the generator changes.  ``states``, from
+    ``CategoricalPolicy.index``, lets the losses read a state table by index;
+    such a pack may hold no ``obs`` (None), as ``train``'s pools do.
     """
 
     obs: np.ndarray | None
@@ -115,6 +114,8 @@ class PackedWindows:
     lengths: np.ndarray
     gen_logp: np.ndarray | None = None
     states: np.ndarray | None = None
+    _ROWS = ("obs", "acts", "states")      # the per-step fields, selected by row
+    _WINDOWS = ("lengths", "gen_logp")     # the per-window fields besides ``starts``
 
     def __len__(self) -> int:
         return len(self.starts)
@@ -143,15 +144,7 @@ class PackedWindows:
         idx = np.asarray(idx)
         lengths = self.lengths[idx]
         starts = np.cumsum(lengths) - lengths
-        rows = np.arange(lengths.sum()) + np.repeat(self.starts[idx] - starts, lengths)
-        return PackedWindows(
-            obs=None if self.obs is None else self.obs[rows],
-            acts=self.acts[rows],
-            starts=starts,
-            lengths=lengths,
-            gen_logp=None if self.gen_logp is None else self.gen_logp[idx],
-            states=None if self.states is None else self.states[rows],
-        )
+        return self._select(np.arange(lengths.sum()) + np.repeat(self.starts[idx] - starts, lengths), idx, starts)
 
     def span(self, lo: int, hi: int) -> "PackedWindows":
         """Windows ``lo:hi`` of a pack whose windows lie back to back, bitwise
@@ -161,10 +154,16 @@ class PackedWindows:
         if lo == 0 and hi == len(self.starts):
             return self
         a, b = self.starts[lo], self.starts[hi - 1] + self.lengths[hi - 1]
-        return PackedWindows(None if self.obs is None else self.obs[a:b], self.acts[a:b], self.starts[lo:hi] - a,
-                             self.lengths[lo:hi],
-                             gen_logp=None if self.gen_logp is None else self.gen_logp[lo:hi],
-                             states=None if self.states is None else self.states[a:b])
+        return self._select(slice(a, b), slice(lo, hi), self.starts[lo:hi] - a)
+
+    def _select(self, rows, windows, starts: np.ndarray) -> "PackedWindows":
+        """Each per-step field at ``rows`` and each per-window one at ``windows``,
+        with first rows ``starts``; a field the pack lacks (None) stays None."""
+        fields, picked = vars(self), {"starts": starts}
+        for names, at in ((self._ROWS, rows), (self._WINDOWS, windows)):
+            for name in names:
+                picked[name] = None if (v := fields[name]) is None else v[at]
+        return PackedWindows(**picked)
 
 
 def pack_windows(windows: list[Window]) -> PackedWindows:
@@ -198,9 +197,9 @@ def joined(packed_e: PackedWindows, packed_g: PackedWindows) -> PackedWindows:
     """The windows of ``packed_e`` then those of ``packed_g``, concatenated;
     a field that either pack lacks (None) is None."""
     e, g = packed_e, packed_g
-    pairs = [(e.obs, g.obs), (e.acts, g.acts), (e.starts, g.starts + len(e.acts)), (e.lengths, g.lengths),
-             (e.gen_logp, g.gen_logp), (e.states, g.states)]
-    return PackedWindows(*(None if a is None or b is None else np.concatenate([a, b]) for a, b in pairs))
+    return PackedWindows(starts=np.concatenate([e.starts, g.starts + len(e.acts)]), **{
+        name: None if (a := getattr(e, name)) is None or (b := getattr(g, name)) is None else np.concatenate([a, b])
+        for name in e._ROWS + e._WINDOWS})
 
 
 def bce_on_packed(learner, packed_e: PackedWindows, packed_g: PackedWindows) -> tuple[float, np.ndarray]:

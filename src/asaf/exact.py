@@ -253,20 +253,27 @@ def bce_from_enumeration(mdp: TabularMdp, learner_pi, generator_pi, expert_pi) -
     """Exact expected two-sided cross entropy of the structured discriminator.
 
     Expert trajectories are scored with log D, generator trajectories with
-    log(1 - D), where D is built from the learner/generator policy factors.
-    All three expectations come from full enumeration; nothing is sampled.
+    log(1 - D), where D is built from the learner/generator policy factors,
+    read from their tables along each key.  Both expectations come from full
+    enumeration; nothing is sampled.  A learner zero on an expert key makes
+    the loss +inf, whatever the generator gives that key; a generator zero
+    on an expert key, or a learner zero on a generator key, is a 0 term.
     """
-    d_e = exact_traj_distribution(mdp, expert_pi)
-    d_g = exact_traj_distribution(mdp, generator_pi)
-    d_l = exact_traj_distribution(mdp, learner_pi)
+    tables = _stage_policy(learner_pi, mdp.horizon), _stage_policy(generator_pi, mdp.horizon)
     loss = 0.0
-    for side, scored in ((d_e, d_l), (d_g, d_g)):   # log D on expert keys, then log(1 - D) on generator keys
-        for key, p in side.probs.items():
+    for side, pi in enumerate((expert_pi, generator_pi)):   # log D on expert keys, then log(1 - D) on generator keys
+        for key, p in exact_traj_distribution(mdp, pi).probs.items():
             if p == 0.0:
                 continue
-            a = np.log(d_l.policy_factors[key])
-            g = np.log(d_g.policy_factors[key])
-            loss -= p * (np.log(scored.policy_factors[key]) - np.logaddexp(a, g))
+            q = [1.0, 1.0]          # learner's and generator's prod pi(a_t | s_t), in the enumeration's order
+            for t, (state, action) in enumerate(zip(key[:-1:2], key[1::2])):
+                q = [f * table[t, state, action] for f, table in zip(q, tables)]
+            if q[side] == 0.0:      # a learner zero on an expert key: log D = -inf
+                return float("inf")
+            if q[1 - side] == 0.0:  # the other side's zero: log D or log(1 - D) is 0
+                continue
+            a, g = np.log(q[0]), np.log(q[1])
+            loss -= p * ((a, g)[side] - np.logaddexp(a, g))
     return float(loss)
 
 

@@ -30,7 +30,8 @@ Checkpoint (binary, little-endian):
     u32         policy kind: 0 categorical, 1 gaussian
     u32         number of layer sizes, then that many u32 layer sizes
     f64 * n     flat parameters, n implied by the layer sizes
-The loader refuses a layer size of 0, and an odd output width for gaussian.
+The loader refuses a layer size of 0, and an odd output width for gaussian;
+both sides refuse a non-finite parameter, naming its index.
 
 Curves CSV: header ``step,env_steps,mean_return,std_return,bce_loss,
 js_to_expert``; the last column is empty when no exact tracking exists.
@@ -202,10 +203,22 @@ DEFAULTS = {
     "out_dir": "run",
 }
 
-_INT_KEYS = {"batch", "n_g", "epochs", "w", "stride", "steps", "eval_k", "eval_interval", "seed"}
-_REAL_KEYS = {"lr_d", "clip"}
-_STR_KEYS = {"env", "algorithm", "clip_mode", "demos_path", "out_dir"}
-_ALL_KEYS = _INT_KEYS | _REAL_KEYS | _STR_KEYS | {"hidden"}
+
+def _layer_sizes(text: str) -> tuple[int, ...]:
+    sizes = tuple(int(part) for part in text.split(","))
+    if min(sizes) < 1:
+        raise ValueError(text)
+    return sizes
+
+
+# Each key's parser, and what its refusal says a value needs (str refuses none).
+_KEYS = {
+    **dict.fromkeys(("env", "algorithm", "clip_mode", "demos_path", "out_dir"), (str, "")),
+    **dict.fromkeys(("batch", "n_g", "epochs", "w", "stride", "steps", "eval_k", "eval_interval", "seed"),
+                    (int, "an integer")),
+    **dict.fromkeys(("lr_d", "clip"), (float, "a real")),
+    "hidden": (_layer_sizes, "comma-separated integers >= 1"),
+}
 
 
 @dataclass
@@ -231,6 +244,16 @@ class RunSetup:
                 raise
             raise type(exc)(f"line {self.lines[exc.key]}: {exc}", key=exc.key) from None
 
+    def at_line(self, key: str, call, *args, **kwargs):
+        """``call(*args, **kwargs)`` on the path of ``key``; an OSError it raises
+        becomes a FormatError naming that key's line when the file gives it."""
+        try:
+            return call(*args, **kwargs)
+        except OSError as exc:
+            if key not in self.lines:
+                raise
+            raise FormatError(f"line {self.lines[key]}: {exc}") from exc
+
 
 def parse_run_config(text: str, source: str = "<config>") -> RunSetup:
     values, lines = {}, {}
@@ -241,32 +264,16 @@ def parse_run_config(text: str, source: str = "<config>") -> RunSetup:
         if "=" not in line:
             raise ConfigError(f"{source}: expected 'key = value', got {raw!r}", line=lineno)
         key, _, val = (part.strip() for part in line.partition("="))
-        if key not in _ALL_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"{source}: unknown key {key!r}", line=lineno)
         if key in values:
             raise ConfigError(f"{source}: duplicate key {key!r}", line=lineno)
         lines[key] = lineno
-        if key in _INT_KEYS:
-            try:
-                values[key] = int(val)
-            except ValueError:
-                raise ConfigError(f"{source}: key {key!r} needs an integer, got {val!r}", line=lineno) from None
-        elif key in _REAL_KEYS:
-            try:
-                values[key] = float(val)
-            except ValueError:
-                raise ConfigError(f"{source}: key {key!r} needs a real, got {val!r}", line=lineno) from None
-        elif key == "hidden":
-            try:
-                sizes = tuple(int(part) for part in val.split(","))
-            except ValueError:
-                sizes = ()
-            if not sizes or min(sizes) < 1:
-                raise ConfigError(f"{source}: key {key!r} needs comma-separated integers >= 1, got {val!r}",
-                                  line=lineno)
-            values[key] = sizes
-        else:
-            values[key] = val
+        parse, needs = _KEYS[key]
+        try:
+            values[key] = parse(val)
+        except ValueError:
+            raise ConfigError(f"{source}: key {key!r} needs {needs}, got {val!r}", line=lineno) from None
     for key in ("env", "algorithm", "demos_path"):
         if key not in values:
             raise ConfigError(f"{source}: required key {key!r} is missing")
@@ -281,16 +288,23 @@ def parse_run_config(text: str, source: str = "<config>") -> RunSetup:
 _KINDS = (CategoricalPolicy, GaussianPolicy)    # a policy kind's code is its index
 
 
+def _finite_params(path, params: np.ndarray) -> np.ndarray:
+    """``params``, refused at the first non-finite entry, which no trained net has."""
+    if (bad := np.flatnonzero(~np.isfinite(params))).size:
+        raise FormatError(f"{path}: parameter {bad[0]} is {params[bad[0]]}, not finite")
+    return params
+
+
 def save_checkpoint(path, policy) -> None:
     kind = next((code for code, cls in enumerate(_KINDS) if isinstance(policy, cls)), None)
     if kind is None:
         raise FormatError(f"cannot checkpoint policy type {type(policy).__name__}")
-    sizes = policy.net.sizes
+    sizes, params = policy.net.sizes, _finite_params(path, np.ascontiguousarray(policy.net.params, dtype="<f8"))
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<III", CHECKPOINT_VERSION, kind, len(sizes)))
         fh.write(struct.pack(f"<{len(sizes)}I", *sizes))
-        fh.write(np.ascontiguousarray(policy.net.params, dtype="<f8").tobytes())
+        fh.write(params.tobytes())
 
 
 def load_checkpoint(path):
@@ -318,7 +332,7 @@ def load_checkpoint(path):
     expected = offset + 8 * n_params
     if len(blob) != expected:
         raise FormatError(f"{path}: expected {expected} bytes for sizes {sizes}, file has {len(blob)}")
-    params = np.frombuffer(blob, dtype="<f8", count=n_params, offset=offset).astype(np.float64)
+    params = _finite_params(path, np.frombuffer(blob, dtype="<f8", count=n_params, offset=offset).astype(np.float64))
     return _KINDS[kind](Mlp(sizes, params))
 
 

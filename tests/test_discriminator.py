@@ -1,6 +1,6 @@
 """Structured discriminator: windows, the two-sided loss, and the scored variant."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -291,11 +291,44 @@ def test_take_matches_reference_gather(lengths, picks, unit, scored, stated):
 
 
 def assert_same_pack(got, want):
-    for name in ("obs", "acts", "starts", "lengths", "gen_logp", "states"):
+    for name in (f.name for f in fields(disc.PackedWindows)):
         a, b = getattr(got, name), getattr(want, name)
         assert (a is None) == (b is None), name
         if a is not None:
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+def test_the_field_lists_name_every_pack_field_once():
+    # take, span and joined carry the fields these lists name, so a field
+    # added to the dataclass without a list entry would be dropped by them
+    listed = [*disc.PackedWindows._ROWS, *disc.PackedWindows._WINDOWS, "starts"]
+    assert sorted(listed) == sorted(f.name for f in fields(disc.PackedWindows))
+
+
+@pytest.mark.parametrize("with_obs, stated", [(True, False), (True, True), (False, True)])
+@given(
+    lengths=st.tuples(*[st.lists(st.integers(1, 6), min_size=1, max_size=10)] * 2),
+    scored=st.tuples(st.booleans(), st.booleans()),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_joined_concatenates_every_field(with_obs, stated, lengths, scored, seed):
+    # a field either side lacks is None, as gen_logp is when one side is unscored
+    rng = np.random.default_rng(seed)
+    packs = [disc.pack_windows(random_windows_of(n, rng)) for n in lengths]
+    for p, has_scores in zip(packs, scored):
+        p.gen_logp = rng.normal(size=len(p)) if has_scores else None
+        p.states = rng.integers(0, 5, size=len(p.acts)) if stated else None
+        p.obs = p.obs if with_obs else None
+    e, g = packs
+
+    def cat(name):
+        a, b = getattr(e, name), getattr(g, name)
+        return None if a is None or b is None else np.concatenate([a, b])
+
+    want = disc.PackedWindows(obs=cat("obs"), acts=cat("acts"), lengths=cat("lengths"), gen_logp=cat("gen_logp"),
+                              states=cat("states"), starts=np.concatenate([e.starts, g.starts + len(e.acts)]))
+    assert_same_pack(disc.joined(e, g), want)
+    assert (want.gen_logp is None) == (not all(scored)) and (want.obs is None) == (not with_obs)
 
 
 @given(

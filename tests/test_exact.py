@@ -510,6 +510,74 @@ def test_bce_enumeration_expert_is_the_minimizer():
         assert at_expert <= bce_from_enumeration(mdp, other, gen, expert) + 1e-12
 
 
+def reference_bce_from_enumeration(mdp, learner_pi, generator_pi, expert_pi):
+    """The form ``bce_from_enumeration`` had with the learner enumerated too,
+    which looked each key's factors up in the enumerations and so needed
+    every table strictly positive on the keys the loss runs over."""
+    d_e, d_g, d_l = (exact_traj_distribution(mdp, pi) for pi in (expert_pi, generator_pi, learner_pi))
+    loss = 0.0
+    for side, scored in ((d_e, d_l), (d_g, d_g)):
+        for key, p in side.probs.items():
+            if p == 0.0:
+                continue
+            a, g = np.log(d_l.policy_factors[key]), np.log(d_g.policy_factors[key])
+            loss -= p * (np.log(scored.policy_factors[key]) - np.logaddexp(a, g))
+    return float(loss)
+
+
+def direct_bce(mdp, learner_pi, generator_pi, expert_pi):
+    """-P_E log D - P_G log(1 - D) summed key by key, D = q_L / (q_L + q_G)
+    with q a plain product along the key, and +inf for a learner zero on an
+    expert key."""
+    d_e, d_g = exact_traj_distribution(mdp, expert_pi), exact_traj_distribution(mdp, generator_pi)
+    tables = [np.broadcast_to(pi, (mdp.horizon, *np.shape(pi)[-2:])) for pi in (learner_pi, generator_pi)]
+    total = 0.0
+    for key in set(d_e.probs) | set(d_g.probs):
+        q_l, q_g = (np.prod([tab[t, key[2 * t], key[2 * t + 1]] for t in range(len(key) // 2)]) for tab in tables)
+        p_e, p_g = d_e.probs.get(key, 0.0), d_g.probs.get(key, 0.0)
+        if p_e > 0.0:
+            total += np.inf if q_l == 0.0 else -p_e * np.log(q_l / (q_l + q_g))
+        if p_g > 0.0:
+            total -= p_g * np.log(q_g / (q_l + q_g))
+    return total
+
+
+@settings(max_examples=30)
+@given(st.integers(0, 2 ** 31 - 1), st.booleans(), st.booleans())
+def test_bce_enumeration_keeps_the_bits_of_the_learner_enumeration(seed, terminals, stationary):
+    rng, mdp, learner, generator = random_case(seed, terminals, stationary)
+    expert = rng.dirichlet(np.ones(mdp.n_actions), size=np.shape(learner)[:-1])
+    got = bce_from_enumeration(mdp, learner, generator, expert)
+    assert np.isfinite(got) and got == reference_bce_from_enumeration(mdp, learner, generator, expert)
+
+
+@settings(max_examples=40)
+@given(st.integers(0, 2 ** 31 - 1), st.booleans(), st.booleans())
+def test_bce_enumeration_with_zero_probability_actions(seed, terminals, stationary):
+    rng, mdp, learner, generator = random_case(seed, terminals, stationary)
+    expert = rng.dirichlet(np.ones(mdp.n_actions), size=np.shape(learner)[:-1])
+    zeroed = []
+    for table in (learner, generator, expert):
+        drop = rng.uniform(size=table.shape) < 0.3
+        drop[..., rng.integers(mdp.n_actions)] = False          # every row keeps an action
+        zeroed.append(np.where(drop, 0.0, table) / np.where(drop, 0.0, table).sum(axis=-1, keepdims=True))
+    got, want = bce_from_enumeration(mdp, *zeroed), direct_bce(mdp, *zeroed)
+    assert got == want if np.isinf(want) else got == pytest.approx(want, rel=1e-12, abs=1e-14)
+
+
+def test_bce_enumeration_rules_for_zero_probability_actions():
+    # uniform expert and learner on chain, and a generator that never takes
+    # action 1 in state 0: expert keys it gives 0 are 0 terms; the same zero
+    # in the learner gives expert keys log D = -inf
+    mdp = chain_spec().mdp
+    uniform, never = np.full((4, 2), 0.5), np.full((4, 2), 0.5)
+    never[0] = (1.0, 0.0)
+    loss = bce_from_enumeration(mdp, uniform, never, uniform)
+    assert np.isfinite(loss) and loss == pytest.approx(direct_bce(mdp, uniform, never, uniform), rel=1e-12)
+    assert bce_from_enumeration(mdp, never, uniform, uniform) == np.inf
+    assert bce_from_enumeration(mdp, never, never, uniform) == np.inf
+
+
 def off_support_case(seed, terminal):
     """A random MDP whose last state s_off holds no start mass and is entered
     only through the last action, with probability at least 0.2; an expert

@@ -7,7 +7,8 @@ import shutil
 import struct
 import subprocess
 import sys
-from dataclasses import replace
+import types
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -16,9 +17,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import asaf
+from asaf import cli, formats
 from asaf.cli import main
 from asaf.envs import chain_spec, soft_value_iteration
-from asaf.errors import ConfigError, FormatError
+from asaf.errors import ConfigError, FormatError, NumericalError
 from asaf.exact import exact_traj_distribution, expected_return, js_between
 from asaf.formats import (
     CSV_HEADER,
@@ -291,6 +293,17 @@ def test_parse_config_ignores_comments_and_blanks():
     assert setup.config.algorithm == "bc"
 
 
+def test_config_keys_are_the_train_config_fields_and_the_run_paths():
+    assert set(formats._KEYS) == {f.name for f in fields(TrainConfig)} | {"env", "demos_path", "out_dir"}
+
+
+def test_the_package_exports_what_it_imports_and_no_submodule():
+    # asaf.__all__ is derived from the imports in asaf/__init__.py
+    assert asaf.__all__ == sorted(set(asaf.__all__)) and len(asaf.__all__) == 41
+    assert not any(isinstance(getattr(asaf, name), types.ModuleType) for name in asaf.__all__)
+    assert asaf.train is train and "train" in asaf.__all__ and "nn" not in asaf.__all__
+
+
 # ---------------------------------------------------------------- checkpoints
 
 def test_checkpoint_round_trip_categorical(tmp_path):
@@ -341,6 +354,29 @@ def test_checkpoint_corruption_detected(tmp_path):
     (tmp_path / "e.ckpt").write_bytes(blob[:4] + struct.pack("<I", 9) + blob[8:])
     with pytest.raises(FormatError, match="version"):
         load_checkpoint(tmp_path / "e.ckpt")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_checkpoints_refuse_non_finite_parameters(tmp_path, bad):
+    # the demo format refuses non-finite reals; checkpoints do so too, naming
+    # the first bad index, on the way out and on the way in
+    rng = np.random.default_rng(6)
+    policy = CategoricalPolicy(Mlp.init((4, 8, 2), rng))
+    params = policy.net.params.copy()
+    params[[5, 9]] = bad
+    path = tmp_path / "p.ckpt"
+    with pytest.raises(FormatError, match=f"parameter 5 is {bad}, not finite"):
+        save_checkpoint(path, CategoricalPolicy(Mlp((4, 8, 2), params)))
+    assert not path.exists()
+    save_checkpoint(path, policy)
+    blob = path.read_bytes()
+    offset = len(blob) - 8 * len(params)
+    path.write_bytes(blob[:offset] + params.astype("<f8").tobytes())
+    with pytest.raises(FormatError, match=f"parameter 5 is {bad}, not finite"):
+        load_checkpoint(path)
+    proc = run_module("eval", "--checkpoint", path, "--env", "chain", "--k", "2")
+    assert (proc.returncode, proc.stdout) == (4, ""), proc.stderr
+    assert proc.stderr == f"file error: {path}: parameter 5 is {bad}, not finite\n"
 
 
 # ---------------------------------------------------------------- curves csv
@@ -567,6 +603,61 @@ def test_cli_exit_codes(tmp_path, capsys):
     garbage = tmp_path / "junk.ckpt"
     garbage.write_bytes(b"not a checkpoint at all")
     assert main(["eval", "--checkpoint", str(garbage), "--env", "chain"]) == 4
+
+
+def test_cli_train_refuses_where_it_reads_and_writes_before_training(tmp_path, capsys, monkeypatch):
+    # an out_dir under a regular file and a missing demo file are refused with
+    # their config lines before train() runs, and leave no directory behind
+    def no_training(*args, **kwargs):
+        raise AssertionError("train() ran")
+
+    monkeypatch.setattr(cli, "train", no_training)
+    demos, cfg = tmp_path / "demos.jsonl", tmp_path / "run.cfg"
+    main(["gen-expert", "--env", "chain", "--n", "3", "--out", str(demos)])
+    (tmp_path / "afile").write_text("", encoding="utf-8")
+    cases = [
+        (f"{tmp_path / 'afile' / 'run'}", demos, "line 4: [Errno 20] Not a directory"),
+        (f"{tmp_path / 'new' / 'run'}", tmp_path / "missing.jsonl", "line 3: [Errno 2] No such file or directory"),
+        (f"{tmp_path / 'new' / 'run'}", tmp_path, "line 3: [Errno 21] Is a directory"),
+    ]
+    for out_dir, demos_path, message in cases:
+        cfg.write_text(f"env = chain\nalgorithm = asaf\ndemos_path = {demos_path}\nout_dir = {out_dir}\nsteps = 300\n",
+                       encoding="utf-8")
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg)]) == 4
+        assert capsys.readouterr().err.startswith(f"file error: {message}")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "demos.jsonl", "run.cfg"]
+
+    # out_dir exists when training starts, and a run that fails removes what it made
+    def diverging(config, demo_set, env_spec):
+        assert (tmp_path / "new" / "run").is_dir() and len(demo_set) == 3
+        raise NumericalError("outer step 1: non-finite net scores")
+
+    monkeypatch.setattr(cli, "train", diverging)
+    for out_dir in (tmp_path / "new" / "run", tmp_path / "ghost" / ".." / "new" / "run"):
+        cfg.write_text(f"env = chain\nalgorithm = asaf\ndemos_path = {demos}\nout_dir = {out_dir}\n", encoding="utf-8")
+        assert main(["train", "--config", str(cfg)]) == 3
+        assert capsys.readouterr().err == "numerical error: outer step 1: non-finite net scores\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "demos.jsonl", "run.cfg"]
+
+    # without the keys in the file the refusals name no line
+    monkeypatch.chdir(tmp_path)
+    cfg.write_text("env = chain\nalgorithm = asaf\ndemos_path = demos.jsonl\n", encoding="utf-8")
+    (tmp_path / "run").write_text("", encoding="utf-8")
+    assert main(["train", "--config", str(cfg)]) == 4
+    assert capsys.readouterr().err == "file error: [Errno 17] File exists: 'run'\n"
+
+
+def test_cli_process_names_the_line_of_an_out_dir_it_cannot_make(tmp_path):
+    demos, cfg = tmp_path / "demos.jsonl", tmp_path / "run.cfg"
+    main(["gen-expert", "--env", "chain", "--n", "3", "--out", str(demos)])
+    (tmp_path / "afile").write_text("", encoding="utf-8")
+    out_dir = tmp_path / "afile" / "run"
+    cfg.write_text(f"env = chain\nalgorithm = asaf\nsteps = 300\nout_dir = {out_dir}\ndemos_path = {demos}\n",
+                   encoding="utf-8")
+    proc = run_module("train", "--config", cfg)
+    assert (proc.returncode, proc.stdout) == (4, ""), proc.stderr
+    assert proc.stderr == f"file error: line 4: [Errno 20] Not a directory: '{out_dir}'\n"
 
 
 def test_cli_eval_rejects_mismatched_env(tmp_path, capsys):
