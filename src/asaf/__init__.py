@@ -15,13 +15,13 @@ import types
 
 from .envs import (
     EnvSpec,
+    PackedWindows,
     PointMassSpec,
     ScriptedPointMassPolicy,
     SoftExpertPolicy,
     SoftQTable,
     TabularMdp,
     TabularSpec,
-    Trajectory,
     chain_spec,
     env_by_id,
     gridworld_spec,
@@ -37,7 +37,6 @@ from .discriminator import (
 )
 from .exact import (
     OccupancyTable,
-    TrajDistribution,
     exact_traj_distribution,
     expected_return,
     js_between,

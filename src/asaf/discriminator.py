@@ -24,7 +24,8 @@ Its snapshot is softmax(f), a plain ``CategoricalPolicy``; it only makes
 sense for discrete actions.  Behavioral cloning's negative log-likelihood
 (``nll_on_packed``) completes the set of losses.
 
-``windows_from`` cuts episodes into the one packed layout every loss reads;
+``windows_from`` cuts episodes into windows of ``envs.PackedWindows``, the
+one packed type of rollouts, demos and every loss (kept importable here);
 ``Window``, ``window_split`` and ``pack_windows``, its list-form reference,
 stay because the benchmark imports them and a test checks it against them.
 """
@@ -36,7 +37,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NumericalError
-from .envs import Trajectory
+from .envs import PackedWindows, window_rows
 from .policies import CategoricalPolicy
 
 __all__ = [
@@ -70,7 +71,7 @@ class Window:
         return len(self.obs)
 
 
-def window_split(traj: Trajectory, w: int, stride: int, source: int = -1) -> list[Window]:
+def window_split(traj: PackedWindows, w: int, stride: int, source: int = -1) -> list[Window]:
     """Cut a trajectory into windows of length w at the given stride.
 
     Offsets are 0, stride, 2 stride, ... while a full window fits.  An
@@ -92,91 +93,14 @@ def window_split(traj: Trajectory, w: int, stride: int, source: int = -1) -> lis
     ]
 
 
-@dataclass
-class PackedWindows:
-    """A list of windows flattened for batched net evaluation.
-
-    Whole trajectories, fixed-size windows and single transitions (windows
-    of length 1), as ``windows_from`` cuts them, all use this one layout.
-    ``starts`` marks each window's first row in the packed arrays;
-    ``segment_sum`` (reduceat over ``starts``) and ``per_step`` (repeat by
-    ``lengths``) read windows that lie back to back, as ``take`` packs them,
-    and return their input on one-step windows, bitwise the same.
-    ``gen_logp`` caches the frozen generator's per-window log-likelihood,
-    refreshed whenever the generator changes.  ``states``, from
-    ``CategoricalPolicy.index``, lets the losses read a state table by index;
-    such a pack may hold no ``obs`` (None), as ``train``'s pools do.
-    """
-
-    obs: np.ndarray | None
-    acts: np.ndarray
-    starts: np.ndarray
-    lengths: np.ndarray
-    gen_logp: np.ndarray | None = None
-    states: np.ndarray | None = None
-    _ROWS = ("obs", "acts", "states")      # the per-step fields, selected by row
-    _WINDOWS = ("lengths", "gen_logp")     # the per-window fields besides ``starts``
-
-    def __len__(self) -> int:
-        return len(self.starts)
-
-    @property
-    def n_windows(self) -> int:
-        return len(self.starts)
-
-    def segment_sum(self, per_step: np.ndarray) -> np.ndarray:
-        return per_step if len(self.starts) == len(self.acts) else np.add.reduceat(per_step, self.starts)
-
-    def per_step(self, per_window: np.ndarray) -> np.ndarray:
-        return per_window if len(self.starts) == len(self.acts) else np.repeat(per_window, self.lengths)
-
-    def log_prob_tape(self, policy, split: int | None = None):
-        """``policy.log_prob_tape`` of the packed steps, cut into two row blocks
-        at ``split`` if given, read by state index when the pack has one."""
-        if self.states is None:
-            return policy.log_prob_tape(self.obs, self.acts, split)
-        return policy.table_tape(self.states, self.acts, split)
-
-    def take(self, idx: np.ndarray) -> "PackedWindows":
-        """Windows ``idx`` (repeats allowed) packed in that order, gathered in
-        one indexing pass: row r of the result comes from row
-        r + (source start - new start) of its window."""
-        idx = np.asarray(idx)
-        lengths = self.lengths[idx]
-        starts = np.cumsum(lengths) - lengths
-        return self._select(np.arange(lengths.sum()) + np.repeat(self.starts[idx] - starts, lengths), idx, starts)
-
-    def span(self, lo: int, hi: int) -> "PackedWindows":
-        """Windows ``lo:hi`` of a pack whose windows lie back to back, bitwise
-        what ``take`` of them gives: rows sliced, starts shifted.  A span of
-        every window is the pack itself."""
-        hi = min(hi, len(self.starts))
-        if lo == 0 and hi == len(self.starts):
-            return self
-        a, b = self.starts[lo], self.starts[hi - 1] + self.lengths[hi - 1]
-        return self._select(slice(a, b), slice(lo, hi), self.starts[lo:hi] - a)
-
-    def _select(self, rows, windows, starts: np.ndarray) -> "PackedWindows":
-        """Each per-step field at ``rows`` and each per-window one at ``windows``,
-        with first rows ``starts``; a field the pack lacks (None) stays None."""
-        fields, picked = vars(self), {"starts": starts}
-        for names, at in ((self._ROWS, rows), (self._WINDOWS, windows)):
-            for name in names:
-                picked[name] = None if (v := fields[name]) is None else v[at]
-        return PackedWindows(**picked)
-
-
 def pack_windows(windows: list[Window]) -> PackedWindows:
     """A window list back to back (list-form reference of ``windows_from``)."""
     if not windows:
         raise ValueError("cannot pack an empty window list")
-    lengths = np.array([len(w) for w in windows], dtype=np.int64)
-    starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
     return PackedWindows(
         obs=np.concatenate([w.obs for w in windows]),
         acts=np.concatenate([np.atleast_1d(w.acts) for w in windows]),
-        starts=starts,
-        lengths=lengths,
+        lengths=np.array([len(w) for w in windows], dtype=np.int64),
     )
 
 
@@ -197,7 +121,7 @@ def joined(packed_e: PackedWindows, packed_g: PackedWindows) -> PackedWindows:
     """The windows of ``packed_e`` then those of ``packed_g``, concatenated;
     a field that either pack lacks (None) is None."""
     e, g = packed_e, packed_g
-    return PackedWindows(starts=np.concatenate([e.starts, g.starts + len(e.acts)]), **{
+    return PackedWindows(**{
         name: None if (a := getattr(e, name)) is None or (b := getattr(g, name)) is None else np.concatenate([a, b])
         for name in e._ROWS + e._WINDOWS})
 
@@ -228,7 +152,7 @@ def bce_on_joined(learner, both: PackedWindows) -> tuple[float, np.ndarray]:
     state table cancel exactly at the fixed point.  A non-finite loss raises
     ``NumericalError``; the gradient is left to ``nn.adam_step``'s check.
     """
-    n = len(both) // 2
+    n = both.n_windows // 2
     lp, cache = both.log_prob_tape(learner, int(both.starts[n]))
     a = both.segment_sum(lp)
     m = np.logaddexp(a, both.gen_logp)
@@ -263,8 +187,9 @@ def windows_from(trajs, w: int | None = None, stride: int = 1) -> PackedWindows:
     counts = np.maximum(lengths - w, 0) // stride + 1
     offsets = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
     starts = np.repeat(np.cumsum(lengths) - lengths, counts) + stride * offsets
-    cuts = PackedWindows(obs, acts, starts, np.repeat(np.minimum(lengths, w), counts))
-    return cuts.take(np.arange(len(cuts)))
+    cut = np.repeat(np.minimum(lengths, w), counts)
+    rows = window_rows(starts, cut)
+    return PackedWindows(obs[rows], acts[rows], cut)
 
 
 def transitions_from(trajs) -> PackedWindows:

@@ -48,13 +48,13 @@ __all__ = [
     "ENVS",
     "EXPERT_ALPHA",
     "EnvSpec",
+    "PackedWindows",
     "PointMassSpec",
     "ScriptedPointMassPolicy",
     "SoftExpertPolicy",
     "SoftQTable",
     "TabularMdp",
     "TabularSpec",
-    "Trajectory",
     "chain_spec",
     "env_by_id",
     "gridworld_mdp",
@@ -62,6 +62,7 @@ __all__ = [
     "one_hot",
     "rollout",
     "soft_value_iteration",
+    "window_rows",
 ]
 
 _ATOL = 1e-9
@@ -194,38 +195,107 @@ def soft_value_iteration(mdp: TabularMdp, alpha: float) -> SoftQTable:
     return SoftQTable(q=q, alpha=alpha)
 
 
-@dataclass
-class Trajectory:
-    """Episodes back to back: observations (L, obs_dim), the actions taken,
-    and ``lengths``, the steps of each episode (one episode by default).
+def window_rows(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The rows of windows that begin at rows ``starts`` and run ``lengths``
+    steps, in window order: row r of the windows packed back to back comes
+    from row r + (its window's start - the window's new start)."""
+    return np.arange(lengths.sum()) + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
 
-    Actions are int for discrete tasks and (L, act_dim) float for continuous
-    ones.  Rewards are deliberately absent; only evaluation and expert
-    generation ever look at the reward channel.
+
+@dataclass
+class PackedWindows:
+    """Episodes, windows of them, or single transitions, back to back: the
+    one layout that rollouts, demos and every loss share.
+
+    ``obs`` holds one (obs_dim,) float64 row per step, ``acts`` the action
+    taken (int for discrete tasks, an (act_dim,) float row for continuous
+    ones), and ``lengths`` the steps of each window (one window of every row
+    by default); the windows lie back to back, so ``starts``, each window's
+    first row, is derived from ``lengths`` when first read and kept (a pack's
+    ``lengths`` are set once, by the constructor, which checks them against
+    the rows).  ``len`` counts steps and ``n_windows`` windows.  Rewards are
+    deliberately absent; only evaluation and expert generation ever look at
+    the reward channel.
+
+    ``segment_sum`` (reduceat over ``starts``) and ``per_step`` (repeat by
+    ``lengths``) return their input on one-step windows, bitwise the same.
+    ``gen_logp`` caches the frozen generator's per-window log-likelihood,
+    refreshed whenever the generator changes.  ``states``, from
+    ``CategoricalPolicy.index``, lets the losses read a state table by index;
+    such a pack may hold no ``obs`` (None), as ``train``'s pools do.
     """
 
-    obs: np.ndarray
+    obs: np.ndarray | None
     acts: np.ndarray
     lengths: np.ndarray | None = None
+    gen_logp: np.ndarray | None = None
+    states: np.ndarray | None = None
+    _ROWS = ("obs", "acts", "states")      # the per-step fields, selected by row
+    _WINDOWS = ("lengths", "gen_logp")     # the per-window fields, selected by window
 
     def __post_init__(self):
-        self.obs = np.asarray(self.obs, dtype=np.float64)
-        if self.obs.ndim != 2:
-            raise ShapeError(f"observations must be (L, obs_dim), got {self.obs.shape}")
         self.acts = np.asarray(self.acts)
-        if len(self.acts) != len(self.obs):
-            raise ShapeError(f"{len(self.obs)} observations vs {len(self.acts)} actions")
-        self.lengths = np.array([len(self.obs)]) if self.lengths is None else np.asarray(self.lengths, dtype=np.int64)
-        if self.lengths.ndim != 1 or self.lengths.sum() != len(self.obs):
-            raise ShapeError(f"episode lengths {self.lengths} do not add up to {len(self.obs)} steps")
+        if self.obs is not None:
+            self.obs = np.asarray(self.obs, dtype=np.float64)
+            if self.obs.ndim != 2 or len(self.obs) != len(self.acts):
+                raise ShapeError(f"need one observation row per action, got {self.obs.shape} for {len(self.acts)}")
+        self.lengths = np.array([len(self.acts)]) if self.lengths is None else np.asarray(self.lengths, dtype=np.int64)
+        if self.lengths.ndim != 1 or self.lengths.sum() != len(self.acts):
+            raise ShapeError(f"window lengths {self.lengths} do not add up to {len(self.acts)} steps")
 
     def __len__(self) -> int:
-        return len(self.obs)
+        return len(self.acts)
 
-    def episodes(self) -> list["Trajectory"]:
-        """One Trajectory per episode."""
-        cuts = np.cumsum(self.lengths)[:-1]
-        return [Trajectory(obs, acts) for obs, acts in zip(np.split(self.obs, cuts), np.split(self.acts, cuts))]
+    @property
+    def n_windows(self) -> int:
+        return len(self.lengths)
+
+    @property
+    def starts(self) -> np.ndarray:
+        """Each window's first row, ``cumsum(lengths) - lengths``, derived on first read."""
+        if "_starts" not in vars(self):
+            self._starts = np.cumsum(self.lengths) - self.lengths
+        return self._starts
+
+    def segment_sum(self, per_step: np.ndarray) -> np.ndarray:
+        return per_step if len(self.lengths) == len(self.acts) else np.add.reduceat(per_step, self.starts)
+
+    def per_step(self, per_window: np.ndarray) -> np.ndarray:
+        return per_window if len(self.lengths) == len(self.acts) else np.repeat(per_window, self.lengths)
+
+    def log_prob_tape(self, policy, split: int | None = None):
+        """``policy.log_prob_tape`` of the packed steps, cut into two row blocks
+        at ``split`` if given, read by state index when the pack has one."""
+        if self.states is None:
+            return policy.log_prob_tape(self.obs, self.acts, split)
+        return policy.table_tape(self.states, self.acts, split)
+
+    def take(self, idx: np.ndarray) -> "PackedWindows":
+        """Windows ``idx`` (repeats allowed) packed in that order, gathered in
+        one indexing pass by ``window_rows``."""
+        idx = np.asarray(idx)
+        return self._select(window_rows(self.starts[idx], self.lengths[idx]), idx)
+
+    def span(self, lo: int, hi: int) -> "PackedWindows":
+        """Windows ``lo:hi``, bitwise what ``take`` of them gives, with their
+        rows sliced.  A span of every window is the pack itself."""
+        hi = min(hi, len(self.lengths))
+        if lo == 0 and hi == len(self.lengths):
+            return self
+        return self._select(slice(self.starts[lo], self.starts[hi - 1] + self.lengths[hi - 1]), slice(lo, hi))
+
+    def episodes(self) -> list["PackedWindows"]:
+        """One pack per window."""
+        return [self.span(i, i + 1) for i in range(len(self.lengths))]
+
+    def _select(self, rows, windows) -> "PackedWindows":
+        """Each per-step field at ``rows`` and each per-window one at
+        ``windows``; a field the pack lacks (None) stays None."""
+        fields, picked = vars(self), {}
+        for names, at in ((self._ROWS, rows), (self._WINDOWS, windows)):
+            for name in names:
+                picked[name] = None if (v := fields[name]) is None else v[at]
+        return PackedWindows(**picked)
 
 
 @dataclass
@@ -420,7 +490,7 @@ class SoftExpertPolicy:
 
 
 def rollout(env_spec: EnvSpec, policy, seed, episodes: int | None = None):
-    """Run one episode, or ``episodes=k`` back to back in one Trajectory;
+    """Run one episode, or ``episodes=k`` back to back in one ``PackedWindows``;
     return it and its undiscounted return (with ``episodes``, a (k,) array).
 
     ``seed`` is a Generator or seed the episodes share in turn, or with
@@ -462,5 +532,5 @@ def rollout(env_spec: EnvSpec, policy, seed, episodes: int | None = None):
             if not len(live):
                 break
     stepped = np.arange(horizon) < lengths[:, None]
-    traj = Trajectory(obs=obs[stepped], acts=acts[stepped], lengths=lengths)
+    traj = PackedWindows(obs=obs[stepped], acts=acts[stepped], lengths=lengths)
     return (traj, float(returns[0])) if episodes is None else (traj, returns)

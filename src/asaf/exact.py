@@ -7,9 +7,9 @@ the stationary table closest to a policy in it, and a direct fixed-point
 check for the finite-support discriminator objective.
 
 A trajectory key is the complete tuple (s0, a0, s1, a1, ..., s_T) including
-the final state.  For each key the policy-only factor q = prod pi(a_t | s_t)
-and the dynamics-only factor xi = p0(s0) prod P(s_{t+1} | s_t, a_t) are kept
-separately, so P(tau) = q * xi is checkable term by term.
+the final state, and its probability is the policy-only factor
+q = prod pi(a_t | s_t) times the dynamics-only factor
+xi = p0(s0) prod P(s_{t+1} | s_t, a_t).
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .envs import TabularMdp
 
 __all__ = [
     "OccupancyTable",
-    "TrajDistribution",
     "bce_from_enumeration",
     "enumerable",
     "exact_traj_distribution",
@@ -54,23 +53,14 @@ def _stage_policy(pi: np.ndarray, horizon: int) -> np.ndarray:
     raise ShapeError(f"policy table must be (S, A) or (T, S, A), got {pi.shape}")
 
 
-@dataclass
-class TrajDistribution:
-    """Exact distribution over full trajectory keys of one policy."""
-
-    horizon: int
-    probs: dict[tuple, float]
-    policy_factors: dict[tuple, float]
-    dynamics_factors: dict[tuple, float]
-
-
 def enumerable(mdp: TabularMdp) -> bool:
     """Whether |A|^T * S, the enumeration's size bound, is within the budget."""
     return mdp.n_actions ** mdp.horizon * mdp.n_states <= ENUMERATION_BUDGET
 
 
-def exact_traj_distribution(mdp: TabularMdp, pi: np.ndarray) -> TrajDistribution:
-    """Enumerate every positive-probability trajectory of the policy.
+def exact_traj_distribution(mdp: TabularMdp, pi: np.ndarray) -> dict[tuple, float]:
+    """Enumerate every positive-probability trajectory of the policy: the
+    map from each trajectory key to its probability q * xi.
 
     The policy may be stationary (S, A) or stage-indexed (T, S, A).  Raises
     CapacityError when the MDP is not ``enumerable``.
@@ -82,15 +72,10 @@ def exact_traj_distribution(mdp: TabularMdp, pi: np.ndarray) -> TrajDistribution
         )
     stage_pi = _stage_policy(pi, mdp.horizon)
     probs: dict[tuple, float] = {}
-    q_fac: dict[tuple, float] = {}
-    xi_fac: dict[tuple, float] = {}
 
     def descend(t: int, s: int, prefix: tuple, q: float, xi: float) -> None:
         if t == mdp.horizon or (t > 0 and mdp.terminal_mask[s]):   # the episode has ended
-            key = prefix + (s,)
-            probs[key] = q * xi
-            q_fac[key] = q
-            xi_fac[key] = xi
+            probs[prefix + (s,)] = q * xi
             return
         for a in range(mdp.n_actions):
             pa = stage_pi[t, s, a]
@@ -102,7 +87,7 @@ def exact_traj_distribution(mdp: TabularMdp, pi: np.ndarray) -> TrajDistribution
 
     for s0 in np.flatnonzero(mdp.start):
         descend(0, int(s0), (), 1.0, float(mdp.start[s0]))
-    return TrajDistribution(horizon=mdp.horizon, probs=probs, policy_factors=q_fac, dynamics_factors=xi_fac)
+    return probs
 
 
 def stage_marginals(mdp: TabularMdp, pi: np.ndarray) -> np.ndarray:
@@ -145,12 +130,9 @@ def occupancy(mdp: TabularMdp, pi: np.ndarray) -> OccupancyTable:
     return OccupancyTable(d_state=d_state, d_state_action=d_sa, normalizer=z)
 
 
-def expected_return(mdp: TabularMdp, pi: np.ndarray, discounted: bool = False) -> float:
-    """Exact expected episode return sum_t gamma^t E[r] (gamma^0 if undiscounted)."""
-    stage_pi = _stage_policy(pi, mdp.horizon)
-    d = stage_marginals(mdp, pi)
-    weights = mdp.gamma ** np.arange(mdp.horizon) if discounted else np.ones(mdp.horizon)
-    return float(np.einsum("t,ts,tsa,sa->", weights, d, stage_pi, mdp.rewards))
+def expected_return(mdp: TabularMdp, pi: np.ndarray) -> float:
+    """Exact expected undiscounted episode return sum_t E[r_t]."""
+    return float(np.einsum("ts,tsa,sa->", stage_marginals(mdp, pi), _stage_policy(pi, mdp.horizon), mdp.rewards))
 
 
 def js_divergence(p, q) -> float:
@@ -180,11 +162,11 @@ def js_divergence(p, q) -> float:
     return max(0.0, half_kl(p) + half_kl(q))
 
 
-def js_between(d1: TrajDistribution, d2: TrajDistribution) -> float:
+def js_between(d1: dict[tuple, float], d2: dict[tuple, float]) -> float:
     """JS divergence between two enumerated trajectory distributions."""
-    keys = sorted(set(d1.probs) | set(d2.probs))
-    p = np.array([d1.probs.get(k, 0.0) for k in keys])
-    q = np.array([d2.probs.get(k, 0.0) for k in keys])
+    keys = sorted(set(d1) | set(d2))
+    p = np.array([d1.get(k, 0.0) for k in keys])
+    q = np.array([d2.get(k, 0.0) for k in keys])
     return js_divergence(p, q)
 
 
@@ -262,7 +244,7 @@ def bce_from_enumeration(mdp: TabularMdp, learner_pi, generator_pi, expert_pi) -
     tables = _stage_policy(learner_pi, mdp.horizon), _stage_policy(generator_pi, mdp.horizon)
     loss = 0.0
     for side, pi in enumerate((expert_pi, generator_pi)):   # log D on expert keys, then log(1 - D) on generator keys
-        for key, p in exact_traj_distribution(mdp, pi).probs.items():
+        for key, p in exact_traj_distribution(mdp, pi).items():
             if p == 0.0:
                 continue
             q = [1.0, 1.0]          # learner's and generator's prod pi(a_t | s_t), in the enumeration's order

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .envs import EnvSpec, Trajectory, env_by_id
+from .envs import EnvSpec, PackedWindows, env_by_id
 from .errors import ConfigError, FormatError, ValidationError
 from .nn import Mlp, param_count
 from .policies import CategoricalPolicy, GaussianPolicy
@@ -84,15 +84,32 @@ def _json_reals(rows) -> str:
 
 
 def write_demos(path, demos: DemoSet) -> None:
-    """Write a demo file; non-finite values (JSON has no literal for them)
-    and episodes with no steps are refused before the file is opened."""
+    """Write a demo file.  What ``read_demos`` would refuse or read back as
+    other data is refused before the file is opened, naming the line: a
+    bad ``action_kind`` (line 1), and an entry that is not one episode of
+    >= 1 steps, whose observation rows do not match ``obs_dim``, whose
+    actions are not flat integers (discrete) or rows of reals (continuous),
+    or that holds a non-finite value (JSON has no literal for it)."""
+    discrete = demos.action_kind == "discrete"
+    if demos.action_kind not in ("discrete", "continuous"):
+        raise FormatError(f"{path}: line 1: bad action_kind {demos.action_kind!r}")
     if not np.isfinite(demos.mean_return):
         raise FormatError(f"{path}: mean_return {demos.mean_return} is not finite")
     for lineno, traj in enumerate(demos.trajectories, start=2):
-        if len(traj) == 0:
-            raise FormatError(f"{path}: line {lineno}: episode has no steps")
+        where = f"{path}: line {lineno}"
+        if not (len(traj) and traj.lengths.all()):
+            raise FormatError(f"{where}: episode has no steps")
+        if traj.n_windows != 1:
+            raise FormatError(f"{where}: an entry of {traj.n_windows} episodes; a line holds one")
+        if np.shape(traj.obs)[1:] != (demos.obs_dim,):
+            raise FormatError(f"{where}: obs shape {np.shape(traj.obs)} does not match obs_dim {demos.obs_dim}")
         if not (np.all(np.isfinite(traj.obs)) and np.all(np.isfinite(traj.acts))):
-            raise FormatError(f"{path}: line {lineno}: non-finite observation or action")
+            raise FormatError(f"{where}: non-finite observation or action")
+        if traj.acts.ndim != (1 if discrete else 2):
+            raise FormatError(f"{where}: {demos.action_kind} actions of shape {traj.acts.shape}, "
+                              f"expected {'a flat list' if discrete else 'rows of reals'}")
+        if discrete and np.any(bad := traj.acts.astype(np.int64) != traj.acts):
+            raise FormatError(f"{where}: discrete action {traj.acts[bad][0]} is not an integer")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(
             "{"
@@ -103,10 +120,7 @@ def write_demos(path, demos: DemoSet) -> None:
             + "}\n"
         )
         for traj in demos.trajectories:
-            if demos.action_kind == "discrete":
-                acts = "[" + ",".join(str(int(a)) for a in traj.acts) + "]"
-            else:
-                acts = _json_reals(np.atleast_2d(traj.acts))
+            acts = "[" + ",".join(str(int(a)) for a in traj.acts) + "]" if discrete else _json_reals(traj.acts)
             fh.write('{"obs": ' + _json_reals(traj.obs) + ', "acts": ' + acts + f', "len": {len(traj)}}}\n')
 
 
@@ -154,7 +168,7 @@ def read_demos(path) -> DemoSet:
             raise FormatError(f"{path}: line {i}: continuous acts must be rows of reals")
         if len(obs) != rec["len"] or len(acts) != rec["len"]:
             raise FormatError(f"{path}: line {i}: len field {rec['len']} does not match arrays")
-        trajectories.append(Trajectory(obs=obs, acts=acts))
+        trajectories.append(PackedWindows(obs=obs, acts=acts))
     return DemoSet(
         trajectories=trajectories,
         env_id=header["env"],

@@ -4,10 +4,10 @@ asaf_1), its transition-wise scored form (asqf) and behavioral cloning (bc).
 ``train`` alternates, for a configured number of outer steps:
 
 1. collect ``n_g`` fresh episodes with the frozen generator policy in one
-   lockstep ``rollout`` call, back to back in one ``Trajectory`` (bc
+   lockstep ``rollout`` call, back to back in one ``PackedWindows`` (bc
    collects nothing),
-2. pack them, like the demos, into ``PackedWindows`` of whole episodes,
-   fixed-size windows or single transitions, and cache the generator's
+2. cut them, like the demos, into windows of whole episodes, fixed-size
+   windows or single transitions, and cache the generator's
    log-likelihood of every window,
 3. run ``epochs`` passes of minibatch updates on the learned net, all with
    the one cross-entropy of ``disc.bce_on_packed`` (the generator pool
@@ -46,7 +46,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import discriminator as disc
-from .envs import EXPERT_ALPHA, EnvSpec, TabularSpec, Trajectory, rollout, soft_value_iteration
+from .envs import EXPERT_ALPHA, EnvSpec, PackedWindows, TabularSpec, rollout, soft_value_iteration
 from .errors import NumericalError, UnsupportedError, ValidationError, check_count
 from .exact import enumerable, exact_traj_distribution, js_between
 from .nn import AdamState, adam_step, clip_by_global_norm, serial_blas
@@ -115,11 +115,12 @@ class TrainConfig:
 
 @dataclass
 class DemoSet:
-    """Expert demonstrations plus the metadata needed to check compatibility;
-    ``lines``, each episode's line in the demo file it was read from, is
-    None for a set built in memory."""
+    """Expert demonstrations plus the metadata needed to check compatibility.
+    Each entry is a ``PackedWindows`` of one episode (or, built in memory,
+    several back to back); ``lines``, each entry's line in the demo file it
+    was read from, is None for a set built in memory."""
 
-    trajectories: list[Trajectory]
+    trajectories: list[PackedWindows]
     env_id: str
     action_kind: str
     obs_dim: int
@@ -183,7 +184,7 @@ def _check_demos(demos: DemoSet, env_spec: EnvSpec) -> None:
     discrete, tabular = demos.action_kind == "discrete", isinstance(env_spec, TabularSpec)
     for i, traj in enumerate(demos.trajectories):
         where = f"episode {i}" if demos.lines is None else f"episode {i} (demo file line {demos.lines[i]})"
-        if len(traj) == 0:     # it would score as a zero-length window, read from the next one's rows
+        if not (len(traj) and traj.lengths.all()):   # a zero-length window would score row 0 of the next one
             raise ValidationError(f"{where}: episode has no steps")
         if traj.obs.shape[1] != env_spec.obs_dim:
             raise ValidationError(f"{where}: observation rows {traj.obs.shape[1]} wide, expected {env_spec.obs_dim}")
@@ -229,7 +230,7 @@ class _ExpertReference:
         return js_between(exact_traj_distribution(self.mdp, table), self.dist)
 
 
-def _pool(trajs: list[Trajectory], cfg: TrainConfig, policy) -> disc.PackedWindows:
+def _pool(trajs: list[PackedWindows], cfg: TrainConfig, policy) -> PackedWindows:
     """The windows ``cfg.algorithm`` reads: the configured ones for asaf_w,
     single transitions for asaf_1, asqf and bc, whole episodes for asaf; a
     categorical learner's pack of one-hot rows holds state ids in their place."""
@@ -269,6 +270,7 @@ def train(cfg: TrainConfig, demos: DemoSet, env_spec: EnvSpec):
     batch_rng = np.random.default_rng(ss_batch)
 
     expert = _pool(demos.trajectories, cfg, learned)
+    n_expert = expert.n_windows
     reference = _ExpertReference(env_spec, demos.generator)
     log = RunLog()
     env_steps = 0
@@ -285,14 +287,14 @@ def train(cfg: TrainConfig, demos: DemoSet, env_spec: EnvSpec):
                 disc.refresh_generator_scores(gen_pool, generator)
 
             epoch_pool = gen_pool if collects else expert
-            lows = range(0, len(epoch_pool), cfg.batch)
-            sizes = [min(cfg.batch, len(epoch_pool) - lo) for lo in lows]
+            lows = range(0, epoch_pool.n_windows, cfg.batch)
+            sizes = [min(cfg.batch, epoch_pool.n_windows - lo) for lo in lows]
             picks = []   # every draw of the step before its first update, in the order that keeps the bits
             for _ in range(cfg.epochs):
-                order = batch_rng.permutation(len(epoch_pool))
+                order = batch_rng.permutation(epoch_pool.n_windows)
                 for lo, size in zip(lows, sizes):   # a minibatch's expert picks, then its generator windows
                     g = order[lo:lo + size]
-                    picks += [batch_rng.integers(0, len(expert), size=size), g + len(expert)] if collects else [g]
+                    picks += [batch_rng.integers(0, n_expert, size=size), g + n_expert] if collects else [g]
             if picks:
                 gathered = (disc.joined(expert, gen_pool) if collects else expert).take(np.concatenate(picks))
             losses, hi = [], 0

@@ -14,10 +14,10 @@ import numpy as np
 from . import discriminator as disc
 from .envs import (
     EXPERT_ALPHA,
+    PackedWindows,
     PointMassSpec,
     ScriptedPointMassPolicy,
     SoftExpertPolicy,
-    Trajectory,
     chain_spec,
     gridworld_spec,
     one_hot,
@@ -116,7 +116,7 @@ def _fd_check(name: str, learner, loss, rng) -> CheckResult:
 def _bce_check(name: str, learner, generator, obs, acts, rng) -> CheckResult:
     """``_fd_check`` of the loss on the episodes ``(obs[i], acts[i])``, the
     first half on the expert side, packed and scored as ``train()`` does."""
-    pack, half = disc.windows_from([Trajectory(o, a) for o, a in zip(obs, acts)]), len(obs) // 2
+    pack, half = disc.windows_from([PackedWindows(o, a) for o, a in zip(obs, acts)]), len(obs) // 2
     disc.refresh_generator_scores(pack, generator)
     expert, gen = pack.span(0, half), pack.span(half, len(obs))
     return _fd_check(name, learner, lambda: disc.bce_on_packed(learner, expert, gen), rng)
@@ -150,13 +150,13 @@ def gradient_suite() -> list[CheckResult]:
     # transition-wise scored discriminator
     model = disc.AsqfModel.init(3, 2, (8,), rng)
     generator = CategoricalPolicy.init(3, 2, (8,), rng)
-    expert = disc.transitions_from([Trajectory(obs=rng.normal(size=(6, 3)), acts=rng.integers(0, 2, size=6))])
-    gen = disc.transitions_from([Trajectory(obs=rng.normal(size=(6, 3)), acts=rng.integers(0, 2, size=6))])
+    expert = disc.transitions_from([PackedWindows(obs=rng.normal(size=(6, 3)), acts=rng.integers(0, 2, size=6))])
+    gen = disc.transitions_from([PackedWindows(obs=rng.normal(size=(6, 3)), acts=rng.integers(0, 2, size=6))])
     out.append(_fd_check("grad_bce_asqf", model, lambda: disc.asqf_bce_loss(model, generator, expert, gen), rng))
 
     # behavioral cloning negative log-likelihood
     policy = CategoricalPolicy.init(3, 2, (8,), rng)
-    demos = disc.transitions_from([Trajectory(obs=rng.normal(size=(6, 3)), acts=rng.integers(0, 2, size=6))])
+    demos = disc.transitions_from([PackedWindows(obs=rng.normal(size=(6, 3)), acts=rng.integers(0, 2, size=6))])
     out.append(_fd_check("grad_bc_nll", policy, lambda: disc.nll_on_packed(policy, demos), rng))
 
     # the scored discriminator on one-hot states, through the score net's state table

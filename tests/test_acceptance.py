@@ -18,7 +18,6 @@ from asaf.envs import (
     ScriptedPointMassPolicy,
     TabularMdp,
     TabularSpec,
-    Trajectory,
     chain_spec,
     gridworld_spec,
     rollout,
@@ -260,15 +259,18 @@ def test_c8_exact_oracles_agree():
         )
         pi = rng.dirichlet(np.ones(n_a), size=n_s)
         dist = exact_traj_distribution(mdp, pi)
-        worst_total = max(worst_total, abs(sum(dist.probs.values()) - 1.0))
-        for key, p in dist.probs.items():
-            if p != dist.policy_factors[key] * dist.dynamics_factors[key]:
-                factorization_exact = False
+        worst_total = max(worst_total, abs(sum(dist.values()) - 1.0))
+        for key, p in dist.items():   # q and xi multiplied along the key, in the enumeration's order
+            q, xi = 1.0, float(mdp.start[key[0]])
+            for t in range(horizon):
+                s, a = key[2 * t], key[2 * t + 1]
+                q, xi = q * pi[s, a], xi * mdp.transitions[s, a, key[2 * t + 2]]
+            factorization_exact &= p == q * xi
 
         w = mdp.gamma ** np.arange(horizon)
         d_s = np.zeros(n_s)
         d_sa = np.zeros((n_s, n_a))
-        for key, p in dist.probs.items():
+        for key, p in dist.items():
             for t in range(horizon):
                 s, a = key[2 * t], key[2 * t + 1]
                 d_s[s] += w[t] * p

@@ -7,18 +7,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import asaf
 from asaf import discriminator as disc
-from asaf.envs import Trajectory
-from asaf.errors import UnsupportedError
+from asaf.envs import PackedWindows, SoftExpertPolicy, chain_spec, rollout, soft_value_iteration
+from asaf.errors import ShapeError, UnsupportedError
 from asaf.nn import Mlp, grad_check, log_softmax_rows
 from asaf.policies import CategoricalPolicy, GaussianPolicy
+from asaf.verify import collect_expert_demos
 
 LOG4 = np.log(4.0)
 
 
 def toy_traj(length, obs_dim=3, n_actions=2, seed=0):
     rng = np.random.default_rng(seed)
-    return Trajectory(obs=rng.normal(size=(length, obs_dim)), acts=rng.integers(0, n_actions, size=length))
+    return PackedWindows(obs=rng.normal(size=(length, obs_dim)), acts=rng.integers(0, n_actions, size=length))
 
 
 def random_windows(n, length, obs_dim, n_actions, rng):
@@ -42,7 +44,7 @@ def bias_only_policy(probs):
 
 
 def transitions(obs, acts):
-    return disc.transitions_from([Trajectory(obs=obs, acts=acts)])
+    return disc.transitions_from([PackedWindows(obs=obs, acts=acts)])
 
 
 def scored_packs(generator, *window_lists):
@@ -68,7 +70,6 @@ def reference_take(packed, idx):
     return disc.PackedWindows(
         obs=packed.obs[rows],
         acts=packed.acts[rows],
-        starts=np.concatenate([[0], np.cumsum(lengths)[:-1]]),
         lengths=lengths,
         gen_logp=None if packed.gen_logp is None else packed.gen_logp[idx],
         states=None if packed.states is None else packed.states[rows],
@@ -96,8 +97,8 @@ def reference_bce_on_packed(learner, packed_e, packed_g):
     a_e, a_g = packed_e.segment_sum(lp_e), packed_g.segment_sum(lp_g)
     m_e, m_g = np.logaddexp(a_e, packed_e.gen_logp), np.logaddexp(a_g, packed_g.gen_logp)
     loss = -float(np.mean(a_e - m_e)) - float(np.mean(packed_g.gen_logp - m_g))
-    w_e = -np.exp(packed_e.gen_logp - m_e) / len(packed_e)
-    w_g = np.exp(a_g - m_g) / len(packed_g)
+    w_e = -np.exp(packed_e.gen_logp - m_e) / packed_e.n_windows
+    w_g = np.exp(a_g - m_g) / packed_g.n_windows
     grad = learner.backprop_log_prob(cache_e, packed_e.per_step(w_e))
     grad += learner.backprop_log_prob(cache_g, packed_g.per_step(w_g))
     return loss, grad
@@ -106,7 +107,7 @@ def reference_bce_on_packed(learner, packed_e, packed_g):
 def reference_one_tape_bce(learner, packed_e, packed_g):
     """``bce_on_packed`` as it was written before its join and its core were
     split out: both packs concatenated, one tape cut at the expert rows."""
-    n, split = len(packed_e), len(packed_e.acts)
+    n, split = packed_e.n_windows, len(packed_e.acts)
     starts = np.concatenate([packed_e.starts, packed_g.starts + split])
     gen_logp = np.concatenate([packed_e.gen_logp, packed_g.gen_logp])
     acts = np.concatenate([packed_e.acts, packed_g.acts])
@@ -251,6 +252,51 @@ def test_pack_windows_layout():
         disc.pack_windows([])
 
 
+def test_one_pack_type_counts_steps_with_len_and_windows_with_n_windows():
+    # rollouts, demo entries and window packs are one type; the benchmark
+    # traces discriminator.take through this class's own take
+    assert asaf.discriminator.PackedWindows is PackedWindows and "take" in vars(asaf.discriminator.PackedWindows)
+    spec = chain_spec()
+    episodes, _ = rollout(spec, SoftExpertPolicy(soft_value_iteration(spec.mdp, 1.0)), 0, episodes=3)
+    assert (len(episodes), episodes.n_windows) == (15, 3)
+    entry = collect_expert_demos(spec, n=2, alpha=1.0, seed=0).trajectories[1]
+    assert type(entry) is PackedWindows and (len(entry), entry.n_windows) == (5, 1)
+    for w, stride, steps, n_windows in ((None, 1, 15, 3), (2, 1, 24, 12), (2, 2, 12, 6), (1, 1, 15, 15)):
+        pack = disc.windows_from([episodes], w, stride)
+        assert (len(pack), pack.n_windows) == (steps, n_windows)
+
+
+@given(
+    lengths=st.lists(st.lists(st.integers(1, 6), min_size=1, max_size=5), min_size=1, max_size=4),
+    w=st.one_of(st.none(), st.integers(1, 7)),
+    stride=st.integers(1, 3),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_starts_follow_lengths_after_every_builder(lengths, w, stride, seed):
+    # no pack stores starts: each window begins where the ones before it end
+    rng = np.random.default_rng(seed)
+    trajs = [PackedWindows(rng.normal(size=(sum(ls), 2)), rng.integers(0, 3, size=sum(ls)), ls) for ls in lengths]
+    cut = disc.windows_from(trajs, w, stride)
+    idx = rng.integers(0, cut.n_windows, size=int(rng.integers(1, 12)))
+    lo = int(rng.integers(0, cut.n_windows))
+    for pack in (*trajs, cut, cut.take(idx), cut.span(lo, int(rng.integers(lo + 1, cut.n_windows + 1))),
+                 disc.joined(cut, trajs[0]), disc.transitions_from(trajs)):
+        assert np.array_equal(pack.starts, np.cumsum(pack.lengths) - pack.lengths)
+        assert pack.n_windows == len(pack.lengths) and len(pack) == pack.lengths.sum() == len(pack.obs)
+
+
+def test_pack_refuses_rows_it_cannot_hold():
+    with pytest.raises(ShapeError):
+        PackedWindows(np.zeros(3), np.zeros(3))                      # obs not one row per step
+    with pytest.raises(ShapeError):
+        PackedWindows(np.zeros((3, 2)), np.zeros(2))                 # one action per row
+    with pytest.raises(ShapeError):
+        PackedWindows(np.zeros((3, 2)), np.zeros(3), lengths=[1, 1])  # lengths add up to the rows
+    pack = PackedWindows(None, np.zeros(3), lengths=[2, 1])           # a state-indexed pool holds no obs
+    assert pack.obs is None and np.array_equal(pack.starts, [0, 2])
+    assert PackedWindows([[1], [2]], [0, 1]).obs.dtype == np.float64
+
+
 def test_packed_take_reindexes():
     rng = np.random.default_rng(2)
     wins = random_windows(4, 3, 2, 2, rng)
@@ -287,7 +333,7 @@ def test_take_matches_reference_gather(lengths, picks, unit, scored, stated):
         assert (getattr(got, name) is None) == (getattr(want, name) is None) == (not kept), name
         if kept:
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
-    assert len(got) == len(idx)
+    assert got.n_windows == len(idx)
 
 
 def assert_same_pack(got, want):
@@ -300,8 +346,9 @@ def assert_same_pack(got, want):
 
 def test_the_field_lists_name_every_pack_field_once():
     # take, span and joined carry the fields these lists name, so a field
-    # added to the dataclass without a list entry would be dropped by them
-    listed = [*disc.PackedWindows._ROWS, *disc.PackedWindows._WINDOWS, "starts"]
+    # added to the dataclass without a list entry would be dropped by them;
+    # starts is derived from lengths, not a field
+    listed = [*disc.PackedWindows._ROWS, *disc.PackedWindows._WINDOWS]
     assert sorted(listed) == sorted(f.name for f in fields(disc.PackedWindows))
 
 
@@ -316,7 +363,7 @@ def test_joined_concatenates_every_field(with_obs, stated, lengths, scored, seed
     rng = np.random.default_rng(seed)
     packs = [disc.pack_windows(random_windows_of(n, rng)) for n in lengths]
     for p, has_scores in zip(packs, scored):
-        p.gen_logp = rng.normal(size=len(p)) if has_scores else None
+        p.gen_logp = rng.normal(size=p.n_windows) if has_scores else None
         p.states = rng.integers(0, 5, size=len(p.acts)) if stated else None
         p.obs = p.obs if with_obs else None
     e, g = packs
@@ -326,7 +373,7 @@ def test_joined_concatenates_every_field(with_obs, stated, lengths, scored, seed
         return None if a is None or b is None else np.concatenate([a, b])
 
     want = disc.PackedWindows(obs=cat("obs"), acts=cat("acts"), lengths=cat("lengths"), gen_logp=cat("gen_logp"),
-                              states=cat("states"), starts=np.concatenate([e.starts, g.starts + len(e.acts)]))
+                              states=cat("states"))
     assert_same_pack(disc.joined(e, g), want)
     assert (want.gen_logp is None) == (not all(scored)) and (want.obs is None) == (not with_obs)
 
@@ -350,7 +397,7 @@ def test_spans_of_an_epoch_gather_equal_minibatch_takes(lengths, batch, unit, sc
         packed.gen_logp = rng.normal(size=packed.n_windows)
     if stated:
         packed.states = rng.integers(0, 5, size=len(packed.obs))
-    order = rng.permutation(len(packed))
+    order = rng.permutation(packed.n_windows)
     epoch = packed.take(order)
     for lo in range(0, len(order), batch):
         assert_same_pack(epoch.span(lo, lo + batch), packed.take(order[lo : lo + batch]))
@@ -484,7 +531,7 @@ def test_bce_fixed_point_gradient_vanishes_on_wide_nets(seed, gaussian, rows, w)
         policy, acts = GaussianPolicy(Mlp.init((obs_dim, 64, 64, 2), rng)), rng.normal(size=(rows, 1))
     else:
         policy, acts = CategoricalPolicy(Mlp.init((obs_dim, 64, 64, 3), rng)), rng.integers(0, 3, size=rows)
-    packed = disc.windows_from([Trajectory(rng.normal(size=(rows, obs_dim)), acts)], w, stride=w)
+    packed = disc.windows_from([PackedWindows(rng.normal(size=(rows, obs_dim)), acts)], w, stride=w)
     disc.refresh_generator_scores(packed, policy)
     loss, grad = disc.bce_on_packed(policy, packed, packed)
     assert loss == pytest.approx(LOG4, abs=1e-9)
@@ -616,8 +663,9 @@ def test_joined_core_is_bitwise_bce_on_packed(seed, kind, max_len, n, before):
     for p in pools:
         disc.refresh_generator_scores(p, generator)
     pool_e, pool_g = pools
-    picks_e, picks_g = rng.integers(0, len(pool_e), size=n), rng.integers(0, len(pool_g), size=n)
-    idx = np.concatenate([rng.integers(0, len(pool_e) + len(pool_g), size=before), picks_e, picks_g + len(pool_e)])
+    n_e, n_g = pool_e.n_windows, pool_g.n_windows
+    picks_e, picks_g = rng.integers(0, n_e, size=n), rng.integers(0, n_g, size=n)
+    idx = np.concatenate([rng.integers(0, n_e + n_g, size=before), picks_e, picks_g + n_e])
     source = disc.joined(pool_e, pool_g)
     both = source.take(idx).span(before, before + 2 * n)
     loss, grad = disc.bce_on_joined(learner, both)
@@ -721,7 +769,7 @@ def reference_transitions_from(trajs):
     """``transitions_from`` as it was written before it called ``windows_from``."""
     obs = np.concatenate([t.obs for t in trajs])
     acts = np.concatenate([np.atleast_1d(t.acts) for t in trajs])
-    return disc.PackedWindows(obs=obs, acts=acts, starts=np.arange(len(obs)), lengths=np.ones(len(obs), dtype=np.int64))
+    return disc.PackedWindows(obs=obs, acts=acts, lengths=np.ones(len(obs), dtype=np.int64))
 
 
 @given(
@@ -732,11 +780,11 @@ def reference_transitions_from(trajs):
     seed=st.integers(0, 2 ** 32 - 1),
 )
 def test_windows_from_matches_the_list_form(episodes, w, stride, continuous, seed):
-    # each inner list holds the episode lengths of one Trajectory; windows
+    # each inner list holds the episode lengths of one pack; windows
     # longer than an episode, strides past the window and w=None (whole
     # episodes) all cut as window_split + pack_windows cut them
     rng = np.random.default_rng(seed)
-    trajs = [Trajectory(obs=rng.normal(size=(sum(ls), 2)), lengths=ls,
+    trajs = [PackedWindows(obs=rng.normal(size=(sum(ls), 2)), lengths=ls,
                         acts=rng.normal(size=(sum(ls), 1)) if continuous else rng.integers(0, 3, size=sum(ls)))
              for ls in episodes]
     parts = [part for t in trajs for part in t.episodes()]

@@ -53,6 +53,17 @@ def random_policy(rng, n_states, n_actions):
     return rng.dirichlet(np.ones(n_actions), size=n_states)
 
 
+def factors(mdp, pi, key):
+    """The policy-only factor q and the dynamics-only factor xi of a key,
+    each multiplied along the key in the enumeration's order."""
+    stage_pi = np.broadcast_to(pi, (mdp.horizon, *np.shape(pi)[-2:]))
+    q, xi = 1.0, float(mdp.start[key[0]])
+    for t in range(len(key) // 2):
+        s, a = key[2 * t], key[2 * t + 1]
+        q, xi = q * stage_pi[t, s, a], xi * mdp.transitions[s, a, key[2 * t + 2]]
+    return q, xi
+
+
 def with_terminal_states(mdp, terminal):
     """The MDP with the states ``terminal`` made absorbing, zero-reward and terminal."""
     p, r = mdp.transitions.copy(), mdp.rewards.copy()
@@ -72,7 +83,7 @@ def occupancy_by_enumeration(mdp, pi):
     z = w.sum()
     d_s = np.zeros(mdp.n_states)
     d_sa = np.zeros((mdp.n_states, mdp.n_actions))
-    for key, p in dist.probs.items():
+    for key, p in dist.items():
         for t in range(len(key) // 2):
             s, a = key[2 * t], key[2 * t + 1]
             d_s[s] += w[t] * p
@@ -84,32 +95,33 @@ def occupancy_by_enumeration(mdp, pi):
 
 def test_enumeration_deterministic_gives_single_key():
     dist = exact_traj_distribution(toggle_mdp(horizon=3), ALWAYS_TOGGLE)
-    assert len(dist.probs) == 1
-    key, p = next(iter(dist.probs.items()))
+    assert len(dist) == 1
+    key, p = next(iter(dist.items()))
     assert key == (0, 1, 1, 1, 0, 1, 1)   # s0 a0 s1 a1 s2 a2 s3
     assert p == 1.0
 
 
 def test_enumeration_uniform_toggle():
     dist = exact_traj_distribution(toggle_mdp(horizon=2), UNIFORM2)
-    assert len(dist.probs) == 4
-    for p in dist.probs.values():
+    assert len(dist) == 4
+    for p in dist.values():
         assert p == pytest.approx(0.25, abs=1e-15)
-    assert sum(dist.probs.values()) == pytest.approx(1.0, abs=1e-12)
+    assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_enumeration_prunes_zero_probability_actions():
     dist = exact_traj_distribution(toggle_mdp(horizon=2), ALWAYS_TOGGLE)
-    for key in dist.probs:
+    for key in dist:
         assert all(a == 1 for a in key[1::2])
 
 
 def test_enumeration_factorization_is_exact():
     rng = np.random.default_rng(0)
     mdp = random_mdp(rng)
-    dist = exact_traj_distribution(mdp, random_policy(rng, 3, 2))
-    for key, p in dist.probs.items():
-        assert p == dist.policy_factors[key] * dist.dynamics_factors[key]
+    pi = random_policy(rng, 3, 2)
+    for key, p in exact_traj_distribution(mdp, pi).items():
+        q, xi = factors(mdp, pi, key)
+        assert p == q * xi
 
 
 @settings(max_examples=25)
@@ -118,14 +130,14 @@ def test_enumeration_sums_to_one(seed):
     rng = np.random.default_rng(seed)
     mdp = random_mdp(rng, horizon=int(rng.integers(1, 5)))
     dist = exact_traj_distribution(mdp, random_policy(rng, 3, 2))
-    assert sum(dist.probs.values()) == pytest.approx(1.0, abs=1e-8)
+    assert sum(dist.values()) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_enumeration_accepts_stage_indexed_policies():
     spec = chain_spec()
     table = soft_value_iteration(spec.mdp, 1.0).policy_table()
     dist = exact_traj_distribution(spec.mdp, table)
-    assert sum(dist.probs.values()) == pytest.approx(1.0, abs=1e-10)
+    assert sum(dist.values()) == pytest.approx(1.0, abs=1e-10)
     with pytest.raises(ShapeError):
         exact_traj_distribution(spec.mdp, table[:3])  # wrong stage count
 
@@ -234,9 +246,9 @@ def test_terminal_state_ends_the_oracles_episodes(leave, d_state):
     mdp = goal_mdp(3, leave)
     pi_a, pi_b = np.array([[0.5, 0.5], [0.9, 0.1]]), np.array([[0.5, 0.5], [0.1, 0.9]])
     dist_a, dist_b = exact_traj_distribution(mdp, pi_a), exact_traj_distribution(mdp, pi_b)
-    assert dist_a.probs == dist_b.probs and js_between(dist_a, dist_b) == 0.0
-    assert all(key[-1] == 1 or len(key) == 7 for key in dist_a.probs)
-    assert sum(dist_a.probs.values()) == pytest.approx(1.0, abs=1e-15)
+    assert dist_a == dist_b and js_between(dist_a, dist_b) == 0.0
+    assert all(key[-1] == 1 or len(key) == 7 for key in dist_a)
+    assert sum(dist_a.values()) == pytest.approx(1.0, abs=1e-15)
     for pi in (pi_a, pi_b):
         occ = occupancy(mdp, pi)
         np.testing.assert_allclose(occ.d_state, d_state, atol=1e-15)
@@ -254,15 +266,15 @@ def test_dp_matches_enumeration_with_terminal_states(seed):
                                           gamma=float(rng.choice([1.0, 0.9]))), terminal)
     pi = random_policy(rng, n_states, 2)
     dist = exact_traj_distribution(mdp, pi)
-    assert sum(dist.probs.values()) == pytest.approx(1.0, abs=1e-12)
-    assert all(len(key) == 2 * mdp.horizon + 1 or mdp.terminal_mask[key[-1]] for key in dist.probs)
+    assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
+    assert all(len(key) == 2 * mdp.horizon + 1 or mdp.terminal_mask[key[-1]] for key in dist)
     occ = occupancy(mdp, pi)
     d_s, d_sa = occupancy_by_enumeration(mdp, pi)
     np.testing.assert_allclose(occ.d_state, d_s, atol=1e-12)
     np.testing.assert_allclose(occ.d_state_action, d_sa, atol=1e-12)
     assert not stage_marginals(mdp, pi)[1:, terminal].any()
     total = sum(p * sum(mdp.rewards[key[2 * t], key[2 * t + 1]] for t in range(len(key) // 2))
-                for key, p in dist.probs.items())
+                for key, p in dist.items())
     assert expected_return(mdp, pi) == pytest.approx(total, abs=1e-12)
 
 
@@ -288,7 +300,7 @@ def test_stage_kl_matches_enumeration_and_bounds_js(seed, terminals, stationary)
     _, mdp, p_pi, q_pi = random_case(seed, terminals, stationary)
     dist_p, dist_q = exact_traj_distribution(mdp, p_pi), exact_traj_distribution(mdp, q_pi)
     for (a, b), (da, db) in [((p_pi, q_pi), (dist_p, dist_q)), ((q_pi, p_pi), (dist_q, dist_p))]:
-        enumerated = sum(w * np.log(w / db.probs[key]) for key, w in da.probs.items())
+        enumerated = sum(w * np.log(w / db[key]) for key, w in da.items())
         assert stage_kl(mdp, a, b) == pytest.approx(enumerated, rel=1e-9, abs=1e-14)
     assert stage_kl(mdp, p_pi, p_pi) == 0.0
     assert js_between(dist_p, dist_q) <= js_bound(mdp, p_pi, q_pi)
@@ -353,7 +365,7 @@ def unrolled_table(pi):
 def folded(dist, n_states):
     """An enumerated distribution of the unrolled MDP keyed by the original
     MDP's states: each state id of a key read modulo S."""
-    return {tuple(x if i % 2 else x % n_states for i, x in enumerate(key)): p for key, p in dist.probs.items()}
+    return {tuple(x if i % 2 else x % n_states for i, x in enumerate(key)): p for key, p in dist.items()}
 
 
 def test_unrolled_mdp_is_stage_by_state():
@@ -373,7 +385,7 @@ def test_unrolled_chain_expert_has_the_chain_trajectory_distribution():
     mdp = chain_spec().mdp
     expert = soft_value_iteration(mdp, EXPERT_ALPHA).policy_table()
     unrolled = exact_traj_distribution(unroll(mdp), unrolled_table(expert))
-    assert folded(unrolled, mdp.n_states) == exact_traj_distribution(mdp, expert).probs
+    assert folded(unrolled, mdp.n_states) == exact_traj_distribution(mdp, expert)
 
 
 @settings(max_examples=40)
@@ -381,7 +393,7 @@ def test_unrolled_chain_expert_has_the_chain_trajectory_distribution():
 def test_unrolled_stage_table_has_the_trajectory_distribution_with_terminal_states(seed):
     _, mdp, pi, _ = random_case(seed, terminals=True, stationary=False)
     unrolled = exact_traj_distribution(unroll(mdp), unrolled_table(pi))
-    assert folded(unrolled, mdp.n_states) == exact_traj_distribution(mdp, pi).probs
+    assert folded(unrolled, mdp.n_states) == exact_traj_distribution(mdp, pi)
 
 
 @pytest.mark.parametrize("spec, floor", [(chain_spec, 2.7843e-4), (gridworld_spec, 5.919e-9)])
@@ -401,9 +413,7 @@ def test_unrolled_projection_is_the_stage_expert_and_its_floor_is_zero(spec, flo
 def test_expected_return_hand_values():
     mdp = toggle_mdp(horizon=3, gamma=0.9)
     # deterministic path: r(0,1)=0.5, r(1,1)=0.2, r(0,1)=0.5
-    assert expected_return(mdp, ALWAYS_TOGGLE) == pytest.approx(1.2, abs=1e-12)
-    want = 0.5 + 0.9 * 0.2 + 0.81 * 0.5
-    assert expected_return(mdp, ALWAYS_TOGGLE, discounted=True) == pytest.approx(want, abs=1e-12)
+    assert expected_return(mdp, ALWAYS_TOGGLE) == pytest.approx(1.2, abs=1e-12)   # gamma is not applied
 
 
 def test_expected_return_matches_enumeration():
@@ -412,7 +422,7 @@ def test_expected_return_matches_enumeration():
     pi = random_policy(rng, 3, 2)
     dist = exact_traj_distribution(mdp, pi)
     total = 0.0
-    for key, p in dist.probs.items():
+    for key, p in dist.items():
         total += p * sum(mdp.rewards[key[2 * t], key[2 * t + 1]] for t in range(3))
     assert expected_return(mdp, pi) == pytest.approx(total, abs=1e-12)
 
@@ -514,14 +524,13 @@ def reference_bce_from_enumeration(mdp, learner_pi, generator_pi, expert_pi):
     """The form ``bce_from_enumeration`` had with the learner enumerated too,
     which looked each key's factors up in the enumerations and so needed
     every table strictly positive on the keys the loss runs over."""
-    d_e, d_g, d_l = (exact_traj_distribution(mdp, pi) for pi in (expert_pi, generator_pi, learner_pi))
     loss = 0.0
-    for side, scored in ((d_e, d_l), (d_g, d_g)):
-        for key, p in side.probs.items():
+    for side, scored in ((expert_pi, learner_pi), (generator_pi, generator_pi)):
+        for key, p in exact_traj_distribution(mdp, side).items():
             if p == 0.0:
                 continue
-            a, g = np.log(d_l.policy_factors[key]), np.log(d_g.policy_factors[key])
-            loss -= p * (np.log(scored.policy_factors[key]) - np.logaddexp(a, g))
+            a, g = (np.log(factors(mdp, pi, key)[0]) for pi in (learner_pi, generator_pi))
+            loss -= p * (np.log(factors(mdp, scored, key)[0]) - np.logaddexp(a, g))
     return float(loss)
 
 
@@ -532,9 +541,9 @@ def direct_bce(mdp, learner_pi, generator_pi, expert_pi):
     d_e, d_g = exact_traj_distribution(mdp, expert_pi), exact_traj_distribution(mdp, generator_pi)
     tables = [np.broadcast_to(pi, (mdp.horizon, *np.shape(pi)[-2:])) for pi in (learner_pi, generator_pi)]
     total = 0.0
-    for key in set(d_e.probs) | set(d_g.probs):
+    for key in set(d_e) | set(d_g):
         q_l, q_g = (np.prod([tab[t, key[2 * t], key[2 * t + 1]] for t in range(len(key) // 2)]) for tab in tables)
-        p_e, p_g = d_e.probs.get(key, 0.0), d_g.probs.get(key, 0.0)
+        p_e, p_g = d_e.get(key, 0.0), d_g.get(key, 0.0)
         if p_e > 0.0:
             total += np.inf if q_l == 0.0 else -p_e * np.log(q_l / (q_l + q_g))
         if p_g > 0.0:

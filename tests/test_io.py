@@ -73,10 +73,10 @@ def test_demo_round_trip_discrete(tmp_path):
 
 def test_demo_round_trip_continuous(tmp_path):
     rng = np.random.default_rng(0)
-    from asaf.envs import Trajectory
+    from asaf.envs import PackedWindows
     from asaf.train import DemoSet
 
-    trajs = [Trajectory(obs=rng.normal(size=(4, 1)), acts=rng.normal(size=(4, 1))) for _ in range(3)]
+    trajs = [PackedWindows(obs=rng.normal(size=(4, 1)), acts=rng.normal(size=(4, 1))) for _ in range(3)]
     trajs[0].obs[0, 0] = -0.0  # signed zero must survive
     demos = DemoSet(trajs, env_id="pointmass", action_kind="continuous", obs_dim=1,
                     mean_return=-0.125)
@@ -195,16 +195,16 @@ def test_demo_file_errors(tmp_path):
 
 
 def test_write_demos_rejects_non_finite_before_opening(tmp_path):
-    from asaf.envs import Trajectory
+    from asaf.envs import PackedWindows
     from asaf.train import DemoSet
 
     path = tmp_path / "demos.jsonl"
-    good = Trajectory(obs=np.zeros((2, 1)), acts=np.zeros((2, 1)))
+    good = PackedWindows(obs=np.zeros((2, 1)), acts=np.zeros((2, 1)))
     cases = [
-        (Trajectory(obs=np.array([[0.0], [np.nan]]), acts=np.zeros((2, 1))), 0.0, "line 3"),
-        (Trajectory(obs=np.zeros((2, 1)), acts=np.array([[np.inf], [0.0]])), 0.0, "line 3"),
+        (PackedWindows(obs=np.array([[0.0], [np.nan]]), acts=np.zeros((2, 1))), 0.0, "line 3"),
+        (PackedWindows(obs=np.zeros((2, 1)), acts=np.array([[np.inf], [0.0]])), 0.0, "line 3"),
         (good, float("-inf"), "mean_return"),
-        (Trajectory(obs=np.zeros((0, 1)), acts=np.zeros((0, 1))), 0.0, "line 3: episode has no steps"),
+        (PackedWindows(obs=np.zeros((0, 1)), acts=np.zeros((0, 1))), 0.0, "line 3: episode has no steps"),
     ]
     for traj, mean_return, where in cases:
         demos = DemoSet([good, traj], env_id="pointmass", action_kind="continuous", obs_dim=1,
@@ -212,6 +212,42 @@ def test_write_demos_rejects_non_finite_before_opening(tmp_path):
         with pytest.raises(FormatError, match=where):
             write_demos(path, demos)
         assert not path.exists()
+
+
+def test_write_demos_refuses_what_would_not_read_back(tmp_path):
+    # each of these was written, and then read back as other data (three
+    # episodes as one 15-step episode, the action 1.5 as 1) or refused by
+    # read_demos; each refusal names the line and comes before the file opens
+    from asaf.envs import PackedWindows, SoftExpertPolicy, rollout
+    from asaf.train import DemoSet
+
+    spec = chain_spec()
+    three, _ = rollout(spec, SoftExpertPolicy(soft_value_iteration(spec.mdp, 1.0)), 0, episodes=3)
+    one = three.episodes()[0]
+    chain = dict(env_id="chain", action_kind="discrete", obs_dim=4, mean_return=0.0)
+    pointmass = dict(env_id="pointmass", action_kind="continuous", obs_dim=1, mean_return=0.0)
+    cases = [
+        ([one, three], chain, "line 3: an entry of 3 episodes; a line holds one"),
+        ([one, PackedWindows(np.eye(4)[[0, 1, 2]], [1, 1, 0], lengths=[2, 0, 1])], chain,
+         "line 3: episode has no steps"),
+        ([PackedWindows(np.eye(4)[[0, 1, 2]], [1.0, 1.5, 0.0])], chain,
+         "line 2: discrete action 1.5 is not an integer"),
+        ([one, PackedWindows(np.eye(4)[[0, 1]], [[1], [0]])], chain,
+         r"line 3: discrete actions of shape \(2, 1\), expected a flat list"),
+        ([PackedWindows(np.zeros((3, 1)), np.zeros(3))], pointmass,
+         r"line 2: continuous actions of shape \(3,\), expected rows of reals"),
+        ([one, PackedWindows(np.zeros((3, 3)), [1, 1, 0])], chain,
+         r"line 3: obs shape \(3, 3\) does not match obs_dim 4"),
+        ([one], {**chain, "action_kind": "weird"}, "line 1: bad action_kind 'weird'"),
+    ]
+    path = tmp_path / "demos.jsonl"
+    for trajs, header, message in cases:
+        with pytest.raises(FormatError, match=message):
+            write_demos(path, DemoSet(trajs, **header))
+        assert not path.exists()
+    write_demos(path, DemoSet(three.episodes(), **chain))    # the same episodes, one a line, round-trip
+    for a, b in zip(three.episodes(), read_demos(path).trajectories):
+        assert a.obs.tobytes() == b.obs.tobytes() and a.acts.tobytes() == b.acts.tobytes()
 
 
 # ---------------------------------------------------------------- run configs
@@ -299,7 +335,8 @@ def test_config_keys_are_the_train_config_fields_and_the_run_paths():
 
 def test_the_package_exports_what_it_imports_and_no_submodule():
     # asaf.__all__ is derived from the imports in asaf/__init__.py
-    assert asaf.__all__ == sorted(set(asaf.__all__)) and len(asaf.__all__) == 41
+    assert asaf.__all__ == sorted(set(asaf.__all__)) and len(asaf.__all__) == 40
+    assert "PackedWindows" in asaf.__all__ and not {"Trajectory", "TrajDistribution"} & set(asaf.__all__)
     assert not any(isinstance(getattr(asaf, name), types.ModuleType) for name in asaf.__all__)
     assert asaf.train is train and "train" in asaf.__all__ and "nn" not in asaf.__all__
 

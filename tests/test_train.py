@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from asaf.envs import (
+    PackedWindows,
     PointMassSpec,
     ScriptedPointMassPolicy,
     TabularMdp,
     TabularSpec,
-    Trajectory,
     chain_spec,
     env_by_id,
     gridworld_spec,
@@ -118,7 +118,7 @@ def test_config_stride_defaults_to_w():
 
 def test_dispatch_rejects_cross_algorithm_calls():
     # one algorithm's options are refused on another before any demo is read
-    demos = DemoSet([Trajectory(obs=np.eye(4)[:2], acts=np.array([1, 1]))],
+    demos = DemoSet([PackedWindows(obs=np.eye(4)[:2], acts=np.array([1, 1]))],
                     env_id="chain", action_kind="discrete", obs_dim=4, mean_return=0.0)
     env = chain_spec()
     with pytest.raises(ValidationError):
@@ -195,7 +195,7 @@ def test_demo_env_mismatch_is_rejected(chain_demos):
         train(tiny_cfg(), wrong_kind, PointMassSpec())
     for bad in (-1, 2):
         acts = [np.array([1, 1, 0, 1, 1]), np.array([1, 0, bad, 1, 1])]
-        out_of_range = DemoSet([Trajectory(obs=np.eye(4)[[0, 1, 2, 3, 3]], acts=a) for a in acts],
+        out_of_range = DemoSet([PackedWindows(obs=np.eye(4)[[0, 1, 2, 3, 3]], acts=a) for a in acts],
                                env_id="chain", action_kind="discrete", obs_dim=4, mean_return=0.0)
         with pytest.raises(ValidationError, match=rf"episode 1: action {bad}"):
             train(tiny_cfg(), out_of_range, chain_spec())
@@ -207,15 +207,28 @@ def test_demo_episode_with_no_steps_is_rejected(env, algorithm):
     # whole-episode windows used to give it a zero-length window, scored
     # with the first step of the episode after it
     if env == "chain":
-        spec, full = chain_spec(), Trajectory(obs=np.eye(4)[[0, 1, 2, 3, 3]], acts=np.ones(5, dtype=np.int64))
-        empty = Trajectory(obs=np.zeros((0, 4)), acts=np.zeros(0, dtype=np.int64))
+        spec, full = chain_spec(), PackedWindows(obs=np.eye(4)[[0, 1, 2, 3, 3]], acts=np.ones(5, dtype=np.int64))
+        empty = PackedWindows(obs=np.zeros((0, 4)), acts=np.zeros(0, dtype=np.int64))
     else:
-        spec, full = PointMassSpec(), Trajectory(obs=np.zeros((50, 1)), acts=np.zeros((50, 1)))
-        empty = Trajectory(obs=np.zeros((0, 1)), acts=np.zeros((0, 1)))
+        spec, full = PointMassSpec(), PackedWindows(obs=np.zeros((50, 1)), acts=np.zeros((50, 1)))
+        empty = PackedWindows(obs=np.zeros((0, 1)), acts=np.zeros((0, 1)))
     demos = DemoSet([full, empty, full], env_id=env, action_kind=spec.action_kind, obs_dim=spec.obs_dim,
                     mean_return=0.0)
     with pytest.raises(ValidationError, match=r"episode 1: episode has no steps"):
         train(tiny_cfg(algorithm=algorithm, steps=1), demos, spec)
+
+
+@pytest.mark.parametrize("lengths", [[0, 3], [1, 0, 2], [3, 0]])
+@pytest.mark.parametrize("lines", [None, [2, 5]])
+def test_demo_entry_with_an_empty_episode_among_others_is_rejected(lengths, lines):
+    # an entry of several episodes, one of them empty, used to train: its
+    # zero-length window was scored with the first step of the next one
+    entry = PackedWindows(obs=np.eye(4)[[0, 1, 2]], acts=[1, 1, 0], lengths=lengths)
+    demos = DemoSet([one_hot_traj([0, 1, 2, 3, 3], [1] * 5), entry], env_id="chain", action_kind="discrete",
+                    obs_dim=4, mean_return=0.0, lines=lines)
+    where = "episode 1" if lines is None else r"episode 1 \(demo file line 5\)"
+    with pytest.raises(ValidationError, match=rf"^{where}: episode has no steps$"):
+        train(tiny_cfg(steps=1), demos, chain_spec())
 
 
 @pytest.mark.parametrize("row", [[0.0, 0.0, 0.0, 0.0], [0.0, 1.0, 1.0, 0.0], [0.5, 0.5, 0.0, 0.0],
@@ -232,7 +245,7 @@ def test_tabular_demo_rows_must_be_one_hot(row, episode, step):
 
 def test_continuous_demo_actions_must_be_act_dim_wide():
     acts = [np.zeros((3, 1)), np.zeros((3, 2))]
-    wide = DemoSet([Trajectory(obs=np.zeros((3, 1)), acts=a) for a in acts],
+    wide = DemoSet([PackedWindows(obs=np.zeros((3, 1)), acts=a) for a in acts],
                    env_id="pointmass", action_kind="continuous", obs_dim=1, mean_return=0.0)
     with pytest.raises(ValidationError, match=r"episode 1: actions of shape \(3, 2\), "
                                               r"expected \(3, 1\)"):
@@ -245,7 +258,7 @@ def test_demo_observation_rows_must_be_obs_dim_wide(env_id, algorithm, width):
     # a library caller's DemoSet used to die in np.concatenate (tabular) or in the net (pointmass)
     env = env_by_id(env_id)
     episodes = collect_expert_demos(env, n=3, alpha=1.0, seed=0).trajectories
-    episodes[1] = Trajectory(obs=np.zeros((len(episodes[1]), width)), acts=episodes[1].acts)
+    episodes[1] = PackedWindows(obs=np.zeros((len(episodes[1]), width)), acts=episodes[1].acts)
     demos = DemoSet(episodes, env_id=env_id, action_kind=env.action_kind, obs_dim=env.obs_dim, mean_return=0.0)
     with pytest.raises(ValidationError, match=rf"^episode 1: observation rows {width} wide, "
                                               rf"expected {env.obs_dim}$"):
@@ -344,7 +357,7 @@ def test_asaf_never_reads_rewards(chain_demos):
 
 def test_pointmass_js_column_is_empty():
     demos = DemoSet(
-        [Trajectory(obs=np.zeros((3, 1)), acts=np.zeros((3, 1)))],
+        [PackedWindows(obs=np.zeros((3, 1)), acts=np.zeros((3, 1)))],
         env_id="pointmass", action_kind="continuous", obs_dim=1, mean_return=0.0,
     )
     cfg = tiny_cfg(algorithm="asaf_1", steps=1, n_g=1, epochs=1, batch=8, eval_k=2)
@@ -426,15 +439,15 @@ def test_tabular_training_runs_the_nets_on_the_states_only(chain_demos, monkeypa
 def test_updates_gather_once_per_outer_step(env_id, algorithm, cfg_kw, sides, monkeypatch):
     spec = env_by_id(env_id)
     demos = collect_expert_demos(spec, n=4, alpha=1.0, seed=3)
-    calls, take = [], disc.PackedWindows.take
+    calls, pools, take, windows_from = [], [], disc.PackedWindows.take, disc.windows_from
     monkeypatch.setattr(disc.PackedWindows, "take", lambda self, idx: calls.append(len(idx)) or take(self, idx))
+    monkeypatch.setattr(disc, "windows_from", lambda *args: pools.append(pool := windows_from(*args)) or pool)
     cfg = tiny_cfg(algorithm=algorithm, **cfg_kw)
     train(cfg, demos, spec)
-    pools = 1 + (cfg.steps if algorithm != "bc" else 0)   # each pool is built with one take
-    assert len(calls) == pools + cfg.steps
+    assert len(pools) == 1 + (cfg.steps if algorithm != "bc" else 0)   # the demos', then one per step
     # the one gather of a step holds every window of its epochs, both sides of each minibatch
-    epoch_pools, gathers = (calls[1::2], calls[2::2]) if sides == 2 else (calls[:1] * cfg.steps, calls[1:])
-    assert gathers == [sides * n * cfg.epochs for n in epoch_pools]
+    epoch_pools = pools[1:] if sides == 2 else pools * cfg.steps
+    assert calls == [sides * pool.n_windows * cfg.epochs for pool in epoch_pools]
 
 
 def test_asqf_smoke_and_determinism(chain_demos):
@@ -473,7 +486,7 @@ def test_a_non_finite_gradient_names_the_update_that_made_it(algorithm, loss, ba
 
 def test_asqf_requires_discrete_actions():
     demos = DemoSet(
-        [Trajectory(obs=np.zeros((2, 1)), acts=np.zeros((2, 1)))],
+        [PackedWindows(obs=np.zeros((2, 1)), acts=np.zeros((2, 1)))],
         env_id="pointmass", action_kind="continuous", obs_dim=1, mean_return=0.0,
     )
     with pytest.raises(UnsupportedError, match="requires discrete actions") as info:
@@ -484,7 +497,7 @@ def test_asqf_requires_discrete_actions():
 # ---------------------------------------------------------------- bc loop
 
 def one_hot_traj(states, actions):
-    return Trajectory(obs=np.stack([one_hot(s, 4) for s in states]), acts=np.asarray(actions))
+    return PackedWindows(obs=np.stack([one_hot(s, 4) for s in states]), acts=np.asarray(actions))
 
 
 def test_bc_learns_deterministic_demos():
