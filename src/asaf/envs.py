@@ -213,7 +213,9 @@ class PackedWindows:
     by default); the windows lie back to back, so ``starts``, each window's
     first row, is derived from ``lengths`` when first read and kept (a pack's
     ``lengths`` are set once, by the constructor, which checks them against
-    the rows).  ``len`` counts steps and ``n_windows`` windows.  Rewards are
+    the rows).  ``take`` and ``span`` select from a checked pack without
+    checking again, and a span carries its slice of the parent's ``starts``.
+    ``len`` counts steps and ``n_windows`` windows.  Rewards are
     deliberately absent; only evaluation and expert generation ever look at
     the reward channel.
 
@@ -278,24 +280,33 @@ class PackedWindows:
 
     def span(self, lo: int, hi: int) -> "PackedWindows":
         """Windows ``lo:hi``, bitwise what ``take`` of them gives, with their
-        rows sliced.  A span of every window is the pack itself."""
-        hi = min(hi, len(self.lengths))
-        if lo == 0 and hi == len(self.lengths):
+        rows sliced and their slice of ``starts``.  A span of every window is
+        the pack itself; one of no window (``lo >= hi``) is empty."""
+        n, starts = len(self.lengths), self.starts
+        hi = min(hi, n)
+        if lo == 0 and hi == n:
             return self
-        return self._select(slice(self.starts[lo], self.starts[hi - 1] + self.lengths[hi - 1]), slice(lo, hi))
+        end = starts[hi] if hi < n else len(self.acts)
+        first = starts[lo] if lo < hi else end
+        return self._select(slice(first, end), slice(lo, hi), starts[lo:hi] - first)
 
     def episodes(self) -> list["PackedWindows"]:
         """One pack per window."""
         return [self.span(i, i + 1) for i in range(len(self.lengths))]
 
-    def _select(self, rows, windows) -> "PackedWindows":
+    def _select(self, rows, windows, starts: np.ndarray | None = None) -> "PackedWindows":
         """Each per-step field at ``rows`` and each per-window one at
-        ``windows``; a field the pack lacks (None) stays None."""
-        fields, picked = vars(self), {}
+        ``windows``; a field the pack lacks (None) stays None.  The
+        constructor's checks are not run again: a selection of a checked
+        pack holds one row per step and lengths that add up to its rows."""
+        fields, out = vars(self), object.__new__(PackedWindows)
+        picked = vars(out)
         for names, at in ((self._ROWS, rows), (self._WINDOWS, windows)):
             for name in names:
                 picked[name] = None if (v := fields[name]) is None else v[at]
-        return PackedWindows(**picked)
+        if starts is not None:
+            picked["_starts"] = starts
+        return out
 
 
 @dataclass

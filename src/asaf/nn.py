@@ -3,6 +3,8 @@
 Everything is float64 and operates on flat parameter vectors so that the
 optimizer (Adam at the constants ``ADAM_*``), gradient clipping, and
 finite-difference checking (step ``FD_STEP``) all see one contiguous array.
+Adam updates its ``AdamState`` in place and returns fresh parameters, which
+reach a net only through its ``params`` setter.
 Layout per layer: weights (row-major, out x in), then biases.  Hidden
 activations are ReLU, the output layer is linear.  A layer adds its bias and
 ReLU in place, so a tape holds only each layer's input and the net's output:
@@ -17,9 +19,10 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import math
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -176,12 +179,6 @@ class Mlp:
     def copy(self) -> "Mlp":
         return Mlp(self.sizes, self._params)
 
-    def weights(self, layer: int) -> np.ndarray:
-        return self._layers[layer][0]
-
-    def biases(self, layer: int) -> np.ndarray:
-        return self._layers[layer][1]
-
     def forward(self, x, split: int | None = None) -> tuple[np.ndarray, GradTape]:
         """Run the net on a vector or a batch of row vectors.
 
@@ -251,11 +248,19 @@ class Mlp:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators; step count t is 0 before any update."""
+    """First/second moment accumulators; step count t is 0 before any update.
+
+    ``adam_step`` updates ``m``, ``v`` and ``t`` in place, through two scratch
+    arrays the state owns; a gradient it refuses leaves all of them as they were.
+    """
 
     m: np.ndarray
     v: np.ndarray
     t: int = 0
+    scratch: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.scratch = (np.empty_like(self.m), np.empty_like(self.m))
 
     @classmethod
     def for_params(cls, params: np.ndarray) -> "AdamState":
@@ -264,33 +269,40 @@ class AdamState:
 
 
 def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray, lr: float):
-    """One Adam update with bias correction; returns (new_params, new_state)."""
+    """One Adam update with bias correction, written into ``state``; returns
+    (new_params, state), the new params a fresh array.  A non-finite gradient
+    raises ``NumericalError`` before anything is written."""
     params = np.asarray(params, dtype=np.float64)
     grads = np.asarray(grads, dtype=np.float64)
     if grads.shape != params.shape or state.m.shape != params.shape:
         raise ShapeError(f"params/grads/state shapes disagree: {params.shape} vs {grads.shape} vs {state.m.shape}")
-    if not np.all(np.isfinite(grads)):
+    # a non-finite entry makes the sum of squares non-finite; only an overflowed sum is looked at entry by entry
+    if not (math.isfinite(grads @ grads) or np.isfinite(grads).all()):
         raise NumericalError("non-finite entries in gradient")
-    # the textbook order of operations, written into m, v and two scratch arrays
-    t = state.t + 1
-    m, a = ADAM_BETA1 * state.m, np.multiply(grads, 1.0 - ADAM_BETA1)
-    m += a
-    v = ADAM_BETA2 * state.v
+    # the textbook order of operations; from t = 356, 1 - beta1**t is exactly 1.0 and x / 1.0 is x
+    state.t += 1
+    m, v, (a, b) = state.m, state.v, state.scratch
+    c1 = 1.0 - ADAM_BETA1 ** state.t
+    m *= ADAM_BETA1
+    m += np.multiply(grads, 1.0 - ADAM_BETA1, out=a)
+    v *= ADAM_BETA2
     v += np.multiply(np.multiply(grads, 1.0 - ADAM_BETA2, out=a), grads, out=a)
-    b = np.sqrt(np.divide(v, 1.0 - ADAM_BETA2 ** t, out=a))
+    np.sqrt(np.divide(v, 1.0 - ADAM_BETA2 ** state.t, out=b), out=b)
     b += ADAM_EPS
-    np.multiply(np.divide(m, 1.0 - ADAM_BETA1 ** t, out=a), lr, out=a)
+    np.multiply(m if c1 == 1.0 else np.divide(m, c1, out=a), lr, out=a)
     a /= b
-    return np.subtract(params, a, out=a), AdamState(m, v, t)
+    return params - a, state
 
 
 def clip_by_global_norm(grads: np.ndarray, threshold: float) -> np.ndarray:
     """Scale the whole gradient down so its 2-norm is at most threshold: a
-    new array when it is scaled, else the input itself (float64), uncopied."""
+    new array when it is scaled, else the input itself (float64), uncopied.
+    The norm is ``np.linalg.norm``'s, bit for bit: the root of the flat dot."""
     if threshold <= 0.0:
         raise ValueError("clip threshold must be positive")
     grads = np.asarray(grads, dtype=np.float64)
-    norm = float(np.linalg.norm(grads))
+    flat = grads.ravel(order="K")
+    norm = math.sqrt(flat.dot(flat))
     return grads * (threshold / norm) if norm > threshold else grads
 
 

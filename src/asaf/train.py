@@ -276,7 +276,7 @@ def train(cfg: TrainConfig, demos: DemoSet, env_spec: EnvSpec):
     env_steps = 0
 
     for m in range(cfg.steps):
-        where = f"outer step {m + 1}"
+        at = None   # (epoch, minibatch) of the running update, counted from 0; named only if it raises
         try:
             gen_pool = None
             if collects:
@@ -300,7 +300,7 @@ def train(cfg: TrainConfig, demos: DemoSet, env_spec: EnvSpec):
             losses, hi = [], 0
             for epoch in range(cfg.epochs):
                 for k, size in enumerate(sizes):
-                    where = f"outer step {m + 1}, epoch {epoch + 1}, minibatch {k + 1}"
+                    at = epoch, k
                     lo, hi = hi, hi + size * (1 + collects)
                     batch = gathered.span(lo, hi)
                     loss, grad = disc.bce_on_joined(learned, batch) if collects else disc.nll_on_packed(learned, batch)
@@ -310,7 +310,7 @@ def train(cfg: TrainConfig, demos: DemoSet, env_spec: EnvSpec):
                         log.first_batch_losses.append(loss)
                     losses.append(loss)
 
-            where = f"outer step {m + 1}"
+            at = None
             generator = learned.snapshot()
             if (m + 1) % cfg.eval_interval == 0 or m == cfg.steps - 1:
                 seed = _eval_seed(cfg, m + 1)
@@ -319,7 +319,8 @@ def train(cfg: TrainConfig, demos: DemoSet, env_spec: EnvSpec):
                 log.rows.append(RunRecord(step=m + 1, env_steps=env_steps, mean_return=mean, std_return=std,
                                           bce_loss=bce, js_to_expert=reference.js(generator), eval_seed=seed))
         except NumericalError as exc:
-            raise NumericalError(f"{where}: {exc}") from exc
+            where = "" if at is None else f", epoch {at[0] + 1}, minibatch {at[1] + 1}"
+            raise NumericalError(f"outer step {m + 1}{where}: {exc}") from exc
 
     log.total_env_steps = env_steps
     return generator, log

@@ -285,6 +285,36 @@ def test_starts_follow_lengths_after_every_builder(lengths, w, stride, seed):
         assert pack.n_windows == len(pack.lengths) and len(pack) == pack.lengths.sum() == len(pack.obs)
 
 
+@given(
+    lengths=st.lists(st.integers(0, 5), min_size=0, max_size=8),
+    obs=st.booleans(),
+    continuous=st.booleans(),
+    scored=st.booleans(),
+    stated=st.booleans(),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_selections_equal_a_checked_pack_of_their_arrays(lengths, obs, continuous, scored, stated, seed):
+    # take and span skip the constructor's checks; each of their packs must
+    # be the one the constructor builds from the same arrays, every empty span
+    # included (span(0, 0) used to raise ShapeError and span(n, n) IndexError),
+    # and a span's carried starts those its lengths give
+    rng = np.random.default_rng(seed)
+    steps = sum(lengths)
+    pack = PackedWindows(rng.normal(size=(steps, 2)) if obs or not stated else None,
+                         rng.normal(size=(steps, 1)) if continuous else rng.integers(0, 3, size=steps),
+                         lengths, rng.normal(size=len(lengths)) if scored else None,
+                         rng.integers(0, 4, size=steps) if stated else None)
+    n = pack.n_windows
+    picks = [np.arange(lo, hi) for lo in range(n + 1) for hi in range(lo, n + 1)]
+    picks += [rng.integers(0, n, size=int(rng.integers(0, 12))) if n else np.zeros(0, dtype=np.int64)]
+    spans = [pack.span(lo, hi) for lo in range(n + 1) for hi in range(lo, n + 1)]
+    for sub, idx in zip([*spans, *(pack.take(idx) for idx in picks)], [*picks[:-1], *picks]):
+        assert set(vars(sub)) <= {f.name for f in fields(PackedWindows)} | {"_starts"}
+        assert_same_pack(sub, PackedWindows(**{f.name: getattr(sub, f.name) for f in fields(PackedWindows)}))
+        assert_same_pack(sub, pack.take(idx))
+        assert sub.starts.dtype == np.int64 and np.array_equal(sub.starts, np.cumsum(sub.lengths) - sub.lengths)
+
+
 def test_pack_refuses_rows_it_cannot_hold():
     with pytest.raises(ShapeError):
         PackedWindows(np.zeros(3), np.zeros(3))                      # obs not one row per step

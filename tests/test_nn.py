@@ -101,6 +101,19 @@ def test_log_softmax_rows_normalizes():
 
 # ---------------------------------------------------------------- Mlp forward
 
+def layers(net):
+    """Each layer's (W, b), read from ``params`` through ``sizes``: the weights
+    row-major (out x in), then the biases."""
+    out, off = [], 0
+    for n_in, n_out in zip(net.sizes[:-1], net.sizes[1:]):
+        w = net.params[off:off + n_in * n_out].reshape(n_out, n_in)
+        off += n_in * n_out
+        out.append((w, net.params[off:off + n_out]))
+        off += n_out
+    assert off == net.n_params
+    return out
+
+
 def test_param_count_examples():
     assert param_count((2, 3)) == 2 * 3 + 3
     assert param_count((4, 64, 64, 2)) == 4 * 64 + 64 + 64 * 64 + 64 + 64 * 2 + 2
@@ -126,8 +139,8 @@ def test_forward_matches_loop_oracle():
     x = rng.normal(size=(5, 3))
 
     h = x
-    for layer in range(3):
-        z = h @ net.weights(layer).T + net.biases(layer)
+    for layer, (weights, bias) in enumerate(layers(net)):
+        z = h @ weights.T + bias
         h = z if layer == 2 else np.maximum(z, 0.0)
     y, _ = net.forward(x)
     np.testing.assert_allclose(y, h, atol=1e-12)
@@ -249,7 +262,7 @@ def reference_forward(net, x):
     inputs, preacts = [], []
     for i in range(last + 1):
         inputs.append(h)
-        z = reference_affine(h, net.weights(i), net.biases(i))
+        z = reference_affine(h, *layers(net)[i])
         preacts.append(z)
         h = z if i == last else np.maximum(z, 0.0)
     return (h[0] if single else h), inputs, preacts
@@ -258,7 +271,7 @@ def reference_forward(net, x):
 def reference_forward_rows(net, x):
     h, last = x[:, None, :], len(net.sizes) - 2
     for i in range(last + 1):
-        z = reference_affine(h, net.weights(i), net.biases(i))
+        z = reference_affine(h, *layers(net)[i])
         h = z if i == last else np.maximum(z, 0.0)
     return h[:, 0, :]
 
@@ -272,7 +285,7 @@ def reference_backward(net, inputs, preacts, dy):
         grad[w] = (delta.T @ inputs[i]).ravel()
         grad[b] = delta.sum(axis=0)
         if i > 0:
-            delta = (delta @ net.weights(i)) * (preacts[i - 1] > 0.0)
+            delta = (delta @ layers(net)[i][0]) * (preacts[i - 1] > 0.0)
     return grad
 
 
@@ -389,10 +402,10 @@ def test_copy_is_independent():
 def test_init_bounds_and_zero_biases():
     rng = np.random.default_rng(9)
     net = Mlp.init((10, 7, 3), rng)
-    for layer, fan_in in ((0, 10), (1, 7)):
+    for (weights, bias), fan_in in zip(layers(net), (10, 7)):
         bound = 1.0 / np.sqrt(fan_in)
-        assert np.all(np.abs(net.weights(layer)) <= bound)
-        np.testing.assert_array_equal(net.biases(layer), 0.0)
+        assert np.all(np.abs(weights) <= bound)
+        np.testing.assert_array_equal(bias, 0.0)
     again = Mlp.init((10, 7, 3), np.random.default_rng(9))
     np.testing.assert_array_equal(again.params, net.params)
 
@@ -434,18 +447,9 @@ def test_adam_descends_a_quadratic():
     assert abs(x[0]) < 1e-2
 
 
-def test_adam_is_functional():
-    state = AdamState.for_params(np.zeros(2))
-    params = np.ones(2)
-    grads = np.ones(2)
-    adam_step(state, params, grads, lr=0.1)
-    np.testing.assert_array_equal(params, 1.0)
-    np.testing.assert_array_equal(state.m, 0.0)
-    assert state.t == 0
-
-
 def reference_adam_step(state, params, grads, lr):
-    """Adam as one expression per line, written apart from ``adam_step``."""
+    """Adam as one expression per line, written apart from ``adam_step``;
+    returns (params, a new state) and writes nothing it is given."""
     t, beta1, beta2 = state.t + 1, nn.ADAM_BETA1, nn.ADAM_BETA2
     m = beta1 * state.m + (1.0 - beta1) * grads
     v = beta2 * state.v + (1.0 - beta2) * grads * grads
@@ -454,26 +458,91 @@ def reference_adam_step(state, params, grads, lr):
     return params - lr * m_hat / (np.sqrt(v_hat) + nn.ADAM_EPS), AdamState(m, v, t)
 
 
+def read_only(a):
+    a = np.array(a, dtype=np.float64)
+    a.flags.writeable = False
+    return a
+
+
+def assert_adam_matches_the_reference(ours, theirs, params, grads, lr):
+    """One step of ``adam_step`` on ``ours`` and of the reference on a state
+    of its own: the same bits in params, m, v and t, with ``ours`` updated in
+    place, params and grads never written and the new params a fresh array.
+    Returns the new params."""
+    params, grads = read_only(params), read_only(grads)
+    kept = params.tobytes(), grads.tobytes()
+    new_p, state = adam_step(ours, params, grads, lr)
+    assert state is ours
+    assert (params.tobytes(), grads.tobytes()) == kept
+    assert not any(np.shares_memory(new_p, b) for b in (params, grads, ours.m, ours.v, *ours.scratch))
+    want_p, want = reference_adam_step(theirs, params, grads, lr)
+    assert new_p.tobytes() == want_p.tobytes()
+    assert (ours.m.tobytes(), ours.v.tobytes(), ours.t) == (want.m.tobytes(), want.v.tobytes(), want.t)
+    theirs.m, theirs.v, theirs.t = want.m, want.v, want.t
+    return new_p
+
+
+def test_adam_updates_its_state_in_place():
+    state = AdamState.for_params(np.zeros(2))
+    m, v = state.m, state.v
+    params, grads = read_only(np.ones(2)), read_only([1.0, -2.0])
+    new_params, returned = adam_step(state, params, grads, lr=0.1)
+    assert returned is state and (state.m is m, state.v is v, state.t) == (True, True, 1)
+    np.testing.assert_array_equal(m, (1.0 - nn.ADAM_BETA1) * grads)
+    np.testing.assert_array_equal(v, (1.0 - nn.ADAM_BETA2) * grads * grads)
+    np.testing.assert_array_equal(params, 1.0)
+    assert new_params.flags.writeable and not np.shares_memory(new_params, params)
+
+
 @given(seed=st.integers(0, 2 ** 31 - 1), n=st.integers(1, 40), scale=st.integers(-8, 8))
 def test_adam_step_is_bitwise_the_reference(seed, n, scale):
+    # separate states: ours is updated in place, the reference's replaced
     rng = np.random.default_rng(seed)
-    ours = theirs = AdamState.for_params(np.zeros(n))
-    p_ours = p_theirs = rng.normal(size=n)
+    ours, theirs = AdamState.for_params(np.zeros(n)), AdamState.for_params(np.zeros(n))
+    params = rng.normal(size=n)
     for _ in range(5):
         grads, lr = rng.normal(size=n) * 10.0 ** scale, 10.0 ** rng.uniform(-5, 0)
-        kept = (p_ours.copy(), grads.copy(), ours.m.copy(), ours.v.copy(), ours.t)
-        new_p, new_state = adam_step(ours, p_ours, grads, lr)
-        # the caller's params, gradient and state are left as they were
-        for was, now in zip(kept, (p_ours, grads, ours.m, ours.v, ours.t)):
-            np.testing.assert_array_equal(now, was)
-        assert not any(np.shares_memory(a, b) for a in (new_p, new_state.m, new_state.v)
-                       for b in (p_ours, grads, ours.m, ours.v))
-        p_ours, ours = new_p, new_state
-        p_theirs, theirs = reference_adam_step(theirs, p_theirs, grads, lr)
-        np.testing.assert_array_equal(p_ours, p_theirs)
-        np.testing.assert_array_equal(ours.m, theirs.m)
-        np.testing.assert_array_equal(ours.v, theirs.v)
-        assert ours.t == theirs.t
+        params = assert_adam_matches_the_reference(ours, theirs, params, grads, lr)
+
+
+@given(seed=st.integers(0, 2 ** 31 - 1), n=st.integers(1, 20))
+def test_adam_keeps_the_bits_where_the_first_bias_correction_reaches_one(seed, n):
+    # 1 - 0.9**t is exactly 1.0 from t = 356; the division by it is skipped
+    # there, and x / 1.0 is x
+    assert [1.0 - nn.ADAM_BETA1 ** t == 1.0 for t in (355, 356)] == [False, True]
+    t0, rng = 345, np.random.default_rng(seed)
+    m, v = rng.normal(size=n), rng.exponential(size=n)
+    ours, theirs = AdamState(m.copy(), v.copy(), t0), AdamState(m.copy(), v.copy(), t0)
+    params = rng.normal(size=n)
+    for _ in range(15):
+        params = assert_adam_matches_the_reference(ours, theirs, params, rng.normal(size=n), 10.0 ** rng.uniform(-5, 0))
+    assert ours.t == t0 + 15
+
+
+@pytest.mark.parametrize("size", [1e155, 1e200])
+def test_adam_accepts_a_finite_gradient_whose_sum_of_squares_overflows(size):
+    # g @ g is inf here, so the entries are checked one by one, and pass
+    grads = np.array([size, -size, 0.5 * size, 1.0])
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(grads @ grads) and np.isfinite(grads).all()
+        ours, theirs = AdamState.for_params(grads), AdamState.for_params(grads)
+        params = np.arange(4.0)
+        for _ in range(3):
+            params = assert_adam_matches_the_reference(ours, theirs, params, grads, 0.01)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [0, 3, 6])
+def test_adam_refuses_a_non_finite_gradient_before_writing(bad, where):
+    rng = np.random.default_rng(where)
+    state = AdamState.for_params(np.zeros(7))
+    params, _ = adam_step(state, np.zeros(7), rng.normal(size=7), lr=0.1)
+    kept = state.m.tobytes(), state.v.tobytes(), state.t
+    grads = rng.normal(size=7)
+    grads[where] = bad
+    with pytest.raises(NumericalError):
+        adam_step(state, read_only(params), read_only(grads), lr=0.1)
+    assert (state.m.tobytes(), state.v.tobytes(), state.t) == kept
 
 
 def test_adam_rejects_bad_input():
@@ -505,6 +574,23 @@ def test_a_clipped_gradient_is_a_new_array_scaled_by_threshold_over_norm(seed, s
     assert out is not g
     np.testing.assert_array_equal(out, g * (t / np.linalg.norm(g)))
     np.testing.assert_array_equal(g, before)
+
+
+def reference_clip(grads, threshold):
+    norm = float(np.linalg.norm(grads))
+    return grads * (threshold / norm) if norm > threshold else grads
+
+
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, max_side=40),
+                  elements=st.floats(allow_nan=False, allow_infinity=False)),
+       st.floats(1e-300, 1e300))
+def test_clip_by_global_norm_keeps_the_bits_of_linalg_norm(g, threshold):
+    # the norm is the root of the flat dot, as np.linalg.norm computes it,
+    # across the whole float range: subnormals, and sums of squares that overflow
+    with np.errstate(over="ignore"):
+        got, want = clip_by_global_norm(g, threshold), reference_clip(g, threshold)
+    assert (got is g) == (want is g)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @given(hnp.arrays(np.float64, st.integers(1, 6), elements=st.floats(-1e3, 1e3, allow_nan=False)),
@@ -592,8 +678,8 @@ def test_one_column_layers_equal_the_matrix_product(hidden, batch, seed, zeros):
         x[rng.random(batch) < 0.5] = 0.0
 
     def matrix_product(h):
-        for i in range(len(sizes) - 1):
-            z = h @ net.weights(i).T + net.biases(i)
+        for i, (weights, bias) in enumerate(layers(net)):
+            z = h @ weights.T + bias
             h = z if i == len(sizes) - 2 else np.maximum(z, 0.0)
         return h
 

@@ -163,7 +163,7 @@ def test_params_are_read_only_and_the_setter_refreshes_the_memo():
     with pytest.raises(ValueError, match="read-only"):
         policy.net.params[:] = 1.0
     with pytest.raises(ValueError, match="read-only"):
-        policy.net.weights(0)[0, 0] = 1.0
+        policy.net.params[:12].reshape(3, 4)[0, 0] = 1.0    # the first layer's weights, out x in
     assert not np.any(policy.net.params)
 
     params = np.zeros(policy.net.n_params)
