@@ -9,11 +9,16 @@ check for the finite-support discriminator objective.
 A trajectory key is the complete tuple (s0, a0, s1, a1, ..., s_T) including
 the final state, and its probability is the policy-only factor
 q = prod pi(a_t | s_t) times the dynamics-only factor
-xi = p0(s0) prod P(s_{t+1} | s_t, a_t).
+xi = p0(s0) prod P(s_{t+1} | s_t, a_t).  The enumeration runs stage by stage
+on arrays, every key at once, and keeps a key whose product underflows at
+0.0.  Its budget counts keys: an MDP whose tree of keys, every action taken,
+holds more than ``ENUMERATION_BUDGET`` is refused.  Every oracle refuses a
+policy table that is not finite and nonnegative.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +47,11 @@ ENUMERATION_BUDGET = 10_000_000
 
 
 def _stage_policy(pi: np.ndarray, horizon: int) -> np.ndarray:
-    """Broadcast a stationary (S, A) table to stage-indexed (T, S, A)."""
+    """Broadcast a stationary (S, A) table to stage-indexed (T, S, A), refusing
+    a table that is not finite and nonnegative."""
     pi = np.asarray(pi, dtype=np.float64)
+    if not np.isfinite(pi).all() or (pi < 0.0).any():
+        raise ValueError("policy tables must be finite and nonnegative")
     if pi.ndim == 2:
         return np.broadcast_to(pi, (horizon, *pi.shape))
     if pi.ndim == 3:
@@ -53,41 +61,67 @@ def _stage_policy(pi: np.ndarray, horizon: int) -> np.ndarray:
     raise ShapeError(f"policy table must be (S, A) or (T, S, A), got {pi.shape}")
 
 
+def _key_count(mdp: TabularMdp) -> int:
+    """The number of keys with every action taken, saturated at the budget + 1:
+    n_T(s) = 1, n_t(s) = sum over (a, s') with P(s' | s, a) nonzero of
+    n_{t+1}(s'), and 1 for a terminal s from t = 1 on, summed over the start
+    states."""
+    cap = ENUMERATION_BUDGET + 1
+    branches = (mdp.transitions != 0.0).sum(axis=1)         # (S, S'): the actions that reach s' from s
+    n = np.ones(mdp.n_states, dtype=np.int64)
+    for t in reversed(range(mdp.horizon)):
+        n = np.minimum(branches @ n, cap)
+        if t:
+            n[mdp.terminal_mask] = 1
+    return int(min(n[mdp.start != 0.0].sum(), cap))
+
+
 def enumerable(mdp: TabularMdp) -> bool:
-    """Whether |A|^T * S, the enumeration's size bound, is within the budget."""
-    return mdp.n_actions ** mdp.horizon * mdp.n_states <= ENUMERATION_BUDGET
+    """Whether the MDP's trajectory keys, every action taken, are within the budget."""
+    return _key_count(mdp) <= ENUMERATION_BUDGET
+
+
+def _expand(mdp: TabularMdp, *tables) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Every trajectory key of the first table's nonzero actions, in sorted
+    order, as (keys, xi, q of each table).  Stage by stage, each running row
+    becomes its (a, s') children in (row, a, s') order, and an ended row its
+    single child by the extra action |A|, back to its state with every factor
+    1.0; so row i's key is ``keys[i]`` up to its first action |A|.  xi and
+    each q are multiplied in column by column from the left, so a product
+    that underflows is kept at 0.0."""
+    if not enumerable(mdp):
+        raise CapacityError(f"{mdp.n_states} states, {mdp.n_actions} actions and horizon {mdp.horizon} give more "
+                            f"than the budget of {ENUMERATION_BUDGET} trajectory keys")
+    horizon, n_states = mdp.horizon, mdp.n_states
+    stages = [_stage_policy(pi, horizon) for pi in tables]
+    step = np.concatenate([mdp.transitions, np.eye(n_states)[:, None]], axis=1)        # (S, A + 1, S')
+    factors = [np.concatenate([pi, np.ones((horizon, n_states, 1))], axis=2) for pi in stages]
+    ended = (np.arange(horizon) > 0)[:, None, None] & mdp.terminal_mask[:, None]   # (T, S, 1), from step 1 on
+    takes, reaches = np.concatenate([(stages[0] != 0.0) & ~ended, ended], axis=2), step != 0.0
+    s = np.flatnonzero(mdp.start)
+    keys = np.empty((len(s), 2 * horizon + 1), dtype=np.intp)
+    keys[:, 0], xi, qs = s, mdp.start[s], [np.ones(len(s)) for _ in stages]
+    for t in range(horizon):
+        row, a, s2 = np.nonzero(takes[t, s][:, :, None] & reaches[s])   # a row's (a, s') children
+        src, s = s[row], s2
+        keys = keys[row]
+        keys[:, 2 * t + 1], keys[:, 2 * t + 2] = a, s
+        xi = xi[row] * step[src, a, s]
+        qs = [q[row] * f[t, src, a] for q, f in zip(qs, factors)]
+    return keys, xi, qs
 
 
 def exact_traj_distribution(mdp: TabularMdp, pi: np.ndarray) -> dict[tuple, float]:
-    """Enumerate every positive-probability trajectory of the policy: the
-    map from each trajectory key to its probability q * xi.
+    """Enumerate every trajectory of the policy's nonzero actions: the map
+    from each trajectory key to its probability q * xi, in sorted key order.
 
     The policy may be stationary (S, A) or stage-indexed (T, S, A).  Raises
     CapacityError when the MDP is not ``enumerable``.
     """
-    if not enumerable(mdp):
-        raise CapacityError(
-            f"enumeration of {mdp.n_actions}^{mdp.horizon} action sequences over "
-            f"{mdp.n_states} states exceeds the budget of {ENUMERATION_BUDGET}"
-        )
-    stage_pi = _stage_policy(pi, mdp.horizon)
-    probs: dict[tuple, float] = {}
-
-    def descend(t: int, s: int, prefix: tuple, q: float, xi: float) -> None:
-        if t == mdp.horizon or (t > 0 and mdp.terminal_mask[s]):   # the episode has ended
-            probs[prefix + (s,)] = q * xi
-            return
-        for a in range(mdp.n_actions):
-            pa = stage_pi[t, s, a]
-            if pa == 0.0:
-                continue
-            row = mdp.transitions[s, a]
-            for s2 in np.flatnonzero(row):
-                descend(t + 1, int(s2), prefix + (s, a), q * pa, xi * row[s2])
-
-    for s0 in np.flatnonzero(mdp.start):
-        descend(0, int(s0), (), 1.0, float(mdp.start[s0]))
-    return probs
+    keys, xi, (q,) = _expand(mdp, pi)
+    lengths = 1 + 2 * (keys[:, 1::2] < mdp.n_actions).sum(axis=1)
+    trimmed = map(operator.getitem, keys.tolist(), map(slice, lengths.tolist()))
+    return dict(zip(map(tuple, trimmed), (q * xi).tolist()))
 
 
 def stage_marginals(mdp: TabularMdp, pi: np.ndarray) -> np.ndarray:
@@ -185,8 +219,6 @@ def stage_kl(mdp: TabularMdp, p_pi, q_pi) -> float:
     if p.shape != (mdp.horizon, mdp.n_states, mdp.n_actions) or q.shape != p.shape:
         raise ShapeError(f"policy tables {p.shape} and {q.shape} do not fit {mdp.n_states} states, "
                          f"{mdp.n_actions} actions")
-    if not (np.isfinite(p).all() and np.isfinite(q).all()) or (p < 0.0).any() or (q < 0.0).any():
-        raise ValueError("policy tables must be finite and nonnegative")
     flow = stage_marginals(mdp, p)[:, :, None] * p      # P's mass on each (t, s, a)
     on = flow > 0.0
     with np.errstate(divide="ignore"):
@@ -241,22 +273,17 @@ def bce_from_enumeration(mdp: TabularMdp, learner_pi, generator_pi, expert_pi) -
     the loss +inf, whatever the generator gives that key; a generator zero
     on an expert key, or a learner zero on a generator key, is a 0 term.
     """
-    tables = _stage_policy(learner_pi, mdp.horizon), _stage_policy(generator_pi, mdp.horizon)
-    loss = 0.0
+    terms = [np.zeros(1)]       # summed from 0.0 and left to right, as a loop over the keys would
     for side, pi in enumerate((expert_pi, generator_pi)):   # log D on expert keys, then log(1 - D) on generator keys
-        for key, p in exact_traj_distribution(mdp, pi).items():
-            if p == 0.0:
-                continue
-            q = [1.0, 1.0]          # learner's and generator's prod pi(a_t | s_t), in the enumeration's order
-            for t, (state, action) in enumerate(zip(key[:-1:2], key[1::2])):
-                q = [f * table[t, state, action] for f, table in zip(q, tables)]
-            if q[side] == 0.0:      # a learner zero on an expert key: log D = -inf
-                return float("inf")
-            if q[1 - side] == 0.0:  # the other side's zero: log D or log(1 - D) is 0
-                continue
-            a, g = np.log(q[0]), np.log(q[1])
-            loss -= p * ((a, g)[side] - np.logaddexp(a, g))
-    return float(loss)
+        _, xi, (q, *scored) = _expand(mdp, pi, learner_pi, generator_pi)
+        p = q * xi
+        on = p != 0.0
+        if (on & (scored[side] == 0.0)).any():   # a learner zero on an expert key: log D = -inf
+            return float("inf")
+        on &= scored[1 - side] != 0.0           # the other side's zero: log D or log(1 - D) is 0
+        a, g = np.log(scored[0][on]), np.log(scored[1][on])
+        terms.append(-(p[on] * ((a, g)[side] - np.logaddexp(a, g))))
+    return float(np.add.accumulate(np.concatenate(terms))[-1])
 
 
 def verify_lemma1(p_expert, p_generator) -> float:

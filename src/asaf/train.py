@@ -212,22 +212,15 @@ def _demo_alpha(generator: str) -> float:
     return alpha if np.isfinite(alpha) and alpha > 0.0 else EXPERT_ALPHA
 
 
-class _ExpertReference:
-    """The exact trajectory distribution of the soft-VI expert at the demos'
-    temperature; None where it is too large to enumerate."""
-
-    def __init__(self, env_spec: EnvSpec, generator: str):
-        self.dist = None
-        if isinstance(env_spec, TabularSpec) and enumerable(env_spec.mdp):
-            expert = soft_value_iteration(env_spec.mdp, _demo_alpha(generator))
-            self.dist = exact_traj_distribution(env_spec.mdp, expert.policy_table())
-            self.mdp = env_spec.mdp
-
-    def js(self, policy) -> float | None:
-        if self.dist is None:   # a tabular train() always holds a CategoricalPolicy generator
-            return None
-        table = tabular_policy_extract(policy, self.mdp.n_states)
-        return js_between(exact_traj_distribution(self.mdp, table), self.dist)
+def _js_to_expert(env_spec: EnvSpec, generator: str):
+    """The map from a policy to its exact JS divergence to the soft-VI expert
+    at the demos' temperature, or to None where the MDP is too large to
+    enumerate.  A tabular train() always holds a CategoricalPolicy generator."""
+    if not (isinstance(env_spec, TabularSpec) and enumerable(env_spec.mdp)):
+        return lambda policy: None
+    mdp = env_spec.mdp
+    expert = exact_traj_distribution(mdp, soft_value_iteration(mdp, _demo_alpha(generator)).policy_table())
+    return lambda policy: js_between(exact_traj_distribution(mdp, tabular_policy_extract(policy, mdp.n_states)), expert)
 
 
 def _pool(trajs: list[PackedWindows], cfg: TrainConfig, policy) -> PackedWindows:
@@ -271,7 +264,7 @@ def train(cfg: TrainConfig, demos: DemoSet, env_spec: EnvSpec):
 
     expert = _pool(demos.trajectories, cfg, learned)
     n_expert = expert.n_windows
-    reference = _ExpertReference(env_spec, demos.generator)
+    js_to_expert = _js_to_expert(env_spec, demos.generator)
     log = RunLog()
     env_steps = 0
 
@@ -317,7 +310,7 @@ def train(cfg: TrainConfig, demos: DemoSet, env_spec: EnvSpec):
                 mean, std = evaluate_policy(generator, env_spec, k=cfg.eval_k, seed=seed)
                 bce = float(np.mean(losses)) if losses else float("nan")
                 log.rows.append(RunRecord(step=m + 1, env_steps=env_steps, mean_return=mean, std_return=std,
-                                          bce_loss=bce, js_to_expert=reference.js(generator), eval_seed=seed))
+                                          bce_loss=bce, js_to_expert=js_to_expert(generator), eval_seed=seed))
         except NumericalError as exc:
             where = "" if at is None else f", epoch {at[0] + 1}, minibatch {at[1] + 1}"
             raise NumericalError(f"outer step {m + 1}{where}: {exc}") from exc

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from asaf.envs import EXPERT_ALPHA, TabularMdp, chain_spec, gridworld_spec, soft_value_iteration
 from asaf.errors import CapacityError, ShapeError
 from asaf.exact import (
+    _key_count,
     bce_from_enumeration,
+    enumerable,
     exact_traj_distribution,
     expected_return,
     js_between,
@@ -91,6 +93,57 @@ def occupancy_by_enumeration(mdp, pi):
     return d_s / z, d_sa / z
 
 
+def reference_traj_distribution(mdp, pi):
+    """The recursive form the enumeration had: a depth-first walk over the
+    policy's nonzero actions, in action order, and each action's nonzero
+    transitions, in state order, with q and xi multiplied in along the way."""
+    stage_pi = np.broadcast_to(pi, (mdp.horizon, *np.shape(pi)[-2:]))
+    probs = {}
+
+    def descend(t, s, prefix, q, xi):
+        if t == mdp.horizon or (t > 0 and mdp.terminal_mask[s]):   # the episode has ended
+            probs[prefix + (s,)] = q * xi
+            return
+        for a in range(mdp.n_actions):
+            pa = stage_pi[t, s, a]
+            if pa == 0.0:
+                continue
+            row = mdp.transitions[s, a]
+            for s2 in np.flatnonzero(row):
+                descend(t + 1, int(s2), prefix + (s, a), q * pa, xi * row[s2])
+
+    for s0 in np.flatnonzero(mdp.start):
+        descend(0, int(s0), (), 1.0, float(mdp.start[s0]))
+    return probs
+
+
+def assert_same_enumeration(got, want):
+    assert list(got) == list(want)     # the same keys in the same order
+    assert np.array(list(got.values())).tobytes() == np.array(list(want.values())).tobytes()
+
+
+def enumeration_case(seed, stationary):
+    """A random MDP with zeroed transitions, up to S - 1 terminal states and
+    zeroed start entries, a start state terminal where there are terminal
+    states; and a stationary or stage-indexed table with zeroed entries and
+    entries near 1e-170, whose products underflow to 0.0."""
+    rng = np.random.default_rng(seed)
+    n_states, n_actions = int(rng.integers(2, 5)), int(rng.integers(2, 4))
+    p = rng.dirichlet(np.ones(n_states), size=(n_states, n_actions))
+    p[rng.uniform(size=p.shape) < 0.3] = 0.0
+    p[..., 0] += p.sum(axis=2) == 0.0
+    terminal = sorted(rng.choice(n_states, size=int(rng.integers(0, n_states)), replace=False).tolist())
+    start = rng.dirichlet(np.ones(n_states)) * (rng.uniform(size=n_states) > 0.3)
+    start[terminal[0] if terminal else 0] += 0.1
+    mdp = with_terminal_states(TabularMdp(transitions=p / p.sum(axis=2, keepdims=True), start=start / start.sum(),
+                                          rewards=rng.normal(size=(n_states, n_actions)),
+                                          horizon=int(rng.integers(1, 5))), terminal)
+    table = rng.dirichlet(np.ones(n_actions), size=(n_states,) if stationary else (mdp.horizon, n_states))
+    table[rng.uniform(size=table.shape) < 0.25] = 0.0
+    table[rng.uniform(size=table.shape) < 0.25] = 1e-170 * rng.uniform(0.5, 2.0)
+    return mdp, table
+
+
 # ---------------------------------------------------------------- enumeration
 
 def test_enumeration_deterministic_gives_single_key():
@@ -147,6 +200,80 @@ def test_enumeration_capacity_guard():
     huge = TabularMdp(transitions=p, start=np.array([1.0]), rewards=np.zeros((1, 2)), horizon=24)
     with pytest.raises(CapacityError):
         exact_traj_distribution(huge, np.array([[0.5, 0.5]]))
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 2 ** 31 - 1), st.booleans())
+def test_enumeration_matches_the_recursive_reference(seed, stationary):
+    mdp, table = enumeration_case(seed, stationary)
+    assert_same_enumeration(exact_traj_distribution(mdp, table), reference_traj_distribution(mdp, table))
+
+
+def test_keys_that_underflow_are_kept_by_the_enumeration_and_skipped_by_the_loss():
+    # staying in state 0 twice has probability 1e-170 ** 2, which underflows to 0.0; the learner
+    # never stays in state 0 at step 1, so that key alone would give log D = -inf
+    mdp, tiny = toggle_mdp(horizon=2), np.array([[1e-170, 1.0], [1e-170, 1.0]])
+    learner = np.full((2, 2, 2), 0.5)
+    learner[1, 0] = (0.0, 1.0)
+    dist = exact_traj_distribution(mdp, tiny)
+    assert len(dist) == 4 and dist[(0, 0, 0, 0, 0)] == 0.0
+    loss = bce_from_enumeration(mdp, learner, UNIFORM2, tiny)
+    assert np.isfinite(loss) and loss == pytest.approx(direct_bce(mdp, learner, UNIFORM2, tiny), rel=1e-12)
+    assert bce_from_enumeration(mdp, learner, UNIFORM2, np.array([[1e-100, 1.0], [1e-100, 1.0]])) == np.inf
+
+
+def dense_mdp(n_states, horizon):
+    return TabularMdp(transitions=np.full((n_states, 2, n_states), 1.0 / n_states),
+                      start=np.full(n_states, 1.0 / n_states), rewards=np.zeros((n_states, 2)), horizon=horizon)
+
+
+@pytest.mark.parametrize("n_states, horizon", [(9, 5), (10, 6)])
+def test_enumeration_budget_counts_keys_not_action_sequences(n_states, horizon):
+    # every step also branches on s': (2 * 9)^5 * 9 = 17,006,112 and (2 * 10)^6 * 10 = 640,000,000 keys,
+    # where |A|^T * S reads 288 and 640
+    mdp, uniform = dense_mdp(n_states, horizon), np.full((n_states, 2), 0.5)
+    assert not enumerable(mdp)
+    with pytest.raises(CapacityError, match="trajectory keys"):
+        exact_traj_distribution(mdp, uniform)
+    with pytest.raises(CapacityError, match="trajectory keys"):
+        bce_from_enumeration(mdp, uniform, uniform, uniform)
+
+
+def test_key_counts_of_the_shipped_mdps():
+    chain = chain_spec().mdp
+    assert _key_count(chain) == _key_count(unroll(chain)) == 32
+    assert _key_count(dense_mdp(3, 4)) == 6 ** 4 * 3
+    assert not enumerable(gridworld_spec().mdp)
+
+
+@settings(max_examples=40)
+@given(st.integers(0, 2 ** 31 - 1))
+def test_key_count_is_the_size_of_a_full_support_enumeration(seed):
+    mdp, _ = enumeration_case(seed, stationary=True)
+    full = np.full((mdp.n_states, mdp.n_actions), 1.0 / mdp.n_actions)
+    assert _key_count(mdp) == len(exact_traj_distribution(mdp, full))
+
+
+BAD_TABLES = {"nan": [[np.nan, 0.5], [0.5, 0.5]], "inf": [[np.inf, 0.5], [0.5, 0.5]],
+              "negative": [[-0.5, 1.5], [0.5, 0.5]]}
+ORACLES = {
+    "exact_traj_distribution": lambda mdp, bad, good: exact_traj_distribution(mdp, bad),
+    "stage_marginals": lambda mdp, bad, good: stage_marginals(mdp, bad),
+    "occupancy": lambda mdp, bad, good: occupancy(mdp, bad),
+    "expected_return": lambda mdp, bad, good: expected_return(mdp, bad),
+    "mle_projection": lambda mdp, bad, good: mle_projection(mdp, bad),
+    "bce_learner": lambda mdp, bad, good: bce_from_enumeration(mdp, bad, good, good),
+    "bce_generator": lambda mdp, bad, good: bce_from_enumeration(mdp, good, bad, good),
+    "bce_expert": lambda mdp, bad, good: bce_from_enumeration(mdp, good, good, bad),
+}
+
+
+@pytest.mark.parametrize("oracle", ORACLES.values(), ids=ORACLES)
+@pytest.mark.parametrize("bad", BAD_TABLES.values(), ids=BAD_TABLES)
+def test_every_oracle_refuses_a_table_that_is_not_finite_and_nonnegative(oracle, bad):
+    # these used to return nan, NaN rows, a uniform row for a NaN state or a key of "probability" -2.53
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        oracle(toggle_mdp(horizon=2), np.array(bad), UNIFORM2)
 
 
 # ---------------------------------------------------------------- occupancy
@@ -388,6 +515,14 @@ def test_unrolled_chain_expert_has_the_chain_trajectory_distribution():
     assert folded(unrolled, mdp.n_states) == exact_traj_distribution(mdp, expert)
 
 
+@pytest.mark.parametrize("unrolled", [False, True])
+def test_chain_enumeration_matches_the_recursive_reference(unrolled):
+    mdp = chain_spec().mdp
+    expert = soft_value_iteration(mdp, EXPERT_ALPHA).policy_table()
+    mdp, table = (unroll(mdp), unrolled_table(expert)) if unrolled else (mdp, expert)
+    assert_same_enumeration(exact_traj_distribution(mdp, table), reference_traj_distribution(mdp, table))
+
+
 @settings(max_examples=40)
 @given(st.integers(0, 2 ** 31 - 1))
 def test_unrolled_stage_table_has_the_trajectory_distribution_with_terminal_states(seed):
@@ -572,6 +707,15 @@ def test_bce_enumeration_with_zero_probability_actions(seed, terminals, stationa
         zeroed.append(np.where(drop, 0.0, table) / np.where(drop, 0.0, table).sum(axis=-1, keepdims=True))
     got, want = bce_from_enumeration(mdp, *zeroed), direct_bce(mdp, *zeroed)
     assert got == want if np.isinf(want) else got == pytest.approx(want, rel=1e-12, abs=1e-14)
+
+
+def test_bce_enumeration_of_disjoint_supports_is_zero():
+    # the expert and the learner always take action 0 and the generator always action 1, so each
+    # key's other side is 0 and every term is 0: the loss is +0.0, a sum from 0.0 with no terms
+    mdp = chain_spec().mdp
+    first, second = np.tile([1.0, 0.0], (4, 1)), np.tile([0.0, 1.0], (4, 1))
+    loss = bce_from_enumeration(mdp, first, second, first)
+    assert loss == 0.0 and np.copysign(1.0, loss) == 1.0
 
 
 def test_bce_enumeration_rules_for_zero_probability_actions():
