@@ -178,12 +178,21 @@ def nll_on_packed(learner, packed: PackedWindows) -> tuple[float, np.ndarray]:
 def windows_from(trajs, w: int | None = None, stride: int = 1) -> PackedWindows:
     """The windows of w steps at offsets 0, stride, ... of every episode in
     ``trajs`` while one fits, one truncated window for a shorter episode, and
-    with ``w=None`` each whole episode; packed back to back, unindexed."""
+    with ``w=None`` each whole episode; packed back to back, unindexed.
+    Whole episodes and single steps are the rows as they lie, so their pack
+    holds the episodes' arrays, concatenated (a single pack's uncopied)."""
     if (w is not None and w < 1) or stride < 1:
         raise ValueError(f"need w >= 1 and stride >= 1, got w={w}, stride={stride}")
-    obs, acts = np.concatenate([t.obs for t in trajs]), np.concatenate([t.acts for t in trajs])
-    lengths = np.concatenate([t.lengths for t in trajs])
-    w = lengths.max() if w is None else w
+    if len(trajs) == 1:     # one pack: its own arrays, uncopied
+        obs, acts, lengths = trajs[0].obs, trajs[0].acts, trajs[0].lengths
+    else:
+        obs, acts = np.concatenate([t.obs for t in trajs]), np.concatenate([t.acts for t in trajs])
+        lengths = np.concatenate([t.lengths for t in trajs])
+    # whole episodes, or single steps of episodes that have steps, are the rows in order: no gather
+    if w is None:
+        return PackedWindows(obs, acts, lengths)
+    if w == stride == 1 and lengths.all():
+        return PackedWindows(obs, acts, np.ones(len(acts), dtype=np.int64))
     counts = np.maximum(lengths - w, 0) // stride + 1
     offsets = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
     starts = np.repeat(np.cumsum(lengths) - lengths, counts) + stride * offsets

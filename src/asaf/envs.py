@@ -11,7 +11,8 @@ Two environment families are shipped:
 An environment is its spec.  ``TabularSpec`` and ``PointMassSpec`` hold no
 episode state; each answers three pure methods:
 
-* ``reset(rng) -> state``: draw a start state,
+* ``reset(u) -> state``: the start state of the episode's first uniform
+  ``u`` (one start state per entry of an array of uniforms),
 * ``observe(states) -> obs``: the observation of a state, or one row per
   state of an array,
 * ``step_rows(states, actions, u) -> (states, rewards, terminal flags)``:
@@ -23,10 +24,13 @@ episode state; each answers three pure methods:
 :func:`rollout` is the one episode loop.  It steps k episodes together, one
 policy ``act`` and one ``step_rows`` per time step, until the horizon or a
 step into a terminal state.  Each episode first draws all its noise in the
-order stepping it alone would: the reset draw, then for each of the
-``horizon`` steps the policy's draws before the step's.  A policy declares
-its draws as ``draws`` and acts through ``act(obs, noise, t)``, given the
-step index ``t``, which only a stage-indexed expert reads.
+order stepping it alone would: the reset's uniform, then for each of the
+``horizon`` steps the policy's draws before the step's.  When the steps
+draw uniforms too, a generator draws all its episodes' numbers in one
+call, the same stream; a policy that draws normals takes one uniform call
+and one normal call per episode.  A policy declares its draws as ``draws``
+and acts through ``act(obs, noise, t)``, given the step index ``t``, which
+only a stage-indexed expert reads.
 
 Discrete environments expose one-hot observations so the same network code
 serves tabular and continuous tasks.  Experts are exact: stage-indexed soft
@@ -331,9 +335,12 @@ class TabularSpec:
     def horizon(self) -> int:
         return self.mdp.horizon
 
-    def reset(self, rng: np.random.Generator) -> int:
-        """A start state drawn from p0 with one uniform."""
-        return int(self.mdp.start_cdf.searchsorted(rng.random(), side="right"))
+    def reset(self, u):
+        """The start state of the uniform u by inverse CDF of p0, the draw
+        ``Generator.choice`` makes from it; an array of uniforms gives an
+        array of states."""
+        s = self.mdp.start_cdf.searchsorted(u, side="right")
+        return int(s) if np.ndim(s) == 0 else s
 
     def observe(self, state) -> np.ndarray:
         return one_hot(state, self.mdp.n_states)
@@ -342,7 +349,9 @@ class TabularSpec:
         """(next states, rewards, terminal flags) of (k,) states and actions,
         next state i drawn by inverse CDF from the uniform u[i, 0]."""
         a = np.asarray(acts)
-        ok = (a >= 0) & (a < self.mdp.n_actions) & (a == np.floor(a))
+        ok = (a >= 0) & (a < self.mdp.n_actions)
+        if a.dtype.kind not in "iu":    # only a non-integer array can hold a fraction
+            ok &= a == np.floor(a)
         if not ok.all():
             raise ValueError(f"action {a[~ok][0]} is not an integer in [0, {self.mdp.n_actions})")
         a = a.astype(np.intp)
@@ -433,8 +442,10 @@ class PointMassSpec:
     def act_dim(self) -> int:
         return 1
 
-    def reset(self, rng: np.random.Generator) -> float:
-        return float(rng.uniform(-1.0, 1.0))
+    def reset(self, u):
+        """The start position -1 + 2 u of the uniform u (or of each entry of an
+        array), bitwise ``Generator.uniform(-1, 1)``: the product by 2 is exact."""
+        return -1.0 + 2.0 * u
 
     def observe(self, x) -> np.ndarray:
         """The row [x] of a position, or one row per position of an array."""
@@ -520,13 +531,21 @@ def rollout(env_spec: EnvSpec, policy, seed, episodes: int | None = None):
     listed = isinstance(seed, list) and episodes is not None
     if listed and len(seed) != episodes:
         raise ValidationError(f"need one seed per episode, got {len(seed)} for {episodes}")
-    rngs = [np.random.default_rng(s) for s in seed] if listed else [np.random.default_rng(seed)] * (episodes or 1)
-    (env_kind, n_env), k, horizon = env_spec.draws, len(rngs), env_spec.horizon
-    noise, starts = np.empty((k, horizon, n_pol + n_env)), []
-    for i, rng in enumerate(rngs):  # each episode draws its noise before any step
-        starts.append(env_spec.reset(rng))
-        noise[i] = getattr(rng, kind if n_pol else env_kind)((horizon, n_pol + n_env))
-    states, live = np.array(starts), slice(None)    # every episode; once one ends, the running ones
+    rngs = [np.random.default_rng(s) for s in seed] if listed else [np.random.default_rng(seed)]
+    (env_kind, n_env), k, horizon = env_spec.draws, episodes or 1, env_spec.horizon
+    kind, n, per = kind if n_pol else env_kind, n_pol + n_env, k // len(rngs)     # per: episodes per generator
+    if kind == "random" or not n:   # only uniforms: each generator's episodes, reset then steps, in one call
+        u = np.empty((k, 1 + horizon * n))
+        for i, rng in enumerate(rngs):
+            rng.random(out=u[i * per:(i + 1) * per])
+        first, noise = u[:, 0], u[:, 1:].reshape(k, horizon, n)
+    else:                           # each episode draws its reset's uniform, then its steps' numbers
+        first, noise = np.empty(k), np.empty((k, horizon, n))
+        for i in range(k):
+            rng = rngs[i // per]
+            first[i] = rng.random()
+            noise[i] = getattr(rng, kind)((horizon, n))
+    states, live = env_spec.reset(first), slice(None)    # every episode; once one ends, the running ones
     obs, lengths, returns = np.empty((k, horizon, env_spec.obs_dim)), np.full(k, horizon), np.zeros(k)
     discrete = env_spec.action_kind == "discrete"
     acts = np.empty((k, horizon) if discrete else (k, horizon, env_spec.act_dim), np.int64 if discrete else np.float64)

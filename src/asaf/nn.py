@@ -47,20 +47,27 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8    # Adam's decay rates and 
 FD_STEP = 1e-5                                         # grad_check's central-difference step
 
 
-def logsumexp_rows(a: np.ndarray) -> np.ndarray:
-    """Row-wise log(sum(exp(row))) of a 2-D array, each row's maximum shifted out."""
+def _logsumexp_kept(a) -> tuple[np.ndarray, np.ndarray]:
+    """The float64 matrix ``a`` and its row-wise log(sum(exp(row))) as a
+    column, each row's maximum shifted out."""
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
         raise ShapeError(f"logsumexp_rows expects a matrix, got shape {a.shape}")
     m = np.maximum.reduce(a, axis=1, keepdims=True)
-    return (m + np.log(np.add.reduce(np.exp(a - m), axis=1, keepdims=True)))[:, 0]
+    return a, m + np.log(np.add.reduce(np.exp(a - m), axis=1, keepdims=True))
+
+
+def logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    """Row-wise log(sum(exp(row))) of a 2-D array, each row's maximum shifted out."""
+    return _logsumexp_kept(a)[1][:, 0]
 
 
 def log_softmax_rows(a: np.ndarray) -> np.ndarray:
-    return np.asarray(a, dtype=np.float64) - logsumexp_rows(a)[:, None]
+    a, lse = _logsumexp_kept(a)
+    return a - lse
 
 
-def _layer_slices(sizes: tuple[int, ...]) -> list[tuple[slice, slice, int, int]]:
+def _layer_slices(sizes: tuple[int, ...]) -> tuple[tuple[slice, slice, int, int], ...]:
     out = []
     off = 0
     for n_in, n_out in zip(sizes[:-1], sizes[1:]):
@@ -69,7 +76,7 @@ def _layer_slices(sizes: tuple[int, ...]) -> list[tuple[slice, slice, int, int]]
         b = slice(off, off + n_out)
         off += n_out
         out.append((w, b, n_in, n_out))
-    return out
+    return tuple(out)
 
 
 def param_count(sizes: tuple[int, ...]) -> int:
@@ -92,7 +99,10 @@ def _matmul(a: np.ndarray, b: np.ndarray, split: int | None) -> np.ndarray:
 
 
 def _layer(h: np.ndarray, weights: np.ndarray, bias: np.ndarray, relu: bool, split: int | None = None) -> np.ndarray:
-    z = h * weights[:, 0] if weights.shape[1] == 1 else _matmul(h, weights.T, split)
+    if weights.shape[1] == 1:
+        z = h * weights[:, 0]
+    else:
+        z = h @ weights.T if split is None else _matmul(h, weights.T, split)
     z += bias
     return np.maximum(z, 0.0, out=z) if relu else z
 
@@ -177,7 +187,12 @@ class Mlp:
         return self.sizes[-1]
 
     def copy(self) -> "Mlp":
-        return Mlp(self.sizes, self._params)
+        """A net of the same sizes over a copy of the parameters, at version 0;
+        the sizes and layer slices, checked once, are shared."""
+        net = object.__new__(Mlp)
+        net.sizes, net._slices, net._version = self.sizes, self._slices, 0
+        net._set(self._params.copy())
+        return net
 
     def forward(self, x, split: int | None = None) -> tuple[np.ndarray, GradTape]:
         """Run the net on a vector or a batch of row vectors.
@@ -230,18 +245,20 @@ class Mlp:
         elif dy.shape != tape.output.shape:
             raise ShapeError(f"dy must have shape {tape.output.shape}, got {dy.shape}")
         grad = np.empty_like(self._params)    # every entry is written below
-        first, *rest = row_blocks(tape.split)
-        delta = dy
+        delta, split = dy, tape.split
         for i in range(len(self._slices) - 1, -1, -1):
             w, b, n_in, n_out = self._slices[i]
             h, grad_w, grad_b = tape.inputs[i], grad[w].reshape(n_out, n_in), grad[b]
-            np.matmul(delta[first].T, h[first], out=grad_w)
-            np.add.reduce(delta[first], axis=0, out=grad_b)
-            for rows in rest:
-                grad_w += delta[rows].T @ h[rows]
-                grad_b += np.add.reduce(delta[rows], axis=0)
+            if split is None:   # one row block
+                np.matmul(delta.T, h, out=grad_w)
+                np.add.reduce(delta, axis=0, out=grad_b)
+            else:               # the first block's sums, then the second's added
+                np.matmul(delta[:split].T, h[:split], out=grad_w)
+                np.add.reduce(delta[:split], axis=0, out=grad_b)
+                grad_w += delta[split:].T @ h[split:]
+                grad_b += np.add.reduce(delta[split:], axis=0)
             if i > 0:
-                delta = _matmul(delta, self._layers[i][0], tape.split)
+                delta = _matmul(delta, self._layers[i][0], split)
                 delta *= h > 0.0
         return grad
 
@@ -268,17 +285,25 @@ class AdamState:
         return cls(m=np.zeros(n, dtype=np.float64), v=np.zeros(n, dtype=np.float64))
 
 
-def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray, lr: float):
-    """One Adam update with bias correction, written into ``state``; returns
-    (new_params, state), the new params a fresh array.  A non-finite gradient
+def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray, lr: float, clip: float = math.inf):
+    """One Adam update with bias correction of the gradient clipped to global
+    norm ``clip``, written into ``state``; returns (new_params, state), the
+    new params a fresh array.  The clip reuses the squared norm the finite
+    check computes and has ``clip_by_global_norm``'s bits: a finite gradient
+    whose squared norm overflows is scaled to zero.  A non-finite gradient
     raises ``NumericalError`` before anything is written."""
+    if clip <= 0.0:
+        raise ValueError("clip threshold must be positive")
     params = np.asarray(params, dtype=np.float64)
-    grads = np.asarray(grads, dtype=np.float64)
+    grads = np.ascontiguousarray(grads, dtype=np.float64)     # as clip_by_global_norm ravels: a strided dot may round
     if grads.shape != params.shape or state.m.shape != params.shape:
         raise ShapeError(f"params/grads/state shapes disagree: {params.shape} vs {grads.shape} vs {state.m.shape}")
     # a non-finite entry makes the sum of squares non-finite; only an overflowed sum is looked at entry by entry
-    if not (math.isfinite(grads @ grads) or np.isfinite(grads).all()):
+    squares = grads @ grads
+    if not (math.isfinite(squares) or np.isfinite(grads).all()):
         raise NumericalError("non-finite entries in gradient")
+    if (norm := math.sqrt(squares)) > clip:
+        grads = grads * (clip / norm)
     # the textbook order of operations; from t = 356, 1 - beta1**t is exactly 1.0 and x / 1.0 is x
     state.t += 1
     m, v, (a, b) = state.m, state.v, state.scratch

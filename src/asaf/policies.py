@@ -111,8 +111,8 @@ class CategoricalPolicy:
         """The state of each row when every row is exactly one-hot, else None."""
         if obs.ndim not in (1, 2) or obs.shape[-1] != self.net.in_dim:
             return None
-        states, hot = one_hot_rows(obs)
-        return states if hot.all() else None
+        states = obs.argmax(axis=-1)    # one comparison of the whole batch with its identity rows
+        return states if (obs == one_hot(states, obs.shape[-1])).all() else None
 
     def _read(self, obs: np.ndarray) -> tuple[_Evaluation, np.ndarray]:
         """The evaluation holding the rows of ``obs`` and each row's index in it."""

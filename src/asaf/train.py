@@ -49,7 +49,7 @@ from . import discriminator as disc
 from .envs import EXPERT_ALPHA, EnvSpec, PackedWindows, TabularSpec, rollout, soft_value_iteration
 from .errors import NumericalError, UnsupportedError, ValidationError, check_count
 from .exact import enumerable, exact_traj_distribution, js_between
-from .nn import AdamState, adam_step, clip_by_global_norm, serial_blas
+from .nn import AdamState, adam_step, serial_blas
 from .policies import CategoricalPolicy, make_policy, one_hot_rows, tabular_policy_extract
 
 __all__ = [
@@ -173,6 +173,11 @@ def check_algorithm_fits(algorithm: str, env_spec: EnvSpec) -> None:
 
 
 def _check_demos(demos: DemoSet, env_spec: EnvSpec) -> None:
+    """Refuse demos that do not fit the environment, naming the first bad
+    entry and its first problem.  The entries' shapes are read one by one,
+    their values checked over the concatenated arrays of the entries before
+    the first misshapen one, and only the first entry either pass flags is
+    checked on its own, for the message."""
     if len(demos) == 0:
         raise ValidationError("demo set is empty")
     if demos.env_id != env_spec.env_id:
@@ -181,20 +186,44 @@ def _check_demos(demos: DemoSet, env_spec: EnvSpec) -> None:
         raise ValidationError(f"demo action kind {demos.action_kind!r} does not match env {env_spec.action_kind!r}")
     if demos.obs_dim != env_spec.obs_dim:
         raise ValidationError(f"demo obs_dim {demos.obs_dim} does not match env {env_spec.obs_dim}")
-    discrete, tabular = demos.action_kind == "discrete", isinstance(env_spec, TabularSpec)
-    for i, traj in enumerate(demos.trajectories):
-        where = f"episode {i}" if demos.lines is None else f"episode {i} (demo file line {demos.lines[i]})"
-        if not (len(traj) and traj.lengths.all()):   # a zero-length window would score row 0 of the next one
-            raise ValidationError(f"{where}: episode has no steps")
-        if traj.obs.shape[1] != env_spec.obs_dim:
-            raise ValidationError(f"{where}: observation rows {traj.obs.shape[1]} wide, expected {env_spec.obs_dim}")
-        want = (len(traj),) if discrete else (len(traj), env_spec.act_dim)
-        if traj.acts.shape != want:
-            raise ValidationError(f"{where}: actions of shape {traj.acts.shape}, expected {want}")
-        if discrete and np.any(bad := (traj.acts < 0) | (traj.acts >= env_spec.n_actions)):
-            raise ValidationError(f"{where}: action {traj.acts[bad][0]} is outside [0, {env_spec.n_actions})")
-        if tabular and not (hot := one_hot_rows(traj.obs)[1]).all():   # the policies read a state from its row
-            raise ValidationError(f"{where}: observation row {np.argmin(hot)} is not a one-hot state")
+    trajs, discrete = demos.trajectories, demos.action_kind == "discrete"
+    tail = () if discrete else (env_spec.act_dim,)
+    flagged = next((i for i, t in enumerate(trajs)
+                    if not (len(t) and t.obs.shape[1] == env_spec.obs_dim and t.acts.shape[1:] == tail)), len(trajs))
+    if flagged:
+        shaped = trajs[:flagged]
+        lengths = np.concatenate([t.lengths for t in shaped])
+        bad_rows = np.zeros(sum(len(t) for t in shaped), dtype=bool)
+        if discrete:
+            acts = np.concatenate([t.acts for t in shaped])
+            bad_rows |= (acts < 0) | (acts >= env_spec.n_actions)
+        if isinstance(env_spec, TabularSpec):
+            bad_rows |= ~one_hot_rows(np.concatenate([t.obs for t in shaped]))[1]
+        for bad, sizes in (((lengths == 0), [t.n_windows for t in shaped]), (bad_rows, [len(t) for t in shaped])):
+            if bad.any():   # the entry holding the first flagged window or row
+                flagged = min(flagged, int(np.searchsorted(np.cumsum(sizes), bad.argmax(), side="right")))
+    if flagged < len(trajs):
+        where = f"episode {flagged}"
+        if demos.lines is not None:
+            where += f" (demo file line {demos.lines[flagged]})"
+        raise ValidationError(f"{where}: {_demo_problem(trajs[flagged], env_spec)}")
+
+
+def _demo_problem(traj: PackedWindows, env_spec: EnvSpec) -> str | None:
+    """The first thing wrong with one demo entry, or None if it fits."""
+    discrete = env_spec.action_kind == "discrete"
+    if not (len(traj) and traj.lengths.all()):   # a zero-length window would score row 0 of the next one
+        return "episode has no steps"
+    if traj.obs.shape[1] != env_spec.obs_dim:
+        return f"observation rows {traj.obs.shape[1]} wide, expected {env_spec.obs_dim}"
+    want = (len(traj),) if discrete else (len(traj), env_spec.act_dim)
+    if traj.acts.shape != want:
+        return f"actions of shape {traj.acts.shape}, expected {want}"
+    if discrete and np.any(bad := (traj.acts < 0) | (traj.acts >= env_spec.n_actions)):
+        return f"action {traj.acts[bad][0]} is outside [0, {env_spec.n_actions})"
+    if isinstance(env_spec, TabularSpec) and not (hot := one_hot_rows(traj.obs)[1]).all():
+        return f"observation row {np.argmin(hot)} is not a one-hot state"   # the policies read a state from its row
+    return None
 
 
 def _eval_seed(cfg: TrainConfig, outer_step: int) -> int:
@@ -297,8 +326,7 @@ def train(cfg: TrainConfig, demos: DemoSet, env_spec: EnvSpec):
                     lo, hi = hi, hi + size * (1 + collects)
                     batch = gathered.span(lo, hi)
                     loss, grad = disc.bce_on_joined(learned, batch) if collects else disc.nll_on_packed(learned, batch)
-                    grad = clip_by_global_norm(grad, cfg.clip)
-                    learned.net.params, adam = adam_step(adam, learned.net.params, grad, cfg.lr_d)
+                    learned.net.params, adam = adam_step(adam, learned.net.params, grad, cfg.lr_d, cfg.clip)
                     if not losses:
                         log.first_batch_losses.append(loss)
                     losses.append(loss)

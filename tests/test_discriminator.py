@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import asaf
 from asaf import discriminator as disc
-from asaf.envs import PackedWindows, SoftExpertPolicy, chain_spec, rollout, soft_value_iteration
+from asaf.envs import PackedWindows, SoftExpertPolicy, chain_spec, rollout, soft_value_iteration, window_rows
 from asaf.errors import ShapeError, UnsupportedError
 from asaf.nn import Mlp, grad_check, log_softmax_rows
 from asaf.policies import CategoricalPolicy, GaussianPolicy
@@ -825,6 +825,38 @@ def test_windows_from_matches_the_list_form(episodes, w, stride, continuous, see
         assert_same_pack(disc.windows_from(trajs, w, stride), disc.windows_from(trajs, max(map(max, episodes))))
     assert_same_pack(disc.transitions_from(trajs), reference_transitions_from(trajs))
     assert_same_pack(disc.transitions_from(trajs), disc.windows_from(trajs, 1))
+
+
+def gathered_windows_from(trajs, w, stride):
+    """``windows_from`` with every window's rows gathered, as it was before
+    whole episodes and single steps were taken as the rows lie."""
+    obs, acts = np.concatenate([t.obs for t in trajs]), np.concatenate([t.acts for t in trajs])
+    lengths = np.concatenate([t.lengths for t in trajs])
+    w = lengths.max() if w is None else w
+    counts = np.maximum(lengths - w, 0) // stride + 1
+    offsets = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    starts = np.repeat(np.cumsum(lengths) - lengths, counts) + stride * offsets
+    cut = np.repeat(np.minimum(lengths, w), counts)
+    rows = window_rows(starts, cut)
+    return PackedWindows(obs[rows], acts[rows], cut)
+
+
+@given(
+    episodes=st.lists(st.lists(st.integers(0, 4), min_size=1, max_size=5), min_size=1, max_size=4),
+    unit=st.booleans(),
+    continuous=st.booleans(),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_whole_episodes_and_single_steps_equal_the_gathered_windows(episodes, unit, continuous, seed):
+    # one pack or several, empty windows among them, or only one-step episodes
+    rng = np.random.default_rng(seed)
+    if unit:
+        episodes = [[1] * len(ls) for ls in episodes]
+    trajs = [PackedWindows(obs=rng.normal(size=(sum(ls), 2)), lengths=ls,
+                           acts=rng.normal(size=(sum(ls), 1)) if continuous else rng.integers(0, 3, size=sum(ls)))
+             for ls in episodes]
+    for w, stride in ((None, 1), (None, 3), (1, 1)):
+        assert_same_pack(disc.windows_from(trajs, w, stride), gathered_windows_from(trajs, w, stride))
 
 
 def test_windows_from_rejects_bad_args():

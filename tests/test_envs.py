@@ -209,7 +209,7 @@ def test_greedy_table():
 def test_chain_env_dynamics():
     spec = chain_spec()
     rng = np.random.default_rng(0)
-    state = spec.reset(rng)
+    state = spec.reset(rng.random())
     assert state == 0
     np.testing.assert_array_equal(spec.observe(state), one_hot(0, 4))
     for action, want in ((1, (1, 0.4, False)), (0, (0, 0.1, False)), (0, (0, 0.0, False)),
@@ -261,7 +261,7 @@ def reference_grid_step(cell, t, action, horizon):
 
 def test_gridworld_walls_block():
     spec, rng = gridworld_spec(), np.random.default_rng(0)
-    state = spec.reset(rng)
+    state = spec.reset(rng.random())
     state, r, terminal = step(spec, state, 0, rng)   # up from the corner: blocked
     assert (state, r, terminal) == (5 * 0 + 0, -1.0, False)
     state, _, _ = step(spec, state, 3, rng)          # to (0, 1)
@@ -271,7 +271,7 @@ def test_gridworld_walls_block():
 
 def test_gridworld_corridor_reaches_goal():
     spec, rng = gridworld_spec(), np.random.default_rng(0)
-    state = spec.reset(rng)
+    state = spec.reset(rng.random())
     total = 0.0
     for a in (3, 3, 3, 3, 1, 1, 1):
         state, r, terminal = step(spec, state, a, rng)
@@ -288,7 +288,7 @@ def test_gridworld_corridor_reaches_goal():
 
 def test_gridworld_second_corridor_same_length():
     spec, rng = gridworld_spec(), np.random.default_rng(0)
-    state = spec.reset(rng)
+    state = spec.reset(rng.random())
     for a in (1, 1, 3, 3, 1, 1, 3):
         state, _, terminal = step(spec, state, a, rng)
         assert not terminal
@@ -356,7 +356,7 @@ def test_gridworld_steps_match_reference_for_every_state_and_action(horizon):
 @example(actions=[0] * 5, horizon=4)                     # a timeout, then a step too many
 def test_gridworld_episodes_match_reference(actions, horizon):
     spec, rng = gridworld_spec(horizon=horizon), np.random.default_rng(0)
-    state = spec.reset(rng)
+    state = spec.reset(rng.random())
     assert state == 5 * REF_START[0] + REF_START[1]
     cell, done, played, cells, want_ret = REF_START, False, [], [state], 0.0
     for t, a in enumerate(actions):
@@ -417,7 +417,7 @@ def test_pointmass_clamps_match_np_clip(action, x0):
 
 def test_pointmass_episode_length_and_start():
     spec = PointMassSpec()
-    x0 = spec.reset(np.random.default_rng(11))
+    x0 = spec.reset(np.random.default_rng(11).random())
     assert -1.0 <= x0 <= 1.0
     traj, _ = rollout(spec, ConstantPolicy([0.0]), seed=11)   # the reset is the episode's first draw
     assert len(traj) == 50
@@ -529,6 +529,16 @@ def test_rollout_action_frequencies_match_policy():
     assert 0.55 < freq < 0.67
 
 
+def test_tabular_step_refuses_out_of_range_actions_of_either_dtype():
+    # only a real array takes the integrality test; an integer array is range-checked alone
+    spec = chain_spec()
+    for acts in ([0.0, 1.5], [0.0, -1.0], [0.0, 2.0], [0.0, np.nan], [0, -1], [0, 2]):
+        with pytest.raises(ValueError, match=rf"action {acts[1]} is not an integer in \[0, 2\)"):
+            spec.step_rows(np.array([0, 1]), np.array(acts), np.zeros((2, 1)))
+    for acts in ([1.0, 0.0], [1, 0], np.array([1, 0], dtype=np.uint8)):
+        assert spec.step_rows(np.array([0, 1]), np.array(acts), np.zeros((2, 1)))[0].tolist() == [1, 0]
+
+
 def test_tabular_step_refuses_non_integral_actions():
     # 1.7 used to step as action 1 while the trajectory recorded 1.7
     with pytest.raises(ValueError, match=r"action 1.7 is not an integer in \[0, 2\)"):
@@ -565,7 +575,7 @@ def reference_episode(spec, policy, rng):
     each drawing as it goes.  An episode that ends early then draws the rest
     of its full-horizon block, as the lockstep loop does."""
     (kind, n_pol), (_, n_env) = policy.draws, spec.draws
-    state, obs, acts, total = spec.reset(rng), [], [], 0.0
+    state, obs, acts, total = spec.reset(rng.random()), [], [], 0.0
     for t in range(spec.horizon):
         obs.append(spec.observe(state))
         acts.append(policy.act(obs[-1][None, :], getattr(rng, kind)((1, n_pol)), t)[0])
@@ -610,6 +620,17 @@ def test_lockstep_on_a_seed_list_equals_one_rollout_per_seed(case, seed, k):
     assert [len(p) for p in parts] == traj.lengths.tolist()
     assert all(p.obs.tobytes() == t.obs.tobytes() and p.acts.tobytes() == t.acts.tobytes()
                for p, (t, _) in zip(parts, one))
+
+
+@given(st.sampled_from(LOCKSTEP_CASES), st.integers(0, 2 ** 32 - 1), st.integers(1, 6))
+def test_lockstep_on_a_generator_list_leaves_each_generator_where_its_episode_does(case, seed, k):
+    # each generator of the list draws its episode's numbers in one call (two for
+    # a Gaussian learner: a uniform, then normals) and ends where stepping it alone does
+    spec, policy = lockstep_case(*case, seed)
+    ours, theirs = ([np.random.default_rng((seed, i)) for i in range(k)] for _ in range(2))
+    traj, returns = rollout(spec, policy, ours, episodes=k)
+    assert_same_episodes(traj, returns, [reference_episode(spec, policy, rng) for rng in theirs])
+    assert [rng.bit_generator.state for rng in ours] == [rng.bit_generator.state for rng in theirs]
 
 
 class SampleOnly:
@@ -687,8 +708,30 @@ def test_cdf_draws_match_generator_choice(row, seed):
     mdp = TabularMdp(transitions=np.tile(row, (n, 2, 1)), start=row, rewards=np.zeros((n, 2)), horizon=20)
     spec = TabularSpec(mdp)
     ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-    drawn = [spec.reset(ours)]
+    drawn = [spec.reset(ours.random())]
     for t in range(20):
         drawn.append(step(spec, drawn[-1], t % 2, ours)[0])
     assert drawn == [int(theirs.choice(n, p=row)) for _ in range(21)]
     assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+def test_pointmass_reset_is_bitwise_generator_uniform(seed):
+    # -1 + 2 u rounds once, as uniform(-1, 1) does: the product by 2 is exact
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    x = PointMassSpec().reset(ours.random())
+    assert np.float64(x).tobytes() == np.float64(theirs.uniform(-1.0, 1.0)).tobytes()
+
+
+@given(st.sampled_from(["chain", "random_mdp", "gridworld", "pointmass"]), st.integers(0, 2 ** 32 - 1),
+       st.integers(0, 12))
+def test_reset_of_an_array_of_uniforms_is_the_reset_of_each(env, seed, k):
+    spec, _ = lockstep_case(env, "expert", seed)
+    u = np.random.default_rng(seed).random(k)
+    edges = [0.0, np.nextafter(1.0, 0.0)]
+    if isinstance(spec, TabularSpec):   # the CDF's own steps, where the inverse moves on
+        edges += [c for c in spec.mdp.start_cdf if c < 1.0]
+    u = np.concatenate([u, edges])
+    got = spec.reset(u)
+    want = np.array([spec.reset(float(x)) for x in u], dtype=got.dtype)
+    assert got.shape == u.shape and got.tobytes() == want.tobytes()

@@ -55,15 +55,26 @@ def random_policy(rng, n_states, n_actions):
     return rng.dirichlet(np.ones(n_actions), size=n_states)
 
 
+def stage_table(mdp, pi):
+    """A stationary (S, A) or stage-indexed (T, S, A) table as (T, S, A)."""
+    return np.broadcast_to(pi, (mdp.horizon, *np.shape(pi)[-2:]))
+
+
+def policy_factor(stage_pi, key):
+    """The policy-only factor q of a key, multiplied along it in the enumeration's order."""
+    q = 1.0
+    for t in range(len(key) // 2):
+        q = q * stage_pi[t, key[2 * t], key[2 * t + 1]]
+    return q
+
+
 def factors(mdp, pi, key):
     """The policy-only factor q and the dynamics-only factor xi of a key,
     each multiplied along the key in the enumeration's order."""
-    stage_pi = np.broadcast_to(pi, (mdp.horizon, *np.shape(pi)[-2:]))
-    q, xi = 1.0, float(mdp.start[key[0]])
+    xi = float(mdp.start[key[0]])
     for t in range(len(key) // 2):
-        s, a = key[2 * t], key[2 * t + 1]
-        q, xi = q * stage_pi[t, s, a], xi * mdp.transitions[s, a, key[2 * t + 2]]
-    return q, xi
+        xi = xi * mdp.transitions[key[2 * t], key[2 * t + 1], key[2 * t + 2]]
+    return policy_factor(stage_table(mdp, pi), key), xi
 
 
 def with_terminal_states(mdp, terminal):
@@ -659,13 +670,14 @@ def reference_bce_from_enumeration(mdp, learner_pi, generator_pi, expert_pi):
     """The form ``bce_from_enumeration`` had with the learner enumerated too,
     which looked each key's factors up in the enumerations and so needed
     every table strictly positive on the keys the loss runs over."""
-    loss = 0.0
-    for side, scored in ((expert_pi, learner_pi), (generator_pi, generator_pi)):
+    tables = [stage_table(mdp, pi) for pi in (learner_pi, generator_pi)]
+    loss = 0.0   # the expert's keys are scored by the learner (logs[0]), the generator's by the generator
+    for side, scored in ((expert_pi, 0), (generator_pi, 1)):
         for key, p in exact_traj_distribution(mdp, side).items():
             if p == 0.0:
                 continue
-            a, g = (np.log(factors(mdp, pi, key)[0]) for pi in (learner_pi, generator_pi))
-            loss -= p * (np.log(factors(mdp, scored, key)[0]) - np.logaddexp(a, g))
+            logs = [np.log(policy_factor(table, key)) for table in tables]
+            loss -= p * (logs[scored] - np.logaddexp(*logs))
     return float(loss)
 
 

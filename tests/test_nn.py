@@ -555,6 +555,53 @@ def test_adam_rejects_bad_input():
         adam_step(state, np.zeros(2), np.array([1.0, np.inf]), lr=0.1)
 
 
+def assert_same_state(a, b):
+    assert (a.m.tobytes(), a.v.tobytes(), a.t) == (b.m.tobytes(), b.v.tobytes(), b.t)
+
+
+@given(seed=st.integers(0, 2 ** 31 - 1), n=st.integers(1, 40), scale=st.integers(-8, 8))
+def test_adam_step_clips_as_clip_by_global_norm_then_adam_step(seed, n, scale):
+    # the clip folded into the step reuses its finite check's squared norm, with the same bits
+    rng = np.random.default_rng(seed)
+    ours, theirs = AdamState.for_params(np.zeros(n)), AdamState.for_params(np.zeros(n))
+    params = rng.normal(size=n)
+    for _ in range(5):
+        grads, lr = rng.normal(size=n) * 10.0 ** scale, 10.0 ** rng.uniform(-5, 0)
+        clip = float(np.linalg.norm(grads)) * rng.choice([0.3, 1.0, 3.0]) if rng.random() < 0.8 else np.inf
+        got, _ = adam_step(ours, read_only(params), read_only(grads), lr, clip)
+        want, _ = adam_step(theirs, params, clip_by_global_norm(grads, clip), lr)
+        assert got.tobytes() == want.tobytes()
+        assert_same_state(ours, theirs)
+        params = got
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "overflow"])
+def test_adam_step_with_a_clip_refuses_what_the_two_calls_refuse(bad):
+    # non-finite entries raise before anything is written; a finite gradient whose
+    # squared norm overflows has norm inf, so both forms scale it to zero
+    rng = np.random.default_rng(3)
+    ours, theirs = AdamState.for_params(np.zeros(4)), AdamState.for_params(np.zeros(4))
+    first = rng.normal(size=4)
+    params, _ = adam_step(ours, np.zeros(4), first, 0.1, 1.0)
+    adam_step(theirs, np.zeros(4), clip_by_global_norm(first, 1.0), 0.1)
+    grads = np.array([1e200, -1e200, 0.5, 1.0]) if bad == "overflow" else np.array([0.5, bad, 1.0, 2.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        if bad == "overflow":
+            got, _ = adam_step(ours, params, grads, 0.1, 1.0)
+            want, _ = adam_step(theirs, params, clip_by_global_norm(grads, 1.0), 0.1)
+            assert not clip_by_global_norm(grads, 1.0).any()
+            assert got.tobytes() == want.tobytes()
+        else:
+            for step in (lambda: adam_step(ours, params, grads, 0.1, 1.0),
+                         lambda: adam_step(theirs, params, clip_by_global_norm(grads, 1.0), 0.1)):
+                with pytest.raises(NumericalError, match="non-finite entries in gradient"):
+                    step()
+    assert_same_state(ours, theirs)
+    for clip in (0.0, -1.0):
+        with pytest.raises(ValueError, match="clip threshold must be positive"):
+            adam_step(ours, params, np.ones(4), 0.1, clip)
+
+
 # ---------------------------------------------------------------- clipping
 
 def test_clip_by_global_norm():

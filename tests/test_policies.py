@@ -233,6 +233,20 @@ def test_one_hot_rows_matches_the_demo_row_test(seed, n_rows):
         assert s == np.argmax(row) or not want
 
 
+@pytest.mark.parametrize("row", [[-0.0, 1.0, -0.0, 0.0], [0.0, 0.0, np.nextafter(1.0, 2.0), 0.0],
+                                 [np.nan, 1.0, 0.0, 0.0], [0.0, 1.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+def test_states_decide_as_the_one_hot_row_mask(row):
+    # one comparison of the whole batch decides as every row's mask did, -0.0 counting as 0
+    policy = CategoricalPolicy.init(4, 3, (8,), np.random.default_rng(15))
+    for obs in (np.asarray(row), np.vstack([np.eye(4)[[2, 0]], row]), np.vstack([row, np.eye(4)[[3]]]),
+                np.eye(4)[[1, 1]], np.zeros((0, 4))):
+        states, hot = one_hot_rows(obs)
+        got = policy._states(obs)
+        assert (got is not None) == hot.all()
+        if got is not None:
+            assert np.array_equal(got, states)
+
+
 def test_index_checks_once_and_the_table_reads_by_state():
     rng = np.random.default_rng(14)
     policy = CategoricalPolicy.init(4, 3, (8,), rng)

@@ -1,9 +1,12 @@
 """Training loops: seeding, logging, reductions, and the no-reward guarantee."""
 
+import functools
 import importlib
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from asaf.envs import (
     PackedWindows,
@@ -15,14 +18,15 @@ from asaf.envs import (
     env_by_id,
     gridworld_spec,
     one_hot,
+    rollout,
 )
 from asaf import discriminator as disc
 from asaf import nn
 from asaf.errors import NumericalError, UnsupportedError, ValidationError
 from asaf.formats import runlog_csv
 from asaf.nn import Mlp
-from asaf.policies import CategoricalPolicy, make_policy, tabular_policy_extract
-from asaf.train import DemoSet, TrainConfig, _pool, evaluate_policy, train
+from asaf.policies import CategoricalPolicy, make_policy, one_hot_rows, tabular_policy_extract
+from asaf.train import DemoSet, TrainConfig, _check_demos, _pool, evaluate_policy, train
 from asaf.verify import collect_expert_demos
 
 LOG4 = np.log(4.0)
@@ -263,6 +267,81 @@ def test_demo_observation_rows_must_be_obs_dim_wide(env_id, algorithm, width):
     with pytest.raises(ValidationError, match=rf"^episode 1: observation rows {width} wide, "
                                               rf"expected {env.obs_dim}$"):
         train(tiny_cfg(algorithm=algorithm, steps=1), demos, env)
+
+
+def reference_check_demo_entries(demos, env_spec):
+    """The demo check's per-episode loop, before the values of all entries were checked in one pass."""
+    discrete, tabular = demos.action_kind == "discrete", isinstance(env_spec, TabularSpec)
+    for i, traj in enumerate(demos.trajectories):
+        where = f"episode {i}" if demos.lines is None else f"episode {i} (demo file line {demos.lines[i]})"
+        if not (len(traj) and traj.lengths.all()):
+            raise ValidationError(f"{where}: episode has no steps")
+        if traj.obs.shape[1] != env_spec.obs_dim:
+            raise ValidationError(f"{where}: observation rows {traj.obs.shape[1]} wide, expected {env_spec.obs_dim}")
+        want = (len(traj),) if discrete else (len(traj), env_spec.act_dim)
+        if traj.acts.shape != want:
+            raise ValidationError(f"{where}: actions of shape {traj.acts.shape}, expected {want}")
+        if discrete and np.any(bad := (traj.acts < 0) | (traj.acts >= env_spec.n_actions)):
+            raise ValidationError(f"{where}: action {traj.acts[bad][0]} is outside [0, {env_spec.n_actions})")
+        if tabular and not (hot := one_hot_rows(traj.obs)[1]).all():
+            raise ValidationError(f"{where}: observation row {np.argmin(hot)} is not a one-hot state")
+
+
+@functools.cache
+def demo_entries(env_id):
+    """Eight clean demo entries of the chain's soft expert or the point mass's scripted one."""
+    spec = env_by_id(env_id)
+    if env_id == "chain":
+        return spec, tuple(collect_expert_demos(spec, n=8, alpha=1.0, seed=0).trajectories)
+    return spec, tuple(rollout(spec, ScriptedPointMassPolicy(), seed=(0, i))[0] for i in range(8))
+
+
+DEMO_FAULTS = ("empty", "empty window", "wide rows", "action shape", "action range", "row not one-hot", "-0.0")
+
+
+def with_fault(traj, fault, spec, rng):
+    """A copy of a demo entry with one fault; out-of-range actions and rows that are
+    not one-hot are faults on a tabular task alone, and -0.0 entries on none."""
+    obs, acts, lengths, n = traj.obs.copy(), traj.acts.copy(), traj.lengths, len(traj)
+    if fault == "empty":
+        return PackedWindows(obs=obs[:0], acts=acts[:0])
+    if fault == "wide rows":
+        return PackedWindows(np.zeros((n, obs.shape[1] + 1)), acts, lengths)
+    if fault == "action shape":
+        return PackedWindows(obs, np.zeros((n, 2)) if acts.ndim == 2 else acts[:, None], lengths)
+    if n == 0:
+        return traj
+    row = int(rng.integers(n))
+    if fault == "empty window":
+        lengths = [row, 0, n - row]
+    elif fault == "action range":
+        acts[row] = rng.choice([-1, 2])
+    elif fault == "row not one-hot":
+        obs[row] = [0.5, 0.5, 0.0, 0.0] if obs.shape[1] == 4 else 9.0
+    else:
+        obs[obs == 0.0] = -0.0
+    return PackedWindows(obs, acts, lengths)
+
+
+def refusal(check, demos, spec):
+    try:
+        check(demos, spec)
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+@given(st.sampled_from(["chain", "pointmass"]), st.integers(1, 8),
+       st.lists(st.tuples(st.integers(0, 7), st.sampled_from(DEMO_FAULTS)), min_size=1, max_size=2),
+       st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_demo_check_names_the_entry_line_and_reason_the_per_episode_loop_names(env_id, n, faults, lined, seed):
+    spec, entries = demo_entries(env_id)
+    trajs, rng = list(entries[:n]), np.random.default_rng(seed)
+    for at, fault in faults:
+        trajs[at % n] = with_fault(trajs[at % n], fault, spec, rng)
+    demos = DemoSet(trajs, env_id=env_id, action_kind=spec.action_kind, obs_dim=spec.obs_dim, mean_return=0.0,
+                    lines=[3 + 2 * i for i in range(n)] if lined else None)
+    assert refusal(_check_demos, demos, spec) == refusal(reference_check_demo_entries, demos, spec)
 
 
 @pytest.mark.parametrize("algorithm, cfg_kw", [("asaf", {}), ("asaf_w", dict(w=2, stride=1)),
