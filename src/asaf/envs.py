@@ -41,6 +41,7 @@ for the point mass.
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,12 +67,28 @@ __all__ = [
     "one_hot",
     "rollout",
     "soft_value_iteration",
+    "soft_vi_alpha",
+    "soft_vi_name",
     "window_rows",
 ]
 
 _ATOL = 1e-9
 
 EXPERT_ALPHA = 1.0    # gen-expert's temperature; js_to_expert's when the demos name none
+
+
+def soft_vi_name(alpha: float) -> str:
+    """The ``generator`` name of demos of the soft-VI expert at temperature ``alpha``."""
+    return f"soft_vi(alpha={alpha})"
+
+
+def soft_vi_alpha(generator: str) -> float:
+    """The temperature x of demos named ``soft_vi_name(x)`` if finite and positive, else ``EXPERT_ALPHA``."""
+    try:
+        alpha = float(re.fullmatch(r"soft_vi\(alpha=(.+)\)", generator)[1])
+    except (TypeError, ValueError):     # no match, or no real
+        return EXPERT_ALPHA
+    return alpha if np.isfinite(alpha) and alpha > 0.0 else EXPERT_ALPHA
 
 
 @functools.cache

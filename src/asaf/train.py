@@ -40,13 +40,12 @@ checkpoint with ``evaluate_policy``.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import discriminator as disc
-from .envs import EXPERT_ALPHA, EnvSpec, PackedWindows, TabularSpec, rollout, soft_value_iteration
+from .envs import EnvSpec, PackedWindows, TabularSpec, rollout, soft_value_iteration, soft_vi_alpha
 from .errors import NumericalError, UnsupportedError, ValidationError, check_count
 from .exact import enumerable, exact_traj_distribution, js_between
 from .nn import AdamState, adam_step, serial_blas
@@ -172,12 +171,10 @@ def check_algorithm_fits(algorithm: str, env_spec: EnvSpec) -> None:
         raise UnsupportedError("the scored discriminator requires discrete actions", key="algorithm")
 
 
-def _check_demos(demos: DemoSet, env_spec: EnvSpec) -> None:
-    """Refuse demos that do not fit the environment, naming the first bad
-    entry and its first problem.  The entries' shapes are read one by one,
-    their values checked over the concatenated arrays of the entries before
-    the first misshapen one, and only the first entry either pass flags is
-    checked on its own, for the message."""
+def _check_demos(demos: DemoSet, env_spec: EnvSpec) -> PackedWindows:
+    """The demo entries joined into one pack, bitwise ``disc.windows_from`` of them, once
+    ``_demo_problem`` passes it.  If they do not join or the pack has a problem, each entry
+    is checked in turn, and the refusal names the first bad entry and its first problem."""
     if len(demos) == 0:
         raise ValidationError("demo set is empty")
     if demos.env_id != env_spec.env_id:
@@ -186,27 +183,16 @@ def _check_demos(demos: DemoSet, env_spec: EnvSpec) -> None:
         raise ValidationError(f"demo action kind {demos.action_kind!r} does not match env {env_spec.action_kind!r}")
     if demos.obs_dim != env_spec.obs_dim:
         raise ValidationError(f"demo obs_dim {demos.obs_dim} does not match env {env_spec.obs_dim}")
-    trajs, discrete = demos.trajectories, demos.action_kind == "discrete"
-    tail = () if discrete else (env_spec.act_dim,)
-    flagged = next((i for i, t in enumerate(trajs)
-                    if not (len(t) and t.obs.shape[1] == env_spec.obs_dim and t.acts.shape[1:] == tail)), len(trajs))
-    if flagged:
-        shaped = trajs[:flagged]
-        lengths = np.concatenate([t.lengths for t in shaped])
-        bad_rows = np.zeros(sum(len(t) for t in shaped), dtype=bool)
-        if discrete:
-            acts = np.concatenate([t.acts for t in shaped])
-            bad_rows |= (acts < 0) | (acts >= env_spec.n_actions)
-        if isinstance(env_spec, TabularSpec):
-            bad_rows |= ~one_hot_rows(np.concatenate([t.obs for t in shaped]))[1]
-        for bad, sizes in (((lengths == 0), [t.n_windows for t in shaped]), (bad_rows, [len(t) for t in shaped])):
-            if bad.any():   # the entry holding the first flagged window or row
-                flagged = min(flagged, int(np.searchsorted(np.cumsum(sizes), bad.argmax(), side="right")))
-    if flagged < len(trajs):
-        where = f"episode {flagged}"
-        if demos.lines is not None:
-            where += f" (demo file line {demos.lines[flagged]})"
-        raise ValidationError(f"{where}: {_demo_problem(trajs[flagged], env_spec)}")
+    trajs = demos.trajectories
+    try:
+        pack = PackedWindows(*(np.concatenate([getattr(t, key) for t in trajs]) for key in ("obs", "acts", "lengths")))
+    except (TypeError, ValueError):     # rows that do not stack: an entry is misshapen
+        pack = None
+    if pack is None or _demo_problem(pack, env_spec) is not None:   # some entry has that problem
+        i, problem = next((i, p) for i, t in enumerate(trajs) if (p := _demo_problem(t, env_spec)) is not None)
+        where = f"episode {i}" if demos.lines is None else f"episode {i} (demo file line {demos.lines[i]})"
+        raise ValidationError(f"{where}: {problem}")
+    return pack
 
 
 def _demo_problem(traj: PackedWindows, env_spec: EnvSpec) -> str | None:
@@ -214,6 +200,8 @@ def _demo_problem(traj: PackedWindows, env_spec: EnvSpec) -> str | None:
     discrete = env_spec.action_kind == "discrete"
     if not (len(traj) and traj.lengths.all()):   # a zero-length window would score row 0 of the next one
         return "episode has no steps"
+    if traj.obs is None:
+        return "episode has no observation rows"
     if traj.obs.shape[1] != env_spec.obs_dim:
         return f"observation rows {traj.obs.shape[1]} wide, expected {env_spec.obs_dim}"
     want = (len(traj),) if discrete else (len(traj), env_spec.act_dim)
@@ -223,22 +211,15 @@ def _demo_problem(traj: PackedWindows, env_spec: EnvSpec) -> str | None:
         return f"action {traj.acts[bad][0]} is outside [0, {env_spec.n_actions})"
     if isinstance(env_spec, TabularSpec) and not (hot := one_hot_rows(traj.obs)[1]).all():
         return f"observation row {np.argmin(hot)} is not a one-hot state"   # the policies read a state from its row
+    if not (np.isfinite(traj.obs).all() and np.isfinite(traj.acts).all()):
+        return "non-finite observation or action"
+    if discrete and np.any(bad := traj.acts.astype(np.int64) != traj.acts):
+        return f"action {traj.acts[bad][0]} is not an integer"
     return None
 
 
 def _eval_seed(cfg: TrainConfig, outer_step: int) -> int:
     return cfg.seed + 100003 * outer_step
-
-
-def _demo_alpha(generator: str) -> float:
-    """The temperature x of demos whose generator reads ``soft_vi(alpha=<x>)``,
-    as ``collect_expert_demos`` names it, if x is a finite positive real; else
-    ``EXPERT_ALPHA``."""
-    try:
-        alpha = float(re.fullmatch(r"soft_vi\(alpha=(.+)\)", generator)[1])
-    except (TypeError, ValueError):     # no match, or no real
-        return EXPERT_ALPHA
-    return alpha if np.isfinite(alpha) and alpha > 0.0 else EXPERT_ALPHA
 
 
 def _js_to_expert(env_spec: EnvSpec, generator: str):
@@ -248,7 +229,7 @@ def _js_to_expert(env_spec: EnvSpec, generator: str):
     if not (isinstance(env_spec, TabularSpec) and enumerable(env_spec.mdp)):
         return lambda policy: None
     mdp = env_spec.mdp
-    expert = exact_traj_distribution(mdp, soft_value_iteration(mdp, _demo_alpha(generator)).policy_table())
+    expert = exact_traj_distribution(mdp, soft_value_iteration(mdp, soft_vi_alpha(generator)).policy_table())
     return lambda policy: js_between(exact_traj_distribution(mdp, tabular_policy_extract(policy, mdp.n_states)), expert)
 
 
@@ -279,7 +260,7 @@ def train(cfg: TrainConfig, demos: DemoSet, env_spec: EnvSpec):
     """
     cfg = cfg.validated()
     check_algorithm_fits(cfg.algorithm, env_spec)
-    _check_demos(demos, env_spec)
+    demo_pack = _check_demos(demos, env_spec)
 
     ss_init, ss_collect, ss_batch = np.random.SeedSequence(cfg.seed).spawn(3)
     init_rng = np.random.default_rng(ss_init)
@@ -291,7 +272,7 @@ def train(cfg: TrainConfig, demos: DemoSet, env_spec: EnvSpec):
     collect_rng = np.random.default_rng(ss_collect)
     batch_rng = np.random.default_rng(ss_batch)
 
-    expert = _pool(demos.trajectories, cfg, learned)
+    expert = _pool([demo_pack], cfg, learned)
     n_expert = expert.n_windows
     js_to_expert = _js_to_expert(env_spec, demos.generator)
     log = RunLog()

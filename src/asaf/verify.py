@@ -23,6 +23,7 @@ from .envs import (
     one_hot,
     rollout,
     soft_value_iteration,
+    soft_vi_name,
 )
 from .errors import ValidationError, check_count
 from .exact import stage_marginals, verify_lemma1
@@ -74,7 +75,7 @@ def collect_expert_demos(env_spec, n: int, alpha: float, seed: int) -> DemoSet:
     if isinstance(env_spec, PointMassSpec):
         expert, generator = ScriptedPointMassPolicy(), "scripted_proportional"
     else:
-        expert, generator = SoftExpertPolicy(soft_value_iteration(env_spec.mdp, alpha)), f"soft_vi(alpha={alpha})"
+        expert, generator = SoftExpertPolicy(soft_value_iteration(env_spec.mdp, alpha)), soft_vi_name(alpha)
     episodes, rets = rollout(env_spec, expert, [(seed, i) for i in range(n)], episodes=n)
     return DemoSet(
         trajectories=episodes.episodes(),

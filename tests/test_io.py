@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import asaf
 from asaf import cli, formats
 from asaf.cli import main
-from asaf.envs import chain_spec, soft_value_iteration
+from asaf.envs import EXPERT_ALPHA, chain_spec, soft_value_iteration, soft_vi_alpha, soft_vi_name
 from asaf.errors import ConfigError, FormatError, NumericalError
 from asaf.exact import exact_traj_distribution, expected_return, js_between
 from asaf.formats import (
@@ -335,7 +335,15 @@ def test_config_keys_are_the_train_config_fields_and_the_run_paths():
 
 def test_the_package_exports_what_it_imports_and_no_submodule():
     # asaf.__all__ is derived from the imports in asaf/__init__.py
-    assert asaf.__all__ == sorted(set(asaf.__all__)) and len(asaf.__all__) == 40
+    assert asaf.__all__ == [
+        "AdamState", "AsqfModel", "CategoricalPolicy", "DemoSet", "EnvSpec", "GaussianPolicy", "Mlp",
+        "OccupancyTable", "PackedWindows", "PointMassSpec", "RunLog", "RunRecord", "ScriptedPointMassPolicy",
+        "SoftExpertPolicy", "SoftQTable", "TabularMdp", "TabularSpec", "TrainConfig", "Window", "adam_step",
+        "asqf_bce_loss", "chain_spec", "collect_expert_demos", "env_by_id", "evaluate_policy",
+        "exact_traj_distribution", "expected_return", "grad_check", "gridworld_spec", "js_between",
+        "js_divergence", "make_policy", "occupancy", "rollout", "soft_value_iteration", "structured_log_d",
+        "tabular_policy_extract", "train", "verify_lemma1", "window_split",
+    ]
     assert "PackedWindows" in asaf.__all__ and not {"Trajectory", "TrajDistribution"} & set(asaf.__all__)
     assert not any(isinstance(getattr(asaf, name), types.ModuleType) for name in asaf.__all__)
     assert asaf.train is train and "train" in asaf.__all__ and "nn" not in asaf.__all__
@@ -897,6 +905,16 @@ def test_js_to_expert_tracks_the_temperature_that_made_the_demos(tmp_path):
     js = {alpha: js_between(untrained, exact_traj_distribution(mdp, soft_value_iteration(mdp, alpha).policy_table()))
           for alpha in (0.5, 1.0)}
     assert log.rows[0].js_to_expert == js[0.5] != js[1.0]
+
+
+@pytest.mark.parametrize("alpha", [0.25, 1.0, 1e-300])
+def test_the_soft_vi_demo_name_gives_back_its_temperature(alpha):
+    assert soft_vi_alpha(soft_vi_name(alpha)) == alpha
+
+
+@pytest.mark.parametrize("generator", ["soft_vi(alpha=nan)", "scripted_proportional", ""])
+def test_demos_named_without_a_usable_temperature_read_the_default_expert(generator):
+    assert soft_vi_alpha(generator) == EXPERT_ALPHA
 
 
 @pytest.mark.parametrize("lines, message", [

@@ -2,6 +2,7 @@
 
 import functools
 import importlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -342,6 +343,52 @@ def test_demo_check_names_the_entry_line_and_reason_the_per_episode_loop_names(e
     demos = DemoSet(trajs, env_id=env_id, action_kind=spec.action_kind, obs_dim=spec.obs_dim, mean_return=0.0,
                     lines=[3 + 2 * i for i in range(n)] if lined else None)
     assert refusal(_check_demos, demos, spec) == refusal(reference_check_demo_entries, demos, spec)
+
+
+@pytest.mark.parametrize("env_id", ["chain", "pointmass"])
+@pytest.mark.parametrize("n", [1, 8])
+def test_demo_check_returns_the_entries_joined_as_the_pool_would_join_them(env_id, n):
+    spec, entries = demo_entries(env_id)
+    demos = DemoSet(list(entries[:n]), env_id=env_id, action_kind=spec.action_kind, obs_dim=spec.obs_dim,
+                    mean_return=0.0)
+    pack, pool = _check_demos(demos, spec), disc.windows_from(demos.trajectories)
+    for key in ("obs", "acts", "lengths"):   # strict: the same dtype and shape too
+        np.testing.assert_array_equal(getattr(pack, key), getattr(pool, key), strict=True)
+
+
+@pytest.mark.parametrize("env_id", ["chain", "pointmass"])
+def test_demo_entry_with_no_observation_rows_is_refused(env_id):
+    # it used to die in the check with an AttributeError on None.shape
+    spec, entries = demo_entries(env_id)
+    trajs = list(entries[:4])
+    trajs[2] = PackedWindows(None, trajs[2].acts)
+    demos = DemoSet(trajs, env_id=env_id, action_kind=spec.action_kind, obs_dim=spec.obs_dim, mean_return=0.0)
+    with pytest.raises(ValidationError, match=r"^episode 2: episode has no observation rows$"):
+        train(tiny_cfg(steps=1), demos, spec)
+
+
+@pytest.mark.parametrize("algorithm", ["asaf", "asaf_1", "asqf", "bc"])
+def test_fractional_discrete_demo_action_is_refused_and_an_integral_float_is_not(chain_demos, algorithm):
+    # the policy used to refuse it later, naming no episode and the shape of the whole pool
+    trajs = [PackedWindows(t.obs, t.acts.astype(np.float64)) for t in chain_demos.trajectories[:5]]
+    demos = replace(chain_demos, trajectories=trajs)
+    cfg = tiny_cfg(algorithm=algorithm, steps=1, epochs=1)
+    train(cfg, demos, chain_spec())    # 0.0 and 1.0 are actions
+    trajs[3].acts[2] = 1.5
+    with pytest.raises(ValidationError, match=r"^episode 3: action 1\.5 is not an integer$"):
+        train(cfg, demos, chain_spec())
+
+
+@pytest.mark.parametrize("algorithm", ["asaf", "asaf_1", "bc"])
+@pytest.mark.parametrize("field, bad", [("obs", np.nan), ("obs", -np.inf), ("acts", np.nan), ("acts", np.inf)])
+def test_non_finite_demo_value_is_refused_naming_its_episode(algorithm, field, bad):
+    # a NaN observation used to train asaf_1 silently while its window went undrawn,
+    # and bc and asaf raised a NumericalError at an update, naming no episode
+    spec = PointMassSpec()
+    demos = collect_expert_demos(spec, n=25, alpha=1.0, seed=0)
+    getattr(demos.trajectories[7], field)[10] = bad
+    with pytest.raises(ValidationError, match=r"^episode 7: non-finite observation or action$"):
+        train(tiny_cfg(algorithm=algorithm, steps=1, epochs=1), demos, spec)
 
 
 @pytest.mark.parametrize("algorithm, cfg_kw", [("asaf", {}), ("asaf_w", dict(w=2, stride=1)),
