@@ -520,7 +520,7 @@ class SoftExpertPolicy:
     draws = ("random", 1)
 
     def __init__(self, qtable: SoftQTable):
-        self._cdf = np.cumsum(qtable.policy_table(), axis=2)
+        self._cdf = np.cumsum(qtable.policy_table(), axis=2)[..., :-1]     # a u past these is the last action
 
     def act(self, obs, u: np.ndarray, t: int) -> np.ndarray:
         """Inverse-CDF draws at stage t for (B, S) one-hot rows from (B, 1) uniforms."""

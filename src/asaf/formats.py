@@ -132,20 +132,21 @@ def read_demos(path) -> DemoSet:
     header = _parse_json_line(path, 1, lines[0])
     required = {"format_version", "env", "action_kind", "obs_dim", "n_trajectories", "mean_return"}
     if set(header) - {"generator"} != required:
-        raise FormatError(f"{path}: header keys {sorted(header)} do not match {sorted(required)} (generator optional)")
+        raise FormatError(f"{path}: line 1: header keys {sorted(header)} do not match {sorted(required)} "
+                          "(generator optional)")
     for key in ("format_version", "obs_dim", "n_trajectories"):
         _check_int(path, 1, key, header[key])
     if header["format_version"] != FORMAT_VERSION:
-        raise FormatError(f"{path}: unsupported format_version {header['format_version']!r}")
+        raise FormatError(f"{path}: line 1: unsupported format_version {header['format_version']!r}")
     if header["action_kind"] not in ("discrete", "continuous"):
-        raise FormatError(f"{path}: bad action_kind {header['action_kind']!r}")
+        raise FormatError(f"{path}: line 1: bad action_kind {header['action_kind']!r}")
     if type(header["mean_return"]) not in (int, float):
         raise FormatError(f"{path}: line 1: mean_return {header['mean_return']!r} is not a number")
     if type(header.get("generator", "")) is not str:
         raise FormatError(f"{path}: line 1: generator {header['generator']!r} is not a string")
     body = [(i, ln) for i, ln in enumerate(lines[1:], start=2) if ln.strip()]
     if len(body) != header["n_trajectories"]:
-        raise FormatError(f"{path}: header promises {header['n_trajectories']} trajectories, found {len(body)}")
+        raise FormatError(f"{path}: line 1: header promises {header['n_trajectories']} trajectories, found {len(body)}")
     discrete = header["action_kind"] == "discrete"
     trajectories = []
     for i, line in body:

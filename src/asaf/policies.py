@@ -111,24 +111,27 @@ class CategoricalPolicy:
         """The state of each row when every row is exactly one-hot, else None."""
         if obs.ndim not in (1, 2) or obs.shape[-1] != self.net.in_dim:
             return None
-        states = obs.argmax(axis=-1)    # one comparison of the whole batch with its identity rows
-        return states if (obs == one_hot(states, obs.shape[-1])).all() else None
+        states, hot = one_hot_rows(obs)
+        return states if hot.all() else None
 
-    def _read(self, obs: np.ndarray) -> tuple[_Evaluation, np.ndarray]:
-        """The evaluation holding the rows of ``obs`` and each row's index in it."""
+    def _read(self, obs: np.ndarray, split: int | None = None) -> tuple[_Evaluation, np.ndarray]:
+        """The evaluation holding the rows of ``obs`` and each row's index in it: the
+        state table when every row is one-hot, else the rows evaluated afresh, cut at ``split``."""
         if (states := self._states(obs)) is not None:
             return self._table(), states
-        if obs.ndim == 1:
-            return _evaluate(self.net, obs[None, :]), np.intp(0)
-        return _evaluate(self.net, obs), np.arange(len(obs))
+        rows = np.atleast_2d(obs)
+        return _evaluate(self.net, rows, split), np.arange(len(rows)).reshape(obs.shape[:-1])
 
-    def _check_actions(self, acts) -> np.ndarray:
-        acts = np.asarray(acts)
+    def _checked(self, obs, acts) -> tuple[np.ndarray, np.ndarray]:
+        """``obs`` as an array and ``acts`` as int64, checked to be one integer in [0, A) per row."""
+        obs, acts = np.asarray(obs), np.asarray(acts)
         if acts.ndim != 1 or not (acts.dtype.kind in "iu" or np.array_equal(acts, np.round(acts))):
             raise UnsupportedError(f"discrete actions must be a 1-D array of integers, got {acts.dtype} {acts.shape}")
         if np.any(acts < 0) or np.any(acts >= self.n_actions):
             raise ValueError(f"actions must lie in [0, {self.n_actions})")
-        return acts.astype(np.int64, copy=False)
+        if obs.shape[:-1] != acts.shape:
+            raise ShapeError(f"need one action per observation row, got {acts.shape} for {obs.shape}")
+        return obs, acts.astype(np.int64, copy=False)
 
     def log_probs(self, obs) -> np.ndarray:
         """Full log distribution: (A,) for one observation, (B, A) batched."""
@@ -140,16 +143,13 @@ class CategoricalPolicy:
 
     def index(self, obs, acts) -> tuple[np.ndarray | None, np.ndarray]:
         """Each row's state (None unless every row is one-hot) and the checked actions."""
-        obs, acts = np.asarray(obs), self._check_actions(acts)
-        if obs.shape[:-1] != acts.shape:
-            raise ShapeError(f"need one action per observation row, got {acts.shape} for {obs.shape}")
+        obs, acts = self._checked(obs, acts)
         return self._states(obs), acts
 
     def log_prob_tape(self, obs: np.ndarray, acts: np.ndarray, split: int | None = None):
-        states, acts = self.index(obs, acts)
-        if states is not None:
-            return self.table_tape(states, acts, split)
-        return self.table_tape(np.arange(len(acts)), acts, split, _evaluate(self.net, np.asarray(obs), split))
+        obs, acts = self._checked(obs, acts)
+        ev, rows = self._read(obs, split)
+        return self.table_tape(rows, acts, split, ev)
 
     def table_tape(self, rows: np.ndarray, acts: np.ndarray, split: int | None = None, ev: _Evaluation | None = None):
         """``log_prob_tape`` by (row, action) index into ``ev``, the state table
@@ -176,9 +176,10 @@ class CategoricalPolicy:
         return dy
 
     def act(self, obs, u: np.ndarray, t: int) -> np.ndarray:
-        """Inverse-CDF draws (CDF entries <= u) for (B, obs_dim) rows and (B, 1) uniforms, at any step."""
+        """Inverse-CDF draws for (B, obs_dim) rows and (B, 1) uniforms, at any step: the count of the first
+        A - 1 CDF entries <= u, as a raw cumulative sum can end below a legal uniform (a full count gives A)."""
         ev, rows = self._read(np.asarray(obs))
-        return (np.take(ev.probs, rows, axis=0).cumsum(axis=-1) <= u).sum(axis=-1)
+        return (np.take(ev.probs[:, :-1], rows, axis=0).cumsum(axis=-1) <= u).sum(axis=-1)
 
     def sample(self, obs, rng: np.random.Generator) -> int:
         """Inverse-CDF draw from the softmax distribution."""
@@ -276,11 +277,8 @@ def make_policy(env_spec, hidden, rng: np.random.Generator):
 
 
 def tabular_policy_extract(policy: CategoricalPolicy, n_states: int) -> np.ndarray:
-    """Evaluate a categorical policy on every one-hot state: table (S, A).
-
-    Rows are exact softmax outputs and sum to 1 up to float rounding; they
-    are read from the policy's state table.
-    """
+    """A copy of the policy's state table, its softmax on every one-hot state: (S, A),
+    rows exact softmax outputs that sum to 1 up to float rounding."""
     if policy.net.in_dim != n_states:
         raise ShapeError(f"policy expects obs_dim {policy.net.in_dim}, not {n_states}")
-    return np.exp(policy.log_probs(one_hot(slice(None), n_states)))
+    return policy._table().probs.copy()

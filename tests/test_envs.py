@@ -84,6 +84,15 @@ def test_mdp_validate_catches_bad_tables():
         TabularMdp(transitions=good.transitions, start=good.start, rewards=good.rewards, horizon=0)
     with pytest.raises(ValidationError):
         TabularMdp(transitions=good.transitions, start=good.start, rewards=good.rewards, horizon=3, gamma=1.5)
+    with pytest.raises(ShapeError, match=r"transitions must be \(S, A, S\), got \(2, 2, 3\)"):
+        TabularMdp(transitions=np.full((2, 2, 3), 1 / 3), start=good.start, rewards=good.rewards, horizon=3)
+    with pytest.raises(ShapeError, match=r"start distribution must be \(2,\), got \(3,\)"):
+        TabularMdp(transitions=good.transitions, start=np.array([1.0, 0.0, 0.0]), rewards=good.rewards, horizon=3)
+    negative = good.transitions.copy()
+    negative[0, 0] = [1.5, -0.5]    # the row still sums to 1
+    for p, p0 in ((negative, good.start), (good.transitions, np.array([1.5, -0.5]))):
+        with pytest.raises(ValidationError, match="negative probabilities"):
+            TabularMdp(transitions=p, start=p0, rewards=good.rewards, horizon=3)
     # a terminal state must be a state, absorbing, and pay nothing
     absorbing = good.transitions.copy()
     absorbing[0] = [[1.0, 0.0], [1.0, 0.0]]
@@ -689,6 +698,22 @@ def test_soft_expert_log_prob_matches_table():
     # stages past the horizon clamp to the final table
     u = np.random.default_rng(0).random((4, 1))
     assert expert.act(states, u, 99).tolist() == expert.act(states, u, 4).tolist()
+
+
+def test_soft_expert_never_draws_past_the_last_action():
+    # at alpha 0.25, 36 of the gridworld expert's 750 (t, s) CDF rows end below 1 - 2**-53
+    spec = gridworld_spec()
+    table = soft_value_iteration(spec.mdp, 0.25)
+    expert, cdf = SoftExpertPolicy(table), np.cumsum(table.policy_table(), axis=2)
+    top, states = np.nextafter(1.0, 0.0), np.eye(spec.mdp.n_states)
+    assert (cdf[..., -1] < top).sum() == 36
+    n_actions, u = spec.mdp.n_actions, np.random.default_rng(0).random((spec.mdp.n_states, 1))
+    for t in range(len(cdf)):
+        for v in (np.full_like(u, top), cdf[t, :, -1:], u):    # every other draw is the plain count
+            got = expert.act(states, v, t)
+            assert ((0 <= got) & (got < n_actions)).all()
+            np.testing.assert_array_equal(got, np.minimum((cdf[t] <= v).sum(axis=1), n_actions - 1))
+        assert (expert.act(states, cdf[t, :, -1:], t) == n_actions - 1).all()   # u at the last entry counts them all
 
 
 # Probability rows with zeros whose sums sit within 1e-9 of 1, as validate()

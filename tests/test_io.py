@@ -194,6 +194,37 @@ def test_demo_file_errors(tmp_path):
             read_demos(path)
 
 
+CONTINUOUS_HEADER = GOOD_HEADER.replace('"chain", "action_kind": "discrete", "obs_dim": 2',
+                                       '"pointmass", "action_kind": "continuous", "obs_dim": 1')
+
+
+@pytest.mark.parametrize("header, body, message", [
+    ('{"format_version": 1}', [GOOD_BODY], r"line 1: header keys \['format_version'\] do not match"),
+    (GOOD_HEADER.replace('"format_version": 1', '"format_version": 2'), [GOOD_BODY],
+     "line 1: unsupported format_version 2"),
+    (GOOD_HEADER.replace('"discrete"', '"weird"'), [GOOD_BODY], "line 1: bad action_kind 'weird'"),
+    (GOOD_HEADER, [GOOD_BODY, GOOD_BODY], "line 1: header promises 1 trajectories, found 2"),
+])
+def test_demo_header_refusals_name_line_1(tmp_path, header, body, message):
+    path = tmp_path / "bad.jsonl"
+    write_lines(path, [header, *body])
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: {message}"):
+        read_demos(path)
+
+
+@pytest.mark.parametrize("header, body, message", [
+    (GOOD_HEADER, '{"obs": [[1.0,0.0]], "acts": [0], "n": 1}', "line 2: trajectory keys must be obs/acts/len"),
+    (CONTINUOUS_HEADER, '{"obs": [[0.5]], "acts": [0.5], "len": 1}', "line 2: continuous acts must be rows of reals"),
+    (GOOD_HEADER, "[1, 2]", "line 2: expected a JSON object"),
+    ("3", GOOD_BODY, "line 1: expected a JSON object"),
+])
+def test_demo_line_refusals(tmp_path, header, body, message):
+    path = tmp_path / "bad.jsonl"
+    write_lines(path, [header, body])
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: {message}"):
+        read_demos(path)
+
+
 def test_write_demos_rejects_non_finite_before_opening(tmp_path):
     from asaf.envs import PackedWindows
     from asaf.train import DemoSet
@@ -399,6 +430,21 @@ def test_checkpoint_corruption_detected(tmp_path):
     (tmp_path / "e.ckpt").write_bytes(blob[:4] + struct.pack("<I", 9) + blob[8:])
     with pytest.raises(FormatError, match="version"):
         load_checkpoint(tmp_path / "e.ckpt")
+
+
+def test_checkpoint_refuses_fewer_than_two_layer_sizes(tmp_path):
+    path = tmp_path / "p.ckpt"
+    path.write_bytes(formats.CHECKPOINT_MAGIC + struct.pack("<III", formats.CHECKPOINT_VERSION, 0, 1)
+                     + struct.pack("<I", 4))
+    with pytest.raises(FormatError, match="need at least two layer sizes, got 1"):
+        load_checkpoint(path)
+
+
+def test_save_checkpoint_refuses_a_policy_type_it_cannot_store(tmp_path):
+    path = tmp_path / "p.ckpt"
+    with pytest.raises(FormatError, match="cannot checkpoint policy type ScriptedPointMassPolicy"):
+        save_checkpoint(path, asaf.ScriptedPointMassPolicy())
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -711,6 +757,14 @@ def test_cli_eval_rejects_mismatched_env(tmp_path, capsys):
     save_checkpoint(ckpt, CategoricalPolicy(Mlp.init((4, 8, 2), rng)))
     assert main(["eval", "--checkpoint", str(ckpt), "--env", "gridworld"]) == 3
     assert "does not fit" in capsys.readouterr().err
+
+
+def test_cli_eval_rejects_a_discrete_policy_on_a_continuous_env(tmp_path, capsys):
+    # sizes (1, 2) fit pointmass's obs_dim 1 and its (mean, log-std) pair, so only the kind differs
+    ckpt = tmp_path / "p.ckpt"
+    save_checkpoint(ckpt, CategoricalPolicy(Mlp.init((1, 2), np.random.default_rng(5))))
+    assert main(["eval", "--checkpoint", str(ckpt), "--env", "pointmass"]) == 3
+    assert "discrete policy cannot act on continuous env" in capsys.readouterr().err
 
 
 def test_cli_verify_lemma1(capsys):

@@ -2,19 +2,10 @@
 
 The benchmark imports public names of the package, and ``perfbench/run.py``
 imports ``micro`` on every run, so a change that renames or deletes one of
-them fails here instead of failing the benchmark.  ``micro.py`` imports, at
-module top:
-
-* from ``asaf``: ``AdamState``, ``CategoricalPolicy``, ``GaussianPolicy``,
-  ``Mlp``, ``PointMassSpec``, ``adam_step``, ``chain_spec``,
-  ``collect_expert_demos``, ``exact_traj_distribution``, ``gridworld_spec``,
-  ``js_between``, ``occupancy``, ``rollout``, ``soft_value_iteration``,
-  ``tabular_policy_extract`` and ``window_split``,
-* from ``asaf.discriminator``: ``AsqfModel``, ``Window``, ``asqf_bce_loss``,
-  ``bce_on_packed``, ``pack_windows``, ``refresh_generator_scores`` and
-  ``transitions_from``,
-* ``asaf.envs.one_hot``, ``asaf.exact.stage_marginals`` and
-  ``asaf.nn.clip_by_global_norm``.
+them fails here instead of failing the benchmark.  ``BENCHMARK_IMPORTS``
+lists every package name that ``micro.py`` and ``workloads.py`` import, and
+a test holds the two files to that list, so a change to the package that the
+benchmark would have to follow shows in the diff.
 
 Every microbenchmark case is called once; every workload of
 ``BENCHMARK.json`` is trained for two outer steps under the span tracer,
@@ -22,6 +13,7 @@ with its update and env-step counts checked, and set up in a fresh process
 by ``setup_probe.py``, the path behind the ``setup_s`` metric.
 """
 
+import ast
 import json
 import subprocess
 import sys
@@ -46,6 +38,37 @@ WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text()
 # (adam steps, env steps) of two outer steps: n_g = 10 episodes per step, and
 # per step epochs = 10 passes over the generator pool in batches.
 COUNTS = {"chain_asaf": (20, 100), "pointmass_asaf1": (100, 1000)}
+
+
+# Every package name that micro.py and workloads.py import, as module.name.
+BENCHMARK_IMPORTS = [
+    "asaf.AdamState", "asaf.CategoricalPolicy", "asaf.DemoSet", "asaf.GaussianPolicy", "asaf.Mlp",
+    "asaf.PointMassSpec", "asaf.ScriptedPointMassPolicy", "asaf.SoftExpertPolicy", "asaf.TrainConfig",
+    "asaf.adam_step", "asaf.chain_spec", "asaf.collect_expert_demos", "asaf.evaluate_policy",
+    "asaf.exact_traj_distribution", "asaf.gridworld_spec", "asaf.js_between", "asaf.occupancy", "asaf.rollout",
+    "asaf.soft_value_iteration", "asaf.tabular_policy_extract", "asaf.train", "asaf.window_split",
+    "asaf.discriminator.AsqfModel", "asaf.discriminator.Window", "asaf.discriminator.asqf_bce_loss",
+    "asaf.discriminator.bce_on_packed", "asaf.discriminator.pack_windows",
+    "asaf.discriminator.refresh_generator_scores", "asaf.discriminator.transitions_from",
+    "asaf.envs.one_hot", "asaf.exact.stage_marginals", "asaf.nn.clip_by_global_norm",
+]
+
+
+def benchmark_imports() -> list[str]:
+    """The package names imported anywhere in micro.py and workloads.py, as module.name."""
+    names = []
+    for file in ("micro.py", "workloads.py"):
+        for node in ast.walk(ast.parse((ROOT / "perfbench" / file).read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "asaf":
+                names += [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names += [alias.name for alias in node.names if alias.name.split(".")[0] == "asaf"]
+    return names
+
+
+def test_the_benchmark_imports_exactly_the_listed_package_names():
+    assert sorted(set(benchmark_imports())) == sorted(BENCHMARK_IMPORTS)
+    assert len(BENCHMARK_IMPORTS) == len(set(BENCHMARK_IMPORTS))
 
 
 def test_micro_cases_all_run():

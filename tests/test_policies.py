@@ -1,5 +1,7 @@
 """Categorical and diagonal-Gaussian policy heads."""
 
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -348,11 +350,28 @@ def test_act_compares_u_with_the_cumsum_of_each_sampled_row(seed, n_states, n_ac
     for x, ux in [(obs, u), *zip(obs, u)]:     # 2-D rows, then each row 1-D
         ev, rows = policy._read(x)
         cdf = np.array([np.cumsum(ev.probs[r]) for r in np.atleast_1d(rows)])
-        # a u set to one of its row's own CDF entries makes `<=` decide on the last bit
+        # a u set to one of its row's own CDF entries makes `<=` decide on the last bit; the
+        # last entry can lie below 1, so the count is capped at the last action
         ties = rng.random(len(cdf)) < 0.5
         picked = cdf[np.arange(len(cdf)), rng.integers(0, n_actions, len(cdf))]
         ux = np.where(ties, picked, ux.ravel()).reshape(ux.shape)
-        np.testing.assert_array_equal(np.atleast_1d(policy.act(x, ux, 0)), (cdf <= ux.reshape(-1, 1)).sum(axis=1))
+        want = np.minimum((cdf <= ux.reshape(-1, 1)).sum(axis=1), n_actions - 1)
+        np.testing.assert_array_equal(np.atleast_1d(policy.act(x, ux, 0)), want)
+
+
+U_TOP = np.nextafter(1.0, 0.0)    # 1 - 2**-53, the largest value Generator.random returns
+
+
+def test_act_never_draws_past_the_last_action():
+    policy = CategoricalPolicy.init(4, 4, (8,), np.random.default_rng(0))
+    last = record_cdf(policy, np.eye(4))[:, -1:]
+    assert last[1, 0] < U_TOP     # state 1's raw cumulative sum ends below a legal uniform
+    assert policy.act(np.eye(4)[[1]], np.array([[U_TOP]]), 0).tolist() == [3]
+    assert policy.sample(np.eye(4)[1], types.SimpleNamespace(random=lambda n: np.full(n, U_TOP))) == 3
+    for u in (np.full((4, 1), U_TOP), last):    # u equal to each row's last CDF entry counts every entry
+        assert policy.act(np.eye(4), u, 0).tolist() == [3, 3, 3, 3]
+    below = np.nextafter(last, 0.0)
+    np.testing.assert_array_equal(policy.act(np.eye(4), below, 0), (record_cdf(policy, np.eye(4)) <= below).sum(axis=1))
 
 
 def test_discrete_actions_must_be_integral_and_one_dimensional():

@@ -206,6 +206,12 @@ def test_demo_env_mismatch_is_rejected(chain_demos):
             train(tiny_cfg(), out_of_range, chain_spec())
 
 
+def test_demo_obs_dim_mismatch_is_rejected(chain_demos):
+    wide = DemoSet(chain_demos.trajectories, env_id="chain", action_kind="discrete", obs_dim=5, mean_return=0.0)
+    with pytest.raises(ValidationError, match="demo obs_dim 5 does not match env 4"):
+        train(tiny_cfg(), wide, chain_spec())
+
+
 @pytest.mark.parametrize("algorithm", ["asaf", "asaf_1", "bc"])
 @pytest.mark.parametrize("env", ["chain", "pointmass"])
 def test_demo_episode_with_no_steps_is_rejected(env, algorithm):
