@@ -117,13 +117,12 @@ def structured_log_d(learner, generator, window: Window) -> tuple[float, float]:
     return a - m, g - m
 
 
-def joined(packed_e: PackedWindows, packed_g: PackedWindows) -> PackedWindows:
-    """The windows of ``packed_e`` then those of ``packed_g``, concatenated;
-    a field that either pack lacks (None) is None."""
-    e, g = packed_e, packed_g
-    return PackedWindows(**{
-        name: None if (a := getattr(e, name)) is None or (b := getattr(g, name)) is None else np.concatenate([a, b])
-        for name in e._ROWS + e._WINDOWS})
+def joined(*packs: PackedWindows) -> PackedWindows:
+    """The windows of ``packs`` in order, concatenated; a field that any pack
+    lacks (None) is None."""
+    return PackedWindows(**{name: None if any(getattr(p, name) is None for p in packs) else
+                            np.concatenate([getattr(p, name) for p in packs])
+                            for name in PackedWindows._ROWS + PackedWindows._WINDOWS})
 
 
 def bce_on_packed(learner, packed_e: PackedWindows, packed_g: PackedWindows) -> tuple[float, np.ndarray]:
@@ -178,27 +177,23 @@ def nll_on_packed(learner, packed: PackedWindows) -> tuple[float, np.ndarray]:
 def windows_from(trajs, w: int | None = None, stride: int = 1) -> PackedWindows:
     """The windows of w steps at offsets 0, stride, ... of every episode in
     ``trajs`` while one fits, one truncated window for a shorter episode, and
-    with ``w=None`` each whole episode; packed back to back, unindexed.
-    Whole episodes and single steps are the rows as they lie, so their pack
-    holds the episodes' arrays, concatenated (a single pack's uncopied)."""
+    with ``w=None`` each whole episode; packed back to back, every per-step
+    field cut at the same rows and no per-window field but the lengths.
+    Whole episodes and single steps are the rows as they lie: the ``joined``
+    pack's arrays (a single pack's own, uncopied)."""
     if (w is not None and w < 1) or stride < 1:
         raise ValueError(f"need w >= 1 and stride >= 1, got w={w}, stride={stride}")
-    if len(trajs) == 1:     # one pack: its own arrays, uncopied
-        obs, acts, lengths = trajs[0].obs, trajs[0].acts, trajs[0].lengths
-    else:
-        obs, acts = np.concatenate([t.obs for t in trajs]), np.concatenate([t.acts for t in trajs])
-        lengths = np.concatenate([t.lengths for t in trajs])
-    # whole episodes, or single steps of episodes that have steps, are the rows in order: no gather
-    if w is None:
-        return PackedWindows(obs, acts, lengths)
+    pack = trajs[0] if len(trajs) == 1 else joined(*trajs)
+    lengths, rows = pack.lengths, slice(None)      # whole episodes, or single steps of no empty one: no gather
     if w == stride == 1 and lengths.all():
-        return PackedWindows(obs, acts, np.ones(len(acts), dtype=np.int64))
-    counts = np.maximum(lengths - w, 0) // stride + 1
-    offsets = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-    starts = np.repeat(np.cumsum(lengths) - lengths, counts) + stride * offsets
-    cut = np.repeat(np.minimum(lengths, w), counts)
-    rows = window_rows(starts, cut)
-    return PackedWindows(obs[rows], acts[rows], cut)
+        lengths = np.ones(len(pack), dtype=np.int64)
+    elif w is not None:
+        counts = np.maximum(lengths - w, 0) // stride + 1
+        offsets = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        lengths = np.repeat(np.minimum(lengths, w), counts)
+        rows = window_rows(np.repeat(pack.starts, counts) + stride * offsets, lengths)
+    return PackedWindows(**{name: None if (v := getattr(pack, name)) is None else v[rows] for name in pack._ROWS},
+                         lengths=lengths)
 
 
 def transitions_from(trajs) -> PackedWindows:

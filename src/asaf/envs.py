@@ -168,8 +168,7 @@ class TabularMdp:
             raise ValidationError(f"start distribution must sum to 1 within {_ATOL}")
         if not (0.0 <= self.gamma <= 1.0):
             raise ValidationError(f"gamma must lie in [0, 1], got {self.gamma}")
-        if self.horizon < 1:
-            raise ValidationError(f"horizon must be >= 1, got {self.horizon}")
+        check_count("horizon", self.horizon, 1)
         for g in self.terminal:
             if not (isinstance(g, (int, np.integer)) and 0 <= g < s):
                 raise ValidationError(f"terminal state {g!r} is not a state in [0, {s})")
@@ -233,8 +232,8 @@ class PackedWindows:
     ones), and ``lengths`` the steps of each window (one window of every row
     by default); the windows lie back to back, so ``starts``, each window's
     first row, is derived from ``lengths`` when first read and kept (a pack's
-    ``lengths`` are set once, by the constructor, which checks them against
-    the rows).  ``take`` and ``span`` select from a checked pack without
+    ``lengths`` are set once, by the constructor, which holds them to whole
+    numbers >= 0 that add up to the rows).  ``take`` and ``span`` select from a checked pack without
     checking again, and a span carries its slice of the parent's ``starts``.
     ``len`` counts steps and ``n_windows`` windows.  Rewards are
     deliberately absent; only evaluation and expert generation ever look at
@@ -262,9 +261,11 @@ class PackedWindows:
             self.obs = np.asarray(self.obs, dtype=np.float64)
             if self.obs.ndim != 2 or len(self.obs) != len(self.acts):
                 raise ShapeError(f"need one observation row per action, got {self.obs.shape} for {len(self.acts)}")
-        self.lengths = np.array([len(self.acts)]) if self.lengths is None else np.asarray(self.lengths, dtype=np.int64)
-        if self.lengths.ndim != 1 or self.lengths.sum() != len(self.acts):
-            raise ShapeError(f"window lengths {self.lengths} do not add up to {len(self.acts)} steps")
+        given = np.array([len(self.acts)]) if self.lengths is None else np.asarray(self.lengths)
+        self.lengths = lengths = given.astype(np.int64, copy=False)
+        if (lengths.ndim != 1 or lengths.sum() != len(self.acts) or (len(lengths) and lengths.min() < 0)
+                or (given.dtype.kind not in "iu" and not np.array_equal(lengths, given))):
+            raise ShapeError(f"window lengths {given} are not whole numbers >= 0 adding up to {len(self.acts)} steps")
 
     def __len__(self) -> int:
         return len(self.acts)
@@ -448,8 +449,7 @@ class PointMassSpec:
     draws = ("random", 0)
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise ValidationError(f"horizon must be >= 1, got {self.horizon}")
+        check_count("horizon", self.horizon, 1)
 
     @property
     def obs_dim(self) -> int:

@@ -185,7 +185,7 @@ def _check_demos(demos: DemoSet, env_spec: EnvSpec) -> PackedWindows:
         raise ValidationError(f"demo obs_dim {demos.obs_dim} does not match env {env_spec.obs_dim}")
     trajs = demos.trajectories
     try:
-        pack = PackedWindows(*(np.concatenate([getattr(t, key) for t in trajs]) for key in ("obs", "acts", "lengths")))
+        pack = disc.joined(*trajs)
     except (TypeError, ValueError):     # rows that do not stack: an entry is misshapen
         pack = None
     if pack is None or _demo_problem(pack, env_spec) is not None:   # some entry has that problem
@@ -202,6 +202,8 @@ def _demo_problem(traj: PackedWindows, env_spec: EnvSpec) -> str | None:
         return "episode has no steps"
     if traj.obs is None:
         return "episode has no observation rows"
+    if traj.states is not None:     # the pools would keep them (a join with an entry that has none drops them)
+        return "episode carries state ids; a demo entry holds observation rows"
     if traj.obs.shape[1] != env_spec.obs_dim:
         return f"observation rows {traj.obs.shape[1]} wide, expected {env_spec.obs_dim}"
     want = (len(traj),) if discrete else (len(traj), env_spec.act_dim)

@@ -1,5 +1,6 @@
 """Structured discriminator: windows, the two-sided loss, and the scored variant."""
 
+import functools
 from dataclasses import fields, replace
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 import asaf
 from asaf import discriminator as disc
 from asaf.envs import PackedWindows, SoftExpertPolicy, chain_spec, rollout, soft_value_iteration, window_rows
-from asaf.errors import ShapeError, UnsupportedError
+from asaf.errors import NumericalError, ShapeError, UnsupportedError
 from asaf.nn import Mlp, grad_check, log_softmax_rows
 from asaf.policies import CategoricalPolicy, GaussianPolicy
 from asaf.verify import collect_expert_demos
@@ -231,6 +232,8 @@ def test_window_split_rejects_bad_args():
         disc.window_split(toy_traj(3), w=0, stride=1)
     with pytest.raises(ValueError):
         disc.window_split(toy_traj(3), w=2, stride=0)
+    with pytest.raises(ValueError, match="cannot split an empty trajectory"):
+        disc.window_split(toy_traj(0), w=2, stride=1)
 
 
 # ---------------------------------------------------------------- packing
@@ -322,6 +325,12 @@ def test_pack_refuses_rows_it_cannot_hold():
         PackedWindows(np.zeros((3, 2)), np.zeros(2))                 # one action per row
     with pytest.raises(ShapeError):
         PackedWindows(np.zeros((3, 2)), np.zeros(3), lengths=[1, 1])  # lengths add up to the rows
+    # whole numbers >= 0: a negative length would let a window read the next one's rows,
+    # and a fractional one was cut to an integer
+    for rows, lengths in ((5, [6, -1]), (6, [3.5, 2.5]), (5, [3.5, 1.5]), (2, [np.nan, 2])):
+        with np.errstate(invalid="ignore"), pytest.raises(ShapeError, match="are not whole numbers >= 0"):
+            PackedWindows(np.zeros((rows, 2)), np.zeros(rows), lengths=lengths)
+    assert PackedWindows(np.zeros((5, 2)), np.zeros(5), lengths=[3.0, 2.0]).lengths.dtype == np.int64
     pack = PackedWindows(None, np.zeros(3), lengths=[2, 1])           # a state-indexed pool holds no obs
     assert pack.obs is None and np.array_equal(pack.starts, [0, 2])
     assert PackedWindows([[1], [2]], [0, 1]).obs.dtype == np.float64
@@ -375,36 +384,38 @@ def assert_same_pack(got, want):
 
 
 def test_the_field_lists_name_every_pack_field_once():
-    # take, span and joined carry the fields these lists name, so a field
-    # added to the dataclass without a list entry would be dropped by them;
-    # starts is derived from lengths, not a field
+    # take, span, joined and windows_from carry the fields these lists name,
+    # so a field added to the dataclass without a list entry would be dropped
+    # by them; starts is derived from lengths, not a field
     listed = [*disc.PackedWindows._ROWS, *disc.PackedWindows._WINDOWS]
     assert sorted(listed) == sorted(f.name for f in fields(disc.PackedWindows))
 
 
 @pytest.mark.parametrize("with_obs, stated", [(True, False), (True, True), (False, True)])
 @given(
-    lengths=st.tuples(*[st.lists(st.integers(1, 6), min_size=1, max_size=10)] * 2),
-    scored=st.tuples(st.booleans(), st.booleans()),
+    lengths=st.lists(st.lists(st.integers(1, 6), min_size=1, max_size=10), min_size=1, max_size=4),
+    scored=st.lists(st.booleans(), min_size=4, max_size=4),
     seed=st.integers(0, 2 ** 32 - 1),
 )
 def test_joined_concatenates_every_field(with_obs, stated, lengths, scored, seed):
-    # a field either side lacks is None, as gen_logp is when one side is unscored
+    # a field any pack lacks is None, as gen_logp is when one is unscored;
+    # one join of all the packs is their join two at a time
     rng = np.random.default_rng(seed)
     packs = [disc.pack_windows(random_windows_of(n, rng)) for n in lengths]
+    scored = scored[:len(packs)]
     for p, has_scores in zip(packs, scored):
         p.gen_logp = rng.normal(size=p.n_windows) if has_scores else None
         p.states = rng.integers(0, 5, size=len(p.acts)) if stated else None
         p.obs = p.obs if with_obs else None
-    e, g = packs
 
     def cat(name):
-        a, b = getattr(e, name), getattr(g, name)
-        return None if a is None or b is None else np.concatenate([a, b])
+        parts = [getattr(p, name) for p in packs]
+        return None if any(part is None for part in parts) else np.concatenate(parts)
 
     want = disc.PackedWindows(obs=cat("obs"), acts=cat("acts"), lengths=cat("lengths"), gen_logp=cat("gen_logp"),
                               states=cat("states"))
-    assert_same_pack(disc.joined(e, g), want)
+    assert_same_pack(disc.joined(*packs), want)
+    assert_same_pack(functools.reduce(disc.joined, packs), want)
     assert (want.gen_logp is None) == (not all(scored)) and (want.obs is None) == (not with_obs)
 
 
@@ -520,6 +531,14 @@ def test_log_d_components_sum_to_one(seed):
 
 
 # ---------------------------------------------------------------- bce loss
+
+def test_bce_on_joined_refuses_a_non_finite_loss():
+    learner = bias_only_policy([0.6, 0.4])
+    both = disc.joined(*scored_packs(learner, [one_step_window(0)], [one_step_window(1)]))
+    both.gen_logp[0] = np.nan
+    with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="non-finite discriminator loss"):
+        disc.bce_on_joined(learner, both)
+
 
 def test_bce_hand_value():
     learner = bias_only_policy([0.6, 0.4])
@@ -856,7 +875,36 @@ def test_whole_episodes_and_single_steps_equal_the_gathered_windows(episodes, un
                            acts=rng.normal(size=(sum(ls), 1)) if continuous else rng.integers(0, 3, size=sum(ls)))
              for ls in episodes]
     for w, stride in ((None, 1), (None, 3), (1, 1)):
-        assert_same_pack(disc.windows_from(trajs, w, stride), gathered_windows_from(trajs, w, stride))
+        pack = disc.windows_from(trajs, w, stride)
+        assert_same_pack(pack, gathered_windows_from(trajs, w, stride))
+        if len(trajs) == 1 and len(pack) and (w is None or trajs[0].lengths.all()):   # the pack's own rows
+            assert np.shares_memory(pack.obs, trajs[0].obs) and np.shares_memory(pack.acts, trajs[0].acts)
+
+
+@given(
+    episodes=st.lists(st.lists(st.integers(1, 6), min_size=1, max_size=4), min_size=1, max_size=4),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_windows_from_cuts_state_ids_and_a_list_as_its_join(episodes, seed):
+    # every per-step field is cut at the same rows: a pack of state ids and
+    # no obs cuts as its one-hot rows do, indexed afterwards; a list of
+    # packs cuts as their join does
+    rng = np.random.default_rng(seed)
+    policy = CategoricalPolicy.init(4, 3, (8,), rng)
+    trajs = [PackedWindows(np.eye(4)[rng.integers(0, 4, size=sum(ls))], rng.integers(0, 3, size=sum(ls)), ls)
+             for ls in episodes]
+    stated = []
+    for t in trajs:
+        states, acts = policy.index(t.obs, t.acts)
+        stated.append(PackedWindows(None, acts, t.lengths, states=states))
+    for w, stride in ((None, 1), (1, 1), (2, 1)):
+        cut = disc.windows_from(trajs, w, stride)
+        states, acts = policy.index(cut.obs, cut.acts)
+        assert_same_pack(disc.windows_from(stated, w, stride), PackedWindows(None, acts, cut.lengths, states=states))
+        for packs in (trajs, stated):
+            assert_same_pack(disc.windows_from(packs, w, stride), disc.windows_from([disc.joined(*packs)], w, stride))
+    pack = disc.windows_from([PackedWindows(None, np.arange(5) % 3, [3, 2], states=np.array([3, 2, 1, 0, 1]))], 2, 1)
+    assert pack.obs is None and pack.states.tolist() == [3, 2, 2, 1, 0, 1] and pack.lengths.tolist() == [2, 2, 2]
 
 
 def test_windows_from_rejects_bad_args():

@@ -80,8 +80,11 @@ def test_mdp_validate_catches_bad_tables():
         TabularMdp(transitions=good.transitions, start=np.array([0.7, 0.7]), rewards=good.rewards, horizon=3)
     with pytest.raises(ShapeError):
         TabularMdp(transitions=good.transitions, start=good.start, rewards=np.zeros((3, 2)), horizon=3)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="horizon must be >= 1, got 0"):
         TabularMdp(transitions=good.transitions, start=good.start, rewards=good.rewards, horizon=0)
+    for horizon in (2.5, True):     # both used to end in a bare TypeError inside rollout
+        with pytest.raises(ValidationError, match=f"horizon must be an integer, got {horizon}"):
+            TabularMdp(transitions=good.transitions, start=good.start, rewards=good.rewards, horizon=horizon)
     with pytest.raises(ValidationError):
         TabularMdp(transitions=good.transitions, start=good.start, rewards=good.rewards, horizon=3, gamma=1.5)
     with pytest.raises(ShapeError, match=r"transitions must be \(S, A, S\), got \(2, 2, 3\)"):
@@ -433,11 +436,13 @@ def test_pointmass_episode_length_and_start():
     assert traj.obs[0, 0] == x0 and np.all(traj.obs == x0)
 
 
-@pytest.mark.parametrize("horizon", [0, -3])
+@pytest.mark.parametrize("horizon", [0, -3, 2.5, True])
 def test_pointmass_horizon_below_one_is_refused(horizon):
-    with pytest.raises(ValidationError, match=f"horizon must be >= 1, got {horizon}"):
+    # 2.5 and True used to end in a bare TypeError inside rollout
+    message = f"horizon must be {'an integer' if isinstance(horizon, (bool, float)) else '>= 1'}, got {horizon}"
+    with pytest.raises(ValidationError, match=message):
         rollout(PointMassSpec(horizon=horizon), ConstantPolicy([0.0]), seed=0)
-    with pytest.raises(ValidationError, match=f"horizon must be >= 1, got {horizon}"):
+    with pytest.raises(ValidationError, match=message):
         collect_expert_demos(PointMassSpec(horizon=horizon), n=2, alpha=1.0, seed=0)
     assert len(rollout(PointMassSpec(horizon=1), ConstantPolicy([0.0]), seed=0)[0]) == 1
 

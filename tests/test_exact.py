@@ -289,6 +289,12 @@ def test_every_oracle_refuses_a_table_that_is_not_finite_and_nonnegative(oracle,
 
 # ---------------------------------------------------------------- occupancy
 
+def test_stage_marginals_refuses_a_table_of_another_rank():
+    for bad in (np.full(2, 0.5), np.full((1, 2, 2, 2), 0.5)):
+        with pytest.raises(ShapeError, match=r"policy table must be \(S, A\) or \(T, S, A\)"):
+            stage_marginals(toggle_mdp(horizon=2), bad)
+
+
 def test_stage_marginals_toggle():
     d = stage_marginals(toggle_mdp(horizon=4), ALWAYS_TOGGLE)
     np.testing.assert_allclose(d, [[1, 0], [0, 1], [1, 0], [0, 1]], atol=1e-15)

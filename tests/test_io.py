@@ -1,5 +1,6 @@
 """File formats and the command-line front end."""
 
+import importlib
 import json
 import os
 import re
@@ -17,7 +18,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import asaf
-from asaf import cli, formats
+from asaf import cli, formats, verify
 from asaf.cli import main
 from asaf.envs import EXPERT_ALPHA, chain_spec, soft_value_iteration, soft_vi_alpha, soft_vi_name
 from asaf.errors import ConfigError, FormatError, NumericalError
@@ -780,6 +781,19 @@ def test_cli_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+def test_run_suite_refuses_an_unknown_name():
+    with pytest.raises(ValueError, match=r"unknown suite 'nope', expected one of \['asqf', 'gradients'"):
+        verify.run_suite("nope")
+
+
+def test_asqf_suite_returns_the_chain_check_then_the_gridworld_one(monkeypatch):
+    # the checks themselves run in acceptance c6; here only the suite's assembly
+    chain, grid = verify.CheckResult("chain", 0.0, 1.0), verify.CheckResult("grid", 0.05, 0.1)
+    monkeypatch.setattr(verify, "asqf_chain_check", lambda: chain)
+    monkeypatch.setattr(verify, "asqf_gridworld_check", lambda: (grid, "policy"))
+    assert verify.asqf_suite() == verify.run_suite("asqf") == [chain, grid]
+
+
 def run_module(*args):
     """``python -m asaf.cli <args>`` in a fresh interpreter, no install needed:
     the exit code, the message and the absence of a traceback are what a
@@ -1014,8 +1028,16 @@ def test_cli_process_demo_errors_cite_the_line_an_episode_came_from(tmp_path):
     assert read.lines == [3, 4, 5] and read == replace(read, lines=None)    # lines take no part in equality
 
 
-@pytest.mark.skipif(shutil.which("asaf") is None, reason="console script not on PATH")
-def test_console_script_runs():
-    proc = subprocess.run(["asaf", "--help"], capture_output=True, text=True)
-    assert proc.returncode == 0
-    assert "gen-expert" in proc.stdout
+def test_console_script_runs(capsys):
+    # the installed script where it is on PATH, else the target that
+    # pyproject.toml's [project.scripts] names, called in process
+    if shutil.which("asaf") is not None:
+        proc = subprocess.run(["asaf", "--help"], capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0
+        assert "gen-expert" in proc.stdout
+        return
+    tomllib = pytest.importorskip("tomllib")   # Python 3.11+
+    pyproject = tomllib.loads((Path(__file__).resolve().parent.parent / "pyproject.toml").read_text())
+    module, _, name = pyproject["project"]["scripts"]["asaf"].partition(":")
+    assert getattr(importlib.import_module(module), name)(["--help"]) == 0
+    assert "gen-expert" in capsys.readouterr().out

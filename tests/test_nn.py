@@ -828,6 +828,26 @@ def test_serial_blas_without_a_setter_does_nothing(monkeypatch):
     assert nn._scopes.depth == 0
 
 
+def test_serial_blas_without_an_openblas_library_or_its_symbols_does_nothing(monkeypatch):
+    # a library that does not load, or loads without the thread-count
+    # symbols (MKL, Accelerate), leaves the lookup None and the scope inert
+    def no_library(name):
+        raise OSError(f"cannot load {name}")
+
+    nn._openblas_threads.cache_clear()
+    try:
+        for cdll in (no_library, lambda name: SimpleNamespace()):
+            monkeypatch.setattr(nn.ctypes, "CDLL", cdll)
+            nn._openblas_threads.cache_clear()
+            assert nn._openblas_threads() is None
+            with serial_blas():
+                assert nn._scopes.depth == 1 and nn._scopes.restore is None
+            assert nn._scopes.depth == 0
+    finally:
+        monkeypatch.undo()
+        nn._openblas_threads.cache_clear()
+
+
 def test_importing_the_package_leaves_the_blas_threads_alone():
     # the lookup runs on the first scope, never at import, so a fresh
     # process that imports asaf reads the default count this process has

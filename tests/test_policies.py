@@ -1,5 +1,6 @@
 """Categorical and diagonal-Gaussian policy heads."""
 
+import re
 import types
 
 import numpy as np
@@ -468,6 +469,14 @@ def test_gaussian_log_std_clamps():
     raw = np.array([[0.0, np.nan], [0.0, -np.inf], [0.0, np.inf], [0.0, -0.0], [0.0, 1.5], [0.0, -5.0 - 1e-15]])
     _, _, log_std = narrow._heads(raw)
     assert log_std.tobytes() == np.clip(raw[:, 1:], LOG_STD_MIN, LOG_STD_MAX).tobytes()
+
+
+def test_gaussian_backprop_weight_shape_checked():
+    policy = GaussianPolicy(Mlp((2, 2)))
+    _, cache = policy.log_prob_tape(np.zeros((3, 2)), np.zeros((3, 1)))
+    for weights in (np.ones(4), np.ones((3, 1))):
+        with pytest.raises(ShapeError, match=re.escape(f"weights must have shape (3,), got {weights.shape}")):
+            policy.backprop_log_prob(cache, weights)
 
 
 def test_gaussian_saturated_log_std_gets_zero_grad():

@@ -373,6 +373,20 @@ def test_demo_entry_with_no_observation_rows_is_refused(env_id):
         train(tiny_cfg(steps=1), demos, spec)
 
 
+@pytest.mark.parametrize("env_id", ["chain", "pointmass"])
+def test_demo_entries_with_state_ids_are_refused(env_id):
+    # the pools cut every per-step field, so the entries' own state ids would reach
+    # the loss in place of the learner's (a Gaussian learner has no state table);
+    # where some entry has none, the join drops them all and the set trains
+    spec, entries = demo_entries(env_id)
+    stated = [replace(t, states=np.zeros(len(t), dtype=np.int64)) for t in entries[:4]]
+    demos = [DemoSet(trajs, env_id=env_id, action_kind=spec.action_kind, obs_dim=spec.obs_dim, mean_return=0.0)
+             for trajs in (stated, [*stated[:2], entries[2], stated[3]])]
+    with pytest.raises(ValidationError, match=r"^episode 0: episode carries state ids"):
+        train(tiny_cfg(steps=1), demos[0], spec)
+    train(tiny_cfg(steps=1), demos[1], spec)
+
+
 @pytest.mark.parametrize("algorithm", ["asaf", "asaf_1", "asqf", "bc"])
 def test_fractional_discrete_demo_action_is_refused_and_an_integral_float_is_not(chain_demos, algorithm):
     # the policy used to refuse it later, naming no episode and the shape of the whole pool
