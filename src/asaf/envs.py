@@ -233,8 +233,9 @@ class PackedWindows:
     by default); the windows lie back to back, so ``starts``, each window's
     first row, is derived from ``lengths`` when first read and kept (a pack's
     ``lengths`` are set once, by the constructor, which holds them to whole
-    numbers >= 0 that add up to the rows).  ``take`` and ``span`` select from a checked pack without
-    checking again, and a span carries its slice of the parent's ``starts``.
+    numbers >= 0 that add up to the rows, and a given ``states`` or ``gen_logp``
+    to one entry per step or window).  ``take`` and ``span`` select from a
+    checked pack without checking again, and a span carries its slice of the parent's ``starts``.
     ``len`` counts steps and ``n_windows`` windows.  Rewards are
     deliberately absent; only evaluation and expert generation ever look at
     the reward channel.
@@ -266,6 +267,9 @@ class PackedWindows:
         if (lengths.ndim != 1 or lengths.sum() != len(self.acts) or (len(lengths) and lengths.min() < 0)
                 or (given.dtype.kind not in "iu" and not np.array_equal(lengths, given))):
             raise ShapeError(f"window lengths {given} are not whole numbers >= 0 adding up to {len(self.acts)} steps")
+        for name, per, n in (("states", "step", len(self.acts)), ("gen_logp", "window", len(lengths))):
+            if (v := getattr(self, name)) is not None and np.shape(v)[:1] != (n,):
+                raise ShapeError(f"need one {name} entry per {per}, got shape {np.shape(v)} for {n}")
 
     def __len__(self) -> int:
         return len(self.acts)

@@ -9,12 +9,13 @@ Demo file (UTF-8 text, one JSON object per line, blank lines skipped):
 Reals are written with 17 significant digits and always carry a decimal
 point, which makes the round trip bit-exact for float64 (including the sign
 of zero).  Discrete actions are plain JSON integers; continuous actions are
-rows of reals.  Non-finite reals have no JSON form and are refused by the
-writer and the reader alike; the reader also refuses integers beyond int64,
-a ``mean_return`` that is not a number, a ``generator`` that is not a
-string, and a ``format_version``, ``obs_dim``, ``n_trajectories`` or ``len``
-that is not an integer.  Errors name the line as numbered in the file, and
-``DemoSet.lines`` keeps each episode's line for the checks ``train`` makes.
+rows of reals.  The reader refuses non-finite reals (JSON has no form for
+them), integers beyond int64, a ``mean_return`` that is not a number, an
+``env`` or ``generator`` that is not a string, and a ``format_version``,
+``obs_dim``, ``n_trajectories`` or ``len`` that is not an integer.  The
+writer reads its text back through the reader before it opens the file and
+refuses what does not read back as given.  Errors name the line as numbered
+in the file; ``DemoSet.lines`` keeps each episode's line for ``train``.
 
 Run config (UTF-8 text): one ``key = value`` per line, blank lines and
 ``#`` comments ignored; ``hidden`` takes comma-separated layer sizes
@@ -40,6 +41,7 @@ js_to_expert``; the last column is empty when no exact tracking exists.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field, fields
 
@@ -77,56 +79,52 @@ def format_real(x: float) -> str:
     return s
 
 
-def _json_reals(rows) -> str:
-    if np.ndim(rows) == 1:
-        return "[" + ",".join(format_real(v) for v in rows) + "]"
-    return "[" + ",".join(_json_reals(r) for r in rows) + "]"
+def _json_real(x, discrete: bool = False) -> str:
+    """A real by ``format_real``, a non-finite one as the ``NaN``/``Infinity`` literal
+    that the reader refuses by name, and a whole discrete action as a JSON integer."""
+    if discrete and float(x).is_integer():
+        return str(int(x))
+    return format_real(x) if math.isfinite(x := float(x)) else json.dumps(x)
+
+
+def _json_rows(rows, discrete: bool = False) -> str:
+    """Nested JSON lists of ``_json_real`` values; None is ``null``."""
+    if rows is None:
+        return "null"
+    if np.ndim(rows) > 1:
+        return "[" + ",".join(_json_rows(r, discrete) for r in rows) + "]"
+    return "[" + ",".join(_json_real(v, discrete) for v in rows) + "]"
+
+
+_HEADER = ("env_id", "action_kind", "obs_dim", "mean_return", "generator")    # the DemoSet fields of line 1
 
 
 def write_demos(path, demos: DemoSet) -> None:
-    """Write a demo file.  What ``read_demos`` would refuse or read back as
-    other data is refused before the file is opened, naming the line: a
-    bad ``action_kind`` (line 1), and an entry that is not one episode of
-    >= 1 steps, whose observation rows do not match ``obs_dim``, whose
-    actions are not flat integers (discrete) or rows of reals (continuous),
-    or that holds a non-finite value (JSON has no literal for it)."""
-    discrete = demos.action_kind == "discrete"
-    if demos.action_kind not in ("discrete", "continuous"):
-        raise FormatError(f"{path}: line 1: bad action_kind {demos.action_kind!r}")
-    if not np.isfinite(demos.mean_return):
-        raise FormatError(f"{path}: mean_return {demos.mean_return} is not finite")
-    for lineno, traj in enumerate(demos.trajectories, start=2):
-        where = f"{path}: line {lineno}"
-        if not (len(traj) and traj.lengths.all()):
-            raise FormatError(f"{where}: episode has no steps")
-        if traj.n_windows != 1:
-            raise FormatError(f"{where}: an entry of {traj.n_windows} episodes; a line holds one")
-        if np.shape(traj.obs)[1:] != (demos.obs_dim,):
-            raise FormatError(f"{where}: obs shape {np.shape(traj.obs)} does not match obs_dim {demos.obs_dim}")
-        if not (np.all(np.isfinite(traj.obs)) and np.all(np.isfinite(traj.acts))):
-            raise FormatError(f"{where}: non-finite observation or action")
-        if traj.acts.ndim != (1 if discrete else 2):
-            raise FormatError(f"{where}: {demos.action_kind} actions of shape {traj.acts.shape}, "
-                              f"expected {'a flat list' if discrete else 'rows of reals'}")
-        if discrete and np.any(bad := traj.acts.astype(np.int64) != traj.acts):
-            raise FormatError(f"{where}: discrete action {traj.acts[bad][0]} is not an integer")
+    """Write a demo file.  Before the file is opened, its text is read back by
+    ``read_demos``'s parser, which must neither refuse it nor read back other
+    values (header fields, each entry's ``lengths`` and per-step fields)."""
+    lines = ["{" + f'"format_version": {FORMAT_VERSION}, "env": {json.dumps(demos.env_id)}, '
+             + f'"action_kind": {json.dumps(demos.action_kind)}, "obs_dim": {demos.obs_dim}, '
+             + f'"n_trajectories": {len(demos)}, "mean_return": {_json_real(demos.mean_return)}'
+             + (f', "generator": {json.dumps(demos.generator)}' if demos.generator != "" else "") + "}"]
+    lines += ['{"obs": ' + _json_rows(traj.obs) + ', "acts": ' + _json_rows(traj.acts, demos.action_kind == "discrete")
+              + f', "len": {len(traj)}}}' for traj in demos.trajectories]
+    back = _parse_demos(path, lines)
+    for lineno, (given, read) in enumerate(zip([demos, *demos.trajectories], [back, *back.trajectories]), start=1):
+        for name in _HEADER if lineno == 1 else ("lengths", *PackedWindows._ROWS):
+            if not np.array_equal(a := getattr(given, name), b := getattr(read, name)):
+                raise FormatError(f"{path}: line {lineno}: {name} {a!r} reads back as {b!r}")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(
-            "{"
-            + f'"format_version": {FORMAT_VERSION}, "env": {json.dumps(demos.env_id)}, '
-            + f'"action_kind": {json.dumps(demos.action_kind)}, "obs_dim": {demos.obs_dim}, '
-            + f'"n_trajectories": {len(demos)}, "mean_return": {format_real(demos.mean_return)}'
-            + (f', "generator": {json.dumps(demos.generator)}' if demos.generator else "")
-            + "}\n"
-        )
-        for traj in demos.trajectories:
-            acts = "[" + ",".join(str(int(a)) for a in traj.acts) + "]" if discrete else _json_reals(traj.acts)
-            fh.write('{"obs": ' + _json_reals(traj.obs) + ', "acts": ' + acts + f', "len": {len(traj)}}}\n')
+        fh.write("\n".join(lines) + "\n")
 
 
 def read_demos(path) -> DemoSet:
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+        return _parse_demos(path, fh.read().splitlines())
+
+
+def _parse_demos(path, lines: list[str]) -> DemoSet:
+    """The demo set that the text ``lines`` of the file ``path`` hold."""
     if not lines:
         raise FormatError(f"{path}: empty demo file")
     header = _parse_json_line(path, 1, lines[0])
@@ -142,8 +140,9 @@ def read_demos(path) -> DemoSet:
         raise FormatError(f"{path}: line 1: bad action_kind {header['action_kind']!r}")
     if type(header["mean_return"]) not in (int, float):
         raise FormatError(f"{path}: line 1: mean_return {header['mean_return']!r} is not a number")
-    if type(header.get("generator", "")) is not str:
-        raise FormatError(f"{path}: line 1: generator {header['generator']!r} is not a string")
+    for key in ("env", "generator"):
+        if type(header.get(key, "")) is not str:
+            raise FormatError(f"{path}: line 1: {key} {header[key]!r} is not a string")
     body = [(i, ln) for i, ln in enumerate(lines[1:], start=2) if ln.strip()]
     if len(body) != header["n_trajectories"]:
         raise FormatError(f"{path}: line 1: header promises {header['n_trajectories']} trajectories, found {len(body)}")
@@ -154,6 +153,8 @@ def read_demos(path) -> DemoSet:
         if set(rec) != {"obs", "acts", "len"}:
             raise FormatError(f"{path}: line {i}: trajectory keys must be obs/acts/len")
         _check_int(path, i, "len", rec["len"])
+        if rec["len"] < 1:
+            raise FormatError(f"{path}: line {i}: episode has no steps")
         try:
             obs = np.asarray(rec["obs"], dtype=np.float64)
             acts = np.asarray(rec["acts"], dtype=None if discrete else np.float64)
@@ -170,15 +171,9 @@ def read_demos(path) -> DemoSet:
         if len(obs) != rec["len"] or len(acts) != rec["len"]:
             raise FormatError(f"{path}: line {i}: len field {rec['len']} does not match arrays")
         trajectories.append(PackedWindows(obs=obs, acts=acts))
-    return DemoSet(
-        trajectories=trajectories,
-        env_id=header["env"],
-        action_kind=header["action_kind"],
-        obs_dim=header["obs_dim"],
-        mean_return=float(header["mean_return"]),
-        generator=header.get("generator", ""),
-        lines=[i for i, _ in body],
-    )
+    return DemoSet(trajectories=trajectories, env_id=header["env"], action_kind=header["action_kind"],
+                   obs_dim=header["obs_dim"], mean_return=float(header["mean_return"]),
+                   generator=header.get("generator", ""), lines=[i for i, _ in body])
 
 
 def _check_int(path, lineno: int, key: str, value) -> None:

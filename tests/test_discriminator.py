@@ -336,6 +336,20 @@ def test_pack_refuses_rows_it_cannot_hold():
     assert PackedWindows([[1], [2]], [0, 1]).obs.dtype == np.float64
 
 
+def test_pack_refuses_state_ids_and_generator_scores_that_do_not_fit():
+    # states hold one id per step and gen_logp one score per window; windows_from
+    # once cut 3 state ids over 5 rows with a bare IndexError naming no field
+    acts = np.zeros(5, dtype=np.int64)
+    with pytest.raises(ShapeError, match=r"^need one states entry per step, got shape \(9,\) for 5$"):
+        PackedWindows(None, acts, [3, 2], gen_logp=np.zeros(7), states=np.arange(9))
+    with pytest.raises(ShapeError, match=r"^need one gen_logp entry per window, got shape \(7,\) for 2$"):
+        PackedWindows(None, acts, [3, 2], gen_logp=np.zeros(7), states=np.arange(5))
+    with pytest.raises(ShapeError, match=r"^need one states entry per step, got shape \(3,\) for 5$"):
+        disc.windows_from([PackedWindows(None, acts, [3, 2], states=np.arange(3))], 2, 1)
+    pack = PackedWindows(None, acts, [3, 2], gen_logp=np.zeros(2), states=np.arange(5))
+    assert disc.windows_from([pack], 2, 1).states.tolist() == [0, 1, 1, 2, 3, 4]
+
+
 def test_packed_take_reindexes():
     rng = np.random.default_rng(2)
     wins = random_windows(4, 3, 2, 2, rng)

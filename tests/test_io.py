@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import asaf
 from asaf import cli, formats, verify
 from asaf.cli import main
-from asaf.envs import EXPERT_ALPHA, chain_spec, soft_value_iteration, soft_vi_alpha, soft_vi_name
+from asaf.envs import EXPERT_ALPHA, PackedWindows, chain_spec, soft_value_iteration, soft_vi_alpha, soft_vi_name
 from asaf.errors import ConfigError, FormatError, NumericalError
 from asaf.exact import exact_traj_distribution, expected_return, js_between
 from asaf.formats import (
@@ -36,7 +36,7 @@ from asaf.formats import (
 )
 from asaf.nn import Mlp
 from asaf.policies import CategoricalPolicy, GaussianPolicy, tabular_policy_extract
-from asaf.train import RunLog, RunRecord, TrainConfig, train
+from asaf.train import DemoSet, RunLog, RunRecord, TrainConfig, train
 from asaf.verify import collect_expert_demos
 
 
@@ -204,6 +204,7 @@ CONTINUOUS_HEADER = GOOD_HEADER.replace('"chain", "action_kind": "discrete", "ob
     (GOOD_HEADER.replace('"format_version": 1', '"format_version": 2'), [GOOD_BODY],
      "line 1: unsupported format_version 2"),
     (GOOD_HEADER.replace('"discrete"', '"weird"'), [GOOD_BODY], "line 1: bad action_kind 'weird'"),
+    (GOOD_HEADER.replace('"env": "chain"', '"env": 3'), [GOOD_BODY], "line 1: env 3 is not a string"),
     (GOOD_HEADER, [GOOD_BODY, GOOD_BODY], "line 1: header promises 1 trajectories, found 2"),
 ])
 def test_demo_header_refusals_name_line_1(tmp_path, header, body, message):
@@ -227,21 +228,22 @@ def test_demo_line_refusals(tmp_path, header, body, message):
 
 
 def test_write_demos_rejects_non_finite_before_opening(tmp_path):
-    from asaf.envs import PackedWindows
-    from asaf.train import DemoSet
+    # the writer gives a non-finite real JSON's NaN/Infinity literal, which
+    # the reader refuses by name, at the line it would be written on
 
     path = tmp_path / "demos.jsonl"
     good = PackedWindows(obs=np.zeros((2, 1)), acts=np.zeros((2, 1)))
     cases = [
-        (PackedWindows(obs=np.array([[0.0], [np.nan]]), acts=np.zeros((2, 1))), 0.0, "line 3"),
-        (PackedWindows(obs=np.zeros((2, 1)), acts=np.array([[np.inf], [0.0]])), 0.0, "line 3"),
-        (good, float("-inf"), "mean_return"),
+        (PackedWindows(obs=np.array([[0.0], [np.nan]]), acts=np.zeros((2, 1))), 0.0, "line 3: non-finite number NaN"),
+        (PackedWindows(obs=np.zeros((2, 1)), acts=np.array([[np.inf], [0.0]])), 0.0,
+         "line 3: non-finite number Infinity"),
+        (good, float("-inf"), "line 1: non-finite number -Infinity"),
         (PackedWindows(obs=np.zeros((0, 1)), acts=np.zeros((0, 1))), 0.0, "line 3: episode has no steps"),
     ]
     for traj, mean_return, where in cases:
         demos = DemoSet([good, traj], env_id="pointmass", action_kind="continuous", obs_dim=1,
                         mean_return=mean_return)
-        with pytest.raises(FormatError, match=where):
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: {where}$"):
             write_demos(path, demos)
         assert not path.exists()
 
@@ -250,8 +252,7 @@ def test_write_demos_refuses_what_would_not_read_back(tmp_path):
     # each of these was written, and then read back as other data (three
     # episodes as one 15-step episode, the action 1.5 as 1) or refused by
     # read_demos; each refusal names the line and comes before the file opens
-    from asaf.envs import PackedWindows, SoftExpertPolicy, rollout
-    from asaf.train import DemoSet
+    from asaf.envs import SoftExpertPolicy, rollout
 
     spec = chain_spec()
     three, _ = rollout(spec, SoftExpertPolicy(soft_value_iteration(spec.mdp, 1.0)), 0, episodes=3)
@@ -259,27 +260,103 @@ def test_write_demos_refuses_what_would_not_read_back(tmp_path):
     chain = dict(env_id="chain", action_kind="discrete", obs_dim=4, mean_return=0.0)
     pointmass = dict(env_id="pointmass", action_kind="continuous", obs_dim=1, mean_return=0.0)
     cases = [
-        ([one, three], chain, "line 3: an entry of 3 episodes; a line holds one"),
+        ([one, three], chain, f"line 3: lengths {three.lengths!r} reads back as array([{len(three)}])"),
         ([one, PackedWindows(np.eye(4)[[0, 1, 2]], [1, 1, 0], lengths=[2, 0, 1])], chain,
-         "line 3: episode has no steps"),
-        ([PackedWindows(np.eye(4)[[0, 1, 2]], [1.0, 1.5, 0.0])], chain,
-         "line 2: discrete action 1.5 is not an integer"),
-        ([one, PackedWindows(np.eye(4)[[0, 1]], [[1], [0]])], chain,
-         r"line 3: discrete actions of shape \(2, 1\), expected a flat list"),
-        ([PackedWindows(np.zeros((3, 1)), np.zeros(3))], pointmass,
-         r"line 2: continuous actions of shape \(3,\), expected rows of reals"),
-        ([one, PackedWindows(np.zeros((3, 3)), [1, 1, 0])], chain,
-         r"line 3: obs shape \(3, 3\) does not match obs_dim 4"),
+         "line 3: lengths array([2, 0, 1]) reads back as array([3])"),
+        ([PackedWindows(np.eye(4)[[0, 1, 2]], [1.0, 1.5, 0.0])], chain, "line 2: discrete acts must be integers"),
+        ([PackedWindows(np.eye(4)[[0, 1]], [1.0, np.nan])], chain, "line 2: non-finite number NaN"),
+        ([one, PackedWindows(np.eye(4)[[0, 1]], [[1], [0]])], chain, "line 3: discrete acts must be a flat list"),
+        ([PackedWindows(np.zeros((3, 1)), np.zeros(3))], pointmass, "line 2: continuous acts must be rows of reals"),
+        ([one, PackedWindows(np.zeros((3, 3)), [1, 1, 0])], chain, "line 3: obs shape (3, 3) does not match obs_dim 4"),
         ([one], {**chain, "action_kind": "weird"}, "line 1: bad action_kind 'weird'"),
     ]
     path = tmp_path / "demos.jsonl"
     for trajs, header, message in cases:
-        with pytest.raises(FormatError, match=message):
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: {re.escape(message)}$"):
             write_demos(path, DemoSet(trajs, **header))
         assert not path.exists()
     write_demos(path, DemoSet(three.episodes(), **chain))    # the same episodes, one a line, round-trip
     for a, b in zip(three.episodes(), read_demos(path).trajectories):
         assert a.obs.tobytes() == b.obs.tobytes() and a.acts.tobytes() == b.acts.tobytes()
+
+
+def test_write_demos_refuses_header_fields_and_state_ids_that_would_not_read_back(tmp_path):
+    # the writer once wrote these; the reader then refused the header, or
+    # read the entry back without the state ids that train refuses in memory
+
+    chain = dict(env_id="chain", action_kind="discrete", obs_dim=4, mean_return=0.0)
+    stated = PackedWindows(np.eye(4)[[0, 1, 2]], [1, 1, 0], states=np.array([0, 1, 2]))
+    cases = [
+        ({**chain, "obs_dim": 4.0}, [], "line 1: obs_dim 4.0 is not an integer"),
+        ({**chain, "generator": 5}, [], "line 1: generator 5 is not a string"),
+        ({**chain, "env_id": 3}, [], "line 1: env 3 is not a string"),
+        ({**chain, "obs_dim": "4"}, [], "line 1: obs_dim '4' reads back as 4"),
+        (chain, [stated], "line 2: states array([0, 1, 2]) reads back as None"),
+        (chain, [PackedWindows(None, [1, 1, 0], states=np.array([0, 1, 2]))], "line 2: obs shape () does not match obs_dim 4"),
+    ]
+    path = tmp_path / "demos.jsonl"
+    for header, trajs, message in cases:
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: {re.escape(message)}$"):
+            write_demos(path, DemoSet(trajs, **header))
+        assert not path.exists()
+    write_demos(path, DemoSet([PackedWindows(np.eye(4)[[0, 1]], [1.0, 0.0])], **chain))  # whole reals read back as ints
+    assert read_demos(path).trajectories[0].acts.tolist() == [1, 0]
+
+
+_FAULTS = ("env", "action_kind", "obs_dim", "mean_return", "generator", "width", "non-finite", "fraction", "rank",
+           "episodes", "states", "no obs")
+
+
+def _drawn_demos(draw, faults) -> DemoSet:
+    """A demo set, well formed but for ``faults`` (names from ``_FAULTS``),
+    each drawn into every value that can carry it."""
+    discrete, obs_dim = draw(st.booleans()), draw(st.integers(1, 2))
+    reals = st.floats(-4.0, 4.0) | st.sampled_from([np.nan, np.inf, -np.inf] if "non-finite" in faults else [-0.0])
+    actions = st.integers(0, 3) | st.sampled_from([1.0, 1.5, np.nan] if "fraction" in faults else [0])
+    trajs = []
+    for _ in range(draw(st.integers(0, 3))):
+        several = "episodes" in faults                        # several episodes, or one of no steps
+        lengths = draw(st.lists(st.integers(0 if several else 1, 3), min_size=1, max_size=3 if several else 1))
+        n, width = sum(lengths), obs_dim + ("width" in faults)
+        obs = np.array(draw(st.lists(reals, min_size=n * width, max_size=n * width))).reshape(n, width)
+        acts = np.array(draw(st.lists(actions if discrete else reals, min_size=n, max_size=n)))
+        if ("rank" in faults) == discrete:                    # discrete actions are flat, continuous ones rows
+            acts = acts.reshape(n, 1)
+        trajs.append(PackedWindows(None if "no obs" in faults else obs, acts, lengths,
+                                   states=np.arange(n) if "states" in faults else None))
+    return DemoSet(
+        trajs,
+        env_id=3 if "env" in faults else draw(st.sampled_from(["chain", "pointmass"])),
+        action_kind="weird" if "action_kind" in faults else ("discrete" if discrete else "continuous"),
+        obs_dim=draw(st.sampled_from([float(obs_dim), str(obs_dim)])) if "obs_dim" in faults else obs_dim,
+        mean_return=draw(st.sampled_from([np.nan, np.inf, -np.inf]) if "mean_return" in faults
+                         else st.floats(allow_nan=False, allow_infinity=False)),
+        generator=draw(st.sampled_from([5, None] if "generator" in faults else ["", "soft_vi(alpha=1.0)"])),
+    )
+
+
+@given(st.data())
+def test_write_demos_refuses_or_reads_back_what_it_was_given(tmp_path_factory, data):
+    # a set is either refused, naming a line, before the file exists, or
+    # written so that it reads back equal; a well-formed set is written
+    faults = data.draw(st.sets(st.sampled_from(_FAULTS), max_size=2))
+    demos = _drawn_demos(data.draw, faults)
+    path = tmp_path_factory.mktemp("demos") / "demos.jsonl"
+    try:
+        write_demos(path, demos)
+    except FormatError as exc:
+        assert faults and not path.exists() and re.search(r": line \d+: ", str(exc))
+        return
+    back = read_demos(path)
+    for name in ("env_id", "action_kind", "obs_dim", "mean_return", "generator"):
+        assert np.array_equal(getattr(back, name), getattr(demos, name))
+    assert len(back) == len(demos)
+    for given_, read in zip(demos.trajectories, back.trajectories):
+        for name in ("lengths", *PackedWindows._ROWS):
+            assert np.array_equal(getattr(given_, name), getattr(read, name))
+    text = path.read_bytes()
+    write_demos(path, back)                  # and what reads back writes the same bytes
+    assert path.read_bytes() == text
 
 
 # ---------------------------------------------------------------- run configs
